@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Sweep studies comparing the slicing variants: licensed-only (s1),
-# unlicensed-only (s2), and joint (s3).  Results land under results/.
+# Sweep studies comparing the slicing variants: unlicensed-only (s1),
+# licensed-only (s2), and joint (s3).  Results land under results/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -543,7 +543,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     text = Path(path).read_text()
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when present: same documents and errors, ~6x faster
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(doc)

@@ -8,7 +8,9 @@ prices, rates, and entitlements only; the consensus side works purely
 on (Z, dual) blocks plus the per-pair QoS bounds.  That boundary is
 what lets operators run the per-link updates locally without shipping
 their tariffs to the coordinator, and the test suite enforces it
-structurally.
+structurally.  Here every link's update runs in one batched call over
+dense ``(links, slices)`` rows, each row reading only its own link's
+data.
 
 A projected dual subgradient method on the same split serves as the
 baseline; both report per-iteration traces of their own iterates'
@@ -39,12 +41,15 @@ REPAIR_MAX_ROUNDS = 500
 # subproblems (exact, closed form)
 
 
-def alpha_subproblem(z_block, dual_block, gamma: float, xi_budget: float, gains) -> np.ndarray:
-    """One link's airtime split against the current consensus point.
+def alpha_subproblem(z_block, dual_block, gamma: float, xi_budget, gains) -> np.ndarray:
+    """Each link's airtime split against the current consensus point.
 
     Minimizes ``-gains . a + (gamma/2) ||a - z + dual||^2`` over the
     capped simplex ``{sum a = xi_budget, 0 <= a <= 1}``; the linear
     term folds into the projection target, so the minimizer is exact.
+    A block is one link's slices or a stack of links, one row each,
+    with ``xi_budget`` per row; a NaN gain marks a slice the link does
+    not offer, whose share stays 0.
     """
     z = np.asarray(z_block, dtype=float)
     lam = np.asarray(dual_block, dtype=float)
@@ -52,11 +57,11 @@ def alpha_subproblem(z_block, dual_block, gamma: float, xi_budget: float, gains)
     return project_capped_simplex_eq(z - lam + g / gamma, xi_budget, cap=1.0)
 
 
-def w_subproblem(z_block, dual_block, gamma: float, budget: float, gains) -> np.ndarray:
-    """One link's licensed draw against the current consensus point.
+def w_subproblem(z_block, dual_block, gamma: float, budget, gains) -> np.ndarray:
+    """Each link's licensed draw against the current consensus point.
 
-    Same quadratic form as :func:`alpha_subproblem`, minimized over
-    ``{sum u <= budget, u >= 0}``.
+    Same quadratic form and block layout as :func:`alpha_subproblem`,
+    minimized over ``{sum u <= budget, u >= 0}``.
     """
     z = np.asarray(z_block, dtype=float)
     lam = np.asarray(dual_block, dtype=float)
@@ -89,21 +94,19 @@ def dual_update(dual, x, z) -> np.ndarray:
 
 
 class _Scaled:
-    """Dense normalized arrays for one problem.
+    """Dense normalized ``(links, slices)`` arrays for one problem.
 
-    Inactive (link, slice) pairs are simply dropped from each link's
-    column list; every array here is ragged-by-link via ``cols``.
+    ``active`` masks the offered (link, slice) pairs; gains and QoS
+    bounds are 0 elsewhere, and :meth:`pad` marks the other pairs NaN
+    for the projections, which leave them at 0.
     """
 
     def __init__(self, problem: SlicingProblem):
         p = problem
         n, m = p.n_links, p.n_services
         self.problem = p
-        self.cols = [
-            np.array([l for l in range(m) if p.offered[k][l]], dtype=int)
-            for k in range(n)
-        ]
         self.active = np.array(p.offered, dtype=bool).reshape(n, m)
+        self.offered = self.active.sum(axis=1, keepdims=True)
         self.width = max(
             p.unlicensed_hz,
             max(p.budget_hz, default=0.0),
@@ -111,37 +114,31 @@ class _Scaled:
             1.0,
         )
         self.band_ratio = p.unlicensed_hz / self.width
-        gain = np.zeros((n, m))
-        qos = np.zeros((n, m))
-        for k in range(n):
-            for l in self.cols[k]:
-                gain[k, l] = p.price_per_bit[k][l] * p.rate_bps_hz[k] * self.width
-                qos[k, l] = p.min_rate_bps[k][l] / (p.rate_bps_hz[k] * self.width)
+        rate = np.array(p.rate_bps_hz, dtype=float).reshape(n, 1)
+        price = np.array(p.price_per_bit, dtype=float).reshape(n, m)
+        floor = np.array(p.min_rate_bps, dtype=float).reshape(n, m)
+        gain = np.where(self.active, price * rate * self.width, 0.0)
+        qos = np.where(self.active, floor / (rate * self.width), 0.0)
         self.gain_scale = gain.max() if gain.size and gain.max() > 0 else 1.0
         self.gain_u = gain / self.gain_scale
         self.gain_a = self.gain_u * self.band_ratio
         self.qos = qos
         self.budget = np.array(p.budget_hz, dtype=float) / self.width
         self.xi = np.array(p.access, dtype=float)
-        self.dim = 2 * sum(len(c) for c in self.cols)
+        self.dim = 2 * int(self.offered.sum())
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with every pair the link does not offer set to NaN."""
+        return np.where(self.active, x, np.nan)
 
     def objective(self, u: np.ndarray, a: np.ndarray) -> float:
         """True revenue of a normalized allocation, in original units."""
-        total = 0.0
-        for k, cols in enumerate(self.cols):
-            total += float(self.gain_u[k, cols] @ u[k, cols])
-            total += float(self.gain_a[k, cols] @ a[k, cols])
-        return total * self.gain_scale
+        return float((self.gain_u * u).sum() + (self.gain_a * a).sum()) * self.gain_scale
 
     def project_local(self, u: np.ndarray, a: np.ndarray):
         """Exact projection onto every link's own feasibility sets."""
-        pu, pa = np.zeros_like(u), np.zeros_like(a)
-        for k, cols in enumerate(self.cols):
-            if len(cols) == 0:
-                continue
-            pa[k, cols] = project_capped_simplex_eq(a[k, cols], self.xi[k], cap=1.0)
-            pu[k, cols] = project_budget_box(u[k, cols], self.budget[k])
-        return pu, pa
+        pa = project_capped_simplex_eq(self.pad(a), self.xi, cap=1.0)
+        return project_budget_box(self.pad(u), self.budget), pa
 
     def qos_shortfall(self, u: np.ndarray, a: np.ndarray) -> float:
         gap = (self.qos - (u + self.band_ratio * a)) * self.active
@@ -262,24 +259,16 @@ def solve_admm(
         trace.converged = True
         return _zero_solution(problem, "admm"), trace
 
-    xu, xa = np.zeros((n, m)), np.zeros((n, m))
-    for k, cols in enumerate(s.cols):
-        if len(cols):
-            xa[k, cols] = s.xi[k] / len(cols)
+    xu = np.zeros((n, m))
+    xa = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
     zu, za = xu.copy(), xa.copy()
     lu, la = np.zeros((n, m)), np.zeros((n, m))
+    gain_u, gain_a = s.pad(s.gain_u), s.pad(s.gain_a)
     eps = tol * math.sqrt(s.dim)
 
     for it in range(1, max_iter + 1):
-        for k, cols in enumerate(s.cols):
-            if len(cols) == 0:
-                continue
-            xa[k, cols] = alpha_subproblem(
-                za[k, cols], la[k, cols], gamma, s.xi[k], s.gain_a[k, cols]
-            )
-            xu[k, cols] = w_subproblem(
-                zu[k, cols], lu[k, cols], gamma, s.budget[k], s.gain_u[k, cols]
-            )
+        xa = alpha_subproblem(za, la, gamma, s.xi, gain_a)
+        xu = w_subproblem(zu, lu, gamma, s.budget, gain_u)
         zu_prev, za_prev = zu, za
         zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
         zu *= s.active
@@ -344,17 +333,25 @@ def solve_subgradient(
         trace.converged = True
         return _zero_solution(problem, "subgradient"), trace
 
+    # The priced airtime maximizer fills slices best-paying first: the
+    # offered slice ranked r gets clip(xi - r, 0, 1), ranked by a stable
+    # sort of the negated priced gains (NaN where not offered, sorting
+    # last).  The licensed draw goes all-in on the best-paying slice.
+    ranks = np.arange(m)
+    fill = np.where(ranks < s.offered, np.clip(s.xi[:, None] - ranks, 0.0, 1.0), 0.0)
+    neg_gain_a = -s.pad(s.gain_a)
+    gain_u = np.where(s.active, s.gain_u, -np.inf)
+    links = np.arange(n)
     lam = np.zeros((n, m))
     avg_u, avg_a = np.zeros((n, m)), np.zeros((n, m))
     for it in range(1, max_iter + 1):
-        xu, xa = np.zeros((n, m)), np.zeros((n, m))
-        for k, cols in enumerate(s.cols):
-            coef_a = s.gain_a[k, cols] + lam[k, cols] * s.band_ratio
-            xa[k, cols] = _greedy_simplex_max(coef_a, s.xi[k])
-            coef_u = s.gain_u[k, cols] + lam[k, cols]
-            best = int(np.argmax(coef_u))
-            if coef_u[best] > 0:
-                xu[k, cols[best]] = s.budget[k]
+        rank = np.argsort(neg_gain_a - lam * s.band_ratio, axis=1, kind="stable")
+        xa = np.zeros((n, m))
+        xa[links[:, None], rank] = fill
+        coef_u = gain_u + lam
+        best = np.argmax(coef_u, axis=1)
+        xu = np.zeros((n, m))
+        xu[links, best] = np.where(coef_u[links, best] > 0, s.budget, 0.0)
         avg_u += (xu - avg_u) / it
         avg_a += (xa - avg_a) / it
 
@@ -362,26 +359,15 @@ def solve_subgradient(
         step = step_scale / math.sqrt(it)
         lam = np.maximum(0.0, lam - step * slack) * s.active
 
-        shortfall = float(
-            (np.maximum(s.qos - (avg_u + s.band_ratio * avg_a), 0.0) * s.active).max()
-        )
         trace.rows.append(
-            TraceRow(it, s.objective(avg_u, avg_a), shortfall, step * float(np.abs(slack).max()))
+            TraceRow(
+                it,
+                s.objective(avg_u, avg_a),
+                s.qos_shortfall(avg_u, avg_a),
+                step * float(np.abs(slack).max()),
+            )
         )
 
     ru, ra = s.repair(avg_u.copy(), avg_a.copy())
     trace.converged = True
     return s.to_solution(ru, ra, "subgradient", ("ergodic-average",)), trace
-
-
-def _greedy_simplex_max(coef: np.ndarray, total: float) -> np.ndarray:
-    """Maximize a linear form over {sum x = total, 0 <= x <= 1}."""
-    x = np.zeros_like(coef)
-    left = total
-    for j in np.argsort(-coef):
-        take = min(1.0, left)
-        x[j] = take
-        left -= take
-        if left <= 0:
-            break
-    return x

@@ -118,10 +118,10 @@ def test_criterion_3_joint_variant_dominates(verdict):
 
     preset = bottleneck_preset()
     joint = solve_lp_oracle(preset).objective
-    licensed = solve_lp_oracle(as_variant(preset, "s1")).objective
-    unlicensed = solve_lp_oracle(as_variant(preset, "s2")).objective
-    ratio = joint / max(licensed, unlicensed)
-    ok = dominated == 50 and joint >= 1.5 * licensed and joint >= 1.5 * unlicensed
+    unlicensed = solve_lp_oracle(as_variant(preset, "s1")).objective
+    licensed = solve_lp_oracle(as_variant(preset, "s2")).objective
+    ratio = joint / max(unlicensed, licensed)
+    ok = dominated == 50 and joint >= 1.5 * unlicensed and joint >= 1.5 * licensed
     detail = verdict(
         3,
         ok,

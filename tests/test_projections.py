@@ -1,4 +1,5 @@
-"""Exact projections against dense-grid brute force and metric properties."""
+"""Exact projections against dense-grid brute force, metric properties,
+and the stacked-row form against an independent scalar reference."""
 
 import math
 
@@ -6,13 +7,63 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slicenet.projections import (
-    project_budget_box,
-    project_capped_simplex_eq,
-    project_halfspace,
-)
+from slicenet.projections import project_budget_box, project_capped_simplex_eq
+from slicenet.solvers import z_projection
 
 GRID_STEP = 1e-3
+
+
+def _ref_water_fill(y, total):
+    """Reference: {x >= 0, sum x = total} for one row, by sorting."""
+    if total <= 0.0:
+        return np.zeros_like(y)
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, y.size + 1)
+    # the largest entry qualifies in exact arithmetic, whatever roundoff
+    # does to a total far below its last digit
+    k = max(np.nonzero(u - (css - total) / ks > 0)[0], default=0) + 1
+    return np.maximum(y - (css[k - 1] - total) / k, 0.0)
+
+
+def _ref_capped_simplex(y, total, cap):
+    """Reference: {sum x = total, 0 <= x <= cap} for one row, by a
+    scalar walk over the sorted, deduplicated breakpoints."""
+    if y.size == 0:
+        return np.zeros(0)
+    if not math.isfinite(cap):
+        return _ref_water_fill(y, total)
+    total = min(max(0.0, total), y.size * cap)
+    ys = y.tolist()
+
+    def mass(tau):
+        acc = 0.0
+        for v in ys:
+            d = v - tau
+            if d >= cap:
+                acc += cap
+            elif d > 0.0:
+                acc += d
+        return acc
+
+    points = sorted({v - cap for v in ys} | set(ys))
+    tau = points[-1]
+    if mass(points[0]) <= total:
+        tau = points[0]
+    else:
+        for a, b in zip(points, points[1:]):
+            ma, mb = mass(a), mass(b)
+            if mb <= total <= ma:
+                tau = a if ma == mb else a + (ma - total) * (b - a) / (ma - mb)
+                break
+    return np.clip(y - tau, 0.0, cap)
+
+
+def _ref_budget_box(y, budget, cap):
+    inside = np.clip(y, 0.0, cap if math.isfinite(cap) else None)
+    if inside.sum() <= budget:
+        return inside
+    return _ref_capped_simplex(y, budget, cap)
 
 
 def _grid_simplex_oracle(y, total, cap):
@@ -76,18 +127,24 @@ def test_budget_box_zero_budget():
     assert np.allclose(out, 0.0)
 
 
-def test_halfspace_pin():
-    u, a = project_halfspace(0.0, 0.0, 1.0, 1.0)
+def _halfspace(u0, a0, beta, bound):
+    """z_projection on one (link, slice) pair with a zero dual."""
+    u, a = z_projection([u0], [a0], [0.0], [0.0], beta, [bound])
+    return float(u[0]), float(a[0])
+
+
+def test_z_projection_halfspace_pin():
+    u, a = _halfspace(0.0, 0.0, 1.0, 1.0)
     assert math.isclose(u, 0.5) and math.isclose(a, 0.5)
 
 
-def test_halfspace_matches_grid():
+def test_z_projection_matches_grid():
     rng = np.random.default_rng(7)
     for _ in range(100):
         u0, a0 = rng.uniform(-1.0, 1.0, size=2)
         beta = rng.uniform(0.1, 3.0)
         bound = rng.uniform(-0.5, 1.5)
-        u, a = project_halfspace(u0, a0, beta, bound)
+        u, a = _halfspace(u0, a0, beta, bound)
         assert u + beta * a >= bound - 1e-9
         if u0 + beta * a0 >= bound:
             assert (u, a) == (u0, a0)
@@ -138,10 +195,10 @@ def test_capped_simplex_nonexpansive(c1, c2):
     st.floats(0.01, 10, allow_nan=False),
     st.floats(-10, 10, allow_nan=False),
 )
-def test_halfspace_idempotent_and_feasible(u0, a0, beta, bound):
-    u, a = project_halfspace(u0, a0, beta, bound)
+def test_z_projection_idempotent_and_feasible(u0, a0, beta, bound):
+    u, a = _halfspace(u0, a0, beta, bound)
     assert u + beta * a >= bound - 1e-7 * max(1.0, abs(bound))
-    uu, aa = project_halfspace(u, a, beta, bound)
+    uu, aa = _halfspace(u, a, beta, bound)
     assert math.isclose(u, uu, abs_tol=1e-7) and math.isclose(a, aa, abs_tol=1e-7)
 
 
@@ -150,3 +207,60 @@ def test_simplex_rejects_impossible_mass():
         project_capped_simplex_eq(np.array([0.5, 0.5]), 3.0, cap=1.0)
     with pytest.raises(ValueError):
         project_capped_simplex_eq(np.array([0.5, 0.5]), -0.2, cap=1.0)
+
+
+# a few repeated values make tied entries and tied breakpoints common
+_ENTRY = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+    st.floats(-3, 3, allow_nan=False, width=32),
+)
+
+
+@st.composite
+def _stacked_case(draw):
+    """Rows of 1-6 entries under a random mask, with per-row totals at
+    0, at full capacity or in between."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=5))
+    y = np.array(draw(st.lists(_ENTRY, min_size=n * m, max_size=n * m))).reshape(n, m)
+    mask = np.array(
+        draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    ).reshape(n, m)
+    cap = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, math.inf]))
+    totals = []
+    for count in mask.sum(axis=1):
+        room = count * cap if math.isfinite(cap) else 4.0 * count
+        frac = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+        totals.append(float(room * frac))
+    return y, mask, np.array(totals), cap
+
+
+def _check_rows(got, y, mask, ref):
+    assert got.shape == y.shape
+    assert np.all(got[~mask] == 0.0)
+    for k in range(len(y)):
+        want = ref(y[k, mask[k]], k)
+        assert np.allclose(got[k, mask[k]], want, rtol=0.0, atol=1e-12)
+
+
+@given(_stacked_case())
+def test_stacked_capped_simplex_matches_reference(case):
+    y, mask, totals, cap = case
+    got = project_capped_simplex_eq(np.where(mask, y, np.nan), totals, cap=cap)
+    _check_rows(got, y, mask, lambda row, k: _ref_capped_simplex(row, totals[k], cap))
+
+
+@given(_stacked_case())
+def test_stacked_budget_box_matches_reference(case):
+    y, mask, budgets, cap = case
+    got = project_budget_box(np.where(mask, y, np.nan), budgets, cap=cap)
+    _check_rows(got, y, mask, lambda row, k: _ref_budget_box(row, budgets[k], cap))
+
+
+def test_all_masked_row_stays_zero():
+    y = np.array([[np.nan, np.nan], [0.3, np.nan]])
+    out = project_capped_simplex_eq(y, [0.0, 1.0])
+    assert np.array_equal(out, [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        project_capped_simplex_eq(y, [0.5, 1.0])
+    assert np.array_equal(project_budget_box(y, [1.0, 0.1]), [[0.0, 0.0], [0.1, 0.0]])

@@ -140,6 +140,23 @@ def test_w_subproblem_respects_budget():
     assert np.all(out >= 0.0)
 
 
+def test_subproblems_accept_stacked_blocks():
+    # one batched call over stacked links equals one call per link on
+    # its offered slices; NaN gains mark the slices a link does not offer
+    rng = np.random.default_rng(24)
+    z, lam = rng.uniform(-0.5, 1.5, (5, 3)), rng.uniform(-0.5, 0.5, (5, 3))
+    gains = rng.uniform(0.0, 2.0, (5, 3))
+    offered = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 0]], bool)
+    padded = np.where(offered, gains, np.nan)
+    xi, budget = rng.uniform(0.0, 1.0, 5), rng.uniform(0.1, 1.0, 5)
+    for fn, totals in ((alpha_subproblem, xi), (w_subproblem, budget)):
+        stacked = fn(z, lam, 0.7, totals, padded)
+        assert np.all(stacked[~offered] == 0.0)
+        for k, row in enumerate(offered):
+            one = fn(z[k, row], lam[k, row], 0.7, totals[k], gains[k, row])
+            assert np.array_equal(stacked[k, row], one)
+
+
 def test_z_projection_enforces_qos_bound():
     u, a = z_projection(
         np.array([0.0]), np.array([0.0]), np.zeros(1), np.zeros(1), 1.0,
@@ -151,3 +168,28 @@ def test_z_projection_enforces_qos_bound():
 def test_dual_update_accumulates_disagreement():
     d = dual_update(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 0.5]))
     assert np.allclose(d, [1.0, -0.5])
+
+
+def test_link_offering_no_slice_stays_zero():
+    from dataclasses import replace
+
+    base = bottleneck_preset()
+    problem = replace(
+        base,
+        link_ids=base.link_ids + ("m1b2u1",),
+        link_owner=base.link_owner + (1,),
+        rate_bps_hz=base.rate_bps_hz + (4.0,),
+        access=base.access + (0.0,),
+        budget_hz=base.budget_hz + (1.0e7,),
+        offered=base.offered + ((False, False),),
+        min_rate_bps=base.min_rate_bps + ((0.0, 0.0),),
+        price_per_bit=base.price_per_bit + ((1.0e-6, 2.0e-6),),
+    )
+    oracle = solve_lp_oracle(problem)
+    admm, trace = solve_admm(problem)
+    sub, _ = solve_subgradient(problem, max_iter=200)
+    assert trace.converged
+    assert abs(admm.objective - oracle.objective) <= 1e-4 * abs(oracle.objective)
+    for solution in (admm, sub):
+        assert solution.u_hz[2] == (0.0, 0.0) and solution.alpha[2] == (0.0, 0.0)
+        assert solution.max_violation() <= 1e-6
