@@ -7,8 +7,12 @@
 #   diff -r /tmp/before /tmp/after
 #
 # It builds a short table (graphs of up to 5 vertices, 0.2 simulated s
-# each), then runs mboe, solve with each solver (with its trace; the LP
-# has none), game and a 1 s sim on scenarios/two_mno_20mhz.yaml.
+# each), then runs mboe (also with operator 2 removed), solve with each
+# solver (with its trace; the LP has none), game under both division
+# rules and a 1 s sim on scenarios/two_mno_20mhz.yaml.  Then it
+# generates a dense two-operator deployment (120 links, 20 access
+# points), whose components reach past the table, and runs mboe, solve
+# and game on it with --fallback.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -25,9 +29,18 @@ slicenet() { python -m slicenet.cli "$@"; }
 
 slicenet table --max-size 5 --duration 0.2 --seed 0 --out table.tsv > table.txt
 slicenet mboe --scenario "$SCENARIO" --table table.tsv --out mboe.txt
+slicenet mboe --scenario "$SCENARIO" --table table.tsv --remove 2 --out mboe_remove2.txt
 for solver in lp admm subgrad; do
     slicenet solve --scenario "$SCENARIO" --table table.tsv --solver "$solver" \
         --trace "trace_$solver.tsv" --out "solve_$solver.txt"
 done
 slicenet game --scenario "$SCENARIO" --table table.tsv --out game.txt
+slicenet game --scenario "$SCENARIO" --table table.tsv --division prop --out game_prop.txt
 slicenet sim --scenario "$SCENARIO" --duration 1 --seed 0 --out sim.txt
+
+slicenet gen --kind two-mno-urban --bs-per-mno 10 --ues-per-bs 6 --wifi-aps 20 \
+    --cell-size 200 --seed 0 --out dense.yaml > gen_dense.txt
+DENSE=(--scenario dense.yaml --table table.tsv --fallback)
+slicenet mboe "${DENSE[@]}" --out dense_mboe.txt
+slicenet solve "${DENSE[@]}" --trace dense_trace_admm.tsv --out dense_solve_admm.txt
+slicenet game "${DENSE[@]}" --out dense_game.txt

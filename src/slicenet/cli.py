@@ -24,12 +24,13 @@ from .coexist import (
     AccessTable,
     SimConfig,
     SimConfigError,
+    TableFormatError,
     build_contention_graph,
     measure_table,
     run_coexistence,
 )
 from .contention import GraphTooLargeError
-from .experiments import AXES, ExperimentPlan, report, run_experiment
+from .experiments import AXES, ExperimentPlan, run_experiment
 from .game import (
     DIVISION_RULES,
     check_core,
@@ -85,7 +86,7 @@ def _estimates_for(args) -> tuple:
     table = AccessTable.load(args.table)
     graph = build_contention_graph(scenario)
     est = estimate_access(graph, table, fallback=getattr(args, "fallback", False))
-    return scenario, graph, est
+    return scenario, table, graph, est
 
 
 # -- sim ----------------------------------------------------------------
@@ -148,14 +149,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_mboe(args) -> int:
-    scenario, graph, est = _estimates_for(args)
+    _, table, graph, est = _estimates_for(args)
     lines = ["vertex\taccess\tprovenance"]
     for vid in sorted(est.access):
         lines.append(f"{vid}\t{est.access[vid]:.6f}\t{est.provenance[vid]}")
     if args.remove:
         removed = tuple(int(tok) for tok in args.remove.split(","))
         reduced = remove_mno(graph, removed)
-        after = estimate_access(reduced, AccessTable.load(args.table), fallback=args.fallback)
+        after = estimate_access(reduced, table, fallback=args.fallback)
         lines.append("")
         lines.append(f"without mno {args.remove}:")
         lines.append("vertex\taccess\tprovenance")
@@ -201,7 +202,7 @@ def _solution_text(solution, trace, oracle_objective=None) -> str:
 
 
 def _cmd_solve(args) -> int:
-    scenario, _, est = _estimates_for(args)
+    scenario, _, _, est = _estimates_for(args)
     problem = build_problem(scenario, est, variant=args.variant)
     trace = None
     # the iterative solvers cannot certify infeasibility; ask the
@@ -228,7 +229,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    scenario, _, est = _estimates_for(args)
+    scenario, _, _, est = _estimates_for(args)
     problem = build_problem(scenario, est, variant="s3")
     rule = {"egal": "egalitarian", "prop": "proportional"}[args.division]
     agreement = default_division(problem, rule=rule)
@@ -294,9 +295,7 @@ def _cmd_experiment(args) -> int:
         table_max_size=args.table_max_size,
         table_duration_s=args.table_duration,
     )
-    plan.validate()
     rows = run_experiment(plan)
-    report(rows, plan.out_dir)
     errors = sum(1 for r in rows if r.error)
     print(f"{len(rows)} rows ({errors} infeasible) -> {plan.out_dir}/results.tsv")
     return EXIT_OK
@@ -409,6 +408,8 @@ def main(argv=None) -> int:
         return _fail(f"infeasible-{exc.family}", exc.message, EXIT_INFEASIBLE)
     except (SimConfigError, GraphTooLargeError) as exc:
         return _fail("simulation", exc, EXIT_SIMULATION)
+    except TableFormatError as exc:
+        return _fail("table", exc, EXIT_SIMULATION)
     except TableMissError as exc:
         return _fail("table-miss", exc, EXIT_SIMULATION)
     except KeyError as exc:

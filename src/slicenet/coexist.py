@@ -37,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .contention import (
     CanonicalForm,
     ContentionGraph,
@@ -45,7 +47,7 @@ from .contention import (
     enumerate_connected_colored_graphs,
     graph_from_canonical,
 )
-from .scenario import LAA, NODE_DEFAULTS, WIFI, Scenario, path_loss_db
+from .scenario import LAA, NODE_DEFAULTS, WIFI, Scenario
 
 DEFAULT_SLOT_TIME_S = 9e-6
 
@@ -58,6 +60,11 @@ FIXED = "fixed"
 
 class SimConfigError(ValueError):
     """Simulation parameters are unusable as given."""
+
+
+class TableFormatError(ValueError):
+    """An access-table file is malformed; the message names the file
+    and line."""
 
 
 @dataclass(frozen=True)
@@ -332,47 +339,6 @@ def run_lbt(
 # -- scenario wiring -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SenseMatrix:
-    """Pairwise detection between nodes: ``hears[a][b]`` means node a
-    receives node b's transmission at or above a's clear-channel
-    threshold.  Detection in either direction makes the pair contend."""
-
-    node_ids: tuple[str, ...]
-    hears: tuple[tuple[bool, ...], ...]
-
-    def index(self, node_id: str) -> int:
-        return self.node_ids.index(node_id)
-
-    def adjacent(self, a: str, b: str) -> bool:
-        if a == b:
-            return False
-        ia, ib = self.index(a), self.index(b)
-        return self.hears[ia][ib] or self.hears[ib][ia]
-
-
-def build_sense_matrix(scenario: Scenario) -> SenseMatrix:
-    nodes = scenario.nodes
-    carrier = scenario.band.carrier_frequency_ghz
-    rows = []
-    for a in nodes:
-        row = []
-        for b in nodes:
-            if a.id == b.id:
-                row.append(True)
-                continue
-            dx = a.position_m[0] - b.position_m[0]
-            dy = a.position_m[1] - b.position_m[1]
-            dist = math.hypot(dx, dy)
-            if dist <= 0.0:
-                row.append(True)  # co-located radios always hear each other
-                continue
-            received = b.tx_power_dbm - path_loss_db(dist, carrier)
-            row.append(received >= a.cca_threshold_dbm)
-        rows.append(tuple(row))
-    return SenseMatrix(node_ids=tuple(n.id for n in nodes), hears=tuple(rows))
-
-
 def unlicensed_contenders(scenario: Scenario) -> list[tuple[ContenderSpec, str, int | None]]:
     """Contenders on the shared band: one per operator link plus one per
     Wi-Fi access point that serves no link.  Returns (spec, serving
@@ -418,18 +384,31 @@ def build_contention_graph(scenario: Scenario) -> ContentionGraph:
     """Vertices are unlicensed contenders; edges mean detection in at
     least one direction.
 
-    Two contenders served by the same physical node share one radio
-    and are always adjacent.
+    Node a hears node b when b's transmit power, less the path loss
+    between them (``path_loss_db``), reaches a's clear-channel
+    threshold; co-located radios always hear each other.  Two
+    contenders served by the same physical node share one radio and
+    are always adjacent.
     """
-    sense = build_sense_matrix(scenario)
+    nodes = scenario.nodes
     contenders = unlicensed_contenders(scenario)
     verts = [Vertex(id=spec.id, tech=spec.tech, owner=owner) for spec, _, owner in contenders]
-    edges = set()
-    for i, (_, node_a, _) in enumerate(contenders):
-        for j in range(i + 1, len(contenders)):
-            node_b = contenders[j][1]
-            if node_a == node_b or sense.adjacent(node_a, node_b):
-                edges.add((verts[i].id, verts[j].id))
+    row = {n.id: i for i, n in enumerate(nodes)}
+    pos = np.array([n.position_m for n in nodes], dtype=float).reshape(-1, 2)
+    tx = np.array([n.tx_power_dbm for n in nodes], dtype=float)
+    cca = np.array([n.cca_threshold_dbm for n in nodes], dtype=float)
+    dist = np.hypot(
+        pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1]
+    )
+    carrier_db = 20.0 * math.log10(scenario.band.carrier_frequency_ghz)
+    with np.errstate(divide="ignore"):
+        # same expression and evaluation order as path_loss_db
+        loss = 43.3 * np.log10(dist) + 11.5 + carrier_db
+    hears = (tx[None, :] - loss >= cca[:, None]) | (dist <= 0.0)
+    at = np.array([row[node_id] for _, node_id, _ in contenders], dtype=np.intp)
+    adjacent = (hears | hears.T)[np.ix_(at, at)]
+    ia, ib = np.nonzero(np.triu(adjacent, 1))
+    edges = [(verts[i].id, verts[j].id) for i, j in zip(ia.tolist(), ib.tolist())]
     return ContentionGraph.build(verts, edges)
 
 
@@ -527,7 +506,7 @@ class AccessTable:
         text = Path(path).read_text()
         params: dict[str, str] = {}
         entries: dict[str, TableEntry] = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             if line.startswith("#"):
@@ -536,25 +515,53 @@ class AccessTable:
                         k, v = tokens.split("=", 1)
                         params[k] = v
                 continue
-            key, acc, raw = line.split("\t")
-            size_s, colors, _degs, bits_hex = key.split(";")
-            entries[key] = TableEntry(
-                key=key,
-                size=int(size_s),
-                colors=tuple(colors),
-                edge_bits=int(bits_hex, 16),
-                access=tuple(float(x) for x in acc.split(",")),
-                raw_share=tuple(float(x) for x in raw.split(",")),
+            try:
+                entry = _parse_entry(line)
+            except ValueError as exc:
+                raise TableFormatError(f"{path}:{lineno}: {exc}") from None
+            entries[entry.key] = entry
+        try:
+            return AccessTable(
+                max_size=int(params.get("max_size", 0)),
+                duration_s=float(params.get("duration_s", 0.0)),
+                slot_time_s=float(params.get("slot_time_s", DEFAULT_SLOT_TIME_S)),
+                seed=int(params.get("seed", 0)),
+                occupancy=params.get("occupancy", EXPONENTIAL),
+                doubling_backoff=bool(int(params.get("doubling_backoff", 0))),
+                entries=entries,
             )
-        return AccessTable(
-            max_size=int(params.get("max_size", 0)),
-            duration_s=float(params.get("duration_s", 0.0)),
-            slot_time_s=float(params.get("slot_time_s", DEFAULT_SLOT_TIME_S)),
-            seed=int(params.get("seed", 0)),
-            occupancy=params.get("occupancy", EXPONENTIAL),
-            doubling_backoff=bool(int(params.get("doubling_backoff", 0))),
-            entries=entries,
-        )
+        except ValueError as exc:
+            raise TableFormatError(f"{path}: bad header value ({exc})") from None
+
+
+def _parse_entry(line: str) -> TableEntry:
+    """One table row ``key<TAB>access,...<TAB>raw_share,...``; raises
+    ``ValueError`` saying what is wrong with it."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+    key, acc, raw = fields
+    parts = key.split(";")
+    try:
+        size_s, colors, _degs, bits_hex = parts
+        size = int(size_s)
+        edge_bits = int(bits_hex, 16)
+    except ValueError:
+        raise ValueError(f"bad key {key!r}") from None
+    if len(colors) != size or not set(colors) <= {"L", "W"}:
+        raise ValueError(f"bad key {key!r}")
+    access = tuple(float(x) for x in acc.split(","))
+    raw_share = tuple(float(x) for x in raw.split(","))
+    if len(access) != size or len(raw_share) != size:
+        raise ValueError(f"entry {key!r} needs {size} values in each column")
+    return TableEntry(
+        key=key,
+        size=size,
+        colors=tuple(colors),
+        edge_bits=edge_bits,
+        access=access,
+        raw_share=raw_share,
+    )
 
 
 def entry_seed(base_seed: int, key: str) -> int:

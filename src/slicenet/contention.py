@@ -12,6 +12,7 @@ to key measured access-probability tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 LAA_TECH = "laa"
@@ -84,14 +85,16 @@ class ContentionGraph:
     def has_edge(self, a: str, b: str) -> bool:
         return tuple(sorted((a, b))) in self.edges
 
-    def neighbors(self, vid: str) -> frozenset[str]:
-        out = set()
+    @cached_property
+    def _adjacency(self) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {vid: set() for vid in self.ids}
         for a, b in self.edges:
-            if a == vid:
-                out.add(b)
-            elif b == vid:
-                out.add(a)
-        return frozenset(out)
+            out[a].add(b)
+            out[b].add(a)
+        return {vid: frozenset(nbrs) for vid, nbrs in out.items()}
+
+    def neighbors(self, vid: str) -> frozenset[str]:
+        return self._adjacency.get(vid, frozenset())
 
     def degree(self, vid: str) -> int:
         return len(self.neighbors(vid))
@@ -128,10 +131,10 @@ class ContentionGraph:
         """Connected components, ordered by first vertex appearance."""
         masks = self.adjacency_masks()
         n = len(self.vertices)
-        seen = 0
-        out = []
+        label = [-1] * n
+        count = 0
         for start in range(n):
-            if seen >> start & 1:
+            if label[start] >= 0:
                 continue
             frontier = 1 << start
             comp = 0
@@ -144,9 +147,24 @@ class ContentionGraph:
                     nxt |= masks[low.bit_length() - 1]
                     f ^= low
                 frontier = nxt & ~comp
-            seen |= comp
-            out.append(self.induced(self.vertices[i].id for i in range(n) if comp >> i & 1))
-        return out
+            while comp:
+                low = comp & -comp
+                label[low.bit_length() - 1] = count
+                comp ^= low
+            count += 1
+        # split vertices and edges by label in one pass each
+        verts: list[list[Vertex]] = [[] for _ in range(count)]
+        edges: list[list[tuple[str, str]]] = [[] for _ in range(count)]
+        of = {}
+        for v, ci in zip(self.vertices, label):
+            verts[ci].append(v)
+            of[v.id] = ci
+        for e in self.edges:
+            edges[of[e[0]]].append(e)
+        return [
+            ContentionGraph(vertices=tuple(vs), edges=frozenset(es))
+            for vs, es in zip(verts, edges)
+        ]
 
 
 # -- maximum independent sets ---------------------------------------------
@@ -259,8 +277,14 @@ def canonical_form(graph: ContentionGraph) -> CanonicalForm:
     n = len(graph.vertices)
     if n > CANONICAL_MAX_VERTICES:
         raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
+    index = {v.id: i for i, v in enumerate(graph.vertices)}
+    adj = [[False] * n for _ in range(n)]
+    for a, b in graph.edges:
+        ia, ib = index[a], index[b]
+        adj[ia][ib] = adj[ib][ia] = True
+
     techs = [_TECH_CHAR[v.tech] for v in graph.vertices]
-    degs = [graph.degree(v.id) for v in graph.vertices]
+    degs = [sum(row) for row in adj]
     order = sorted(range(n), key=lambda i: (techs[i], degs[i]))
 
     blocks: list[list[int]] = []
@@ -269,12 +293,6 @@ def canonical_form(graph: ContentionGraph) -> CanonicalForm:
             blocks[-1].append(i)
         else:
             blocks.append([i])
-
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
-    adj = [[False] * n for _ in range(n)]
-    for a, b in graph.edges:
-        ia, ib = index[a], index[b]
-        adj[ia][ib] = adj[ib][ia] = True
 
     best_bits: int | None = None
     best_arrangements: list[tuple[int, ...]] = []

@@ -15,7 +15,7 @@ supporting marginal-value inequalities instance by instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .problem import (
@@ -63,7 +63,7 @@ def coalition_value(problem: SlicingProblem, coalition, cache: dict | None = Non
     return value
 
 
-def standalone_value(problem: SlicingProblem, mno_id: int) -> float:
+def standalone_value(problem: SlicingProblem, mno_id: int, cache: dict | None = None) -> float:
     """What one operator earns alone: own links, own budget, own floors.
 
     The airtime shares stay as estimated on the full deployment; a
@@ -74,7 +74,7 @@ def standalone_value(problem: SlicingProblem, mno_id: int) -> float:
         raise KeyError(f"operator {mno_id} not in problem")
     if not problem.links_of(mno_id):
         return 0.0
-    return coalition_value(problem, {mno_id})
+    return coalition_value(problem, {mno_id}, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,15 @@ class SlicingAgreement:
     u_hz: tuple[tuple[float, ...], ...]
     alpha: tuple[tuple[float, ...], ...]
     x: tuple[tuple[float, ...], ...]
+    #: values of ``problem`` already solved for this agreement: the
+    #: optimum of ``problem`` itself under ``None``, coalition values
+    #: keyed like ``coalition_value``'s cache; a ``dataclasses.replace``
+    #: copy starts empty
+    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def _values_for(self, problem: SlicingProblem | None) -> dict | None:
+        """The solved values, when ``problem`` is this agreement's own."""
+        return self._values if problem is None or problem is self.problem else None
 
     def as_solution(self) -> SlicingSolution:
         return solution_from_arrays(self.problem, self.u_hz, self.alpha, "agreement")
@@ -144,14 +153,14 @@ def compute_worth(agreement: SlicingAgreement, problem: SlicingProblem | None = 
     violation = sol.max_violation()
     if violation > EPS_REL:
         raise ValueError(f"infeasible agreement: violation {violation:.3e}")
-    cache: dict = {}
+    cache = agreement._values_for(problem)
     return WorthReport(
         service_ids=p.service_ids,
         members=p.members,
         slice_worth=tuple(sol.slice_worth(l) for l in range(p.n_services)),
         mno_worth=tuple(sol.mno_worth(i) for i in p.members),
         total=sol.objective,
-        standalone=tuple(standalone_value(p, i) for i in p.members),
+        standalone=tuple(standalone_value(p, i, cache) for i in p.members),
     )
 
 
@@ -197,7 +206,11 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
                 f"slice {p.service_ids[l]} splits {allocated!r}"
                 f" of a worth of {worth!r}"
             )
-    optimum = solve_lp_oracle(p).objective
+    cache = agreement._values_for(problem)
+    if cache is not None and None in cache:
+        optimum = cache[None]
+    else:
+        optimum = solve_lp_oracle(p).objective
     eps = EPS_REL * _scale(optimum)
     total = agreement.total_allocated()
     gap = optimum - total
@@ -210,7 +223,7 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
             reason=f"allocated welfare {total:.6g} short of optimum {optimum:.6g}",
         )
     for i in p.members:
-        floor = standalone_value(p, i)
+        floor = standalone_value(p, i, cache)
         share = agreement.member_share(i)
         if share < floor - eps:
             return CoreVerdict(
@@ -254,11 +267,13 @@ def default_division(
     """
     if rule not in DIVISION_RULES:
         raise ValueError(f"unknown division rule {rule!r}")
+    values: dict = {}
     if solution is None:
         solution = solve_lp_oracle(problem)
+        values[None] = solution.objective
     v_star = solution.objective
     members = problem.members
-    t = [standalone_value(problem, i) for i in members]
+    t = [standalone_value(problem, i, values) for i in members]
     surplus = v_star - sum(t)
     assert surplus >= -EPS_REL * _scale(v_star), (
         f"optimal welfare {v_star} below summed standalone values {sum(t)}"
@@ -278,12 +293,14 @@ def default_division(
         worth = solution.slice_worth(l)
         frac = worth / v_star if v_star > 0 else 0.0
         x.append(tuple(s * frac for s in shares))
-    return SlicingAgreement(
+    agreement = SlicingAgreement(
         problem=problem,
         u_hz=solution.u_hz,
         alpha=solution.alpha,
         x=tuple(x),
     )
+    agreement._values.update(values)
+    return agreement
 
 
 # ---------------------------------------------------------------------------

@@ -130,21 +130,30 @@ def _equal_share(comp: ContentionGraph):
     return {v.id: share for v in comp.vertices}, PROV_FALLBACK
 
 
-def _lookup_component(comp: ContentionGraph, table: AccessTable, fallback: bool):
+def _table_reach(table: AccessTable) -> int:
+    """Largest component the table can serve: its largest entry, as
+    far as canonical labeling goes."""
+    largest = max((e.size for e in table.entries.values()), default=0)
+    return min(largest, CANONICAL_MAX_VERTICES)
+
+
+def _read_table(comp: ContentionGraph, form, entry) -> dict[str, float]:
+    return {v.id: entry.access[form.to_canon[i]] for i, v in enumerate(comp.vertices)}
+
+
+def _lookup_component(
+    comp: ContentionGraph, table: AccessTable, reach: int, fallback: bool, form=None
+):
     """Per-vertex access of a connected graph from the table, or the
-    equal-share heuristic when allowed."""
+    equal-share heuristic when allowed.  ``form`` is the graph's
+    canonical form when the caller has it already."""
     n = len(comp.vertices)
-    if n <= CANONICAL_MAX_VERTICES:
-        form = canonical_form(comp)
+    if n <= reach or (not fallback and n <= CANONICAL_MAX_VERTICES):
+        # past the table's reach, labeled only to name the missing key
+        form = form if form is not None else canonical_form(comp)
         entry = table.lookup(form)
         if entry is not None:
-            return (
-                {
-                    v.id: entry.access[form.to_canon[i]]
-                    for i, v in enumerate(comp.vertices)
-                },
-                PROV_TABLE,
-            )
+            return _read_table(comp, form, entry), PROV_TABLE
         if not fallback:
             raise TableMissError(form.key)
     elif not fallback:
@@ -155,26 +164,32 @@ def _lookup_component(comp: ContentionGraph, table: AccessTable, fallback: bool)
 def _estimate_component(
     comp: ContentionGraph,
     table: AccessTable,
+    reach: int,
     fallback: bool,
     access: dict[str, float],
     prov: dict[str, str],
 ) -> None:
     # a component the table stores is read off as measured; reduction
     # below only approximates that measurement, so it is a last resort
-    if len(comp.vertices) <= CANONICAL_MAX_VERTICES:
+    form = None
+    if len(comp.vertices) <= reach:
         form = canonical_form(comp)
         entry = table.lookup(form)
         if entry is not None:
-            for i, v in enumerate(comp.vertices):
-                access[v.id] = entry.access[form.to_canon[i]]
-                prov[v.id] = PROV_TABLE
+            for vid, x in _read_table(comp, form, entry).items():
+                access[vid] = x
+                prov[vid] = PROV_TABLE
             return
 
     pruned = prune_to_mis(comp)
     survivors = set(pruned.ids)
     pieces = pruned.components()
+    whole = len(survivors) == len(comp.vertices)
     for piece in pieces:
-        vals, kind = _lookup_component(piece, table, fallback)
+        # pruning that drops nothing leaves the component, form and all
+        vals, kind = _lookup_component(
+            piece, table, reach, fallback, form if whole else None
+        )
         for vid, x in vals.items():
             access[vid] = x
             prov[vid] = kind
@@ -193,7 +208,7 @@ def _estimate_component(
         for ci in touched:
             local.update(pieces[ci].ids)
         sub = comp.induced(local)
-        vals, kind = _lookup_component(sub, table, fallback)
+        vals, kind = _lookup_component(sub, table, reach, fallback)
         access[v.id] = vals[v.id]
         prov[v.id] = PROV_PRUNED if kind == PROV_TABLE else PROV_FALLBACK
 
@@ -207,11 +222,14 @@ def estimate_access(
     ``GraphTooLargeError`` when a lookup cannot be served and
     ``fallback`` is off; with ``fallback`` on, uncovered components
     get the clique-number reciprocal, flagged in the provenance.
+    Components larger than the table's largest entry are never
+    labeled when ``fallback`` is on: no entry could match them.
     """
     access: dict[str, float] = {}
     prov: dict[str, str] = {}
+    reach = _table_reach(table)
     for comp in graph.components():
-        _estimate_component(comp, table, fallback, access, prov)
+        _estimate_component(comp, table, reach, fallback, access, prov)
     return AccessEstimate(access=access, provenance=prov)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -247,11 +248,13 @@ class Scenario:
                 return m
         raise KeyError(mno_id)
 
+    @cached_property
+    def _node_by_id(self) -> dict[str, Node]:
+        # reversed, so the first of any duplicate ids wins
+        return {n.id: n for n in reversed(self.nodes)}
+
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._node_by_id[node_id]
 
     def links_of(self, mno_id: int) -> tuple[Link, ...]:
         return tuple(l for l in self.links if l.owner == mno_id)

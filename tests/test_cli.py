@@ -133,6 +133,26 @@ def test_table_miss_without_fallback_exits_5(workspace, tmp_path, capsys):
     assert err.startswith("error: table-miss") or err.startswith("error: simulation")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda row: row.rsplit("\t", 1)[0],  # truncated row
+        lambda row: row.replace("\t", "\tn/a,", 1),  # non-numeric share
+    ],
+    ids=["truncated-row", "non-numeric-share"],
+)
+def test_malformed_table_exits_5(workspace, tmp_path, capsys, edit):
+    scenario, table = workspace
+    lines = table.read_text().splitlines()
+    lines[-1] = edit(lines[-1])
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["mboe", "--scenario", str(scenario), "--table", str(bad)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: table: {bad}:{len(lines)}:")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--solver", "quantum"])

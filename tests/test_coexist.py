@@ -9,14 +9,26 @@ from slicenet.coexist import (
     ContenderSpec,
     SimConfig,
     SimConfigError,
+    TableFormatError,
     build_contention_graph,
     entry_seed,
     isolated_access_share,
     measure_table,
     run_coexistence,
     run_lbt,
+    unlicensed_contenders,
 )
-from slicenet.scenario import NODE_DEFAULTS
+from slicenet.scenario import (
+    NODE_DEFAULTS,
+    BandPlan,
+    Link,
+    Mno,
+    Node,
+    Scenario,
+    ServiceType,
+    path_loss_db,
+)
+from slicenet.topology import KINDS, generate_topology
 
 
 def _spec(cid, tech):
@@ -140,6 +152,81 @@ def test_scenario_graph_edges(two_mno_scenario):
     assert g.edges == frozenset({("m1b1u1", "w1")})
 
 
+def _reference_edges(scenario):
+    """The scalar graph build, pair by pair: node a hears node b when
+    b's power less the path loss reaches a's CCA threshold, co-located
+    radios always hear each other, and contenders on one node share a
+    radio."""
+    nodes = {n.id: n for n in scenario.nodes}
+    carrier = scenario.band.carrier_frequency_ghz
+
+    def hears(a, b):
+        dist = math.hypot(
+            a.position_m[0] - b.position_m[0], a.position_m[1] - b.position_m[1]
+        )
+        if dist <= 0.0:
+            return True
+        return b.tx_power_dbm - path_loss_db(dist, carrier) >= a.cca_threshold_dbm
+
+    contenders = unlicensed_contenders(scenario)
+    edges = set()
+    for i, (spec_a, node_a, _) in enumerate(contenders):
+        for spec_b, node_b, _ in contenders[i + 1:]:
+            a, b = nodes[node_a], nodes[node_b]
+            if node_a == node_b or hears(a, b) or hears(b, a):
+                edges.add(tuple(sorted((spec_a.id, spec_b.id))))
+    return frozenset(edges)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_graph_build_matches_scalar_reference(kind):
+    for seed in range(4):
+        scenario = generate_topology(
+            kind, seed=seed, bs_per_mno=6, ues_per_bs=3, wifi_aps=12, cell_size_m=150.0
+        )
+        g = build_contention_graph(scenario)
+        assert g.ids == tuple(spec.id for spec, _, _ in unlicensed_contenders(scenario))
+        assert g.edges == _reference_edges(scenario)
+        assert g.edges  # dense enough that the comparison means something
+
+
+def _hand_scenario(nodes, links):
+    return Scenario(
+        services=(ServiceType(id=1, min_throughput_bps=1e6, price_per_bit=1e-6),),
+        mnos=(Mno(id=1, licensed_bandwidth_hz=2e7), Mno(id=2, licensed_bandwidth_hz=2e7)),
+        nodes=tuple(nodes),
+        links=tuple(links),
+        band=BandPlan(unlicensed_bandwidth_hz=2e7),
+    )
+
+
+def test_graph_build_one_way_hearing_and_shared_radios():
+    # at 30 m the loss is about 90.2 dB: a 23 dBm station reaches
+    # -67 dBm, below the default -62 dBm threshold, but a 30 dBm
+    # station (or a -70 dBm threshold) makes the hearing one-way
+    nodes = [
+        Node(id="b1", kind="laa", position_m=(0.0, 0.0), owner=1),
+        Node(id="b2", kind="laa", position_m=(30.0, 0.0), owner=2, tx_power_dbm=30.0),
+        Node(id="w1", kind="wifi", position_m=(-30.0, 0.0), cca_threshold_dbm=-70.0),
+        Node(id="w2", kind="wifi", position_m=(500.0, 500.0)),
+        Node(id="w3", kind="wifi", position_m=(500.0, 500.0)),
+    ]
+    links = [
+        Link(id="b1u1", owner=1, node="b1", ue_position_m=(0.0, 10.0)),
+        Link(id="b1u2", owner=1, node="b1", ue_position_m=(10.0, 0.0)),
+        Link(id="b2u1", owner=2, node="b2", ue_position_m=(30.0, 10.0)),
+    ]
+    scenario = _hand_scenario(nodes, links)
+    g = build_contention_graph(scenario)
+    assert g.edges == _reference_edges(scenario)
+    assert g.edges == frozenset({
+        ("b1u1", "b1u2"),  # one node, one radio
+        ("b1u1", "b2u1"), ("b1u2", "b2u1"),  # b1 hears b2, not the reverse
+        ("b1u1", "w1"), ("b1u2", "w1"),  # w1 hears b1, not the reverse
+        ("w2", "w3"),  # co-located radios
+    })
+
+
 def test_run_coexistence_covers_all_contenders(two_mno_scenario):
     out = run_coexistence(two_mno_scenario, SimConfig(duration_s=1.0, seed=0))
     assert set(out.stats) == {
@@ -171,3 +258,29 @@ def test_measure_table_cache_hit(tmp_path):
     assert len(list(tmp_path.glob("table_2_*.tsv"))) == 1
     again = measure_table(2, cfg, cache_dir=tmp_path)
     assert again.entries == first.entries
+
+
+def _write_table(tmp_path, table3, edit):
+    path = tmp_path / "t.tsv"
+    table3.save(path)
+    lines = path.read_text().splitlines()
+    lines[3] = edit(lines[3])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row.rsplit("\t", 1)[0], "expected 3 tab-separated fields"),
+        (lambda row: row.replace("\t", "\tabc,", 1), "could not convert"),
+        (lambda row: "2;LX;11;1" + row[row.index("\t"):], "bad key"),
+        (lambda row: "2;LL;11;1\t0.5\t0.5", "needs 2 values"),
+    ],
+    ids=["truncated", "non-numeric", "bad-key", "short"],
+)
+def test_table_load_names_file_and_line(tmp_path, table3, edit, message):
+    path = _write_table(tmp_path, table3, edit)
+    with pytest.raises(TableFormatError, match=message) as err:
+        AccessTable.load(path)
+    assert f"{path}:4:" in str(err.value)

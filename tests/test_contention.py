@@ -156,3 +156,22 @@ def test_components_partition_vertices():
         for a, b in g.edges:
             # an edge never crosses a component boundary
             assert (a in inner) == (b in inner)
+
+
+def test_neighbors_and_components_match_edge_scans():
+    import numpy as np
+
+    rng = np.random.default_rng(17)
+    for n, p in ((1, 0.5), (8, 0.15), (12, 0.3), (15, 0.1)):
+        g = _random_graph(rng, n, p)
+        for vid in g.ids:
+            scanned = {b if a == vid else a for a, b in g.edges if vid in (a, b)}
+            assert g.neighbors(vid) == scanned
+            assert g.degree(vid) == len(scanned)
+        assert g.neighbors("absent") == frozenset()
+        comps = g.components()
+        # each component is the induced subgraph on its vertices, in
+        # first-appearance order
+        assert comps == [g.induced(c.ids) for c in comps]
+        firsts = [g.ids.index(c.ids[0]) for c in comps]
+        assert firsts == sorted(firsts)

@@ -151,3 +151,64 @@ def test_agreement_matches_grand_coalition_solution():
     sol = agreement.as_solution()
     assert math.isclose(sol.objective, oracle.objective, rel_tol=1e-9)
     assert math.isclose(agreement.total_allocated(), oracle.objective, rel_tol=1e-9)
+
+
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Count the LPs the game layer solves."""
+    import slicenet.game as game
+
+    calls = []
+
+    def counted(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve_lp_oracle(problem, *args, **kwargs)
+
+    monkeypatch.setattr(game, "solve_lp_oracle", counted)
+    return calls
+
+
+def test_division_worth_and_core_share_their_lps(lp_calls):
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        problem = random_problem(rng, feasible_for="coalitions")
+        lp_calls.clear()
+        fresh = {
+            "worth": compute_worth(default_division(problem)),
+            "core": check_core(default_division(problem)),
+        }
+        solo = sum(1 for i in problem.members if problem.links_of(i))
+        lp_calls.clear()
+        agreement = default_division(problem)
+        worth = compute_worth(agreement)
+        verdict = check_core(agreement)
+        # one grand-coalition LP and one per operator with links
+        assert len(lp_calls) == 1 + solo
+        assert worth == fresh["worth"]
+        assert verdict == fresh["core"]
+
+
+def test_solved_values_stay_with_their_problem(lp_calls):
+    problem = bottleneck_preset()
+    agreement = default_division(problem)
+    lp_calls.clear()
+    # a copy starts empty, and another problem object is solved anew
+    check_core(replace(agreement, x=agreement.x))
+    assert len(lp_calls) == 3
+    lp_calls.clear()
+    check_core(agreement, replace(problem))
+    assert len(lp_calls) == 3
+    lp_calls.clear()
+    check_core(agreement, problem)
+    compute_worth(agreement)
+    assert lp_calls == []
+
+
+def test_division_from_a_given_solution_solves_the_optimum_in_core(lp_calls):
+    problem = bottleneck_preset()
+    agreement = default_division(problem, solution=solve_lp_oracle(problem))
+    lp_calls.clear()
+    # the given solution need not be optimal, so the core check solves
+    # the optimum itself and reuses only the standalone values
+    assert check_core(agreement).in_core
+    assert len(lp_calls) == 1

@@ -2,7 +2,15 @@
 
 import pytest
 
-from slicenet.contention import ContentionGraph, GraphTooLargeError, Vertex
+import slicenet.mboe as mboe
+from slicenet.coexist import build_contention_graph
+from slicenet.contention import (
+    CANONICAL_MAX_VERTICES,
+    ContentionGraph,
+    GraphTooLargeError,
+    Vertex,
+    canonical_form,
+)
 from slicenet.mboe import (
     TableMissError,
     estimate_access,
@@ -11,6 +19,7 @@ from slicenet.mboe import (
     subgraph_for_mno,
     value_of_rights,
 )
+from slicenet.topology import generate_topology
 from slicenet.scenario import (
     BandPlan,
     Link,
@@ -160,3 +169,101 @@ def test_value_of_rights_rejects_self_removal(table3):
     sc = _contending_pair_scenario()
     with pytest.raises(ValueError):
         value_of_rights(sc, table3, mno_id=1, removed=1)
+
+
+def _reference_lookup(comp, table, fallback):
+    # labels every component up to CANONICAL_MAX_VERTICES, whatever
+    # the table holds
+    n = len(comp.vertices)
+    if n <= CANONICAL_MAX_VERTICES:
+        form = canonical_form(comp)
+        entry = table.lookup(form)
+        if entry is not None:
+            return {v.id: entry.access[form.to_canon[i]] for i, v in enumerate(comp.vertices)}, "table"
+        if not fallback:
+            raise TableMissError(form.key)
+    elif not fallback:
+        raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "table lookup")
+    return mboe._equal_share(comp)
+
+
+def _reference_estimate(graph, table, fallback):
+    """The estimator as first written: table read, else prune and look
+    up each surviving piece and each dominated vertex's neighborhood."""
+    access, prov = {}, {}
+    for comp in graph.components():
+        if len(comp.vertices) <= CANONICAL_MAX_VERTICES:
+            form = canonical_form(comp)
+            entry = table.lookup(form)
+            if entry is not None:
+                for i, v in enumerate(comp.vertices):
+                    access[v.id] = entry.access[form.to_canon[i]]
+                    prov[v.id] = "table"
+                continue
+        pruned = prune_to_mis(comp)
+        pieces = pruned.components()
+        for piece in pieces:
+            vals, kind = _reference_lookup(piece, table, fallback)
+            access.update(vals)
+            prov.update(dict.fromkeys(vals, kind))
+        for v in comp.vertices:
+            if v.id in pruned.ids:
+                continue
+            local = {v.id}
+            for piece in pieces:
+                if comp.neighbors(v.id) & set(piece.ids):
+                    local.update(piece.ids)
+            vals, kind = _reference_lookup(comp.induced(local), table, fallback)
+            access[v.id] = vals[v.id]
+            prov[v.id] = "pruned" if kind == "table" else "fallback"
+    return access, prov
+
+
+_DEPLOYMENTS = [
+    # (kind, stations per operator, users per station, access points,
+    # cell size): 7-vertex components of six links and an access point,
+    # mixed 1-6-vertex components, and 4-5-vertex components
+    ("two-mno-urban", 10, 6, 20, 200.0),
+    ("uniform-random", 25, 3, 50, 150.0),
+    ("two-mno-urban", 20, 4, 40, 200.0),
+]
+
+
+@pytest.mark.parametrize("deployment", _DEPLOYMENTS, ids=lambda d: d[0])
+def test_fallback_labels_only_what_the_table_can_hold(deployment, table3, table5, monkeypatch):
+    kind, bs, ues, aps, cell = deployment
+    labeled = []
+
+    def spy(graph):
+        labeled.append(len(graph.vertices))
+        return canonical_form(graph)
+
+    monkeypatch.setattr(mboe, "canonical_form", spy)
+    sizes = set()
+    for seed in range(2):
+        graph = build_contention_graph(generate_topology(
+            kind, seed=seed, bs_per_mno=bs, ues_per_bs=ues, wifi_aps=aps, cell_size_m=cell
+        ))
+        for table, largest in ((table3, 3), (table5, 5)):
+            for view in (graph, subgraph_for_mno(graph, 1), remove_mno(graph, 2)):
+                labeled.clear()
+                est = estimate_access(view, table, fallback=True)
+                assert all(n <= largest for n in labeled)
+                assert (est.access, est.provenance) == _reference_estimate(view, table, True)
+                sizes.update(len(c.vertices) for c in view.components())
+    assert max(sizes) > 3  # components past the smaller table are there to skip
+
+
+def test_misses_without_fallback_name_the_same_key(table3):
+    # a 4-cycle survives pruning whole, and a 7-clique is beyond labeling
+    ids = ["a", "b", "c", "d"]
+    cycle = ContentionGraph.build(
+        [Vertex(i, "laa", k + 1) for k, i in enumerate(ids)],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
+    )
+    for graph, error in ((cycle, TableMissError), (_clique(7), GraphTooLargeError)):
+        with pytest.raises(error) as new:
+            estimate_access(graph, table3)
+        with pytest.raises(error) as old:
+            _reference_estimate(graph, table3, False)
+        assert str(new.value) == str(old.value)
