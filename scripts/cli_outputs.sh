@@ -7,12 +7,14 @@
 #   diff -r /tmp/before /tmp/after
 #
 # It builds a short table (graphs of up to 5 vertices, 0.2 simulated s
-# each), then runs mboe (also with operator 2 removed), solve with each
+# each), and one more with fixed occupancy and doubling backoff (fixed
+# holds give tied transmission ends), then runs mboe (also with operator 2 removed), solve with each
 # solver (with its trace; the LP has none), game under both division
 # rules and a 1 s sim on scenarios/two_mno_20mhz.yaml.  Then it
 # generates a dense two-operator deployment (120 links, 20 access
-# points), whose components reach past the table, and runs mboe, solve
-# and game on it with --fallback.
+# points), whose components reach past the table, runs mboe, solve
+# and game on it with --fallback, and simulates it with a timeline and
+# with Poisson arrivals.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -28,6 +30,8 @@ SCENARIO="$ROOT/scenarios/two_mno_20mhz.yaml"
 slicenet() { python -m slicenet.cli "$@"; }
 
 slicenet table --max-size 5 --duration 0.2 --seed 0 --out table.tsv > table.txt
+slicenet table --max-size 5 --duration 0.2 --seed 0 --occupancy fixed --doubling-backoff \
+    --out table_fixed.tsv > table_fixed.txt
 slicenet mboe --scenario "$SCENARIO" --table table.tsv --out mboe.txt
 slicenet mboe --scenario "$SCENARIO" --table table.tsv --remove 2 --out mboe_remove2.txt
 for solver in lp admm subgrad; do
@@ -44,3 +48,7 @@ DENSE=(--scenario dense.yaml --table table.tsv --fallback)
 slicenet mboe "${DENSE[@]}" --out dense_mboe.txt
 slicenet solve "${DENSE[@]}" --trace dense_trace_admm.tsv --out dense_solve_admm.txt
 slicenet game "${DENSE[@]}" --out dense_game.txt
+slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --timeline dense_timeline.tsv \
+    --out dense_sim.txt
+slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --arrivals poisson \
+    --arrival-rate 200 --out dense_sim_poisson.txt

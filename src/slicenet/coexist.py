@@ -30,11 +30,16 @@ closed-form share of an isolated station with identical parameters
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import multiprocessing
+import os
 import random
 import zlib
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +55,13 @@ from .contention import (
 from .scenario import LAA, NODE_DEFAULTS, WIFI, Scenario
 
 DEFAULT_SLOT_TIME_S = 9e-6
+
+#: Version of the simulator's random stream.  Bump it with any change
+#: that alters the draws ``run_lbt`` makes for a given seed: cached
+#: access tables are keyed on it.
+SIM_STREAM_VERSION = 1
+
+TABLE_FORMAT = "slicenet access table v1"
 
 SATURATED = "saturated"
 POISSON = "poisson"
@@ -163,20 +175,31 @@ def run_lbt(
     for i, m in enumerate(neighbor_masks):
         if m >> i & 1:
             raise SimConfigError(f"contender {specs[i].id} senses itself")
-        for j in range(n):
-            if (m >> j & 1) != (neighbor_masks[j] >> i & 1):
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            m ^= low
+            if j >= n or not neighbor_masks[j] >> i & 1:
                 raise SimConfigError("sense masks are not symmetric")
 
     if n == 0:
         return SimOutcome(stats={})
 
     horizon = config.duration_s
+    # counters expiring within this window of the first cannot sense the
+    # new transmission in time
+    window = slot * (1.0 - 1e-9)
     rng = random.Random(config.seed)
-    randint = rng.randint
-    expo = rng.expovariate
+    # the draws below are Random.randint and Random.expovariate spelled
+    # out (the getrandbits rejection loop and -log(1 - U) / lambda), so
+    # the stream and every value match the library calls exactly
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    log = math.log
 
     D = [s.difs_s for s in specs]
     HOLD = [s.txop_s for s in specs]
+    LAM = [1.0 / s.txop_s for s in specs]
     LO = [s.cw_min for s in specs]
     HI = [s.cw_max for s in specs]
     masks = neighbor_masks
@@ -195,7 +218,7 @@ def run_lbt(
     fire_at = [INF] * n  # finite iff counting with a clear channel
     cwhi = list(HI)
     tx_start = [0.0] * n
-    tx_end = [INF] * n
+    tx_end = [INF] * n  # finite iff transmitting
     tx_bad = [False] * n
     ready = [0.0] * n  # when the head frame last began contending
     arrivals: list[deque[float]] = [deque() for _ in range(n)]
@@ -207,42 +230,36 @@ def run_lbt(
     queue_wait = [0.0] * n
     timeline: list[tuple[str, float, float, bool]] = []
 
-    def hold_time(i: int) -> float:
-        return expo(1.0 / HOLD[i]) if exponential else HOLD[i]
-
     for i in range(n):
         if saturated:
             counting[i] = True
-            rem[i] = randint(LO[i], cwhi[i])
+            w = cwhi[i] - LO[i] + 1
+            k = w.bit_length()
+            r = getrandbits(k)
+            while r >= w:
+                r = getrandbits(k)
+            rem[i] = LO[i] + r
             fire_at[i] = D[i] + rem[i] * slot
         else:
-            next_arr[i] = expo(rate)
+            next_arr[i] = -log(1.0 - uniform()) / rate
 
     while True:
-        t_end = INF
-        b = busy
-        while b:
-            low = b & -b
-            i = low.bit_length() - 1
-            b ^= low
-            if tx_end[i] < t_end:
-                t_end = tx_end[i]
+        t_end = min(tx_end)
         t_fire = min(fire_at)
         t_arr = min(next_arr) if not saturated else INF
 
-        if min(t_end, t_arr, t_fire) >= horizon:
+        if t_end >= horizon and t_fire >= horizon and t_arr >= horizon:
             break
 
         if t_end <= t_arr and t_end <= t_fire:
             t = t_end
-            b = busy
-            while b:
-                low = b & -b
-                i = low.bit_length() - 1
-                b ^= low
-                if tx_end[i] != t:
-                    continue
-                busy ^= low
+            # finishers in index order, so the draws keep their order
+            near = 0
+            i = -1
+            for _ in range(tx_end.count(t)):
+                i = tx_end.index(t, i + 1)
+                busy ^= 1 << i
+                near |= 1 << i | masks[i]
                 tx_end[i] = INF
                 if tx_bad[i]:
                     bad_count[i] += 1
@@ -259,10 +276,20 @@ def run_lbt(
                     queue_wait[i] += tx_start[i] - arrivals[i].popleft()
                 if saturated or arrivals[i]:
                     counting[i] = True
-                    rem[i] = randint(LO[i], cwhi[i])
+                    w = cwhi[i] - LO[i] + 1
+                    k = w.bit_length()
+                    r = getrandbits(k)
+                    while r >= w:
+                        r = getrandbits(k)
+                    rem[i] = LO[i] + r
                     ready[i] = t
-            # the channel just quieted down for somebody: restart their DIFS
-            for j in range(n):
+            # the channel just quieted down for the finishers and their
+            # neighbours, the only contenders it can unblock: restart
+            # their DIFS
+            while near:
+                low = near & -near
+                j = low.bit_length() - 1
+                near ^= low
                 if counting[j] and fire_at[j] == INF and not busy & masks[j]:
                     anchor[j] = t
                     fire_at[j] = t + D[j] + rem[j] * slot
@@ -271,38 +298,50 @@ def run_lbt(
             for i in range(n):
                 if next_arr[i] == t:
                     arrivals[i].append(t)
-                    next_arr[i] = t + expo(rate)
+                    next_arr[i] = t + -log(1.0 - uniform()) / rate
                     if len(arrivals[i]) == 1 and not busy >> i & 1 and not counting[i]:
                         counting[i] = True
-                        rem[i] = randint(LO[i], cwhi[i])
+                        w = cwhi[i] - LO[i] + 1
+                        k = w.bit_length()
+                        r = getrandbits(k)
+                        while r >= w:
+                            r = getrandbits(k)
+                        rem[i] = LO[i] + r
                         ready[i] = t
                         if not busy & masks[i]:
                             anchor[i] = t
                             fire_at[i] = t + D[i] + rem[i] * slot
         else:
             t = t_fire
-            # counters expiring within one slot of the first cannot sense
-            # the new transmission in time, so the whole batch goes on air
-            limit = t + slot * (1.0 - 1e-9)
+            # everyone expiring within one window goes on air together
+            limit = t + window
             batch = [i for i in range(n) if fire_at[i] < limit]
             batch_mask = 0
             for i in batch:
                 batch_mask |= 1 << i
-            fired = dict()
+            near = 0
             for i in batch:
-                fired[i] = fire_at[i]
+                start = fire_at[i]
                 counting[i] = False
-                busy |= 1 << i
-                tx_start[i] = fire_at[i]
-                tx_end[i] = fire_at[i] + hold_time(i)
+                tx_start[i] = start
+                if exponential:
+                    tx_end[i] = start + -log(1.0 - uniform()) / LAM[i]
+                else:
+                    tx_end[i] = start + HOLD[i]
                 tx_bad[i] = bool(batch_mask & masks[i])
-                contention[i] += fire_at[i] - ready[i]
+                contention[i] += start - ready[i]
                 fire_at[i] = INF
+                near |= masks[i]
+            busy |= batch_mask
             # bystanders freeze: completed idle slots are banked, the
-            # partial slot and all DIFS progress are lost
-            for j in range(n):
-                if fire_at[j] != INF and busy & masks[j]:
-                    beta = min(fired[i] for i in batch if masks[j] >> i & 1)
+            # partial slot and all DIFS progress are lost.  Only the
+            # batch's neighbours can be counting next to a busy contender.
+            while near:
+                low = near & -near
+                j = low.bit_length() - 1
+                near ^= low
+                if fire_at[j] != INF:
+                    beta = min(tx_start[i] for i in batch if masks[j] >> i & 1)
                     elapsed = beta - anchor[j] - D[j]
                     if elapsed > 0:
                         done = int(elapsed / slot + 1e-7)
@@ -490,10 +529,21 @@ class AccessTable:
         )
 
     def content_key(self) -> str:
-        return hashlib.sha256(self.params_line().encode()).hexdigest()[:16]
+        """Cache key over everything a measured table depends on: its
+        parameters, the per-technology LBT defaults, the file format and
+        the simulator's random stream."""
+        text = "\n".join(
+            (
+                self.params_line(),
+                json.dumps(NODE_DEFAULTS, sort_keys=True),
+                TABLE_FORMAT,
+                f"stream={SIM_STREAM_VERSION}",
+            )
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def save(self, path: str | Path) -> None:
-        lines = ["# slicenet access table v1", f"# {self.params_line()}"]
+        lines = [f"# {TABLE_FORMAT}", f"# {self.params_line()}"]
         for key in sorted(self.entries):
             e = self.entries[key]
             acc = ",".join(repr(x) for x in e.access)
@@ -510,7 +560,12 @@ class AccessTable:
             if not line.strip():
                 continue
             if line.startswith("#"):
-                for tokens in line[1:].strip().split():
+                note = line[1:].strip()
+                if note.startswith("slicenet access table") and note != TABLE_FORMAT:
+                    raise TableFormatError(
+                        f"{path}:{lineno}: unsupported format {note!r}, expected {TABLE_FORMAT!r}"
+                    )
+                for tokens in note.split():
                     if "=" in tokens:
                         k, v = tokens.split("=", 1)
                         params[k] = v
@@ -607,9 +662,11 @@ def measure_table(
 
     Each entry runs on its own seed derived from ``config.seed`` and
     the canonical key, so the table is independent of enumeration
-    order.  With ``cache_dir`` set, a previously measured table with
-    identical parameters is reused from disk.
+    order and of how the entries are spread over processes: they are
+    measured on every usable CPU.  With ``cache_dir`` set, a previously
+    measured table with identical parameters is reused from disk.
     """
+    config.validate()
     table = AccessTable(
         max_size=max_size,
         duration_s=config.duration_s,
@@ -624,11 +681,38 @@ def measure_table(
         if cache_path.exists():
             return AccessTable.load(cache_path)
     forms = enumerate_connected_colored_graphs(max_size)
-    for idx, form in enumerate(forms):
-        table.entries[form.key] = measure_entry(form, config)
+    for idx, entry in enumerate(_measure_entries(forms, config)):
+        table.entries[entry.key] = entry
         if progress is not None:
-            progress(idx + 1, len(forms), form.key)
+            progress(idx + 1, len(forms), entry.key)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        table.save(cache_path)
+        # a concurrent reader sees either no file or a whole one
+        tmp = cache_path.with_name(f".{cache_path.name}.{os.getpid()}.tmp")
+        try:
+            table.save(tmp)
+            os.replace(tmp, cache_path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return table
+
+
+def _measure_entries(forms: list[CanonicalForm], config: SimConfig):
+    """``measure_entry`` over ``forms``, yielded in order.
+
+    Entries are spread over a pool of forked workers, one per usable
+    CPU; forked workers inherit the loaded modules, where spawned ones
+    would import numpy and scipy again.  Forking is safe here because
+    a worker runs only the pure-Python simulator, which takes no lock
+    a thread of the parent could hold.  Each worker gets several
+    chunks, so the costly largest graphs, which come last, are shared.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(forms))
+    if workers < 2:
+        for form in forms:
+            yield measure_entry(form, config)
+        return
+    chunk = -(-len(forms) // (8 * workers))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        yield from pool.map(measure_entry, forms, repeat(config), chunksize=chunk)

@@ -357,29 +357,52 @@ def graph_from_canonical(size: int, colors, edge_bits: int) -> ContentionGraph:
     return ContentionGraph.build(verts, edges)
 
 
+# Every connected graph of one to six vertices, up to isomorphism, as
+# edge bitmasks over vertices 0..n-1 in ``_pair_bit`` order (1, 1, 2, 6,
+# 21 and 112 per size).  Order and vertex numbering follow the graph
+# atlas of Read and Wilson, "An Atlas of Graphs" (1998): by edge count,
+# then degree sequence, then automorphism count.
+_SKELETONS = {
+    1: (0x0,),
+    2: (0x1,),
+    3: (0x3, 0x7),
+    4: (0x34, 0xD, 0x3C, 0x2D, 0x2F, 0x3F),
+    5: (
+        0x348, 0x2A8, 0x99, 0x3C8, 0x9B, 0x2B8, 0x1E1, 0x299, 0x1F1, 0x3E1, 0x3C9,
+        0x29D, 0x7E, 0x3F8, 0x3EC, 0x2F9, 0x17E, 0x3ED, 0x3DD, 0x3FD, 0x3FF,
+    ),
+    6: (
+        0x6910, 0x3A1, 0x3007, 0x2461, 0x1258, 0x5211, 0x7910, 0x348C, 0x7308,
+        0x14B8, 0x7E, 0x24E2, 0x206E, 0x3C42, 0x7007, 0x1278, 0x6D8, 0x1329,
+        0x5231, 0x56C8, 0xFA1, 0x226E, 0x46E8, 0x4F81, 0x421F, 0x13A9, 0x228F,
+        0x16D8, 0x5AA2, 0x132D, 0x6F8, 0x132B, 0x68E2, 0x32D2, 0x5272, 0x5235,
+        0x3239, 0x7027, 0x27F, 0x226F, 0xEE3, 0x13E9, 0x52E9, 0xB6B, 0x12F9,
+        0xB4F, 0x7AA2, 0x4277, 0x2B4B, 0x56D8, 0x1A3B, 0x3D98, 0x5E31, 0x50F3,
+        0x1A3D, 0x46F8, 0x7329, 0x5731, 0x1B39, 0x5AB1, 0xF67, 0xB6F, 0x56AD,
+        0x7AE2, 0x4B67, 0x7D98, 0x1A3F, 0x50FB, 0x51F3, 0x427F, 0x333D, 0x527E,
+        0x5676, 0x1B3B, 0x3D9A, 0x7A39, 0x1B3D, 0x5E35, 0x5B87, 0x5AB5, 0x56ED,
+        0x16FD, 0x7D99, 0x73E9, 0x567E, 0x5E76, 0x53F9, 0x3B3D, 0x1BBB, 0x6FC3,
+        0x7B39, 0x5773, 0x5776, 0x78F3, 0x17EF, 0x2FE7, 0x56FD, 0x66EF, 0x79F3,
+        0x5FDA, 0x55F7, 0x3F9B, 0x5FB5, 0x76EF, 0xFFF, 0x7F9B, 0x57F7, 0x777B,
+        0x57FF, 0x777F, 0x7FFB, 0x7FFF,
+    ),
+}
+
+
 def enumerate_connected_colored_graphs(max_size: int) -> list[CanonicalForm]:
     """All connected graphs up to ``max_size`` vertices with every
     technology coloring, one canonical representative each.
 
-    Uses the small-graph atlas for the uncolored skeletons and this
-    module's canonical labeling to deduplicate colorings.  Sorted by
-    (size, key) so table builds enumerate deterministically.
+    Colors every connected skeleton in ``_SKELETONS`` both ways per
+    vertex and deduplicates with this module's canonical labeling.
+    Sorted by (size, key) so table builds enumerate deterministically.
     """
     if max_size > CANONICAL_MAX_VERTICES:
         raise GraphTooLargeError(max_size, CANONICAL_MAX_VERTICES, "graph enumeration")
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
-
     seen: dict[str, CanonicalForm] = {}
-    for g in graph_atlas_g():
-        n = g.number_of_nodes()
-        if n == 0 or n > max_size:
-            continue
-        if not nx.is_connected(g):
-            continue
-        edges = [tuple(sorted((f"v{a}", f"v{b}"))) for a, b in g.edges()]
-        for coloring in product((LAA_TECH, WIFI_TECH), repeat=n):
-            verts = [Vertex(id=f"v{i}", tech=coloring[i]) for i in range(n)]
-            form = canonical_form(ContentionGraph.build(verts, edges))
-            seen.setdefault(form.key, form)
+    for n in range(1, max_size + 1):
+        for bits in _SKELETONS[n]:
+            for coloring in product("LW", repeat=n):
+                form = canonical_form(graph_from_canonical(n, coloring, bits))
+                seen.setdefault(form.key, form)
     return sorted(seen.values(), key=lambda f: (f.size, f.key))

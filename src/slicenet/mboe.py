@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .coexist import AccessTable, build_contention_graph
 from .contention import (
     CANONICAL_MAX_VERTICES,
+    MIS_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
     canonical_form,
@@ -180,6 +181,12 @@ def _estimate_component(
                 access[vid] = x
                 prov[vid] = PROV_TABLE
             return
+    if fallback and len(comp.vertices) > MIS_MAX_VERTICES:
+        # too large to prune exactly: the equal share is all there is
+        vals, kind = _equal_share(comp)
+        access.update(vals)
+        prov.update(dict.fromkeys(vals, kind))
+        return
 
     pruned = prune_to_mis(comp)
     survivors = set(pruned.ids)

@@ -2,11 +2,13 @@
 
 Measured access tables are expensive to build, so they are cached on
 disk under ``tests/.cache`` and shared across the whole session.  The
-cache key (``AccessTable.content_key``) covers only the ``SimConfig``
-fields the table records.  It does not cover the per-technology LBT
-parameters in ``NODE_DEFAULTS`` or the simulator's code, so after a
-change to either, clear ``tests/.cache`` before trusting gate 5 or any
-other table-backed result.
+cache key (``AccessTable.content_key``) covers the ``SimConfig`` fields
+the table records, the per-technology LBT parameters in
+``NODE_DEFAULTS``, the file format and ``SIM_STREAM_VERSION``.  It does
+not cover the rest of the simulator's code: a change that alters the
+random stream must bump ``SIM_STREAM_VERSION``, and after any other
+change to the simulator, clear ``tests/.cache`` before trusting gate 5
+or any other table-backed result.
 """
 
 from pathlib import Path

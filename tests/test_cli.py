@@ -153,6 +153,15 @@ def test_malformed_table_exits_5(workspace, tmp_path, capsys, edit):
     assert err.startswith(f"error: table: {bad}:{len(lines)}:")
 
 
+def test_table_of_unknown_version_exits_5(workspace, tmp_path, capsys):
+    scenario, table = workspace
+    bad = tmp_path / "v2.tsv"
+    bad.write_text(table.read_text().replace("access table v1", "access table v2", 1))
+    code = main(["mboe", "--scenario", str(scenario), "--table", str(bad)])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"error: table: {bad}:1: unsupported format")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--solver", "quantum"])

@@ -1,23 +1,33 @@
 """Listen-before-talk engine: closed-form anchors, exclusion, tables."""
 
 import math
+import os
+import random
+from collections import deque
 
 import pytest
 
+import slicenet.coexist as coexist
 from slicenet.coexist import (
+    EXPONENTIAL,
+    SATURATED,
     AccessTable,
     ContenderSpec,
+    LinkStats,
     SimConfig,
     SimConfigError,
+    SimOutcome,
     TableFormatError,
     build_contention_graph,
     entry_seed,
     isolated_access_share,
+    measure_entry,
     measure_table,
     run_coexistence,
     run_lbt,
     unlicensed_contenders,
 )
+from slicenet.contention import enumerate_connected_colored_graphs, graph_from_canonical
 from slicenet.scenario import (
     NODE_DEFAULTS,
     BandPlan,
@@ -284,3 +294,333 @@ def test_table_load_names_file_and_line(tmp_path, table3, edit, message):
     with pytest.raises(TableFormatError, match=message) as err:
         AccessTable.load(path)
     assert f"{path}:4:" in str(err.value)
+
+
+def _reference_run_lbt(
+    specs: list[ContenderSpec],
+    neighbor_masks: list[int],
+    config: SimConfig,
+) -> SimOutcome:
+    """The simulator as first written: every event scans all contenders,
+    and the draws go through ``Random.randint`` and
+    ``Random.expovariate``."""
+    config.validate()
+    n = len(specs)
+    slot = config.slot_time_s
+    for s in specs:
+        if slot >= s.difs_s:
+            raise SimConfigError(
+                f"slot time {slot} s must be shorter than DIFS {s.difs_s} s of {s.id}"
+            )
+        if not (0 <= s.cw_min <= s.cw_max):
+            raise SimConfigError(f"bad contention window on {s.id}")
+    for i, m in enumerate(neighbor_masks):
+        if m >> i & 1:
+            raise SimConfigError(f"contender {specs[i].id} senses itself")
+        for j in range(n):
+            if (m >> j & 1) != (neighbor_masks[j] >> i & 1):
+                raise SimConfigError("sense masks are not symmetric")
+
+    if n == 0:
+        return SimOutcome(stats={})
+
+    horizon = config.duration_s
+    rng = random.Random(config.seed)
+    randint = rng.randint
+    expo = rng.expovariate
+
+    D = [s.difs_s for s in specs]
+    HOLD = [s.txop_s for s in specs]
+    LO = [s.cw_min for s in specs]
+    HI = [s.cw_max for s in specs]
+    masks = neighbor_masks
+
+    saturated = config.arrivals == SATURATED
+    rate = config.arrival_rate_hz
+    exponential = config.occupancy == EXPONENTIAL
+    doubling = config.doubling_backoff
+    record = config.record_timeline
+
+    INF = math.inf
+    busy = 0
+    counting = [False] * n
+    anchor = [0.0] * n  # where the current uninterrupted sensing run began
+    rem = [0] * n  # whole backoff slots still to complete
+    fire_at = [INF] * n  # finite iff counting with a clear channel
+    cwhi = list(HI)
+    tx_start = [0.0] * n
+    tx_end = [INF] * n
+    tx_bad = [False] * n
+    ready = [0.0] * n  # when the head frame last began contending
+    arrivals: list[deque[float]] = [deque() for _ in range(n)]
+    next_arr = [INF] * n
+    airtime = [0.0] * n
+    ok_count = [0] * n
+    bad_count = [0] * n
+    contention = [0.0] * n
+    queue_wait = [0.0] * n
+    timeline: list[tuple[str, float, float, bool]] = []
+
+    def hold_time(i: int) -> float:
+        return expo(1.0 / HOLD[i]) if exponential else HOLD[i]
+
+    for i in range(n):
+        if saturated:
+            counting[i] = True
+            rem[i] = randint(LO[i], cwhi[i])
+            fire_at[i] = D[i] + rem[i] * slot
+        else:
+            next_arr[i] = expo(rate)
+
+    while True:
+        t_end = INF
+        b = busy
+        while b:
+            low = b & -b
+            i = low.bit_length() - 1
+            b ^= low
+            if tx_end[i] < t_end:
+                t_end = tx_end[i]
+        t_fire = min(fire_at)
+        t_arr = min(next_arr) if not saturated else INF
+
+        if min(t_end, t_arr, t_fire) >= horizon:
+            break
+
+        if t_end <= t_arr and t_end <= t_fire:
+            t = t_end
+            b = busy
+            while b:
+                low = b & -b
+                i = low.bit_length() - 1
+                b ^= low
+                if tx_end[i] != t:
+                    continue
+                busy ^= low
+                tx_end[i] = INF
+                if tx_bad[i]:
+                    bad_count[i] += 1
+                    if doubling:
+                        cwhi[i] = min(2 * cwhi[i] + 1, 1023)
+                else:
+                    ok_count[i] += 1
+                    airtime[i] += t - tx_start[i]
+                    if doubling:
+                        cwhi[i] = HI[i]
+                if record:
+                    timeline.append((specs[i].id, tx_start[i], t, tx_bad[i]))
+                if not saturated:
+                    queue_wait[i] += tx_start[i] - arrivals[i].popleft()
+                if saturated or arrivals[i]:
+                    counting[i] = True
+                    rem[i] = randint(LO[i], cwhi[i])
+                    ready[i] = t
+            # the channel just quieted down for somebody: restart their DIFS
+            for j in range(n):
+                if counting[j] and fire_at[j] == INF and not busy & masks[j]:
+                    anchor[j] = t
+                    fire_at[j] = t + D[j] + rem[j] * slot
+        elif t_arr <= t_fire:
+            t = t_arr
+            for i in range(n):
+                if next_arr[i] == t:
+                    arrivals[i].append(t)
+                    next_arr[i] = t + expo(rate)
+                    if len(arrivals[i]) == 1 and not busy >> i & 1 and not counting[i]:
+                        counting[i] = True
+                        rem[i] = randint(LO[i], cwhi[i])
+                        ready[i] = t
+                        if not busy & masks[i]:
+                            anchor[i] = t
+                            fire_at[i] = t + D[i] + rem[i] * slot
+        else:
+            t = t_fire
+            # counters expiring within one slot of the first cannot sense
+            # the new transmission in time, so the whole batch goes on air
+            limit = t + slot * (1.0 - 1e-9)
+            batch = [i for i in range(n) if fire_at[i] < limit]
+            batch_mask = 0
+            for i in batch:
+                batch_mask |= 1 << i
+            fired = dict()
+            for i in batch:
+                fired[i] = fire_at[i]
+                counting[i] = False
+                busy |= 1 << i
+                tx_start[i] = fire_at[i]
+                tx_end[i] = fire_at[i] + hold_time(i)
+                tx_bad[i] = bool(batch_mask & masks[i])
+                contention[i] += fire_at[i] - ready[i]
+                fire_at[i] = INF
+            # bystanders freeze: completed idle slots are banked, the
+            # partial slot and all DIFS progress are lost
+            for j in range(n):
+                if fire_at[j] != INF and busy & masks[j]:
+                    beta = min(fired[i] for i in batch if masks[j] >> i & 1)
+                    elapsed = beta - anchor[j] - D[j]
+                    if elapsed > 0:
+                        done = int(elapsed / slot + 1e-7)
+                        rem[j] = max(0, rem[j] - done)
+                    fire_at[j] = INF
+
+    for i in range(n):
+        if busy >> i & 1:
+            end = min(tx_end[i], horizon)
+            if not tx_bad[i]:
+                airtime[i] += max(0.0, end - tx_start[i])
+            if record:
+                timeline.append((specs[i].id, tx_start[i], end, tx_bad[i]))
+
+    stats = {}
+    for i, s in enumerate(specs):
+        share = airtime[i] / horizon
+        iso = isolated_access_share(s.difs_s, s.txop_s, s.cw_min, s.cw_max, slot)
+        stats[s.id] = LinkStats(
+            id=s.id,
+            tech=s.tech,
+            duration_s=horizon,
+            airtime_s=airtime[i],
+            access_share=share,
+            normalized_access=share / iso,
+            tx_count=ok_count[i],
+            collision_count=bad_count[i],
+            contention_s=contention[i],
+            queue_wait_s=queue_wait[i],
+        )
+    return SimOutcome(stats=stats, timeline=tuple(timeline))
+
+
+def _masks(scenario):
+    specs = [spec for spec, _, _ in unlicensed_contenders(scenario)]
+    order = {spec.id: i for i, spec in enumerate(specs)}
+    masks = [0] * len(specs)
+    for a, b in build_contention_graph(scenario).edges:
+        masks[order[a]] |= 1 << order[b]
+        masks[order[b]] |= 1 << order[a]
+    return specs, masks
+
+
+_SIM_CONFIGS = [
+    SimConfig(duration_s=0.4, seed=3),
+    SimConfig(duration_s=0.4, seed=4, occupancy="fixed"),
+    # fixed holds end together, so ends tie and windows double
+    SimConfig(
+        duration_s=0.4, seed=5, occupancy="fixed", doubling_backoff=True, record_timeline=True
+    ),
+    SimConfig(
+        duration_s=0.4, seed=6, arrivals="poisson", arrival_rate_hz=400.0, record_timeline=True
+    ),
+]
+
+
+@pytest.mark.parametrize("config", _SIM_CONFIGS, ids=["saturated", "fixed", "doubling", "poisson"])
+def test_event_local_simulator_matches_reference(config):
+    for form in enumerate_connected_colored_graphs(5)[::12]:
+        graph = graph_from_canonical(form.size, form.colors, form.edge_bits)
+        specs = [_spec(v.id, v.tech) for v in graph.vertices]
+        masks = graph.adjacency_masks()
+        assert run_lbt(specs, masks, config) == _reference_run_lbt(specs, masks, config), form.key
+
+
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        ("two-mno-urban", SimConfig(duration_s=0.1, seed=1, record_timeline=True)),
+        (
+            "uniform-random",
+            SimConfig(duration_s=0.03, seed=2, arrivals="poisson", doubling_backoff=True),
+        ),
+    ],
+    ids=["urban-saturated", "random-poisson"],
+)
+def test_event_local_simulator_matches_reference_on_dense_deployments(kind, config):
+    # 200 contenders in many overlapping neighbourhoods
+    scenario = generate_topology(
+        kind, seed=config.seed, bs_per_mno=20, ues_per_bs=4, wifi_aps=40, cell_size_m=200.0
+    )
+    specs, masks = _masks(scenario)
+    assert len(specs) == 200
+    assert run_lbt(specs, masks, config) == _reference_run_lbt(specs, masks, config)
+
+
+def test_inlined_draws_match_the_library():
+    # run_lbt draws backoffs and holds without calling randint or
+    # expovariate; the stream must stay the one those calls make
+    for seed in range(5):
+        library, inline = random.Random(seed), random.Random(seed)
+        for lo, hi in ((3, 7), (0, 0), (5, 5), (3, 1023), (0, 1)):
+            for _ in range(200):
+                w = hi - lo + 1
+                k = w.bit_length()
+                r = inline.getrandbits(k)
+                while r >= w:
+                    r = inline.getrandbits(k)
+                assert lo + r == library.randint(lo, hi)
+        for mean in (2.0e-3, 1.504e-3, 1.0 / 1000.0):
+            lam = 1.0 / mean
+            for _ in range(200):
+                assert -math.log(1.0 - inline.random()) / lam == library.expovariate(lam)
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        ([0b01, 0b00], "senses itself"),
+        ([0b10, 0b00], "not symmetric"),
+        ([0b00, 0b01], "not symmetric"),
+        ([0b100, 0b00], "not symmetric"),  # a contender that does not exist
+    ],
+    ids=["self", "one-way", "one-way-back", "out-of-range"],
+)
+def test_bad_sense_masks_rejected(masks, message):
+    specs = [_spec("a", "laa"), _spec("b", "wifi")]
+    with pytest.raises(SimConfigError, match=message):
+        run_lbt(specs, masks, SimConfig(duration_s=0.1))
+
+
+@pytest.mark.parametrize("cpus", [None, 1], ids=["every-cpu", "one-cpu"])
+def test_pooled_table_equals_serial_entries(cpus, monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    config = SimConfig(duration_s=0.2, seed=11)
+    forms = enumerate_connected_colored_graphs(3)
+    seen = []
+    table = measure_table(3, config, progress=lambda *call: seen.append(call))
+    assert list(table.entries.values()) == [measure_entry(f, config) for f in forms]
+    assert seen == [(i + 1, len(forms), f.key) for i, f in enumerate(forms)]
+
+
+def test_measure_table_rejects_bad_config_up_front():
+    with pytest.raises(SimConfigError):
+        measure_table(2, SimConfig(duration_s=0.0))
+
+
+def test_cache_key_covers_defaults_and_stream(tmp_path, monkeypatch):
+    table = AccessTable(max_size=2, duration_s=0.5, slot_time_s=9e-6, seed=0)
+    key = table.content_key()
+    monkeypatch.setattr(coexist, "SIM_STREAM_VERSION", coexist.SIM_STREAM_VERSION + 1)
+    assert table.content_key() != key
+    monkeypatch.undo()
+    wifi = dict(NODE_DEFAULTS["wifi"], txop_s=2.0e-3)
+    monkeypatch.setattr(coexist, "NODE_DEFAULTS", dict(NODE_DEFAULTS, wifi=wifi))
+    assert table.content_key() != key
+
+
+def test_cache_write_leaves_only_the_table(tmp_path):
+    measure_table(1, SimConfig(duration_s=0.2, seed=0), cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [
+        f"table_1_{AccessTable(1, 0.2, 9e-6, 0).content_key()}.tsv"
+    ]
+
+
+def test_table_version_checked(tmp_path, table3):
+    path = tmp_path / "t.tsv"
+    table3.save(path)
+    text = path.read_text()
+    assert text.startswith("# slicenet access table v1\n")
+    path.write_text(text.replace("table v1", "table v2", 1))
+    with pytest.raises(TableFormatError, match=f"{path}:1: unsupported format"):
+        AccessTable.load(path)
+    # a file without any header still loads
+    path.write_text("".join(ln + "\n" for ln in text.splitlines() if not ln.startswith("#")))
+    assert AccessTable.load(path).entries == table3.entries

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slicenet.contention import (
+    _SKELETONS,
     CANONICAL_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
@@ -102,6 +103,32 @@ def test_enumeration_counts():
     # connected, vertex-colored with two colors, up to isomorphism
     for size, expected in ((1, 2), (2, 5), (3, 15), (4, 65), (5, 419)):
         assert len(enumerate_connected_colored_graphs(size)) == expected
+
+
+def _skeleton_key(n, bits):
+    # the canonical key of the uncolored graph
+    return canonical_form(graph_from_canonical(n, "L" * n, bits)).key
+
+
+def test_skeletons_are_the_connected_graphs():
+    assert {n: len(s) for n, s in _SKELETONS.items()} == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    for n, skeletons in _SKELETONS.items():
+        keys = set()
+        for bits in skeletons:
+            assert len(graph_from_canonical(n, "L" * n, bits).components()) == 1
+            keys.add(_skeleton_key(n, bits))
+        # pairwise non-isomorphic
+        assert len(keys) == len(skeletons)
+
+
+def test_skeletons_match_brute_force():
+    for n in range(1, 6):
+        pairs = n * (n - 1) // 2
+        connected = set()
+        for bits in range(1 << pairs):
+            if len(graph_from_canonical(n, "L" * n, bits).components()) == 1:
+                connected.add(_skeleton_key(n, bits))
+        assert connected == {_skeleton_key(n, bits) for bits in _SKELETONS[n]}
 
 
 def test_enumeration_keys_unique_and_round_trip():

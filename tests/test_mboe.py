@@ -122,6 +122,19 @@ def test_estimate_oversized_clique(table3):
         assert x == pytest.approx(1.0 / 7.0)
 
 
+def test_fallback_covers_components_past_exact_pruning(table3):
+    # a 22-cycle is too large for independent-set enumeration
+    ids = [f"c{i}" for i in range(22)]
+    cycle = ContentionGraph.build(
+        [Vertex(i, "laa", 1) for i in ids], [(ids[i], ids[i - 1]) for i in range(22)]
+    )
+    est = estimate_access(cycle, table3, fallback=True)
+    assert set(est.provenance.values()) == {"fallback"}
+    assert all(x == pytest.approx(0.5) for x in est.access.values())
+    with pytest.raises(GraphTooLargeError):
+        estimate_access(cycle, table3)
+
+
 def test_subgraph_for_mno_keeps_sensed_neighbors():
     g = _path(["a", "b", "c"], ["laa", "wifi", "laa"])
     view = subgraph_for_mno(g, 1)
