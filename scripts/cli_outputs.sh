@@ -10,11 +10,14 @@
 # each), and one more with fixed occupancy and doubling backoff (fixed
 # holds give tied transmission ends), then runs mboe (also with operator 2 removed), solve with each
 # solver (with its trace; the LP has none), game under both division
-# rules and a 1 s sim on scenarios/two_mno_20mhz.yaml.  Then it
-# generates a dense two-operator deployment (120 links, 20 access
-# points), whose components reach past the table, runs mboe, solve
-# and game on it with --fallback, and simulates it with a timeline and
-# with Poisson arrivals.
+# rules and a 1 s sim on scenarios/two_mno_20mhz.yaml.  It re-saves
+# that scenario as JSON (two_mno.json) and checks that mboe on it prints
+# exactly mboe.txt.  Then it generates a dense two-operator deployment
+# (120 links, 20 access points), whose components reach past the table,
+# runs mboe, solve and game on it with --fallback, and simulates it with
+# a timeline and with Poisson arrivals.  dense.yaml is gen's own output,
+# so it holds JSON text: its bytes differ from checkouts whose gen wrote
+# YAML, while the scenario it describes is the same.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -41,6 +44,13 @@ done
 slicenet game --scenario "$SCENARIO" --table table.tsv --out game.txt
 slicenet game --scenario "$SCENARIO" --table table.tsv --division prop --out game_prop.txt
 slicenet sim --scenario "$SCENARIO" --duration 1 --seed 0 --out sim.txt
+
+python -c 'import json, sys
+from slicenet.scenario import load_scenario, scenario_to_dict
+print(json.dumps(scenario_to_dict(load_scenario(sys.argv[1])), indent=2))' \
+    "$SCENARIO" > two_mno.json
+slicenet mboe --scenario two_mno.json --table table.tsv --out mboe_json.txt
+cmp mboe.txt mboe_json.txt
 
 slicenet gen --kind two-mno-urban --bs-per-mno 10 --ues-per-bs 6 --wifi-aps 20 \
     --cell-size 200 --seed 0 --out dense.yaml > gen_dense.txt

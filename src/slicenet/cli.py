@@ -69,8 +69,9 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+def _common_flags(sub: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+    if seeded:
+        sub.add_argument("--seed", type=int, default=0, help="seed for every random draw")
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument(
         "--log-level",
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--occupancy", choices=("exponential", "fixed"), default="exponential")
     sim.add_argument("--doubling-backoff", action="store_true")
     sim.add_argument("--timeline", default=None, help="also write a transmission log here")
-    _common_flags(sim)
+    _common_flags(sim, seeded=True)
     sim.set_defaults(func=_cmd_sim)
 
     table = subs.add_parser("table", help="measure access shares for all small graphs")
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--occupancy", choices=("exponential", "fixed"), default="exponential")
     table.add_argument("--doubling-backoff", action="store_true")
     table.add_argument("--cache", default=None, help="directory of reusable measured tables")
-    _common_flags(table)
+    _common_flags(table, seeded=True)
     table.set_defaults(func=_cmd_table)
 
     mboe = subs.add_parser("mboe", help="estimate per-link access from a measured table")
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--ues-per-bs", type=int, default=1)
     gen.add_argument("--cell-size", type=float, default=400.0)
     gen.add_argument("--wifi-aps", type=int, default=2)
-    _common_flags(gen)
+    _common_flags(gen, seeded=True)
     gen.set_defaults(func=_cmd_gen)
 
     exp = subs.add_parser("experiment", help="sweep one axis and write result tables")
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--wifi-aps", type=int, default=2)
     exp.add_argument("--table-max-size", type=int, default=5)
     exp.add_argument("--table-duration", type=float, default=10.0)
-    _common_flags(exp)
+    _common_flags(exp, seeded=True)
     exp.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -107,21 +107,6 @@ class SlicingAgreement:
     def as_solution(self) -> SlicingSolution:
         return solution_from_arrays(self.problem, self.u_hz, self.alpha, "agreement")
 
-    def contribution_hz(self, l: int, mno_id: int) -> float:
-        """Licensed bandwidth member ``i`` pools into slice ``l``."""
-        return sum(self.u_hz[k][l] for k in self.problem.links_of(mno_id))
-
-    def support(self, l: int) -> frozenset[int]:
-        """Members with any skin in slice ``l``."""
-        p = self.problem
-        out = set()
-        for i in p.members:
-            for k in p.links_of(i):
-                if self.u_hz[k][l] > 0 or self.alpha[k][l] > 0:
-                    out.add(i)
-                    break
-        return frozenset(out)
-
     def member_share(self, mno_id: int) -> float:
         j = self.problem.members.index(mno_id)
         return sum(self.x[l][j] for l in range(self.problem.n_services))

@@ -324,15 +324,6 @@ class SlicingSolution:
             for l in range(self.problem.n_services)
         )
 
-    def slice_pool_hz(self, l: int) -> float:
-        """Licensed bandwidth pooled into slice ``l`` across links."""
-        return sum(self.u_hz[k][l] for k in range(self.problem.n_links))
-
-    def pool_share(self, k: int, l: int) -> float:
-        """Fraction of slice ``l``'s licensed pool drawn by link ``k``."""
-        pool = self.slice_pool_hz(l)
-        return self.u_hz[k][l] / pool if pool > 0 else 0.0
-
     def licensed_rate_bps(self, l: int) -> float:
         p = self.problem
         return sum(self.u_hz[k][l] * p.rate_bps_hz[k] for k in range(p.n_links))

@@ -1,9 +1,12 @@
 """Scenario data model: operators, services, radio nodes, links.
 
 All quantities are stored in SI units (Hz, bits/s, seconds, meters).
-Monetary prices are per bit.  Scenario files use YAML with explicit
-units in field names; convenience fields ``min_throughput_mbps`` and
-``price_per_mbit`` are converted on load.
+Monetary prices are per bit.  Scenario files carry explicit units in
+field names; convenience fields ``min_throughput_mbps`` and
+``price_per_mbit`` are converted on load.  ``save_scenario`` writes
+JSON, which is also valid YAML.  ``load_scenario`` reads JSON, and
+falls back to YAML for hand-written files; the format is told from the
+text, not the file name.
 
 A scenario ties together:
 
@@ -20,12 +23,11 @@ A scenario ties together:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-
-import yaml
 
 LAA = "laa"
 WIFI = "wifi"
@@ -60,7 +62,7 @@ class ScenarioError(ValueError):
 
 
 class ScenarioParseError(ScenarioError):
-    """The file is not well-formed YAML or lacks required structure."""
+    """The file is neither JSON nor YAML, or lacks required structure."""
 
 
 class ScenarioValidationError(ScenarioError):
@@ -538,7 +540,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file.
+    """Parse and validate a scenario file, JSON or YAML.
 
     Raises ``ScenarioParseError`` for malformed files and
     ``ScenarioValidationError`` (naming the invariant) for
@@ -546,12 +548,19 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     text = Path(path).read_text()
     try:
-        # libyaml's parser when present: same documents and errors, ~6x faster
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        # hand-written YAML; imported here so JSON-only runs never pay for it
+        import yaml
+
+        try:
+            # libyaml's parser when present: same documents and errors, ~6x faster
+            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            raise ScenarioParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(doc)
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False))
+    """Write ``sc`` as JSON: ``load_scenario``'s fast path, and still valid YAML."""
+    Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")

@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, file outputs, error categories."""
 
+import json
+
 import pytest
 
 from slicenet.cli import main
+from slicenet.scenario import load_scenario, scenario_to_dict
 
 
 @pytest.fixture()
@@ -99,12 +102,11 @@ def test_invalid_scenario_exits_3(tmp_path, capsys):
 
 def test_infeasible_problem_exits_4(workspace, tmp_path, capsys):
     scenario, table = workspace
+    doc = scenario_to_dict(load_scenario(scenario))
+    (service,) = [s for s in doc["services"] if s["id"] == 1]
+    service["min_throughput_bps"] = 9e9
     hard = tmp_path / "hard.yaml"
-    hard.write_text(
-        scenario.read_text().replace(
-            "min_throughput_bps: 10000000.0", "min_throughput_bps: 9.0e+9"
-        )
-    )
+    hard.write_text(json.dumps(doc))
     assert main([
         "solve", "--scenario", str(hard), "--table", str(table), "--fallback",
     ]) == 4
@@ -166,6 +168,20 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--solver", "quantum"])
     assert exc.value.code == 2
+
+
+def test_seed_only_where_it_is_read(workspace, capsys):
+    scenario, table = workspace
+    # mboe, solve and game draw nothing at random, so they take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scenario", str(scenario), "--table", str(table), "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    sim = ["sim", "--scenario", str(scenario), "--duration", "0.2"]
+    assert main([*sim, "--seed", "1"]) == 0
+    seeded = capsys.readouterr().out
+    assert main([*sim, "--seed", "2"]) == 0
+    assert capsys.readouterr().out != seeded
 
 
 def test_experiment_smoke(tmp_path, capsys):

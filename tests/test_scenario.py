@@ -1,13 +1,23 @@
 """Scenario model: propagation pins, file round-trips, validation."""
 
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import slicenet
+from slicenet.cli import main
 from slicenet.scenario import (
+    BandPlan,
     Link,
     Node,
+    ScenarioParseError,
     ScenarioValidationError,
     load_scenario,
     path_loss_db,
@@ -17,6 +27,8 @@ from slicenet.scenario import (
     scenario_to_dict,
 )
 from slicenet.topology import generate_topology
+
+COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.yaml"
 
 
 def test_path_loss_pins():
@@ -52,12 +64,104 @@ def test_rate_monotone_in_snr(snr, gain):
     assert rate_per_hz(snr + gain) >= rate_per_hz(snr)
 
 
-def test_yaml_round_trip(tmp_path):
+def test_json_round_trip(tmp_path):
     sc = generate_topology("two-mno-urban", seed=3)
+    assert {n.kind for n in sc.nodes} == {"laa", "wifi"}
+    first, *rest = sc.mnos
+    sc = dataclasses.replace(
+        sc,
+        mnos=(
+            dataclasses.replace(
+                first,
+                min_throughput_overrides_bps={2: 3.5e6},
+                price_overrides_per_bit={1: 7e-7, 2: 1.25e-6},
+            ),
+            *rest,
+        ),
+        links=(dataclasses.replace(sc.links[0], snr_db=-3.25), *sc.links[1:]),
+        # int keys, which JSON writes as strings
+        band=BandPlan(
+            unlicensed_bandwidth_hz=4e7, carrier_frequency_ghz=5.2, ssg={2: frozenset({1})}
+        ),
+    )
     path = tmp_path / "sc.yaml"
     save_scenario(sc, path)
-    back = load_scenario(path)
-    assert back == sc
+    assert load_scenario(path) == sc
+
+
+def test_gen_writes_plain_json(tmp_path):
+    out = tmp_path / "g.yaml"
+    assert main(["gen", "--kind", "two-mno-urban", "--seed", "7", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["services", "mnos", "nodes", "links", "band"]
+    assert scenario_from_dict(doc) == load_scenario(out)
+
+
+def test_json_runs_never_import_yaml(tmp_path):
+    # a fresh interpreter: this one may have imported PyYAML already
+    code = (
+        "import sys\n"
+        "from slicenet.cli import main\n"
+        "from slicenet.scenario import load_scenario\n"
+        f"out = {str(tmp_path / 'g.yaml')!r}\n"
+        "assert main(['gen', '--kind', 'grid', '--out', out]) == 0\n"
+        "load_scenario(out)\n"
+        "assert 'yaml' not in sys.modules, 'PyYAML imported'\n"
+    )
+    src = str(Path(slicenet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_committed_yaml_loads_equal_to_its_json(tmp_path):
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(COMMITTED.read_text())  # so it covers the YAML path
+    sc = load_scenario(COMMITTED)
+    path = tmp_path / "sc.json"
+    save_scenario(sc, path)
+    assert load_scenario(path) == sc
+
+
+def test_yaml_dotless_exponent_is_a_number(tmp_path):
+    # PyYAML reads 1e-06 (no dot) as the string "1e-06"
+    path = tmp_path / "hand.yaml"
+    path.write_text(
+        "services:\n- {id: 1, min_throughput_bps: 1e+7, price_per_bit: 1e-06}\n"
+        "mnos:\n- id: 1\n  licensed_bandwidth_hz: 2e+7\n"
+        "  overrides: [{service: 1, price_per_bit: 3e-06}]\n"
+        "nodes: []\nlinks: []\nband: {unlicensed_bandwidth_hz: 2e+7}\n"
+    )
+    sc = load_scenario(path)
+    assert sc.services[0].price_per_bit == 1e-06
+    assert sc.services[0].min_throughput_bps == 1e7
+    assert sc.price_per_bit(1, 1) == 3e-06
+    assert sc.band.unlicensed_bandwidth_hz == 2e7
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "services: [\n",
+        "[1, 2]",
+        "null",
+        '{"services": [], "mnos": [], "nodes": [], "links": []}',
+    ],
+    ids=["neither-json-nor-yaml", "json-array", "json-null", "json-missing-section"],
+)
+def test_malformed_file_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioParseError):
+        load_scenario(path)
+    assert main(["sim", "--scenario", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: scenario:")
 
 
 def test_dict_round_trip(two_mno_scenario):
