@@ -9,12 +9,15 @@
 # It builds a short table (graphs of up to 5 vertices, 0.2 simulated s
 # each), and one more with fixed occupancy and doubling backoff (fixed
 # holds give tied transmission ends), then runs mboe (also with operator 2 removed), solve with each
-# solver (with its trace; the LP has none), game under both division
-# rules and a 1 s sim on scenarios/two_mno_20mhz.yaml.  It re-saves
+# solver (with its trace; the LP has none), solve under the s1 and s2
+# variants with the LP and ADMM (both infeasible: exit code and message
+# are kept), game under both division rules and a 1 s sim on
+# scenarios/two_mno_20mhz.yaml, and a min_qos sweep over it whose top
+# floor makes some cells infeasible.  It re-saves
 # that scenario as JSON (two_mno.json) and checks that mboe on it prints
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
-# runs mboe, solve and game on it with --fallback, and simulates it with
+# runs mboe, solve (also under s2) and game on it with --fallback, and simulates it with
 # a timeline and with Poisson arrivals.  dense.yaml is gen's own output,
 # so it holds JSON text: its bytes differ from checkouts whose gen wrote
 # YAML, while the scenario it describes is the same.
@@ -41,9 +44,22 @@ for solver in lp admm subgrad; do
     slicenet solve --scenario "$SCENARIO" --table table.tsv --solver "$solver" \
         --trace "trace_$solver.tsv" --out "solve_$solver.txt"
 done
+for solver in lp admm; do
+    for variant in s1 s2; do
+        # both variants are infeasible here: solve exits 4 and names the
+        # blamed constraint family on stderr, and that is the output
+        status=0
+        slicenet solve --scenario "$SCENARIO" --table table.tsv --solver "$solver" \
+            --variant "$variant" --out "solve_${solver}_$variant.txt" \
+            2> "solve_${solver}_$variant.err" || status=$?
+        echo "exit $status" >> "solve_${solver}_$variant.err"
+    done
+done
 slicenet game --scenario "$SCENARIO" --table table.tsv --out game.txt
 slicenet game --scenario "$SCENARIO" --table table.tsv --division prop --out game_prop.txt
 slicenet sim --scenario "$SCENARIO" --duration 1 --seed 0 --out sim.txt
+slicenet experiment --axis min_qos --values 1e6,5e6,4e7 --scenario "$SCENARIO" \
+    --table-max-size 4 --table-duration 0.2 --out experiment > experiment.txt
 
 python -c 'import json, sys
 from slicenet.scenario import load_scenario, scenario_to_dict
@@ -57,6 +73,8 @@ slicenet gen --kind two-mno-urban --bs-per-mno 10 --ues-per-bs 6 --wifi-aps 20 \
 DENSE=(--scenario dense.yaml --table table.tsv --fallback)
 slicenet mboe "${DENSE[@]}" --out dense_mboe.txt
 slicenet solve "${DENSE[@]}" --trace dense_trace_admm.tsv --out dense_solve_admm.txt
+slicenet solve "${DENSE[@]}" --variant s2 --trace dense_trace_admm_s2.tsv \
+    --out dense_solve_admm_s2.txt
 slicenet game "${DENSE[@]}" --out dense_game.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --timeline dense_timeline.tsv \
     --out dense_sim.txt

@@ -456,26 +456,16 @@ def run_coexistence(scenario: Scenario, config: SimConfig) -> SimOutcome:
     graph = build_contention_graph(scenario)
     contenders = unlicensed_contenders(scenario)
     specs = [spec for spec, _, _ in contenders]
-    order = {spec.id: i for i, spec in enumerate(specs)}
-    masks = [0] * len(specs)
-    for a, b in graph.edges:
-        ia, ib = order[a], order[b]
-        masks[ia] |= 1 << ib
-        masks[ib] |= 1 << ia
-    return run_lbt(specs, masks, config)
+    # the graph's vertices are the contenders, in the same order
+    return run_lbt(specs, graph.adjacency_masks(), config)
 
 
-def simulate_graph(
-    graph: ContentionGraph,
-    config: SimConfig,
-    lbt_params: dict[str, dict] | None = None,
-) -> SimOutcome:
+def simulate_graph(graph: ContentionGraph, config: SimConfig) -> SimOutcome:
     """Simulate an abstract contention graph with per-technology LBT
-    defaults (overridable through ``lbt_params``)."""
-    params = lbt_params or NODE_DEFAULTS
+    defaults."""
     specs = []
     for v in graph.vertices:
-        p = params[v.tech]
+        p = NODE_DEFAULTS[v.tech]
         specs.append(
             ContenderSpec(
                 id=v.id,

@@ -76,12 +76,6 @@ class ContentionGraph:
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def has_edge(self, a: str, b: str) -> bool:
         return tuple(sorted((a, b))) in self.edges
 

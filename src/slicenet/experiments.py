@@ -16,20 +16,16 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .coexist import SimConfig, build_contention_graph, measure_table
+from .contention import CANONICAL_MAX_VERTICES
 from .mboe import estimate_access
-from .problem import InfeasibleProblem, build_problem
+from .problem import InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import Scenario, load_scenario
 from .solvers import solve_admm
-from .problem import solve_lp_oracle
 from .topology import generate_topology
 
 log = logging.getLogger(__name__)
 
 AXES = ("density", "cell_size", "min_qos")
-
-#: Auto-generated tables stop at this subgraph size; beyond it the
-#: enumeration explodes and table population becomes the slow path.
-MAX_AUTO_TABLE = 6
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,10 @@ class ExperimentPlan:
             raise ValueError("sweep needs at least one value")
         if any(v <= 0 for v in self.values):
             raise ValueError("sweep values must be positive")
-        if not 1 <= self.table_max_size <= MAX_AUTO_TABLE:
+        # enumeration and canonical labeling stop at this size
+        if not 1 <= self.table_max_size <= CANONICAL_MAX_VERTICES:
             raise ValueError(
-                f"auto-generated tables support sizes 1..{MAX_AUTO_TABLE}"
+                f"auto-generated tables support sizes 1..{CANONICAL_MAX_VERTICES}"
             )
         if self.scenario_path is not None and self.axis != "min_qos":
             raise ValueError(

@@ -103,9 +103,6 @@ class AccessEstimate:
     access: dict[str, float]
     provenance: dict[str, str]
 
-    def value(self, vid: str) -> float:
-        return self.access[vid]
-
 
 def _greedy_clique_number(graph: ContentionGraph) -> int:
     """Deterministic lower bound, for components too big to solve

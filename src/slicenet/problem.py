@@ -15,12 +15,17 @@ entitlements (licensed only), and ``s3`` keeps both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .scenario import Scenario
+
+if TYPE_CHECKING:
+    from .mboe import AccessEstimate
 
 VARIANTS = ("s1", "s2", "s3")
 
@@ -51,9 +56,7 @@ class SlicingProblem:
 
     ``budget`` holds the licensed cap per link: the summed bandwidth of
     every operator that pools spectrum for at least one slice the
-    link's owner participates in.  The cap applies per link; set
-    ``aggregate_cap`` to additionally bound the sum over all links by
-    the coalition's total licensed holdings.
+    link's owner participates in.
 
     ``offered[k][l]`` marks the (link, slice) pairs that carry
     variables at all; pairs outside an owner's sharing groups are
@@ -74,7 +77,6 @@ class SlicingProblem:
     unlicensed_hz: float
     ssg: tuple[frozenset[int], ...]
     variant: str = "s3"
-    aggregate_cap_hz: float | None = None
 
     def __post_init__(self):
         n, m = len(self.link_ids), len(self.service_ids)
@@ -113,17 +115,13 @@ class SlicingProblem:
     def n_services(self) -> int:
         return len(self.service_ids)
 
-    def active_pairs(self) -> list[tuple[int, int]]:
-        """(link index, service index) pairs that carry variables."""
-        return [
-            (k, l)
-            for k in range(self.n_links)
-            for l in range(self.n_services)
-            if self.offered[k][l]
-        ]
-
     def links_of(self, mno_id: int) -> list[int]:
         return [k for k in range(self.n_links) if self.link_owner[k] == mno_id]
+
+    @cached_property
+    def arrays(self) -> ProblemArrays:
+        """The numeric data as read-only arrays, derived once."""
+        return ProblemArrays(self)
 
     # -- coalition restriction -------------------------------------------
 
@@ -159,9 +157,6 @@ class SlicingProblem:
             offered.append(row)
             access.append(self.access[k] if any(row) else 0.0)
             budget.append(sum(budget_of[j] for j in donors))
-        cap = None
-        if self.aggregate_cap_hz is not None:
-            cap = sum(budget_of[j] for j in members)
         return replace(
             self,
             link_ids=tuple(self.link_ids[k] for k in keep),
@@ -175,90 +170,93 @@ class SlicingProblem:
             min_rate_bps=tuple(tuple(self.min_rate_bps[k]) for k in keep),
             price_per_bit=tuple(tuple(self.price_per_bit[k]) for k in keep),
             ssg=ssg,
-            aggregate_cap_hz=cap,
+        )
+
+
+class ProblemArrays:
+    """A problem's numeric data as read-only numpy arrays.
+
+    ``offered``, ``floor`` and ``price`` are ``(links, slices)``;
+    ``rate``, ``access`` and ``budget`` hold one entry per link.
+    ``rows``/``cols`` index the offered pairs in link order, which is
+    the LP's column order.  ``width`` is the bandwidth scale (largest of
+    the unlicensed band, any budget and 1 Hz) that normalizes hertz in
+    the solvers and in violation reports.
+    """
+
+    def __init__(self, p: SlicingProblem):
+        n, m = p.n_links, p.n_services
+        self.offered = np.array(p.offered, dtype=bool).reshape(n, m)
+        self.floor = np.array(p.min_rate_bps, dtype=float).reshape(n, m)
+        self.price = np.array(p.price_per_bit, dtype=float).reshape(n, m)
+        self.rate = np.array(p.rate_bps_hz, dtype=float)
+        self.access = np.array(p.access, dtype=float)
+        self.budget = np.array(p.budget_hz, dtype=float)
+        self.rows, self.cols = np.nonzero(self.offered)
+        for a in vars(self).values():
+            a.setflags(write=False)
+        self.width = max(
+            p.unlicensed_hz,
+            max(p.budget_hz, default=0.0),
+            max(p.mno_budget_hz, default=0.0),
+            1.0,
         )
 
 
 def build_problem(
-    scenario: Scenario,
-    access,
-    variant: str = "s3",
-    coalition=None,
-    aggregate: bool = False,
+    scenario: Scenario, access: AccessEstimate, variant: str = "s3"
 ) -> SlicingProblem:
     """Assemble the allocation LP from a scenario and airtime estimates.
 
-    ``access`` maps a link id to its estimated unlicensed airtime share
-    (an estimate report with a ``value`` method works too).  Every link
-    of every participating operator needs an entry; a missing one is an
-    error rather than a silent zero, because a dropped entitlement
-    quietly changes the market.
+    Every link needs an estimate; a missing one is an error rather than
+    a silent zero, because a dropped entitlement quietly changes the
+    market.  The market pools spectrum as the coalition of every
+    operator (:meth:`SlicingProblem.restrict`) and then takes the
+    variant's caps (:func:`as_variant`).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    members = tuple(sorted(m.id for m in scenario.mnos))
-    lookup = access.value if hasattr(access, "value") else access.__getitem__
-
+    mnos = sorted(scenario.mnos, key=lambda m: m.id)
+    members = tuple(m.id for m in mnos)
     service_ids = tuple(s.id for s in scenario.services)
-    ssg = tuple(scenario.sharing_group(sid) & set(members) for sid in service_ids)
-    budget_of = {m.id: m.licensed_bandwidth_hz for m in scenario.mnos}
-
-    link_ids, link_owner, rate, xi = [], [], [], []
-    offered, eta, price, budget = [], [], [], []
-    for link in scenario.links:
-        row = tuple(link.owner in g for g in ssg)
+    links = scenario.links
+    shares = []
+    for link in links:
         try:
-            share = float(lookup(link.id))
+            share = float(access.access[link.id])
         except KeyError:
             raise KeyError(f"no airtime estimate for link {link.id!r}") from None
         # measured shares carry simulation noise; tolerate a few percent
         # of overshoot at the boundaries and clamp it away
         if not -0.05 <= share <= 1.05:
             raise ValueError(f"airtime estimate for {link.id!r} outside [0, 1]: {share}")
-        share = min(1.0, max(0.0, share))
-        donors = set()
-        for l, sid in enumerate(service_ids):
-            if row[l]:
-                donors |= ssg[l]
-        link_ids.append(link.id)
-        link_owner.append(link.owner)
-        rate.append(scenario.link_rate_per_hz(link))
-        xi.append(share if any(row) else 0.0)
-        offered.append(row)
-        eta.append(
-            tuple(scenario.min_throughput_bps(link.owner, sid) for sid in service_ids)
-        )
-        price.append(
-            tuple(scenario.price_per_bit(link.owner, sid) for sid in service_ids)
-        )
-        budget.append(sum(budget_of[j] for j in donors))
-
-    if variant == "s1":
-        budget = [0.0] * len(budget)
-        budget_of = {i: 0.0 for i in budget_of}
-    elif variant == "s2":
-        xi = [0.0] * len(xi)
-
-    problem = SlicingProblem(
-        link_ids=tuple(link_ids),
-        link_owner=tuple(link_owner),
+        shares.append(min(1.0, max(0.0, share)))
+    market = SlicingProblem(
+        link_ids=tuple(link.id for link in links),
+        link_owner=tuple(link.owner for link in links),
         service_ids=service_ids,
         members=members,
-        mno_budget_hz=tuple(budget_of[i] for i in members),
-        rate_bps_hz=tuple(rate),
-        access=tuple(xi),
-        budget_hz=tuple(budget),
-        offered=tuple(offered),
-        min_rate_bps=tuple(tuple(r) for r in eta),
-        price_per_bit=tuple(tuple(r) for r in price),
+        mno_budget_hz=tuple(m.licensed_bandwidth_hz for m in mnos),
+        rate_bps_hz=tuple(scenario.link_rate_per_hz(link) for link in links),
+        # restrict zeroes the share of a link that offers no slice; with
+        # no services that is every link, and this unpooled market must
+        # not hold airtime there to begin with
+        access=tuple(shares) if service_ids else (0.0,) * len(links),
+        budget_hz=(0.0,) * len(links),
+        offered=((True,) * len(service_ids),) * len(links),
+        min_rate_bps=tuple(
+            tuple(scenario.min_throughput_bps(link.owner, sid) for sid in service_ids)
+            for link in links
+        ),
+        price_per_bit=tuple(
+            tuple(scenario.price_per_bit(link.owner, sid) for sid in service_ids)
+            for link in links
+        ),
         unlicensed_hz=scenario.band.unlicensed_bandwidth_hz,
-        ssg=ssg,
-        variant=variant,
-        aggregate_cap_hz=sum(budget_of.values()) if aggregate else None,
+        ssg=tuple(scenario.sharing_group(sid) for sid in service_ids),
     )
-    if coalition is not None:
-        problem = problem.restrict(coalition)
-    return problem
+    # with no operators there are no links either, and nothing to pool
+    if members:
+        market = market.restrict(members)
+    return as_variant(market, variant)
 
 
 def as_variant(problem: SlicingProblem, variant: str) -> SlicingProblem:
@@ -271,14 +269,11 @@ def as_variant(problem: SlicingProblem, variant: str) -> SlicingProblem:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "s1":
-        zeros = (0.0,) * problem.n_links
-        cap = 0.0 if problem.aggregate_cap_hz is not None else None
         return replace(
             problem,
             variant=variant,
-            budget_hz=zeros,
+            budget_hz=(0.0,) * problem.n_links,
             mno_budget_hz=(0.0,) * len(problem.members),
-            aggregate_cap_hz=cap,
         )
     if variant == "s2":
         return replace(problem, variant=variant, access=(0.0,) * problem.n_links)
@@ -343,35 +338,25 @@ class SlicingSolution:
         20 MHz market as in a 20 kHz one.
         """
         p = self.problem
-        u = np.array(self.u_hz, dtype=float).reshape(p.n_links, p.n_services)
-        a = np.array(self.alpha, dtype=float).reshape(p.n_links, p.n_services)
-        w_scale = max(
-            p.unlicensed_hz, max(p.budget_hz, default=0.0), max(p.mno_budget_hz, default=0.0), 1.0
+        arr = p.arrays
+        w, off, rate = arr.width, arr.offered, arr.rate[:, None]
+        u = np.array(self.u_hz, dtype=float).reshape(off.shape)
+        a = np.array(self.alpha, dtype=float).reshape(off.shape)
+        busy = off.any(axis=1)
+        short = (arr.floor - (u + a * p.unlicensed_hz) * rate) / (w * rate)
+        return float(
+            max(
+                0.0,
+                np.abs(u[~off]).max(initial=0.0) / w,
+                np.abs(a[~off]).max(initial=0.0),
+                np.abs(np.where(off, a, 0.0).sum(axis=1) - arr.access)[busy].max(initial=0.0),
+                ((u.sum(axis=1) - arr.budget) / w)[busy].max(initial=0.0),
+                -u.min(initial=0.0) / w,
+                -a.min(initial=0.0),
+                a.max(initial=1.0) - 1.0,
+                short[off & (arr.floor > 0)].max(initial=0.0),
+            )
         )
-        worst = 0.0
-        for k in range(p.n_links):
-            active = [l for l in range(p.n_services) if p.offered[k][l]]
-            inactive = [l for l in range(p.n_services) if not p.offered[k][l]]
-            if inactive:
-                worst = max(worst, np.abs(u[k, inactive]).max() / w_scale)
-                worst = max(worst, np.abs(a[k, inactive]).max())
-            if active:
-                worst = max(worst, abs(a[k, active].sum() - p.access[k]))
-                worst = max(worst, (u[k].sum() - p.budget_hz[k]) / w_scale)
-            worst = max(worst, -u[k].min() / w_scale, -a[k].min(), a[k].max() - 1.0)
-            for l in active:
-                floor = p.min_rate_bps[k][l]
-                if floor > 0:
-                    short = floor - self.throughput_bps(k, l)
-                    worst = max(worst, short / (w_scale * p.rate_bps_hz[k]))
-        if p.aggregate_cap_hz is not None:
-            worst = max(worst, (u.sum() - p.aggregate_cap_hz) / w_scale)
-        return float(worst)
-
-
-def _zero_solution(problem: SlicingProblem, method: str) -> SlicingSolution:
-    zeros = tuple((0.0,) * problem.n_services for _ in range(problem.n_links))
-    return SlicingSolution(problem, zeros, zeros, 0.0, method)
 
 
 def solution_from_arrays(
@@ -382,17 +367,17 @@ def solution_from_arrays(
     flags: tuple[str, ...] = (),
 ) -> SlicingSolution:
     """Package dense arrays as a solution, recomputing the objective."""
-    u = np.asarray(u, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    worth = 0.0
-    for k, l in problem.active_pairs():
-        thru = (u[k, l] + alpha[k, l] * problem.unlicensed_hz) * problem.rate_bps_hz[k]
-        worth += problem.price_per_bit[k][l] * thru
+    arr = problem.arrays
+    u = np.asarray(u, dtype=float).reshape(arr.offered.shape)
+    alpha = np.asarray(alpha, dtype=float).reshape(arr.offered.shape)
+    r, c = arr.rows, arr.cols
+    thru = (u[r, c] + alpha[r, c] * problem.unlicensed_hz) * arr.rate[r]
     return SlicingSolution(
         problem=problem,
-        u_hz=tuple(tuple(float(x) for x in row) for row in u),
-        alpha=tuple(tuple(float(x) for x in row) for row in alpha),
-        objective=float(worth),
+        u_hz=tuple(map(tuple, u.tolist())),
+        alpha=tuple(map(tuple, alpha.tolist())),
+        # pair by pair in link order, as the revenue is defined
+        objective=sum((arr.price[r, c] * thru).tolist(), 0.0),
         method=method,
         flags=flags,
     )
@@ -402,84 +387,53 @@ def solution_from_arrays(
 # exact oracle
 
 
-def _linprog_once(
-    problem: SlicingProblem,
-    pairs: list[tuple[int, int]],
-    with_qos: bool,
-    with_budget: bool,
-):
-    n = len(pairs)
-    p = problem
-    c = np.zeros(2 * n)
-    for j, (k, l) in enumerate(pairs):
-        gain = p.price_per_bit[k][l] * p.rate_bps_hz[k]
-        c[j] = -gain
-        c[n + j] = -gain * p.unlicensed_hz
+def _linprog_once(problem: SlicingProblem):
+    """One dense HiGHS solve: a column per offered pair's ``u``, then one
+    per pair's ``alpha``; an airtime equality and a budget row per link
+    that offers a slice, and a QoS row per pair with a positive floor."""
+    arr = problem.arrays
+    r, c = arr.rows, arr.cols
+    n = len(r)
+    cols = np.arange(n)
+    links, link_row = np.unique(r, return_inverse=True)
+    floor = arr.floor[r, c]
+    qos = np.flatnonzero(floor > 0)
+    gain = arr.price[r, c] * arr.rate[r]
 
-    rows_eq, rhs_eq = [], []
-    links_active: dict[int, list[int]] = {}
-    for j, (k, _) in enumerate(pairs):
-        links_active.setdefault(k, []).append(j)
-    for k, cols in links_active.items():
-        row = np.zeros(2 * n)
-        row[[n + j for j in cols]] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(p.access[k])
-
-    rows_ub, rhs_ub = [], []
-    if with_qos:
-        for j, (k, l) in enumerate(pairs):
-            floor = p.min_rate_bps[k][l]
-            if floor > 0:
-                row = np.zeros(2 * n)
-                row[j] = -1.0
-                row[n + j] = -p.unlicensed_hz
-                rows_ub.append(row)
-                rhs_ub.append(-floor / p.rate_bps_hz[k])
-    if with_budget:
-        for k, cols in links_active.items():
-            row = np.zeros(2 * n)
-            row[cols] = 1.0
-            rows_ub.append(row)
-            rhs_ub.append(p.budget_hz[k])
-        if p.aggregate_cap_hz is not None:
-            row = np.zeros(2 * n)
-            row[:n] = 1.0
-            rows_ub.append(row)
-            rhs_ub.append(p.aggregate_cap_hz)
-
-    bounds = [(0, None)] * n + [(0, 1)] * n
+    a_eq = np.zeros((len(links), 2 * n))
+    a_eq[link_row, n + cols] = 1.0
+    a_ub = np.zeros((len(qos) + len(links), 2 * n))
+    q = np.arange(len(qos))
+    a_ub[q, qos] = -1.0
+    a_ub[q, n + qos] = -problem.unlicensed_hz
+    a_ub[len(qos) + link_row, cols] = 1.0
     return linprog(
-        c,
-        A_ub=np.array(rows_ub) if rows_ub else None,
-        b_ub=np.array(rhs_ub) if rhs_ub else None,
-        A_eq=np.array(rows_eq) if rows_eq else None,
-        b_eq=np.array(rhs_eq) if rhs_eq else None,
-        bounds=bounds,
+        np.concatenate([-gain, -gain * problem.unlicensed_hz]),
+        A_ub=a_ub,
+        b_ub=np.concatenate([-floor[qos] / arr.rate[r[qos]], arr.budget[links]]),
+        A_eq=a_eq,
+        b_eq=arr.access[links],
+        bounds=[(0, None)] * n + [(0, 1)] * n,
         method="highs",
     )
 
 
-def _blame_family(problem: SlicingProblem, pairs) -> str:
+def _blame_family(problem: SlicingProblem) -> str:
     """Name the cheapest relaxation that would restore feasibility.
 
     ``budget``: the market owns enough licensed spectrum, the pooling
     arrangement is what binds (every operator contributing its whole
     band to every link would fix it).  ``access``: granting the full
-    channel (entitlement 1 on every link) would fix it.  ``qos``: the
-    floors exceed even those caps, so the demand itself is the problem.
+    channel (entitlement 1 on every link that offers a slice) would
+    fix it.  ``qos``: the floors exceed even those caps, so the demand
+    itself is the problem.
     """
     pool = sum(problem.mno_budget_hz)
-    cap = None if problem.aggregate_cap_hz is None else pool * problem.n_links
-    pooled = replace(
-        problem,
-        budget_hz=(pool,) * problem.n_links,
-        aggregate_cap_hz=cap,
-    )
-    if _linprog_once(pooled, pairs, with_qos=True, with_budget=True).status == 0:
+    pooled = replace(problem, budget_hz=(pool,) * problem.n_links)
+    if _linprog_once(pooled).status == 0:
         return FAMILY_BUDGET
-    opened = replace(problem, access=(1.0,) * problem.n_links)
-    if _linprog_once(opened, pairs, with_qos=True, with_budget=True).status == 0:
+    opened = replace(problem, access=tuple(float(any(row)) for row in problem.offered))
+    if _linprog_once(opened).status == 0:
         return FAMILY_ACCESS
     return FAMILY_QOS
 
@@ -490,12 +444,15 @@ def solve_lp_oracle(problem: SlicingProblem) -> SlicingSolution:
     Raises :class:`InfeasibleProblem` with the violated constraint
     family when the QoS floors cannot be met from the pooled spectrum.
     """
-    pairs = problem.active_pairs()
-    if not pairs:
-        return _zero_solution(problem, "lp")
-    res = _linprog_once(problem, pairs, with_qos=True, with_budget=True)
+    arr = problem.arrays
+    n = len(arr.rows)
+    u = np.zeros(arr.offered.shape)
+    alpha = np.zeros(arr.offered.shape)
+    if not n:
+        return solution_from_arrays(problem, u, alpha, "lp")
+    res = _linprog_once(problem)
     if res.status == 2:
-        family = _blame_family(problem, pairs)
+        family = _blame_family(problem)
         raise InfeasibleProblem(
             family,
             f"no feasible allocation for {problem.n_links} links"
@@ -503,10 +460,9 @@ def solve_lp_oracle(problem: SlicingProblem) -> SlicingSolution:
         )
     if res.status != 0:
         raise RuntimeError(f"allocation solve failed with status {res.status}")
-    n = len(pairs)
-    u = np.zeros((problem.n_links, problem.n_services))
-    alpha = np.zeros((problem.n_links, problem.n_services))
-    for j, (k, l) in enumerate(pairs):
-        u[k, l] = max(0.0, res.x[j])
-        alpha[k, l] = min(1.0, max(0.0, res.x[n + j]))
+    # clamp as max(0, x) and min(1, x) do: HiGHS's -0.0 becomes 0.0
+    x_u, x_a = res.x[:n], res.x[n:]
+    x_a = np.where(x_a > 0.0, x_a, 0.0)
+    u[arr.rows, arr.cols] = np.where(x_u > 0.0, x_u, 0.0)
+    alpha[arr.rows, arr.cols] = np.where(x_a < 1.0, x_a, 1.0)
     return solution_from_arrays(problem, u, alpha, "lp")

@@ -370,6 +370,19 @@ def _num(raw: dict, key: str, entity: str) -> float:
         raise ScenarioParseError(f"{entity}: field {key!r} is not a number") from None
 
 
+def _mapping(raw, entity: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioParseError(f"{entity} must be a mapping")
+    return raw
+
+
+def _entries(raw, entity: str) -> list[dict]:
+    """A list of mappings, the shape of every section and override list."""
+    if not isinstance(raw, list):
+        raise ScenarioParseError(f"{entity} must be a list")
+    return [_mapping(entry, f"{entity} entry") for entry in raw]
+
+
 def _service_from_dict(raw: dict) -> ServiceType:
     sid = int(_num(raw, "id", "service"))
     if "min_throughput_bps" in raw:
@@ -387,16 +400,17 @@ def _mno_from_dict(raw: dict) -> Mno:
     mid = int(_num(raw, "id", "mno"))
     floors: dict[int, float] = {}
     prices: dict[int, float] = {}
-    for ov in raw.get("overrides", []) or []:
-        sid = int(_num(ov, "service", f"mno {mid} override"))
+    for ov in _entries(raw.get("overrides") or [], f"mno {mid} overrides"):
+        entity = f"mno {mid} override"
+        sid = int(_num(ov, "service", entity))
         if "min_throughput_bps" in ov:
-            floors[sid] = float(ov["min_throughput_bps"])
+            floors[sid] = _num(ov, "min_throughput_bps", entity)
         elif "min_throughput_mbps" in ov:
-            floors[sid] = float(ov["min_throughput_mbps"]) * MBPS
+            floors[sid] = _num(ov, "min_throughput_mbps", entity) * MBPS
         if "price_per_bit" in ov:
-            prices[sid] = float(ov["price_per_bit"])
+            prices[sid] = _num(ov, "price_per_bit", entity)
         elif "price_per_mbit" in ov:
-            prices[sid] = float(ov["price_per_mbit"]) * PER_MBIT
+            prices[sid] = _num(ov, "price_per_mbit", entity) * PER_MBIT
     return Mno(
         id=mid,
         licensed_bandwidth_hz=_num(raw, "licensed_bandwidth_hz", f"mno {mid}"),
@@ -452,15 +466,14 @@ def _link_from_dict(raw: dict) -> Link:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("scenario document must be a mapping")
+    _mapping(doc, "scenario document")
     for section in ("services", "mnos", "nodes", "links", "band"):
         if section not in doc:
             raise ScenarioParseError(f"missing section {section!r}")
-    band_raw = doc["band"]
+    band_raw = _mapping(doc["band"], "band")
     ssg = {
         int(sid): frozenset(int(m) for m in members)
-        for sid, members in (band_raw.get("ssg") or {}).items()
+        for sid, members in _mapping(band_raw.get("ssg") or {}, "band ssg").items()
     }
     band = BandPlan(
         unlicensed_bandwidth_hz=_num(band_raw, "unlicensed_bandwidth_hz", "band"),
@@ -468,10 +481,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         ssg=ssg,
     )
     return Scenario(
-        services=tuple(_service_from_dict(s) for s in doc["services"]),
-        mnos=tuple(_mno_from_dict(m) for m in doc["mnos"]),
-        nodes=tuple(_node_from_dict(n) for n in doc["nodes"]),
-        links=tuple(_link_from_dict(l) for l in doc["links"]),
+        services=tuple(_service_from_dict(s) for s in _entries(doc["services"], "services")),
+        mnos=tuple(_mno_from_dict(m) for m in _entries(doc["mnos"], "mnos")),
+        nodes=tuple(_node_from_dict(n) for n in _entries(doc["nodes"], "nodes")),
+        links=tuple(_link_from_dict(l) for l in _entries(doc["links"], "links")),
         band=band,
     )
 

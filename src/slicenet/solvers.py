@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import SlicingProblem, SlicingSolution, solution_from_arrays, _zero_solution
+from .problem import SlicingProblem, SlicingSolution, solution_from_arrays
 from .projections import project_budget_box, project_capped_simplex_eq
 
 REPAIR_TOL = 1e-9
@@ -102,30 +102,22 @@ class _Scaled:
     """
 
     def __init__(self, problem: SlicingProblem):
-        p = problem
-        n, m = p.n_links, p.n_services
-        self.problem = p
-        self.active = np.array(p.offered, dtype=bool).reshape(n, m)
+        arr = problem.arrays
+        self.problem = problem
+        self.active = arr.offered
         self.offered = self.active.sum(axis=1, keepdims=True)
-        self.width = max(
-            p.unlicensed_hz,
-            max(p.budget_hz, default=0.0),
-            max(p.mno_budget_hz, default=0.0),
-            1.0,
-        )
-        self.band_ratio = p.unlicensed_hz / self.width
-        rate = np.array(p.rate_bps_hz, dtype=float).reshape(n, 1)
-        price = np.array(p.price_per_bit, dtype=float).reshape(n, m)
-        floor = np.array(p.min_rate_bps, dtype=float).reshape(n, m)
-        gain = np.where(self.active, price * rate * self.width, 0.0)
-        qos = np.where(self.active, floor / (rate * self.width), 0.0)
+        self.width = arr.width
+        self.band_ratio = problem.unlicensed_hz / self.width
+        rate = arr.rate[:, None]
+        gain = np.where(self.active, arr.price * rate * self.width, 0.0)
+        qos = np.where(self.active, arr.floor / (rate * self.width), 0.0)
         self.gain_scale = gain.max() if gain.size and gain.max() > 0 else 1.0
         self.gain_u = gain / self.gain_scale
         self.gain_a = self.gain_u * self.band_ratio
         self.qos = qos
-        self.budget = np.array(p.budget_hz, dtype=float) / self.width
-        self.xi = np.array(p.access, dtype=float)
-        self.dim = 2 * int(self.offered.sum())
+        self.budget = arr.budget / self.width
+        self.xi = arr.access
+        self.dim = 2 * len(arr.rows)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` with every pair the link does not offer set to NaN."""
@@ -237,27 +229,21 @@ def solve_admm(
     gamma: float = 1.0,
     max_iter: int = 2000,
     tol: float = 1e-6,
-    adapt: bool = True,
 ) -> tuple[SlicingSolution, ConvergenceTrace]:
     """Solve the allocation LP by per-link splitting.
 
     Stops when both consensus residuals fall below ``tol * sqrt(dim)``
-    where dim counts the split variables.  With ``adapt`` the penalty
-    doubles or halves whenever one residual outruns the other tenfold;
-    the scaled dual is rescaled in step so the underlying multipliers
-    are preserved.
+    where dim counts the split variables.  The penalty ``gamma`` is
+    only the starting value: it doubles or halves whenever one residual
+    outruns the other tenfold, and the scaled dual is rescaled in step
+    so the underlying multipliers are preserved.
     """
-    if problem.aggregate_cap_hz is not None:
-        raise ValueError(
-            "the distributed solver handles per-link budgets only;"
-            " solve aggregate-capped problems with the exact oracle"
-        )
     s = _Scaled(problem)
     trace = ConvergenceTrace(method="admm", gamma_final=gamma)
     n, m = problem.n_links, problem.n_services
     if s.dim == 0:
         trace.converged = True
-        return _zero_solution(problem, "admm"), trace
+        return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "admm"), trace
 
     xu = np.zeros((n, m))
     xa = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
@@ -286,15 +272,14 @@ def solve_admm(
         if primal <= eps and dual <= eps:
             trace.converged = True
             break
-        if adapt:
-            if primal > 10.0 * dual and dual > 0:
-                gamma *= 2.0
-                lu /= 2.0
-                la /= 2.0
-            elif dual > 10.0 * primal and primal > 0:
-                gamma /= 2.0
-                lu *= 2.0
-                la *= 2.0
+        if primal > 10.0 * dual and dual > 0:
+            gamma *= 2.0
+            lu /= 2.0
+            la /= 2.0
+        elif dual > 10.0 * primal and primal > 0:
+            gamma /= 2.0
+            lu *= 2.0
+            la *= 2.0
 
     trace.gamma_final = gamma
     ru, ra = s.repair(zu.copy(), za.copy())
@@ -321,17 +306,12 @@ def solve_subgradient(
     ``step_scale`` freezes the multipliers, so the trace objective
     stays constant; that degenerate case anchors the tests.
     """
-    if problem.aggregate_cap_hz is not None:
-        raise ValueError(
-            "the subgradient baseline handles per-link budgets only;"
-            " solve aggregate-capped problems with the exact oracle"
-        )
     s = _Scaled(problem)
     trace = ConvergenceTrace(method="subgradient")
     n, m = problem.n_links, problem.n_services
     if s.dim == 0:
         trace.converged = True
-        return _zero_solution(problem, "subgradient"), trace
+        return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "subgradient"), trace
 
     # The priced airtime maximizer fills slices best-paying first: the
     # offered slice ranked r gets clip(xi - r, 0, 1), ranked by a stable

@@ -90,6 +90,27 @@ def test_broken_scenario_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: scenario:")
 
 
+@pytest.mark.parametrize("command", ["sim", "mboe", "solve", "game"])
+def test_malformed_override_exits_3(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "services": [{"id": 1, "min_throughput_bps": 1e6, "price_per_bit": 1e-6}],
+        "mnos": [{
+            "id": 1,
+            "licensed_bandwidth_hz": 2e7,
+            "overrides": [{"service": 1, "min_throughput_mbps": [5]}],
+        }],
+        "nodes": [],
+        "links": [],
+        "band": {"unlicensed_bandwidth_hz": 2e7},
+    }))
+    argv = [command, "--scenario", str(bad)]
+    if command != "sim":
+        argv += ["--table", str(tmp_path / "unread.tsv")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: scenario: mno 1 override:")
+
+
 def test_invalid_scenario_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(

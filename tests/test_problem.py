@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slicenet.mboe import AccessEstimate
 from slicenet.problem import (
     FAMILY_ACCESS,
     FAMILY_BUDGET,
@@ -12,9 +13,11 @@ from slicenet.problem import (
     InfeasibleProblem,
     SlicingProblem,
     as_variant,
+    build_problem,
     solution_from_arrays,
     solve_lp_oracle,
 )
+from slicenet.scenario import BandPlan, Link, Mno, Node, Scenario, ServiceType
 from slicenet.topology import bottleneck_preset
 
 
@@ -81,6 +84,93 @@ def test_contention_squeeze_blames_access():
     with pytest.raises(InfeasibleProblem) as err:
         solve_lp_oracle(problem)
     assert err.value.family == FAMILY_ACCESS
+
+
+def test_blame_ignores_links_that_offer_nothing():
+    # l2's owner shares no slice; opening the channel must not hand it
+    # airtime it cannot use
+    problem = SlicingProblem(
+        link_ids=("l1", "l2"),
+        link_owner=(1, 2),
+        service_ids=(1,),
+        members=(1, 2),
+        mno_budget_hz=(5e6, 5e6),
+        rate_bps_hz=(1.0, 1.0),
+        access=(0.2, 0.0),
+        budget_hz=(5e6, 0.0),
+        offered=((True,), (False,)),
+        min_rate_bps=((2.0e7,), (0.0,)),
+        price_per_bit=((1e-6,), (1e-6,)),
+        unlicensed_hz=2e7,
+        ssg=(frozenset({1}),),
+    )
+    with pytest.raises(InfeasibleProblem) as err:
+        solve_lp_oracle(problem)
+    assert err.value.family == FAMILY_ACCESS
+
+
+def _market(services=(), ssg=None, prices=None) -> Scenario:
+    """Three operators with one link each; ``prices`` are operator 2's
+    own."""
+    owners = (1, 2, 3)
+    return Scenario(
+        services=services,
+        mnos=(
+            Mno(id=1, licensed_bandwidth_hz=1e7),
+            Mno(id=2, licensed_bandwidth_hz=2e7, price_overrides_per_bit=prices or {}),
+            Mno(id=3, licensed_bandwidth_hz=4e7),
+        ),
+        nodes=tuple(
+            Node(id=f"b{i}", kind="laa", position_m=(500.0 * i, 0.0), owner=i) for i in owners
+        ),
+        links=tuple(
+            Link(id=f"l{i}", owner=i, node=f"b{i}", ue_position_m=(500.0 * i, 10.0))
+            for i in owners
+        ),
+        band=BandPlan(unlicensed_bandwidth_hz=2e7, ssg=ssg or {}),
+    )
+
+
+ESTIMATE = AccessEstimate(
+    access={"l1": 0.5, "l2": 1.02, "l3": 0.3},
+    provenance=dict.fromkeys(("l1", "l2", "l3"), "table"),
+)
+
+
+def test_build_problem_pools_each_links_sharing_groups():
+    # operators 1 and 2 pool service 1, only operator 1 pools service
+    # 2, and operator 3's link sits outside every group
+    scenario = _market(
+        services=(ServiceType(1, 1e6, 1e-6), ServiceType(2, 2e6, 2e-6)),
+        ssg={1: frozenset({1, 2}), 2: frozenset({1})},
+        prices={1: 5e-6},
+    )
+    problem = build_problem(scenario, ESTIMATE)
+    assert problem.members == (1, 2, 3)
+    assert problem.mno_budget_hz == (1e7, 2e7, 4e7)
+    assert problem.offered == ((True, True), (True, False), (False, False))
+    assert problem.budget_hz == (3e7, 3e7, 0.0)
+    assert problem.access == (0.5, 1.0, 0.0)  # 1.02 is clamped
+    assert problem.min_rate_bps == ((1e6, 2e6),) * 3
+    assert problem.price_per_bit == ((1e-6, 2e-6), (5e-6, 2e-6), (1e-6, 2e-6))
+    for variant in ("s1", "s2"):
+        assert build_problem(scenario, ESTIMATE, variant) == as_variant(problem, variant)
+
+
+def test_build_problem_without_services():
+    problem = build_problem(_market(), ESTIMATE)
+    assert problem.offered == ((), (), ())
+    assert problem.access == (0.0, 0.0, 0.0)
+    assert problem.budget_hz == (0.0, 0.0, 0.0)
+    solution = solve_lp_oracle(problem)
+    assert solution.objective == 0.0
+    assert solution.max_violation() == 0.0
+    # Wi-Fi only: no operators, no links, nothing to pool
+    wifi = Scenario(
+        services=(), mnos=(), nodes=(Node(id="w", kind="wifi", position_m=(0.0, 0.0)),),
+        links=(), band=BandPlan(unlicensed_bandwidth_hz=2e7),
+    )
+    assert build_problem(wifi, ESTIMATE).members == ()
 
 
 def test_variant_rewrites():

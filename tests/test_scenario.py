@@ -145,6 +145,12 @@ def test_yaml_dotless_exponent_is_a_number(tmp_path):
     assert sc.band.unlicensed_bandwidth_hz == 2e7
 
 
+def _doc(**sections) -> str:
+    doc = {"services": [], "mnos": [], "nodes": [], "links": []}
+    doc["band"] = {"unlicensed_bandwidth_hz": 2e7}
+    return json.dumps({**doc, **sections})
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -152,8 +158,27 @@ def test_yaml_dotless_exponent_is_a_number(tmp_path):
         "[1, 2]",
         "null",
         '{"services": [], "mnos": [], "nodes": [], "links": []}',
+        _doc(band=[]),
+        _doc(band={"unlicensed_bandwidth_hz": 2e7, "ssg": [1]}),
+        _doc(nodes=[1]),
+        _doc(services={}),
+        _doc(mnos=[{
+            "id": 1,
+            "licensed_bandwidth_hz": 2e7,
+            "overrides": [{"service": 1, "price_per_bit": "cheap"}],
+        }]),
     ],
-    ids=["neither-json-nor-yaml", "json-array", "json-null", "json-missing-section"],
+    ids=[
+        "neither-json-nor-yaml",
+        "json-array",
+        "json-null",
+        "json-missing-section",
+        "band-not-a-mapping",
+        "ssg-not-a-mapping",
+        "node-not-a-mapping",
+        "section-not-a-list",
+        "override-not-a-number",
+    ],
 )
 def test_malformed_file_is_a_parse_error(tmp_path, capsys, text):
     path = tmp_path / "bad.yaml"

@@ -5,7 +5,6 @@ import inspect
 import math
 
 import numpy as np
-import pytest
 
 from slicenet.problem import solve_lp_oracle
 from slicenet.solvers import (
@@ -70,14 +69,6 @@ def test_trace_text_round_trip_shape():
     assert lines[1].split("\t") == ["iteration", "objective", "primal", "dual"]
     assert lines[-1] == "# converged\tTrue"
     assert len(lines) == 3 + len(trace.rows)
-
-
-def test_aggregate_cap_unsupported():
-    from dataclasses import replace
-
-    problem = replace(bottleneck_preset(), aggregate_cap_hz=1e7)
-    with pytest.raises(ValueError):
-        solve_admm(problem)
 
 
 def test_subgradient_zero_step_is_constant():
