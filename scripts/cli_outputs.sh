@@ -17,8 +17,8 @@
 # that scenario as JSON (two_mno.json) and checks that mboe on it prints
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
-# runs mboe, solve (also under s2) and game on it with --fallback, and simulates it with
-# a timeline and with Poisson arrivals.  dense.yaml is gen's own output,
+# runs mboe, solve (also under s2) and game (under both division rules) on it with
+# --fallback, and simulates it with a timeline and with Poisson arrivals.  dense.yaml is gen's own output,
 # so it holds JSON text: its bytes differ from checkouts whose gen wrote
 # YAML, while the scenario it describes is the same.
 set -euo pipefail
@@ -76,6 +76,7 @@ slicenet solve "${DENSE[@]}" --trace dense_trace_admm.tsv --out dense_solve_admm
 slicenet solve "${DENSE[@]}" --variant s2 --trace dense_trace_admm_s2.tsv \
     --out dense_solve_admm_s2.txt
 slicenet game "${DENSE[@]}" --out dense_game.txt
+slicenet game "${DENSE[@]}" --division prop --out dense_game_prop.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --timeline dense_timeline.tsv \
     --out dense_sim.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --arrivals poisson \

@@ -31,12 +31,7 @@ from .coexist import (
 )
 from .contention import GraphTooLargeError
 from .experiments import AXES, ExperimentPlan, run_experiment
-from .game import (
-    DIVISION_RULES,
-    check_core,
-    compute_worth,
-    default_division,
-)
+from .game import check_core, compute_worth, default_division
 from .mboe import TableMissError, estimate_access, remove_mno
 from .problem import InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import ScenarioError, load_scenario, save_scenario

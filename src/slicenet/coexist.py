@@ -48,11 +48,10 @@ from .contention import (
     CanonicalForm,
     ContentionGraph,
     Vertex,
-    canonical_form,
     enumerate_connected_colored_graphs,
     graph_from_canonical,
 )
-from .scenario import LAA, NODE_DEFAULTS, WIFI, Scenario
+from .scenario import NODE_DEFAULTS, WIFI, Scenario
 
 DEFAULT_SLOT_TIME_S = 9e-6
 

@@ -12,7 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .coexist import SimConfig, build_contention_graph, measure_table

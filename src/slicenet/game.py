@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .problem import (
-    InfeasibleProblem,
     SlicingProblem,
     SlicingSolution,
     solution_from_arrays,
     solve_lp_oracle,
+    solve_lp_stack,
 )
 
 #: Relative tolerance for welfare comparisons, tied to solver accuracy.
@@ -41,26 +41,27 @@ def _scale(*values: float) -> float:
 # coalition values
 
 
-def coalition_value(problem: SlicingProblem, coalition, cache: dict | None = None) -> float:
-    """Optimal welfare of the market restricted to ``coalition``.
+def coalition_values(
+    problem: SlicingProblem, coalitions, cache: dict | None = None
+) -> list[float]:
+    """Optimal welfare of the market restricted to each coalition.
 
-    An infeasible restriction admits nothing and is worth zero; that
-    convention keeps values defined for every coalition, mirroring an
-    operator that cannot meet its own floors and so signs nobody up.
+    The coalitions not in ``cache`` are solved together in one stacked
+    LP.  An infeasible restriction admits nothing and is worth zero;
+    that convention keeps values defined for every coalition, mirroring
+    an operator that cannot meet its own floors and so signs nobody up.
     """
-    key = frozenset(coalition)
-    if cache is not None and key in cache:
-        return cache[key]
-    if not key:
-        value = 0.0
-    else:
-        try:
-            value = solve_lp_oracle(problem.restrict(key)).objective
-        except InfeasibleProblem:
-            value = 0.0
-    if cache is not None:
-        cache[key] = value
-    return value
+    cache = {} if cache is None else cache
+    keys = [frozenset(c) for c in coalitions]
+    todo = [k for k in dict.fromkeys(keys) if k and k not in cache]
+    solved = solve_lp_stack([problem.restrict(k) for k in todo])
+    cache.update((k, 0.0 if s is None else s.objective) for k, s in zip(todo, solved))
+    return [cache[k] if k else 0.0 for k in keys]
+
+
+def coalition_value(problem: SlicingProblem, coalition, cache: dict | None = None) -> float:
+    """Optimal welfare of the market restricted to ``coalition``."""
+    return coalition_values(problem, [coalition], cache)[0]
 
 
 def standalone_value(problem: SlicingProblem, mno_id: int, cache: dict | None = None) -> float:
@@ -72,9 +73,12 @@ def standalone_value(problem: SlicingProblem, mno_id: int, cache: dict | None = 
     """
     if mno_id not in problem.members:
         raise KeyError(f"operator {mno_id} not in problem")
-    if not problem.links_of(mno_id):
-        return 0.0
     return coalition_value(problem, {mno_id}, cache)
+
+
+def _standalone_values(problem: SlicingProblem, cache: dict | None) -> tuple[float, ...]:
+    """Every member's standalone value, the unsolved ones in one stacked LP."""
+    return tuple(coalition_values(problem, [{i} for i in problem.members], cache))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,7 @@ def compute_worth(agreement: SlicingAgreement, problem: SlicingProblem | None = 
         slice_worth=tuple(sol.slice_worth(l) for l in range(p.n_services)),
         mno_worth=tuple(sol.mno_worth(i) for i in p.members),
         total=sol.objective,
-        standalone=tuple(standalone_value(p, i, cache) for i in p.members),
+        standalone=_standalone_values(p, cache),
     )
 
 
@@ -207,8 +211,7 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
             failing_mno=None,
             reason=f"allocated welfare {total:.6g} short of optimum {optimum:.6g}",
         )
-    for i in p.members:
-        floor = standalone_value(p, i, cache)
+    for i, floor in zip(p.members, _standalone_values(p, cache)):
         share = agreement.member_share(i)
         if share < floor - eps:
             return CoreVerdict(
@@ -258,7 +261,7 @@ def default_division(
         values[None] = solution.objective
     v_star = solution.objective
     members = problem.members
-    t = [standalone_value(problem, i, values) for i in members]
+    t = _standalone_values(problem, values)
     surplus = v_star - sum(t)
     assert surplus >= -EPS_REL * _scale(v_star), (
         f"optimal welfare {v_star} below summed standalone values {sum(t)}"
@@ -334,19 +337,19 @@ def convexity_probe(problem: SlicingProblem, triples=None) -> ConvexityReport:
                             for n in combinations(o, n_size):
                                 triples.append((frozenset(c), frozenset(n), frozenset(o)))
 
-    cache: dict = {}
-    value = lambda s: coalition_value(problem, s, cache)
-    grand = value(frozenset(members))
-    eps = EPS_REL * _scale(grand)
-    violations = []
-    checked = 0
+    checked = []
     for c, n, o in triples:
         c, n, o = frozenset(c), frozenset(n), frozenset(o)
         if not (n < o and not (c & o)):
             raise ValueError(f"bad triple: C={sorted(c)} N={sorted(n)} O={sorted(o)}")
-        lhs = value(c | o) - value(o)
-        rhs = value(c | n) - value(n)
-        checked += 1
+        checked.append((c, n, o))
+    needed = [frozenset(members)] + [s for c, n, o in checked for s in (c | o, o, c | n, n)]
+    value = dict(zip(needed, coalition_values(problem, needed)))
+    eps = EPS_REL * _scale(value[frozenset(members)])
+    violations = []
+    for c, n, o in checked:
+        lhs = value[c | o] - value[o]
+        rhs = value[c | n] - value[n]
         if lhs < rhs - eps:
             violations.append(ConvexityViolation(c, n, o, lhs, rhs))
-    return ConvexityReport(checked=checked, violations=tuple(violations))
+    return ConvexityReport(checked=len(checked), violations=tuple(violations))

@@ -8,6 +8,11 @@ maximization is an LP, and :func:`solve_lp_oracle` solves it exactly.
 The distributed solver in :mod:`slicenet.solvers` is checked against
 that oracle.
 
+The LP is held as its nonzeros (:class:`LPModel`), never as dense
+matrices.  :func:`solve_lp_stack` solves several problems in one HiGHS
+call by offsetting their models into one block-diagonal matrix; the
+oracle is its one-problem case.
+
 Three deployment variants share one problem shape: ``s1`` zeroes the
 licensed budgets (unlicensed only), ``s2`` zeroes the airtime
 entitlements (licensed only), and ``s3`` keeps both.
@@ -21,6 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from .scenario import Scenario
 
@@ -387,10 +393,27 @@ def solution_from_arrays(
 # exact oracle
 
 
-def _linprog_once(problem: SlicingProblem):
-    """One dense HiGHS solve: a column per offered pair's ``u``, then one
-    per pair's ``alpha``; an airtime equality and a budget row per link
-    that offers a slice, and a QoS row per pair with a positive floor."""
+@dataclass(frozen=True)
+class LPModel:
+    """One allocation LP held as its nonzeros.
+
+    There is a column per offered pair's ``u``, then one per pair's
+    ``alpha``.  ``ub`` and ``eq`` are the ``(row, col, value)`` triplets
+    of the inequality and equality matrices: a QoS row per pair with a
+    positive floor and a budget row per link that offers a slice, and an
+    airtime equality per such link.  ``bounds`` holds a ``(low, high)``
+    row per column.
+    """
+
+    c: np.ndarray
+    ub: tuple[np.ndarray, np.ndarray, np.ndarray]
+    b_ub: np.ndarray
+    eq: tuple[np.ndarray, np.ndarray, np.ndarray]
+    b_eq: np.ndarray
+    bounds: np.ndarray
+
+
+def _lp_model(problem: SlicingProblem) -> LPModel:
     arr = problem.arrays
     r, c = arr.rows, arr.cols
     n = len(r)
@@ -398,24 +421,63 @@ def _linprog_once(problem: SlicingProblem):
     links, link_row = np.unique(r, return_inverse=True)
     floor = arr.floor[r, c]
     qos = np.flatnonzero(floor > 0)
-    gain = arr.price[r, c] * arr.rate[r]
-
-    a_eq = np.zeros((len(links), 2 * n))
-    a_eq[link_row, n + cols] = 1.0
-    a_ub = np.zeros((len(qos) + len(links), 2 * n))
     q = np.arange(len(qos))
-    a_ub[q, qos] = -1.0
-    a_ub[q, n + qos] = -problem.unlicensed_hz
-    a_ub[len(qos) + link_row, cols] = 1.0
-    return linprog(
-        np.concatenate([-gain, -gain * problem.unlicensed_hz]),
-        A_ub=a_ub,
+    gain = arr.price[r, c] * arr.rate[r]
+    return LPModel(
+        c=np.concatenate([-gain, -gain * problem.unlicensed_hz]),
+        ub=(
+            np.concatenate([q, q, len(qos) + link_row]),
+            np.concatenate([qos, n + qos, cols]),
+            np.concatenate(
+                [np.full(len(qos), -1.0), np.full(len(qos), -problem.unlicensed_hz), np.ones(n)]
+            ),
+        ),
         b_ub=np.concatenate([-floor[qos] / arr.rate[r[qos]], arr.budget[links]]),
-        A_eq=a_eq,
+        eq=(link_row, n + cols, np.ones(n)),
         b_eq=arr.access[links],
-        bounds=[(0, None)] * n + [(0, 1)] * n,
+        bounds=np.column_stack(
+            [np.zeros(2 * n), np.concatenate([np.full(n, np.inf), np.ones(n)])]
+        ),
+    )
+
+
+def _linprog(models: list[LPModel]):
+    """One HiGHS solve of the block-diagonal stack of ``models``.
+
+    Each model's rows and columns are offset past those of the models
+    before it, so the stacked matrices hold exactly the models' own
+    nonzeros and the blocks share no variable.
+    """
+    col_at = np.cumsum([0] + [len(m.c) for m in models])
+
+    def block_diag(part: str, rhs: str):
+        row_at = np.cumsum([0] + [len(getattr(m, rhs)) for m in models])
+        triplets = [getattr(m, part) for m in models]
+        return coo_array(
+            (
+                np.concatenate([t[2] for t in triplets]),
+                (
+                    np.concatenate([t[0] + o for t, o in zip(triplets, row_at)]),
+                    np.concatenate([t[1] + o for t, o in zip(triplets, col_at)]),
+                ),
+            ),
+            shape=(row_at[-1], col_at[-1]),
+        )
+
+    return linprog(
+        np.concatenate([m.c for m in models]),
+        A_ub=block_diag("ub", "b_ub"),
+        b_ub=np.concatenate([m.b_ub for m in models]),
+        A_eq=block_diag("eq", "b_eq"),
+        b_eq=np.concatenate([m.b_eq for m in models]),
+        bounds=np.concatenate([m.bounds for m in models]),
         method="highs",
     )
+
+
+def _linprog_once(problem: SlicingProblem):
+    """One HiGHS solve of ``problem``'s LP."""
+    return _linprog([_lp_model(problem)])
 
 
 def _blame_family(problem: SlicingProblem) -> str:
@@ -438,31 +500,57 @@ def _blame_family(problem: SlicingProblem) -> str:
     return FAMILY_QOS
 
 
+def _lp_solution(problem: SlicingProblem, x: np.ndarray) -> SlicingSolution:
+    """Package a block of HiGHS's primal values as a solution."""
+    arr = problem.arrays
+    n = len(arr.rows)
+    u = np.zeros(arr.offered.shape)
+    alpha = np.zeros(arr.offered.shape)
+    # clamp as max(0, x) and min(1, x) do: HiGHS's -0.0 becomes 0.0
+    x_u, x_a = x[:n], x[n:]
+    x_a = np.where(x_a > 0.0, x_a, 0.0)
+    u[arr.rows, arr.cols] = np.where(x_u > 0.0, x_u, 0.0)
+    alpha[arr.rows, arr.cols] = np.where(x_a < 1.0, x_a, 1.0)
+    return solution_from_arrays(problem, u, alpha, "lp")
+
+
+def solve_lp_stack(problems: list[SlicingProblem]) -> list[SlicingSolution | None]:
+    """Solve several allocation LPs exactly, in one HiGHS call.
+
+    The LPs share no variable, so their block-diagonal stack is optimal
+    exactly where each block is optimal for its own problem.  ``None``
+    marks a problem with no feasible point: one such block makes the
+    whole stack infeasible, and then each problem is solved on its own.
+    The violated constraint family is not diagnosed here.
+    """
+    if not problems:
+        return []
+    models = [_lp_model(p) for p in problems]
+    ends = np.cumsum([len(m.c) for m in models])
+    x = np.zeros(0)
+    if ends[-1]:
+        res = _linprog(models)
+        if res.status == 2:
+            if len(problems) == 1:
+                return [None]
+            return [solve_lp_stack([p])[0] for p in problems]
+        if res.status != 0:
+            raise RuntimeError(f"allocation solve failed with status {res.status}")
+        x = res.x
+    return [_lp_solution(p, b) for p, b in zip(problems, np.split(x, ends[:-1]))]
+
+
 def solve_lp_oracle(problem: SlicingProblem) -> SlicingSolution:
     """Solve the allocation LP exactly.
 
     Raises :class:`InfeasibleProblem` with the violated constraint
     family when the QoS floors cannot be met from the pooled spectrum.
     """
-    arr = problem.arrays
-    n = len(arr.rows)
-    u = np.zeros(arr.offered.shape)
-    alpha = np.zeros(arr.offered.shape)
-    if not n:
-        return solution_from_arrays(problem, u, alpha, "lp")
-    res = _linprog_once(problem)
-    if res.status == 2:
-        family = _blame_family(problem)
+    (solution,) = solve_lp_stack([problem])
+    if solution is None:
         raise InfeasibleProblem(
-            family,
+            _blame_family(problem),
             f"no feasible allocation for {problem.n_links} links"
             f" / {problem.n_services} slices ({problem.variant})",
         )
-    if res.status != 0:
-        raise RuntimeError(f"allocation solve failed with status {res.status}")
-    # clamp as max(0, x) and min(1, x) do: HiGHS's -0.0 becomes 0.0
-    x_u, x_a = res.x[:n], res.x[n:]
-    x_a = np.where(x_a > 0.0, x_a, 0.0)
-    u[arr.rows, arr.cols] = np.where(x_u > 0.0, x_u, 0.0)
-    alpha[arr.rows, arr.cols] = np.where(x_a < 1.0, x_a, 1.0)
-    return solution_from_arrays(problem, u, alpha, "lp")
+    return solution

@@ -361,13 +361,27 @@ MBPS = 1e6
 PER_MBIT = 1e-6
 
 
-def _num(raw: dict, key: str, entity: str) -> float:
+def _num(raw: dict, key: str, entity: str, default: float | None = None) -> float:
+    """``raw[key]`` as a number; ``default`` stands in for an absent key,
+    and without one the key is required."""
+    if key not in raw and default is not None:
+        return float(default)
     try:
         return float(raw[key])
     except KeyError:
         raise ScenarioParseError(f"{entity}: missing field {key!r}") from None
     except (TypeError, ValueError):
         raise ScenarioParseError(f"{entity}: field {key!r} is not a number") from None
+
+
+def _position(raw: dict, key: str, entity: str) -> tuple[float, float]:
+    pos = raw.get(key)
+    if isinstance(pos, (list, tuple)) and len(pos) == 2:
+        try:
+            return (float(pos[0]), float(pos[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioParseError(f"{entity}: {key} must be [x, y]")
 
 
 def _mapping(raw, entity: str) -> dict:
@@ -426,42 +440,35 @@ def _node_from_dict(raw: dict) -> Node:
     except KeyError as exc:
         raise ScenarioParseError(f"node: missing field {exc.args[0]!r}") from None
     defaults = NODE_DEFAULTS.get(kind, NODE_DEFAULTS[LAA])
-    pos = raw.get("position_m")
-    if not isinstance(pos, (list, tuple)) or len(pos) != 2:
-        raise ScenarioParseError(f"node {nid}: position_m must be [x, y]")
-    owner = raw.get("owner")
+    entity = f"node {nid}"
     return Node(
         id=nid,
         kind=kind,
-        position_m=(float(pos[0]), float(pos[1])),
-        owner=None if owner in (None, WIFI) else int(owner),
-        tx_power_dbm=float(raw.get("tx_power_dbm", defaults["tx_power_dbm"])),
-        cca_threshold_dbm=float(raw.get("cca_threshold_dbm", defaults["cca_threshold_dbm"])),
-        noise_floor_dbm=float(raw.get("noise_floor_dbm", defaults["noise_floor_dbm"])),
-        difs_s=float(raw.get("difs_s", defaults["difs_s"])),
-        cw_min=int(raw.get("cw_min", defaults["cw_min"])),
-        cw_max=int(raw.get("cw_max", defaults["cw_max"])),
-        txop_s=float(raw.get("txop_s", defaults["txop_s"])),
+        position_m=_position(raw, "position_m", entity),
+        owner=None if raw.get("owner") in (None, WIFI) else int(_num(raw, "owner", entity)),
+        tx_power_dbm=_num(raw, "tx_power_dbm", entity, defaults["tx_power_dbm"]),
+        cca_threshold_dbm=_num(raw, "cca_threshold_dbm", entity, defaults["cca_threshold_dbm"]),
+        noise_floor_dbm=_num(raw, "noise_floor_dbm", entity, defaults["noise_floor_dbm"]),
+        difs_s=_num(raw, "difs_s", entity, defaults["difs_s"]),
+        cw_min=int(_num(raw, "cw_min", entity, defaults["cw_min"])),
+        cw_max=int(_num(raw, "cw_max", entity, defaults["cw_max"])),
+        txop_s=_num(raw, "txop_s", entity, defaults["txop_s"]),
     )
 
 
 def _link_from_dict(raw: dict) -> Link:
     try:
         lid = str(raw["id"])
-        owner = int(raw["owner"])
         node = str(raw["node"])
     except KeyError as exc:
         raise ScenarioParseError(f"link: missing field {exc.args[0]!r}") from None
-    pos = raw.get("ue_position_m")
-    if not isinstance(pos, (list, tuple)) or len(pos) != 2:
-        raise ScenarioParseError(f"link {lid}: ue_position_m must be [x, y]")
-    snr = raw.get("snr_db")
+    entity = f"link {lid}"
     return Link(
         id=lid,
-        owner=owner,
+        owner=int(_num(raw, "owner", entity)),
         node=node,
-        ue_position_m=(float(pos[0]), float(pos[1])),
-        snr_db=None if snr is None else float(snr),
+        ue_position_m=_position(raw, "ue_position_m", entity),
+        snr_db=None if raw.get("snr_db") is None else _num(raw, "snr_db", entity),
     )
 
 

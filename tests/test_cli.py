@@ -111,6 +111,21 @@ def test_malformed_override_exits_3(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: scenario: mno 1 override:")
 
 
+def test_non_numeric_node_field_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "services": [],
+        "mnos": [{"id": 1, "licensed_bandwidth_hz": 2e7}],
+        "nodes": [{"id": "b1", "kind": "laa", "position_m": [0, 0], "owner": 1,
+                   "tx_power_dbm": "loud"}],
+        "links": [],
+        "band": {"unlicensed_bandwidth_hz": 2e7},
+    }))
+    assert main(["sim", "--scenario", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: node b1: field 'tx_power_dbm' is not a number")
+
+
 def test_invalid_scenario_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(

@@ -1,6 +1,5 @@
 """Sweep orchestration: reproducibility, invariants, failure rows."""
 
-import numpy as np
 import pytest
 
 from slicenet.experiments import AXES, ExperimentPlan, report, run_experiment

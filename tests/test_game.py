@@ -2,21 +2,24 @@
 
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from slicenet.game import (
     DIVISION_RULES,
     ConvexityReport,
     check_core,
     coalition_value,
+    coalition_values,
     compute_worth,
     convexity_probe,
     default_division,
     standalone_value,
 )
-from slicenet.problem import solve_lp_oracle
+from slicenet.problem import InfeasibleProblem, solve_lp_oracle
 from slicenet.topology import bottleneck_preset, random_problem
 
 
@@ -155,16 +158,16 @@ def test_agreement_matches_grand_coalition_solution():
 
 @pytest.fixture()
 def lp_calls(monkeypatch):
-    """Count the LPs the game layer solves."""
-    import slicenet.game as game
+    """Record each HiGHS call the allocation layer makes."""
+    import slicenet.problem
 
     calls = []
 
-    def counted(problem, *args, **kwargs):
-        calls.append(problem)
-        return solve_lp_oracle(problem, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(game, "solve_lp_oracle", counted)
+    monkeypatch.setattr(slicenet.problem, "linprog", counted)
     return calls
 
 
@@ -177,15 +180,17 @@ def test_division_worth_and_core_share_their_lps(lp_calls):
             "worth": compute_worth(default_division(problem)),
             "core": check_core(default_division(problem)),
         }
-        solo = sum(1 for i in problem.members if problem.links_of(i))
         lp_calls.clear()
         agreement = default_division(problem)
         worth = compute_worth(agreement)
         verdict = check_core(agreement)
-        # one grand-coalition LP and one per operator with links
-        assert len(lp_calls) == 1 + solo
+        # the grand coalition alone, then every standalone LP in one stack
+        assert len(lp_calls) == 2
         assert worth == fresh["worth"]
         assert verdict == fresh["core"]
+        lp_calls.clear()
+        assert convexity_probe(problem).ok
+        assert len(lp_calls) == 1
 
 
 def test_solved_values_stay_with_their_problem(lp_calls):
@@ -194,10 +199,10 @@ def test_solved_values_stay_with_their_problem(lp_calls):
     lp_calls.clear()
     # a copy starts empty, and another problem object is solved anew
     check_core(replace(agreement, x=agreement.x))
-    assert len(lp_calls) == 3
+    assert len(lp_calls) == 2
     lp_calls.clear()
     check_core(agreement, replace(problem))
-    assert len(lp_calls) == 3
+    assert len(lp_calls) == 2
     lp_calls.clear()
     check_core(agreement, problem)
     compute_worth(agreement)
@@ -212,3 +217,42 @@ def test_division_from_a_given_solution_solves_the_optimum_in_core(lp_calls):
     # the optimum itself and reuses only the standalone values
     assert check_core(agreement).in_core
     assert len(lp_calls) == 1
+
+
+def test_stacked_values_match_the_oracle_one_by_one():
+    rng = np.random.default_rng(17)
+    infeasible = 0
+    for _ in range(40):
+        # under the default s3 margin, lone operators often miss their floors
+        problem = random_problem(rng)
+        members = problem.members
+        coalitions = [
+            frozenset(c) for size in range(1, len(members) + 1) for c in combinations(members, size)
+        ]
+        for coalition, value in zip(coalitions, coalition_values(problem, coalitions)):
+            try:
+                alone = solve_lp_oracle(problem.restrict(coalition)).objective
+            except InfeasibleProblem:
+                alone = 0.0
+                infeasible += 1
+            assert math.isclose(value, alone, rel_tol=1e-12), (coalition, value, alone)
+    assert infeasible > 0
+
+
+def test_game_never_diagnoses_infeasibility(monkeypatch):
+    import slicenet.problem
+
+    def refuse(problem):
+        raise AssertionError("the game layer asked why a coalition is infeasible")
+
+    monkeypatch.setattr(slicenet.problem, "_blame_family", refuse)
+    rng = np.random.default_rng(23)
+    worthless = 0
+    for _ in range(10):
+        problem = random_problem(rng)
+        agreement = default_division(problem)
+        worth = compute_worth(agreement)
+        check_core(agreement)
+        convexity_probe(problem)
+        worthless += worth.standalone.count(0.0)
+    assert worthless > 0

@@ -151,6 +151,14 @@ def _doc(**sections) -> str:
     return json.dumps({**doc, **sections})
 
 
+def _node(**fields) -> dict:
+    return {"id": "b1", "kind": "laa", "position_m": [0.0, 0.0], "owner": 1, **fields}
+
+
+def _link(**fields) -> dict:
+    return {"id": "l1", "owner": 1, "node": "b1", "ue_position_m": [5.0, 0.0], **fields}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -167,6 +175,14 @@ def _doc(**sections) -> str:
             "licensed_bandwidth_hz": 2e7,
             "overrides": [{"service": 1, "price_per_bit": "cheap"}],
         }]),
+        _doc(nodes=[_node(tx_power_dbm="loud")]),
+        _doc(nodes=[_node(position_m=["a", 0.0])]),
+        _doc(nodes=[_node(owner="x")]),
+        _doc(nodes=[_node(cw_min="wide")]),
+        _doc(nodes=[_node(cw_max=None)]),
+        _doc(links=[_link(snr_db="loud")]),
+        _doc(links=[_link(owner="x")]),
+        _doc(links=[_link(ue_position_m=[0.0, None])]),
     ],
     ids=[
         "neither-json-nor-yaml",
@@ -178,6 +194,14 @@ def _doc(**sections) -> str:
         "node-not-a-mapping",
         "section-not-a-list",
         "override-not-a-number",
+        "node-power-not-a-number",
+        "node-position-not-numbers",
+        "node-owner-not-a-number",
+        "node-cw-min-not-a-number",
+        "node-cw-max-null",
+        "link-snr-not-a-number",
+        "link-owner-not-a-number",
+        "link-position-not-numbers",
     ],
 )
 def test_malformed_file_is_a_parse_error(tmp_path, capsys, text):
