@@ -17,8 +17,10 @@
 # that scenario as JSON (two_mno.json) and checks that mboe on it prints
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
-# runs mboe, solve (also under s2) and game (under both division rules) on it with
-# --fallback, and simulates it with a timeline and with Poisson arrivals.  dense.yaml is gen's own output,
+# runs mboe, solve (also under s2, with the subgradient, and cut short at 25
+# ADMM iterations) and game (under both division rules) on it with --fallback,
+# checks that out-of-domain solver settings exit 2, and simulates it with a
+# timeline and with Poisson arrivals.  dense.yaml is gen's own output,
 # so it holds JSON text: its bytes differ from checkouts whose gen wrote
 # YAML, while the scenario it describes is the same.
 set -euo pipefail
@@ -75,6 +77,22 @@ slicenet mboe "${DENSE[@]}" --out dense_mboe.txt
 slicenet solve "${DENSE[@]}" --trace dense_trace_admm.tsv --out dense_solve_admm.txt
 slicenet solve "${DENSE[@]}" --variant s2 --trace dense_trace_admm_s2.tsv \
     --out dense_solve_admm_s2.txt
+slicenet solve "${DENSE[@]}" --solver subgrad --trace dense_trace_subgrad.tsv \
+    --out dense_solve_subgrad.txt
+# cut short: flagged max-iterations
+slicenet solve "${DENSE[@]}" --max-iter 25 --trace dense_trace_admm_25.tsv \
+    --out dense_solve_admm_25.txt
+# solver settings outside their domain are usage errors (exit 2); the
+# output and the exit code are kept
+for case in "gamma_neg --gamma -1" "gamma_zero --gamma 0" "gamma_nan --gamma nan" \
+    "max_iter_neg --max-iter -3" "tol_neg --tol=-1e-6" \
+    "step_scale_nan --solver subgrad --step-scale nan"; do
+    read -r name settings <<< "$case"
+    status=0
+    # shellcheck disable=SC2086  # the settings are several words
+    slicenet solve "${DENSE[@]}" $settings > "dense_usage_$name.txt" 2>&1 || status=$?
+    echo "exit $status" >> "dense_usage_$name.txt"
+done
 slicenet game "${DENSE[@]}" --out dense_game.txt
 slicenet game "${DENSE[@]}" --division prop --out dense_game_prop.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --timeline dense_timeline.tsv \

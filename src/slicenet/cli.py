@@ -6,7 +6,7 @@ and diffed.  Errors print one ``error: {category}: {message}`` line to
 stderr and map to stable exit codes:
 
     0  success
-    2  usage (argparse)
+    2  usage (argparse, and solver settings such as --gamma 0)
     3  scenario file problems
     4  infeasible allocation problem
     5  simulation or estimation inputs unusable
@@ -35,7 +35,7 @@ from .game import check_core, compute_worth, default_division
 from .mboe import TableMissError, estimate_access, remove_mno
 from .problem import InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import ScenarioError, load_scenario, save_scenario
-from .solvers import solve_admm, solve_subgradient
+from .solvers import SolverSettingError, check_settings, solve_admm, solve_subgradient
 from .topology import KINDS, generate_topology
 
 log = logging.getLogger(__name__)
@@ -198,6 +198,14 @@ def _solution_text(solution, trace, oracle_objective=None) -> str:
 
 
 def _cmd_solve(args) -> int:
+    settings = {
+        "lp": {},
+        "admm": {"gamma": args.gamma, "max_iter": args.max_iter, "tol": args.tol},
+        "subgrad": {"max_iter": args.max_iter, "step_scale": args.step_scale},
+    }[args.solver]
+    # a setting the chosen solver cannot run with is a usage error,
+    # reported before any estimation work
+    check_settings(**settings)
     scenario, _, _, est = _estimates_for(args)
     problem = build_problem(scenario, est, variant=args.variant)
     trace = None
@@ -207,13 +215,9 @@ def _cmd_solve(args) -> int:
     if args.solver == "lp":
         solution = oracle
     elif args.solver == "admm":
-        solution, trace = solve_admm(
-            problem, gamma=args.gamma, max_iter=args.max_iter, tol=args.tol
-        )
+        solution, trace = solve_admm(problem, **settings)
     else:
-        solution, trace = solve_subgradient(
-            problem, max_iter=args.max_iter, step_scale=args.step_scale
-        )
+        solution, trace = solve_subgradient(problem, **settings)
     if args.trace is not None and trace is not None:
         _emit(trace.to_text(), args.trace)
     reference = None if args.solver == "lp" else oracle.objective
@@ -398,6 +402,8 @@ def main(argv=None) -> int:
         return _fail("usage", "table requires --out <table.tsv>", EXIT_USAGE)
     try:
         return args.func(args)
+    except SolverSettingError as exc:
+        return _fail("usage", exc, EXIT_USAGE)
     except ScenarioError as exc:
         return _fail("scenario", exc, EXIT_SCENARIO)
     except InfeasibleProblem as exc:

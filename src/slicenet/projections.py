@@ -10,34 +10,58 @@ Both projections work on stacked rows: the last axis of ``y`` is one
 row's coordinates, every leading axis indexes independent rows, and
 the row totals broadcast over those leading axes.  A NaN entry is not
 part of its row's set (a slice the link does not offer); it comes back
-as exactly 0.  A plain vector is one row.
+as exactly 0.  A plain vector is one row.  Totals and budgets must be
+finite.
+
+The solvers call these on a few links at a time, thousands of times
+per solve, so the arithmetic is written for few numpy calls: row-wise
+lookups index the flattened arrays, and clamps are ``maximum`` and
+``minimum`` with their arguments in the order that gives ``np.clip``'s
+results bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+_LARGEST = np.finfo(float).max
+#: indexed by whether a row has a present entry: an uncapped row's
+#: capacity (every finite total fits a nonempty row), and the tolerance
+#: a total may exceed its capacity by
+_UNCAPPED = np.array([0.0, _LARGEST])
+_SLACK = np.array([1e-12, 1e-9])
+
+
+@functools.lru_cache(maxsize=64)
+def _arange(stop: int, step: int = 1) -> np.ndarray:
+    """``np.arange(0, stop, step)``, read-only and kept across calls."""
+    out = np.arange(0, stop, step)
+    out.setflags(write=False)
+    return out
+
 
 def _rows(y, total):
-    """(rows, m) values and (rows,) totals from stacked or plain input."""
+    """(rows, m) values, (rows,) totals and the input's shape."""
     y = np.asarray(y, dtype=float)
     totals = np.empty(y.shape[:-1])
     totals[...] = total
-    return y.reshape(-1, y.shape[-1]), totals.reshape(-1)
+    return y.reshape(-1, y.shape[-1]), totals.reshape(-1), y.shape
 
 
 def _check_totals(totals, count, cap: float) -> np.ndarray:
-    """Each row's capacity ``count * cap``; raise for an empty set."""
-    if math.isfinite(cap):
-        capacity = count * cap
-    else:
-        capacity = np.where(count > 0, np.inf, 0.0)
-    slack = np.where(count > 0, 1e-9, 1e-12)
-    bad = (totals < -1e-12) | (totals > capacity + slack)
-    if bad.any():
-        k = int(np.argmax(bad))
+    """Each row's capacity ``count * cap``; raise for a total outside
+    ``[0, capacity]``, NaN and infinite totals included."""
+    present = count > 0
+    capacity = count * cap if math.isfinite(cap) else _UNCAPPED.take(present)
+    # one test for every row; NaN fails both comparisons
+    ok = (totals >= -1e-12) & (totals <= capacity + _SLACK.take(present))
+    if np.count_nonzero(ok) < ok.size:
+        k = int(np.argmin(ok))
+        if not math.isfinite(totals[k]):
+            raise ValueError(f"non-finite simplex total {totals[k]}")
         if totals[k] < -1e-12:
             raise ValueError(f"negative simplex total {totals[k]}")
         if count[k] == 0:
@@ -48,16 +72,18 @@ def _check_totals(totals, count, cap: float) -> np.ndarray:
 
 def _water_fill(y: np.ndarray, total: np.ndarray, absent: np.ndarray) -> np.ndarray:
     """Project each row onto {x >= 0, sum x = total} by water-filling."""
-    m = y.shape[1]
-    # absent entries sort last as -inf and never satisfy the condition
-    u = np.sort(np.where(absent, -np.inf, y), axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    with np.errstate(invalid="ignore"):
-        cond = u - (css - total[:, None]) / np.arange(1, m + 1) > 0
+    n, m = y.shape
+    # rows in descending order with the absent entries (NaN) last: they
+    # never satisfy the condition, and raise no floating-point warning
+    u = -y
+    u.sort(axis=1)
+    u = -u
+    css = u.cumsum(axis=1)
+    cond = u - (css - total[:, None]) / _arange(m + 1)[1:] > 0
     # the largest entry always qualifies in exact arithmetic; a total
     # below its roundoff can fail the test and must not drop it
-    k = 1 + np.max(np.where(cond, np.arange(m), 0), axis=1)
-    tau = (css[np.arange(len(y)), k - 1] - total) / k
+    k = 1 + np.where(cond, _arange(m), 0).max(axis=1)
+    tau = (css.take(_arange(n * m, m) + (k - 1)) - total) / k
     empty = absent | (total <= 0.0)[:, None]
     return np.where(empty, 0.0, np.maximum(y - tau[:, None], 0.0))
 
@@ -69,20 +95,31 @@ def _breakpoint_walk(y, total, absent, cap: float) -> np.ndarray:
     breakpoints {y - cap, y} over a row's present entries; absent ones
     give NaN breakpoints, which sort last and never count.  The mass is
     evaluated at every breakpoint at once.  The breakpoints whose mass
-    exceeds the total form a prefix; the segment leaving it holds tau,
-    found by interpolation, and a row with an empty prefix takes its
-    lowest breakpoint.
+    exceeds the total form a prefix (the computed mass is monotone
+    too); the segment leaving it holds tau, found by interpolation
+    across a strictly falling mass, and a row with an empty prefix
+    takes its lowest breakpoint.
     """
-    points = np.sort(np.concatenate([y - cap, y], axis=1), axis=1)
+    n, m = y.shape
+    points = np.concatenate([y - cap, y], axis=1)
+    points.sort(axis=1)
     d = np.where(absent, -np.inf, y)[:, None, :] - points[:, :, None]
     mass = np.minimum(np.maximum(d, 0.0), cap).sum(axis=2)
-    j = np.count_nonzero(mass > total[:, None], axis=1)
-    r = np.arange(len(y))
-    a, b = points[r, j - 1], points[r, j]
-    ma, mb = mass[r, j - 1], mass[r, j]
+    # the prefix ends at the first breakpoint whose mass does not exceed
+    # the total; the row's largest breakpoint (mass 0) or a NaN one
+    # always qualifies
+    j = (mass > total[:, None]).argmin(axis=1)
+    # flat positions of each row's segment ends
+    end = _arange(2 * n * m, 2 * m) + j
+    start = end - 1
+    a, b = points.take(start), points.take(end)
+    ma, mb = mass.take(start), mass.take(end)
+    # a row with j = 0 reads its neighbour's last breakpoint, and its
+    # interpolation is discarded; it can divide 0 by 0 where the mass is
+    # flat (entries so large that y - cap rounds to y)
     with np.errstate(invalid="ignore", divide="ignore"):
         tau = np.where(j == 0, points[:, 0], a + (ma - total) * (b - a) / (ma - mb))
-    return np.where(absent, 0.0, np.clip(y - tau[:, None], 0.0, cap))
+    return np.where(absent, 0.0, np.minimum(cap, np.maximum(0.0, y - tau[:, None])))
 
 
 def _equality(y, total, absent, cap: float) -> np.ndarray:
@@ -96,18 +133,21 @@ def project_capped_simplex_eq(y, total, cap: float = 1.0) -> np.ndarray:
     """Project each row of y onto {x: sum x = total, 0 <= x_i <= cap}.
 
     The feasible set is empty unless 0 <= total <= n*cap, n counting
-    the row's present entries; that is a caller error.  The projection
+    the row's present entries; that is a caller error, and so are a
+    non-finite total and a cap that is not positive.  The projection
     is x_i = clip(y_i - tau, 0, cap) where tau solves the
     piecewise-linear equation sum x(tau) = total; the breakpoint walk
     solves it exactly.
     """
-    rows, totals = _rows(y, total)
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap}")
+    rows, totals, shape = _rows(y, total)
     absent = np.isnan(rows)
     capacity = _check_totals(totals, rows.shape[1] - absent.sum(axis=1), cap)
     totals = np.minimum(np.maximum(totals, 0.0), capacity)
     if rows.size == 0:
-        return np.zeros(np.shape(y))
-    return _equality(rows, totals, absent, cap).reshape(np.shape(y))
+        return np.zeros(shape)
+    return _equality(rows, totals, absent, cap).reshape(shape)
 
 
 def project_budget_box(y, budget, cap: float = math.inf) -> np.ndarray:
@@ -115,16 +155,21 @@ def project_budget_box(y, budget, cap: float = math.inf) -> np.ndarray:
 
     When the box projection already fits the budget it is the answer;
     otherwise the budget binds and the equality projection applies.
+    A negative or non-finite budget is a caller error.
     """
-    rows, budgets = _rows(y, budget)
-    if (budgets < 0).any():
-        raise ValueError(f"negative budget {budgets.min()}")
+    rows, budgets, shape = _rows(y, budget)
+    ok = (budgets >= 0.0) & (budgets <= _LARGEST)
+    if np.count_nonzero(ok) < ok.size:
+        bad = budgets[int(np.argmin(ok))]
+        kind = "negative" if bad < 0.0 else "non-finite"
+        raise ValueError(f"{kind} budget {bad}")
     absent = np.isnan(rows)
-    inside = np.where(absent, 0.0, np.clip(rows, 0.0, cap if math.isfinite(cap) else None))
+    box = np.minimum(cap, np.maximum(0.0, rows)) if math.isfinite(cap) else np.maximum(rows, 0.0)
+    inside = np.where(absent, 0.0, box)
     over = inside.sum(axis=1) > budgets
-    if over.any():
+    if np.count_nonzero(over):
         # a binding budget is below the row's capacity, so the equality
         # projection is feasible; it is computed for every row and kept
         # where the budget binds
         inside = np.where(over[:, None], _equality(rows, budgets, absent, cap), inside)
-    return inside.reshape(np.shape(y))
+    return inside.reshape(shape)

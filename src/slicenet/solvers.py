@@ -26,6 +26,7 @@ megahertz and micro-currency.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,31 @@ from .projections import project_budget_box, project_capped_simplex_eq
 
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
+#: bytes of iterates a solver holds before it reduces them to trace
+#: columns in one pass: a long run keeps one block, not its history
+TRACE_BLOCK_BYTES = 1 << 16
+
+
+class SolverSettingError(ValueError):
+    """A solver setting outside its domain: a caller error, which the
+    command line reports as a usage error."""
+
+
+def check_settings(
+    *, gamma: float = 1.0, tol: float = 0.0, max_iter: int = 0, step_scale: float = 0.0
+) -> None:
+    """Raise :class:`SolverSettingError` unless ``gamma`` is positive and
+    finite, ``tol`` and ``step_scale`` are finite and nonnegative and
+    ``max_iter`` is a nonnegative integer.  Each solver checks the
+    settings it takes; the defaults here pass."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise SolverSettingError(f"gamma must be positive and finite, got {gamma}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise SolverSettingError(f"tol must be finite and >= 0, got {tol}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise SolverSettingError(f"max_iter must be an integer >= 0, got {max_iter}")
+    if not (math.isfinite(step_scale) and step_scale >= 0.0):
+        raise SolverSettingError(f"step_scale must be finite and >= 0, got {step_scale}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +110,12 @@ def z_projection(u_block, alpha_block, dual_u, dual_alpha, band_ratio: float, qo
     return p + scale, q + scale * band_ratio
 
 
-def dual_update(dual, x, z) -> np.ndarray:
-    """Scaled ascent step: accumulate the consensus gap."""
-    return np.asarray(dual, dtype=float) + np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
+def dual_update(dual: np.ndarray, x, z) -> np.ndarray:
+    """Scaled ascent step: accumulate the consensus gap into ``dual``,
+    in place, and return it."""
+    dual += x
+    dual -= z
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +143,7 @@ class _Scaled:
         self.gain_scale = gain.max() if gain.size and gain.max() > 0 else 1.0
         self.gain_u = gain / self.gain_scale
         self.gain_a = self.gain_u * self.band_ratio
+        self.gain = np.stack([self.gain_u, self.gain_a])
         self.qos = qos
         self.budget = arr.budget / self.width
         self.xi = arr.access
@@ -123,18 +153,21 @@ class _Scaled:
         """``x`` with every pair the link does not offer set to NaN."""
         return np.where(self.active, x, np.nan)
 
-    def objective(self, u: np.ndarray, a: np.ndarray) -> float:
-        """True revenue of a normalized allocation, in original units."""
-        return float((self.gain_u * u).sum() + (self.gain_a * a).sum()) * self.gain_scale
+    def objectives(self, ua: np.ndarray) -> np.ndarray:
+        """True revenue of each normalized allocation ``ua[k] = (u, a)``,
+        in original units: each side summed over its pairs, then added."""
+        sides = (self.gain * ua).reshape(len(ua), 2, -1).sum(axis=2)
+        return (sides[:, 0] + sides[:, 1]) * self.gain_scale
 
     def project_local(self, u: np.ndarray, a: np.ndarray):
         """Exact projection onto every link's own feasibility sets."""
         pa = project_capped_simplex_eq(self.pad(a), self.xi, cap=1.0)
         return project_budget_box(self.pad(u), self.budget), pa
 
-    def qos_shortfall(self, u: np.ndarray, a: np.ndarray) -> float:
-        gap = (self.qos - (u + self.band_ratio * a)) * self.active
-        return float(np.maximum(gap, 0.0).max(initial=0.0))
+    def qos_shortfalls(self, ua: np.ndarray) -> np.ndarray:
+        """Largest QoS floor violation of each allocation ``ua[k] = (u, a)``."""
+        gap = (self.qos - (ua[:, 0] + self.band_ratio * ua[:, 1])) * self.active
+        return np.maximum(gap, 0.0).max(axis=(1, 2), initial=0.0)
 
     def repair(self, u: np.ndarray, a: np.ndarray, tol: float = REPAIR_TOL,
                max_rounds: int = REPAIR_MAX_ROUNDS):
@@ -148,9 +181,11 @@ class _Scaled:
         u, a = self.project_local(u, a)
         denom = 1.0 + self.band_ratio * self.band_ratio
         for _ in range(max_rounds):
-            if self.qos_shortfall(u, a) <= tol:
+            # the projections leave the pairs a link does not offer at 0,
+            # where the QoS bound is 0 too
+            slack = np.maximum(self.qos - (u + self.band_ratio * a), 0.0)
+            if slack.max(initial=0.0) <= tol:
                 break
-            slack = np.maximum((self.qos - (u + self.band_ratio * a)) * self.active, 0.0)
             scale = slack / denom
             u, a = self.project_local(u + scale, a + scale * self.band_ratio)
         return u, a
@@ -165,12 +200,30 @@ class _Scaled:
 # traces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     iteration: int
     objective: float
     primal_residual: float
     dual_residual: float
+
+
+def _block_len(floats_per_iteration: int, max_iter: int) -> int:
+    """Iterations in one trace block, at least one."""
+    return max(1, min(max_iter, TRACE_BLOCK_BYTES // (8 * floats_per_iteration)))
+
+
+def _trace_rows(first: int, objective, primal, dual) -> list[TraceRow]:
+    """Rows for iterations ``first, first + 1, ...`` from column values."""
+    return [
+        TraceRow(it, o, p, d)
+        for it, o, p, d in zip(
+            range(first, first + len(objective)),
+            np.asarray(objective).tolist(),
+            np.asarray(primal).tolist(),
+            np.asarray(dual).tolist(),
+        )
+    ]
 
 
 @dataclass
@@ -183,6 +236,11 @@ class ConvergenceTrace:
     convergence on cleaned-up iterates would credit the cleanup, not
     the method.  The solution a solver *returns* is always repaired to
     feasibility separately.
+
+    The solvers store each iterate and compute the columns that only
+    report on it (the objective, and the subgradient's QoS shortfall
+    and dual column) after the loop, a block of iterations at a time,
+    with the same arithmetic per row as one iteration at a time.
     """
 
     method: str
@@ -224,6 +282,12 @@ class ConvergenceTrace:
 # operator-consensus solver
 
 
+def _norm(d: np.ndarray) -> float:
+    """Euclidean norm, by the dot product ``np.linalg.norm`` takes."""
+    d = d.ravel()
+    return math.sqrt(d.dot(d))
+
+
 def solve_admm(
     problem: SlicingProblem,
     gamma: float = 1.0,
@@ -236,8 +300,10 @@ def solve_admm(
     where dim counts the split variables.  The penalty ``gamma`` is
     only the starting value: it doubles or halves whenever one residual
     outruns the other tenfold, and the scaled dual is rescaled in step
-    so the underlying multipliers are preserved.
+    so the underlying multipliers are preserved.  Settings outside
+    their domain raise :class:`SolverSettingError`.
     """
+    check_settings(gamma=gamma, max_iter=max_iter, tol=tol)
     s = _Scaled(problem)
     trace = ConvergenceTrace(method="admm", gamma_final=gamma)
     n, m = problem.n_links, problem.n_services
@@ -245,44 +311,48 @@ def solve_admm(
         trace.converged = True
         return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "admm"), trace
 
-    xu = np.zeros((n, m))
-    xa = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
-    zu, za = xu.copy(), xa.copy()
+    zu = np.zeros((n, m))
+    za = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
     lu, la = np.zeros((n, m)), np.zeros((n, m))
     gain_u, gain_a = s.pad(s.gain_u), s.pad(s.gain_a)
     eps = tol * math.sqrt(s.dim)
+    block = _block_len(2 * n * m, max_iter)
+    zs = np.empty((block, 2, n, m))
 
-    for it in range(1, max_iter + 1):
-        xa = alpha_subproblem(za, la, gamma, s.xi, gain_a)
-        xu = w_subproblem(zu, lu, gamma, s.budget, gain_u)
-        zu_prev, za_prev = zu, za
-        zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
-        zu *= s.active
-        za *= s.active
-        lu = dual_update(lu, xu, zu)
-        la = dual_update(la, xa, za)
+    for first in range(1, max_iter + 1, block):
+        residuals = []
+        for k in range(min(block, max_iter + 1 - first)):
+            xa = alpha_subproblem(za, la, gamma, s.xi, gain_a)
+            xu = w_subproblem(zu, lu, gamma, s.budget, gain_u)
+            zu_prev, za_prev = zu, za
+            # every pair a link does not offer stays at 0 in x, z and
+            # the dual, so z needs no masking
+            zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
+            zs[k, 0], zs[k, 1] = zu, za
+            dual_update(lu, xu, zu)
+            dual_update(la, xa, za)
 
-        primal = math.hypot(
-            float(np.linalg.norm(xu - zu)), float(np.linalg.norm(xa - za))
-        )
-        dual = gamma * math.hypot(
-            float(np.linalg.norm(zu - zu_prev)), float(np.linalg.norm(za - za_prev))
-        )
-        trace.rows.append(TraceRow(it, s.objective(zu, za), primal, dual))
-        if primal <= eps and dual <= eps:
-            trace.converged = True
+            primal = math.hypot(_norm(xu - zu), _norm(xa - za))
+            dual = gamma * math.hypot(_norm(zu - zu_prev), _norm(za - za_prev))
+            residuals.append((primal, dual))
+            if primal <= eps and dual <= eps:
+                trace.converged = True
+                break
+            if primal > 10.0 * dual and dual > 0:
+                gamma *= 2.0
+                lu /= 2.0
+                la /= 2.0
+            elif dual > 10.0 * primal and primal > 0:
+                gamma /= 2.0
+                lu *= 2.0
+                la *= 2.0
+        primals, duals = zip(*residuals)
+        trace.rows += _trace_rows(first, s.objectives(zs[: len(residuals)]), primals, duals)
+        if trace.converged:
             break
-        if primal > 10.0 * dual and dual > 0:
-            gamma *= 2.0
-            lu /= 2.0
-            la /= 2.0
-        elif dual > 10.0 * primal and primal > 0:
-            gamma /= 2.0
-            lu *= 2.0
-            la *= 2.0
 
     trace.gamma_final = gamma
-    ru, ra = s.repair(zu.copy(), za.copy())
+    ru, ra = s.repair(zu, za)
     flags = () if trace.converged else ("max-iterations",)
     return s.to_solution(ru, ra, "admm", flags), trace
 
@@ -304,8 +374,10 @@ def solve_subgradient(
     slice.  Steps shrink as ``1/sqrt(t)`` and the reported allocation
     is the repaired running average of the primal iterates.  A zero
     ``step_scale`` freezes the multipliers, so the trace objective
-    stays constant; that degenerate case anchors the tests.
+    stays constant; that degenerate case anchors the tests.  Settings
+    outside their domain raise :class:`SolverSettingError`.
     """
+    check_settings(max_iter=max_iter, step_scale=step_scale)
     s = _Scaled(problem)
     trace = ConvergenceTrace(method="subgradient")
     n, m = problem.n_links, problem.n_services
@@ -321,33 +393,42 @@ def solve_subgradient(
     fill = np.where(ranks < s.offered, np.clip(s.xi[:, None] - ranks, 0.0, 1.0), 0.0)
     neg_gain_a = -s.pad(s.gain_a)
     gain_u = np.where(s.active, s.gain_u, -np.inf)
-    links = np.arange(n)
+    links = np.arange(n)[:, None]
+    starts = np.arange(0, n * m, m)
     lam = np.zeros((n, m))
-    avg_u, avg_a = np.zeros((n, m)), np.zeros((n, m))
-    for it in range(1, max_iter + 1):
-        rank = np.argsort(neg_gain_a - lam * s.band_ratio, axis=1, kind="stable")
-        xa = np.zeros((n, m))
-        xa[links[:, None], rank] = fill
-        coef_u = gain_u + lam
-        best = np.argmax(coef_u, axis=1)
-        xu = np.zeros((n, m))
-        xu[links, best] = np.where(coef_u[links, best] > 0, s.budget, 0.0)
-        avg_u += (xu - avg_u) / it
-        avg_a += (xa - avg_a) / it
+    # this iteration's (u, a), overwritten in place: the airtime fill
+    # writes every entry, the licensed draw one per link
+    x = np.zeros((2, n, m))
+    xu, xa = x
+    xu_flat = xu.reshape(-1)
+    # running averages and slacks of the block's iterations, reduced to
+    # trace columns after it; the pairs a link does not offer stay at 0
+    # in x, the slack and the multipliers
+    block = _block_len(3 * n * m, max_iter)
+    avgs, slacks, steps = np.empty((block, 2, n, m)), np.empty((block, n, m)), np.empty(block)
+    avg = np.zeros((2, n, m))
+    for first in range(1, max_iter + 1, block):
+        its = range(first, min(first + block, max_iter + 1))
+        for k, it in enumerate(its):
+            rank = (neg_gain_a - lam * s.band_ratio).argsort(axis=1, kind="stable")
+            xa[links, rank] = fill
+            coef_u = gain_u + lam
+            best = coef_u.argmax(axis=1) + starts
+            xu.fill(0.0)
+            xu_flat[best] = np.where(coef_u.take(best) > 0, s.budget, 0.0)
+            avg = np.add(avg, (x - avg) / it, out=avgs[k])
 
-        slack = (xu + s.band_ratio * xa) - s.qos
-        step = step_scale / math.sqrt(it)
-        lam = np.maximum(0.0, lam - step * slack) * s.active
-
-        trace.rows.append(
-            TraceRow(
-                it,
-                s.objective(avg_u, avg_a),
-                s.qos_shortfall(avg_u, avg_a),
-                step * float(np.abs(slack).max()),
-            )
+            slack = np.subtract(xu + s.band_ratio * xa, s.qos, out=slacks[k])
+            steps[k] = step = step_scale / math.sqrt(it)
+            lam = np.maximum(0.0, lam - step * slack)
+        done = len(its)
+        trace.rows += _trace_rows(
+            first,
+            s.objectives(avgs[:done]),
+            s.qos_shortfalls(avgs[:done]),
+            steps[:done] * np.abs(slacks[:done]).max(axis=(1, 2)),
         )
 
-    ru, ra = s.repair(avg_u.copy(), avg_a.copy())
+    ru, ra = s.repair(avg[0], avg[1])
     trace.converged = True
     return s.to_solution(ru, ra, "subgradient", ("ergodic-average",)), trace

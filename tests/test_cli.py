@@ -206,6 +206,41 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "solver, setting, value",
+    [
+        ("admm", "--gamma", "-1"),
+        ("admm", "--gamma", "0"),
+        ("admm", "--gamma", "nan"),
+        ("admm", "--tol", "-0.5"),
+        ("admm", "--tol", "inf"),
+        ("admm", "--max-iter", "-3"),
+        ("subgrad", "--max-iter", "-3"),
+        ("subgrad", "--step-scale", "nan"),
+        ("subgrad", "--step-scale", "-0.5"),
+    ],
+)
+def test_solver_setting_outside_its_domain_exits_2(tmp_path, capsys, solver, setting, value):
+    # reported before the scenario is even read
+    code = main([
+        "solve", "--scenario", str(tmp_path / "none.yaml"), "--table", str(tmp_path / "none.tsv"),
+        "--solver", solver, setting, value,
+    ])
+    assert code == 2
+    name = setting[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: usage: {name} must be")
+
+
+def test_zero_iterations_and_zero_step_are_valid_settings(workspace, capsys):
+    scenario, table = workspace
+    base = ["solve", "--scenario", str(scenario), "--table", str(table), "--fallback"]
+    assert main([*base, "--solver", "admm", "--max-iter", "0"]) == 0
+    assert "flags\tmax-iterations" in capsys.readouterr().out
+    assert main([*base, "--solver", "subgrad", "--step-scale", "0", "--max-iter", "0"]) == 0
+    # a setting the chosen solver does not take is not checked
+    assert main([*base, "--solver", "lp", "--gamma", "0"]) == 0
+
+
 def test_seed_only_where_it_is_read(workspace, capsys):
     scenario, table = workspace
     # mboe, solve and game draw nothing at random, so they take no --seed

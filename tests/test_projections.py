@@ -2,6 +2,7 @@
 and the stacked-row form against an independent scalar reference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,41 @@ def test_all_masked_row_stays_zero():
     with pytest.raises(ValueError):
         project_capped_simplex_eq(y, [0.5, 1.0])
     assert np.array_equal(project_budget_box(y, [1.0, 0.1]), [[0.0, 0.0], [0.1, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_totals_raise(bad):
+    # a NaN total used to pass every bound test: the simplex returned
+    # [1, 1] (sum 2) and the budget box the point unprojected
+    y = np.array([0.3, 0.5])
+    with pytest.raises(ValueError):
+        project_capped_simplex_eq(y, bad)
+    with pytest.raises(ValueError):
+        project_capped_simplex_eq(y, bad, cap=math.inf)
+    with pytest.raises(ValueError):
+        project_budget_box(y, bad)
+    with pytest.raises(ValueError):
+        project_budget_box(np.array([[0.3, 0.5], [0.1, 0.2]]), [1.0, bad], cap=1.0)
+    with pytest.raises(ValueError):
+        project_capped_simplex_eq(np.array([[0.3, 0.5], [0.1, 0.2]]), [0.5, bad])
+
+
+def test_cap_must_be_positive():
+    for cap in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            project_capped_simplex_eq(np.array([0.3, 0.5]), 0.0, cap=cap)
+
+
+def test_projections_raise_no_floating_point_warnings():
+    # absent entries, empty rows, zero totals and full rows, with and
+    # without a cap: the projections handle them without a 0/0 or inf - inf
+    y = np.array([[np.nan, np.nan, np.nan], [0.3, np.nan, 2.0], [0.5, 0.5, 0.5], [-1.0, 4.0, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cap in (1.0, math.inf):
+            room = 1.0 if math.isfinite(cap) else 4.0
+            for totals in ([0.0, 0.0, 0.0, 0.0], [0.0, 2 * room, 3 * room, 0.5], [0.0, 0.7, 1.2, 2.0]):
+                out = project_capped_simplex_eq(y, totals, cap=cap)
+                assert np.allclose(out.sum(axis=1), totals)
+                box = project_budget_box(y, totals, cap=cap)
+                assert np.all(box.sum(axis=1) <= np.asarray(totals) + 1e-12)

@@ -3,11 +3,21 @@ convergence accounting, and the privacy boundary of per-link updates."""
 
 import inspect
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 
-from slicenet.problem import solve_lp_oracle
+from slicenet import solvers
+from slicenet.problem import VARIANTS, as_variant, solve_lp_oracle
 from slicenet.solvers import (
+    REPAIR_MAX_ROUNDS,
+    REPAIR_TOL,
+    ConvergenceTrace,
+    SolverSettingError,
+    TraceRow,
+    _Scaled,
     alpha_subproblem,
     dual_update,
     solve_admm,
@@ -157,7 +167,9 @@ def test_z_projection_enforces_qos_bound():
 
 
 def test_dual_update_accumulates_disagreement():
-    d = dual_update(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 0.5]))
+    dual = np.zeros(2)
+    d = dual_update(dual, np.array([1.0, 0.0]), np.array([0.0, 0.5]))
+    assert d is dual
     assert np.allclose(d, [1.0, -0.5])
 
 
@@ -184,3 +196,248 @@ def test_link_offering_no_slice_stays_zero():
     for solution in (admm, sub):
         assert solution.u_hz[2] == (0.0, 0.0) and solution.alpha[2] == (0.0, 0.0)
         assert solution.max_violation() <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "solve, settings",
+    [
+        (solve_admm, {"gamma": -1.0}),
+        (solve_admm, {"gamma": 0.0}),
+        (solve_admm, {"gamma": math.nan}),
+        (solve_admm, {"gamma": math.inf}),
+        (solve_admm, {"tol": -1e-6}),
+        (solve_admm, {"tol": math.nan}),
+        (solve_admm, {"max_iter": -3}),
+        (solve_admm, {"max_iter": 2.5}),
+        (solve_subgradient, {"step_scale": math.nan}),
+        (solve_subgradient, {"step_scale": -1.0}),
+        (solve_subgradient, {"step_scale": math.inf}),
+        (solve_subgradient, {"max_iter": -3}),
+    ],
+)
+def test_settings_outside_their_domain_raise(solve, settings):
+    with pytest.raises(SolverSettingError):
+        solve(bottleneck_preset(), **settings)
+    assert issubclass(SolverSettingError, ValueError)
+
+
+# -- the solver loops as first written, one trace row per iteration ----------
+
+
+def _objective(s, u, a):
+    return float((s.gain_u * u).sum() + (s.gain_a * a).sum()) * s.gain_scale
+
+
+def _qos_shortfall(s, u, a):
+    gap = (s.qos - (u + s.band_ratio * a)) * s.active
+    return float(np.maximum(gap, 0.0).max(initial=0.0))
+
+
+def _reference_repair(s, u, a, tol=REPAIR_TOL, max_rounds=REPAIR_MAX_ROUNDS):
+    u, a = s.project_local(u, a)
+    denom = 1.0 + s.band_ratio * s.band_ratio
+    for _ in range(max_rounds):
+        if _qos_shortfall(s, u, a) <= tol:
+            break
+        slack = np.maximum((s.qos - (u + s.band_ratio * a)) * s.active, 0.0)
+        scale = slack / denom
+        u, a = s.project_local(u + scale, a + scale * s.band_ratio)
+    return u, a
+
+
+def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
+    """``solve_admm`` as first written: fresh arrays for every update,
+    ``np.linalg.norm`` residuals and each trace row built in the loop."""
+    s = _Scaled(problem)
+    trace = ConvergenceTrace(method="admm", gamma_final=gamma)
+    n, m = problem.n_links, problem.n_services
+    if s.dim == 0:
+        trace.converged = True
+        return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "admm"), trace
+
+    xu = np.zeros((n, m))
+    xa = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
+    zu, za = xu.copy(), xa.copy()
+    lu, la = np.zeros((n, m)), np.zeros((n, m))
+    gain_u, gain_a = s.pad(s.gain_u), s.pad(s.gain_a)
+    eps = tol * math.sqrt(s.dim)
+
+    for it in range(1, max_iter + 1):
+        xa = alpha_subproblem(za, la, gamma, s.xi, gain_a)
+        xu = w_subproblem(zu, lu, gamma, s.budget, gain_u)
+        zu_prev, za_prev = zu, za
+        zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
+        zu *= s.active
+        za *= s.active
+        lu = lu + xu - zu
+        la = la + xa - za
+
+        primal = math.hypot(
+            float(np.linalg.norm(xu - zu)), float(np.linalg.norm(xa - za))
+        )
+        dual = gamma * math.hypot(
+            float(np.linalg.norm(zu - zu_prev)), float(np.linalg.norm(za - za_prev))
+        )
+        trace.rows.append(TraceRow(it, _objective(s, zu, za), primal, dual))
+        if primal <= eps and dual <= eps:
+            trace.converged = True
+            break
+        if primal > 10.0 * dual and dual > 0:
+            gamma *= 2.0
+            lu /= 2.0
+            la /= 2.0
+        elif dual > 10.0 * primal and primal > 0:
+            gamma /= 2.0
+            lu *= 2.0
+            la *= 2.0
+
+    trace.gamma_final = gamma
+    ru, ra = _reference_repair(s, zu.copy(), za.copy())
+    flags = () if trace.converged else ("max-iterations",)
+    return s.to_solution(ru, ra, "admm", flags), trace
+
+
+def _reference_solve_subgradient(problem, max_iter=500, step_scale=1.0):
+    """``solve_subgradient`` as first written: fresh iterates, separate
+    licensed and airtime averages and each trace row built in the loop."""
+    s = _Scaled(problem)
+    trace = ConvergenceTrace(method="subgradient")
+    n, m = problem.n_links, problem.n_services
+    if s.dim == 0:
+        trace.converged = True
+        return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "subgradient"), trace
+
+    ranks = np.arange(m)
+    fill = np.where(ranks < s.offered, np.clip(s.xi[:, None] - ranks, 0.0, 1.0), 0.0)
+    neg_gain_a = -s.pad(s.gain_a)
+    gain_u = np.where(s.active, s.gain_u, -np.inf)
+    links = np.arange(n)
+    lam = np.zeros((n, m))
+    avg_u, avg_a = np.zeros((n, m)), np.zeros((n, m))
+    for it in range(1, max_iter + 1):
+        rank = np.argsort(neg_gain_a - lam * s.band_ratio, axis=1, kind="stable")
+        xa = np.zeros((n, m))
+        xa[links[:, None], rank] = fill
+        coef_u = gain_u + lam
+        best = np.argmax(coef_u, axis=1)
+        xu = np.zeros((n, m))
+        xu[links, best] = np.where(coef_u[links, best] > 0, s.budget, 0.0)
+        avg_u += (xu - avg_u) / it
+        avg_a += (xa - avg_a) / it
+
+        slack = (xu + s.band_ratio * xa) - s.qos
+        step = step_scale / math.sqrt(it)
+        lam = np.maximum(0.0, lam - step * slack) * s.active
+
+        trace.rows.append(
+            TraceRow(
+                it,
+                _objective(s, avg_u, avg_a),
+                _qos_shortfall(s, avg_u, avg_a),
+                step * float(np.abs(slack).max()),
+            )
+        )
+
+    ru, ra = _reference_repair(s, avg_u.copy(), avg_a.copy())
+    trace.converged = True
+    return s.to_solution(ru, ra, "subgradient", ("ergodic-average",)), trace
+
+
+def _bits(x):
+    """Nested tuples and lists with every float as its exact hex form,
+    so 0.0 and -0.0 differ."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, float):
+        return float(x).hex()
+    return x
+
+
+def _assert_same_run(got, want):
+    (solution, trace), (ref_solution, ref_trace) = got, want
+    for field in ("u_hz", "alpha", "objective", "method", "flags"):
+        assert _bits(getattr(solution, field)) == _bits(getattr(ref_solution, field)), field
+    rows = [(r.iteration, r.objective, r.primal_residual, r.dual_residual) for r in trace.rows]
+    ref_rows = [
+        (r.iteration, r.objective, r.primal_residual, r.dual_residual) for r in ref_trace.rows
+    ]
+    assert _bits(rows) == _bits(ref_rows)
+    assert (trace.method, trace.converged) == (ref_trace.method, ref_trace.converged)
+    assert _bits(trace.gamma_final) == _bits(ref_trace.gamma_final)
+
+
+def _every_cell(rng):
+    """One ``random_problem`` draw per (operators, links, services) cell,
+    every variant feasible."""
+    cells = {(o, n, k) for o in range(2, 5) for n in range(o, 11) for k in (2, 3)}
+    drawn = {}
+    while len(drawn) < len(cells):
+        problem = random_problem(rng, feasible_for="all")
+        drawn.setdefault((len(problem.members), problem.n_links, problem.n_services), problem)
+    return [drawn[cell] for cell in sorted(cells)]
+
+
+_CELLS = _every_cell(np.random.default_rng(31))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solvers_match_their_first_form(variant):
+    # the loops compute trace columns after each block of iterations and
+    # update in place; every output must stay bit for bit the same
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in _CELLS:
+            problem = as_variant(base, variant)
+            _assert_same_run(solve_admm(problem), _reference_solve_admm(problem))
+            _assert_same_run(
+                solve_subgradient(problem, max_iter=150),
+                _reference_solve_subgradient(problem, max_iter=150),
+            )
+
+
+@pytest.mark.parametrize(
+    "admm, subgrad, block_bytes",
+    [
+        ({"max_iter": 0}, {"max_iter": 0}, None),
+        ({"max_iter": 25}, {"step_scale": 0.0}, None),
+        ({"max_iter": 1}, {"max_iter": 1}, None),
+        # blocks of a few iterations, some ending where the run does
+        ({"max_iter": 300, "tol": 0.0}, {"max_iter": 301}, 1024),
+        ({"max_iter": 96, "tol": 0.0}, {"max_iter": 96, "step_scale": 0.0}, 768),
+        ({"gamma": 0.05, "tol": 1e-3}, {"max_iter": 700, "step_scale": 0.3}, None),
+    ],
+    ids=["no-iterations", "cut-short-and-frozen", "one-iteration", "small-blocks",
+         "small-blocks-frozen", "settings"],
+)
+def test_solver_edges_match_their_first_form(monkeypatch, admm, subgrad, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(solvers, "TRACE_BLOCK_BYTES", block_bytes)
+    for problem in _CELLS[::6] + [bottleneck_preset()]:
+        _assert_same_run(solve_admm(problem, **admm), _reference_solve_admm(problem, **admm))
+        _assert_same_run(
+            solve_subgradient(problem, **subgrad),
+            _reference_solve_subgradient(problem, **subgrad),
+        )
+
+
+def test_trace_memory_stays_within_a_block():
+    # 2000 iterations on 600+ (link, slice) pairs: holding every iterate
+    # for the trace would take 2000 x 2 x 600 x 8 B = 19 MB.  One block of
+    # TRACE_BLOCK_BYTES keeps the peak at the 0.7-0.8 MB that the loops
+    # building each row in the iteration reach
+    rng = np.random.default_rng(5)
+    problem = random_problem(rng, max_links=300)
+    while problem.n_links * problem.n_services < 600:
+        problem = random_problem(rng, max_links=300)
+    for solve, settings in (
+        (solve_subgradient, {"max_iter": 2000}),
+        (solve_admm, {"max_iter": 2000, "tol": 0.0}),
+    ):
+        tracemalloc.start()
+        try:
+            _, trace = solve(problem, **settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rows) == 2000
+        assert peak < 2e6, solve.__name__
