@@ -198,10 +198,12 @@ def _solution_text(solution, trace, oracle_objective=None) -> str:
 
 
 def _cmd_solve(args) -> int:
+    # without --max-iter each iterative solver keeps its own default
+    iters = {} if args.max_iter is None else {"max_iter": args.max_iter}
     settings = {
         "lp": {},
-        "admm": {"gamma": args.gamma, "max_iter": args.max_iter, "tol": args.tol},
-        "subgrad": {"max_iter": args.max_iter, "step_scale": args.step_scale},
+        "admm": {"gamma": args.gamma, "tol": args.tol, **iters},
+        "subgrad": {"step_scale": args.step_scale, **iters},
     }[args.solver]
     # a setting the chosen solver cannot run with is a usage error,
     # reported before any estimation work
@@ -347,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=("admm", "lp", "subgrad"), default="admm")
     solve.add_argument("--gamma", type=float, default=1.0)
     solve.add_argument("--tol", type=float, default=1e-6)
-    solve.add_argument("--max-iter", type=int, default=2000)
+    solve.add_argument(
+        "--max-iter", type=int, default=None,
+        help="iteration cap (default: the solver's own, 2000 for admm and 500 for subgrad)",
+    )
     solve.add_argument("--step-scale", type=float, default=1.0)
     solve.add_argument("--fallback", action="store_true")
     solve.add_argument("--trace", default=None, help="write per-iteration progress here")

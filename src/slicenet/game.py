@@ -4,13 +4,24 @@ Operators that pool spectrum form a transferable-utility game: the
 value of a coalition is the optimal welfare of the allocation problem
 restricted to its members, links, and pooled budgets.  This module
 evaluates slice worths, splits the grand-coalition surplus into
-per-operator payoffs, checks the stability of a proposed split, and
-probes the convexity structure that guarantees a stable split exists.
+per-operator payoffs, checks a proposed split against part of the
+core's conditions, and probes the convexity structure that guarantees
+a stable split exists.
 
-Stability here is the aggregate welfare condition plus individual
-rationality, not a search over deviating sub-structures; for this
-game the two are equivalent, and the probe below spot-checks the
-supporting marginal-value inequalities instance by instance.
+The stability check (:func:`check_core`) tests two of the core's
+conditions: efficiency (the split hands out the full optimal welfare)
+and individual rationality (every operator gets at least its
+standalone value).  It does not test the coalitions of two or more
+operators short of the grand coalition, so it is necessary for core
+membership but not sufficient: with three or more operators a
+coalition can block a split that passes it (market 76 drawn by
+``random_problem(default_rng(7), feasible_for="coalitions")``: the
+egalitarian split pays operators {1, 2, 4} 2771.4 against their joint
+value 2848.0, and the check reports it in the core).  With two
+operators it is the full core condition.  The convexity probe
+spot-checks the marginal-value inequalities instance by instance; a
+convex game has a non-empty core, which says nothing about whether a
+given split lies in it.
 """
 
 from __future__ import annotations
@@ -178,12 +189,16 @@ class CoreVerdict:
 
 
 def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = None) -> CoreVerdict:
-    """Decide whether any coalition would rather walk away.
+    """Check a split for efficiency and individual rationality.
 
-    The split is stable exactly when it hands out the full optimal
-    welfare and pays every member at least its standalone value.
-    Efficiency of the per-slice split (shares summing to the slice
-    worth) is a structural precondition and raises on violation.
+    ``in_core`` holds when the split hands out the full optimal welfare
+    and pays every member at least its standalone value.  Coalitions of
+    two or more members short of the grand coalition are not checked,
+    so with three or more operators a split can pass while some such
+    coalition would rather walk away; with two operators the check is
+    the whole core condition.  Efficiency of the per-slice split
+    (shares summing to the slice worth) is a structural precondition
+    and raises on violation.
     """
     p = agreement.problem if problem is None else problem
     sol = agreement.as_solution()

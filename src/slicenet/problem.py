@@ -11,7 +11,12 @@ that oracle.
 The LP is held as its nonzeros (:class:`LPModel`), never as dense
 matrices.  :func:`solve_lp_stack` solves several problems in one HiGHS
 call by offsetting their models into one block-diagonal matrix; the
-oracle is its one-problem case.
+oracle is its one-problem case.  HiGHS is reached through scipy's
+public ``milp`` with no integer variables: one sparse CSC matrix
+``lo <= A x <= hi`` holds every inequality row (``lo = -inf``) and
+then every equality row (``lo = hi``), the row order ``linprog`` would
+build from the same models, so the solutions are the ones ``linprog``
+returns, bit for bit, without its per-call input handling.
 
 Three deployment variants share one problem shape: ``s1`` zeroes the
 licensed budgets (unlicensed only), ``s2`` zeroes the airtime
@@ -25,8 +30,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 from .scenario import Scenario
 
@@ -441,43 +446,47 @@ def _lp_model(problem: SlicingProblem) -> LPModel:
     )
 
 
-def _linprog(models: list[LPModel]):
+def _highs(models: list[LPModel]):
     """One HiGHS solve of the block-diagonal stack of ``models``.
 
     Each model's rows and columns are offset past those of the models
-    before it, so the stacked matrices hold exactly the models' own
-    nonzeros and the blocks share no variable.
+    before it, so the stacked matrix holds exactly the models' own
+    nonzeros and the blocks share no variable.  HiGHS takes one matrix
+    with ``lo <= A x <= hi``: every model's inequality rows (``lo`` is
+    ``-inf``), then every model's equality rows (``lo = hi = b_eq``).
     """
     col_at = np.cumsum([0] + [len(m.c) for m in models])
-
-    def block_diag(part: str, rhs: str):
-        row_at = np.cumsum([0] + [len(getattr(m, rhs)) for m in models])
-        triplets = [getattr(m, part) for m in models]
-        return coo_array(
-            (
-                np.concatenate([t[2] for t in triplets]),
-                (
-                    np.concatenate([t[0] + o for t, o in zip(triplets, row_at)]),
-                    np.concatenate([t[1] + o for t, o in zip(triplets, col_at)]),
-                ),
-            ),
-            shape=(row_at[-1], col_at[-1]),
-        )
-
-    return linprog(
+    ub_at = np.cumsum([0] + [len(m.b_ub) for m in models])
+    eq_at = ub_at[-1] + np.cumsum([0] + [len(m.b_eq) for m in models])
+    parts = [(m.ub, r, c) for m, r, c in zip(models, ub_at, col_at)]
+    parts += [(m.eq, r, c) for m, r, c in zip(models, eq_at, col_at)]
+    b_ub = np.concatenate([m.b_ub for m in models])
+    b_eq = np.concatenate([m.b_eq for m in models])
+    rows = np.concatenate([t[0] + r for t, r, _ in parts])
+    cols = np.concatenate([t[1] + c for t, _, c in parts])
+    # CSC order: by column, rows ascending within each
+    order = np.lexsort((rows, cols))
+    starts = np.zeros(col_at[-1] + 1, dtype=rows.dtype)
+    np.cumsum(np.bincount(cols, minlength=col_at[-1]), out=starts[1:])
+    a = csc_array(
+        (np.concatenate([t[2] for t, _, _ in parts])[order], rows[order], starts),
+        shape=(eq_at[-1], col_at[-1]),
+    )
+    bounds = np.concatenate([m.bounds for m in models])
+    return milp(
         np.concatenate([m.c for m in models]),
-        A_ub=block_diag("ub", "b_ub"),
-        b_ub=np.concatenate([m.b_ub for m in models]),
-        A_eq=block_diag("eq", "b_eq"),
-        b_eq=np.concatenate([m.b_eq for m in models]),
-        bounds=np.concatenate([m.bounds for m in models]),
-        method="highs",
+        bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+        constraints=LinearConstraint(
+            a,
+            np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+            np.concatenate([b_ub, b_eq]),
+        ),
     )
 
 
-def _linprog_once(problem: SlicingProblem):
+def _highs_once(problem: SlicingProblem):
     """One HiGHS solve of ``problem``'s LP."""
-    return _linprog([_lp_model(problem)])
+    return _highs([_lp_model(problem)])
 
 
 def _blame_family(problem: SlicingProblem) -> str:
@@ -492,10 +501,10 @@ def _blame_family(problem: SlicingProblem) -> str:
     """
     pool = sum(problem.mno_budget_hz)
     pooled = replace(problem, budget_hz=(pool,) * problem.n_links)
-    if _linprog_once(pooled).status == 0:
+    if _highs_once(pooled).status == 0:
         return FAMILY_BUDGET
     opened = replace(problem, access=tuple(float(any(row)) for row in problem.offered))
-    if _linprog_once(opened).status == 0:
+    if _highs_once(opened).status == 0:
         return FAMILY_ACCESS
     return FAMILY_QOS
 
@@ -529,7 +538,7 @@ def solve_lp_stack(problems: list[SlicingProblem]) -> list[SlicingSolution | Non
     ends = np.cumsum([len(m.c) for m in models])
     x = np.zeros(0)
     if ends[-1]:
-        res = _linprog(models)
+        res = _highs(models)
         if res.status == 2:
             if len(problems) == 1:
                 return [None]

@@ -18,6 +18,13 @@ per solve, so the arithmetic is written for few numpy calls: row-wise
 lookups index the flattened arrays, and clamps are ``maximum`` and
 ``minimum`` with their arguments in the order that gives ``np.clip``'s
 results bit for bit, signed zeros included.
+
+Each public projection is its input checks followed by an unchecked
+core (:func:`capped_simplex_rows`, :func:`budget_box_rows`) that holds
+the only copy of its math.  A solver whose totals, budgets and masks
+are fixed for the whole solve checks them once
+(:func:`feasible_totals`, :func:`check_budgets`) and then calls the
+cores directly.
 """
 
 from __future__ import annotations
@@ -51,9 +58,10 @@ def _rows(y, total):
     return y.reshape(-1, y.shape[-1]), totals.reshape(-1), y.shape
 
 
-def _check_totals(totals, count, cap: float) -> np.ndarray:
-    """Each row's capacity ``count * cap``; raise for a total outside
-    ``[0, capacity]``, NaN and infinite totals included."""
+def feasible_totals(totals, count, cap: float) -> np.ndarray:
+    """``totals`` clipped into each row's ``[0, count * cap]``; raise for
+    a total outside that range by more than roundoff, NaN and infinite
+    totals included.  ``count`` is each row's number of present entries."""
     present = count > 0
     capacity = count * cap if math.isfinite(cap) else _UNCAPPED.take(present)
     # one test for every row; NaN fails both comparisons
@@ -67,7 +75,16 @@ def _check_totals(totals, count, cap: float) -> np.ndarray:
         if count[k] == 0:
             raise ValueError("cannot distribute a positive total over nothing")
         raise ValueError(f"total {totals[k]} exceeds capacity {capacity[k]}")
-    return capacity
+    return np.minimum(np.maximum(totals, 0.0), capacity)
+
+
+def check_budgets(budgets) -> None:
+    """Raise for a negative or non-finite budget."""
+    ok = (budgets >= 0.0) & (budgets <= _LARGEST)
+    if np.count_nonzero(ok) < ok.size:
+        bad = budgets[int(np.argmin(ok))]
+        kind = "negative" if bad < 0.0 else "non-finite"
+        raise ValueError(f"{kind} budget {bad}")
 
 
 def _water_fill(y: np.ndarray, total: np.ndarray, absent: np.ndarray) -> np.ndarray:
@@ -122,11 +139,32 @@ def _breakpoint_walk(y, total, absent, cap: float) -> np.ndarray:
     return np.where(absent, 0.0, np.minimum(cap, np.maximum(0.0, y - tau[:, None])))
 
 
-def _equality(y, total, absent, cap: float) -> np.ndarray:
-    """Rows onto {sum x = total, 0 <= x <= cap}, totals already feasible."""
+def capped_simplex_rows(y, total, absent, cap: float) -> np.ndarray:
+    """Rows onto {sum x = total, 0 <= x <= cap}, unchecked.
+
+    ``y`` is ``(rows, m)`` with NaN exactly where ``absent`` holds, and
+    ``total`` comes from :func:`feasible_totals`."""
     if math.isfinite(cap):
         return _breakpoint_walk(y, total, absent, cap)
     return _water_fill(y, total, absent)
+
+
+def budget_box_rows(y, budget, absent, cap: float) -> np.ndarray:
+    """Rows onto {sum x <= budget, 0 <= x <= cap}, unchecked.
+
+    When the box projection already fits the budget it is the answer;
+    otherwise the budget binds and the equality projection applies.
+    ``y`` and ``absent`` are as for :func:`capped_simplex_rows`, and the
+    budgets have passed :func:`check_budgets`."""
+    box = np.minimum(cap, np.maximum(0.0, y)) if math.isfinite(cap) else np.maximum(y, 0.0)
+    inside = np.where(absent, 0.0, box)
+    over = inside.sum(axis=1) > budget
+    if np.count_nonzero(over):
+        # a binding budget is below the row's capacity, so the equality
+        # projection is feasible; it is computed for every row and kept
+        # where the budget binds
+        inside = np.where(over[:, None], capped_simplex_rows(y, budget, absent, cap), inside)
+    return inside
 
 
 def project_capped_simplex_eq(y, total, cap: float = 1.0) -> np.ndarray:
@@ -143,33 +181,17 @@ def project_capped_simplex_eq(y, total, cap: float = 1.0) -> np.ndarray:
         raise ValueError(f"cap must be positive, got {cap}")
     rows, totals, shape = _rows(y, total)
     absent = np.isnan(rows)
-    capacity = _check_totals(totals, rows.shape[1] - absent.sum(axis=1), cap)
-    totals = np.minimum(np.maximum(totals, 0.0), capacity)
+    totals = feasible_totals(totals, rows.shape[1] - absent.sum(axis=1), cap)
     if rows.size == 0:
         return np.zeros(shape)
-    return _equality(rows, totals, absent, cap).reshape(shape)
+    return capped_simplex_rows(rows, totals, absent, cap).reshape(shape)
 
 
 def project_budget_box(y, budget, cap: float = math.inf) -> np.ndarray:
     """Project each row of y onto {x: sum x <= budget, 0 <= x_i <= cap}.
 
-    When the box projection already fits the budget it is the answer;
-    otherwise the budget binds and the equality projection applies.
     A negative or non-finite budget is a caller error.
     """
     rows, budgets, shape = _rows(y, budget)
-    ok = (budgets >= 0.0) & (budgets <= _LARGEST)
-    if np.count_nonzero(ok) < ok.size:
-        bad = budgets[int(np.argmin(ok))]
-        kind = "negative" if bad < 0.0 else "non-finite"
-        raise ValueError(f"{kind} budget {bad}")
-    absent = np.isnan(rows)
-    box = np.minimum(cap, np.maximum(0.0, rows)) if math.isfinite(cap) else np.maximum(rows, 0.0)
-    inside = np.where(absent, 0.0, box)
-    over = inside.sum(axis=1) > budgets
-    if np.count_nonzero(over):
-        # a binding budget is below the row's capacity, so the equality
-        # projection is feasible; it is computed for every row and kept
-        # where the budget binds
-        inside = np.where(over[:, None], _equality(rows, budgets, absent, cap), inside)
-    return inside.reshape(shape)
+    check_budgets(budgets)
+    return budget_box_rows(rows, budgets, np.isnan(rows), cap).reshape(shape)

@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import SlicingProblem, SlicingSolution, solution_from_arrays
-from .projections import project_budget_box, project_capped_simplex_eq
+from .projections import (
+    budget_box_rows,
+    capped_simplex_rows,
+    check_budgets,
+    feasible_totals,
+    project_budget_box,
+    project_capped_simplex_eq,
+)
 
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
@@ -128,12 +135,21 @@ class _Scaled:
     ``active`` masks the offered (link, slice) pairs; gains and QoS
     bounds are 0 elsewhere, and :meth:`pad` marks the other pairs NaN
     for the projections, which leave them at 0.
+
+    The per-link sets are fixed for the whole solve, so the airtime
+    totals and licensed budgets are checked here, once, with the
+    projections' own errors; ``xi_total`` holds the airtime totals as
+    the projection clips them, and ``absent`` the pairs it leaves out.
+    The solver loops then call the unchecked projection cores.
     """
 
     def __init__(self, problem: SlicingProblem):
         arr = problem.arrays
+        # in hertz, before a non-finite budget spreads through the scale
+        check_budgets(arr.budget)
         self.problem = problem
         self.active = arr.offered
+        self.absent = ~self.active
         self.offered = self.active.sum(axis=1, keepdims=True)
         self.width = arr.width
         self.band_ratio = problem.unlicensed_hz / self.width
@@ -147,6 +163,7 @@ class _Scaled:
         self.qos = qos
         self.budget = arr.budget / self.width
         self.xi = arr.access
+        self.xi_total = feasible_totals(self.xi, self.offered[:, 0], 1.0)
         self.dim = 2 * len(arr.rows)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
@@ -161,8 +178,8 @@ class _Scaled:
 
     def project_local(self, u: np.ndarray, a: np.ndarray):
         """Exact projection onto every link's own feasibility sets."""
-        pa = project_capped_simplex_eq(self.pad(a), self.xi, cap=1.0)
-        return project_budget_box(self.pad(u), self.budget), pa
+        pa = capped_simplex_rows(self.pad(a), self.xi_total, self.absent, 1.0)
+        return budget_box_rows(self.pad(u), self.budget, self.absent, math.inf), pa
 
     def qos_shortfalls(self, ua: np.ndarray) -> np.ndarray:
         """Largest QoS floor violation of each allocation ``ua[k] = (u, a)``."""
@@ -322,8 +339,10 @@ def solve_admm(
     for first in range(1, max_iter + 1, block):
         residuals = []
         for k in range(min(block, max_iter + 1 - first)):
-            xa = alpha_subproblem(za, la, gamma, s.xi, gain_a)
-            xu = w_subproblem(zu, lu, gamma, s.budget, gain_u)
+            # alpha_subproblem and w_subproblem, on the totals checked
+            # once in _Scaled
+            xa = capped_simplex_rows(za - la + gain_a / gamma, s.xi_total, s.absent, 1.0)
+            xu = budget_box_rows(zu - lu + gain_u / gamma, s.budget, s.absent, math.inf)
             zu_prev, za_prev = zu, za
             # every pair a link does not offer stays at 0 in x, z and
             # the dual, so z needs no masking

@@ -241,6 +241,22 @@ def test_zero_iterations_and_zero_step_are_valid_settings(workspace, capsys):
     assert main([*base, "--solver", "lp", "--gamma", "0"]) == 0
 
 
+def test_each_solver_keeps_its_own_iteration_cap(workspace, tmp_path, capsys):
+    # without --max-iter the subgradient runs its own 500 iterations, not
+    # ADMM's 2000; with it, both run exactly that many
+    scenario, table = workspace
+    base = ["solve", "--scenario", str(scenario), "--table", str(table), "--fallback"]
+    trace = tmp_path / "trace.tsv"
+    assert main([*base, "--solver", "subgrad", "--trace", str(trace)]) == 0
+    assert "iterations\t500" in capsys.readouterr().out.splitlines()
+    assert trace.read_text().splitlines()[-2].startswith("500\t")
+    assert main([*base, "--solver", "admm", "--tol", "0"]) == 0
+    assert "iterations\t2000" in capsys.readouterr().out.splitlines()
+    for solver in ("admm", "subgrad"):
+        assert main([*base, "--solver", solver, "--tol", "0", "--max-iter", "30"]) == 0
+        assert "iterations\t30" in capsys.readouterr().out.splitlines()
+
+
 def test_seed_only_where_it_is_read(workspace, capsys):
     scenario, table = workspace
     # mboe, solve and game draw nothing at random, so they take no --seed

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import milp
 
 from slicenet.game import (
     DIVISION_RULES,
@@ -165,9 +165,9 @@ def lp_calls(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return linprog(*args, **kwargs)
+        return milp(*args, **kwargs)
 
-    monkeypatch.setattr(slicenet.problem, "linprog", counted)
+    monkeypatch.setattr(slicenet.problem, "milp", counted)
     return calls
 
 

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package and the
-tests is used by the module that makes it."""
+tests is used by the module that makes it, and the package reaches
+scipy only through its public modules."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "slicenet").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "slicenet").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _bound_names(node: ast.stmt):
@@ -78,3 +78,46 @@ def test_the_scan_finds_an_unused_import():
         "    return sys.argv, loads\n"
     )
     assert sorted(unused_imports(source)) == [(2, "os"), (6, "dumps")]
+
+
+def private_scipy_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` of each import, at any depth, that reaches
+    a private part of scipy: a module or name whose path below
+    ``scipy`` has a component starting with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            if parts[0] == "scipy" and any(p.startswith("_") for p in parts[1:]):
+                found.append((node.lineno, path))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_scipy_imports(path):
+    assert private_scipy_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_a_private_scipy_import():
+    source = (
+        "import scipy.optimize._milp\n"
+        "from scipy.optimize import milp, _linprog_highs\n"
+        "from scipy.optimize._highspy import _highs_wrapper\n"
+        "from scipy.sparse import csc_array\n"
+        "from . import _local\n"
+        "def f():\n"
+        "    from scipy.optimize._highspy._core import run\n"
+        "    return run\n"
+    )
+    assert private_scipy_imports(source) == [
+        (1, "scipy.optimize._milp"),
+        (2, "scipy.optimize._linprog_highs"),
+        (3, "scipy.optimize._highspy._highs_wrapper"),
+        (7, "scipy.optimize._highspy._core.run"),
+    ]

@@ -1,24 +1,30 @@
 """Allocation problem model and the centralized reference solver."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from slicenet.mboe import AccessEstimate
 from slicenet.problem import (
     FAMILY_ACCESS,
     FAMILY_BUDGET,
     FAMILY_QOS,
+    VARIANTS,
     InfeasibleProblem,
     SlicingProblem,
+    _highs,
+    _lp_model,
     as_variant,
     build_problem,
     solution_from_arrays,
     solve_lp_oracle,
 )
 from slicenet.scenario import BandPlan, Link, Mno, Node, Scenario, ServiceType
-from slicenet.topology import bottleneck_preset
+from slicenet.topology import bottleneck_preset, random_problem
 
 
 def _single_link(min_rate=1e7, access=1.0, budget=2e7, rate=2.0):
@@ -261,3 +267,92 @@ def test_access_share_bounds_checked():
         _single_link(access=1.4)
     with pytest.raises(ValueError):
         _single_link(access=-0.2)
+
+
+# -- the HiGHS call as first written, through linprog ------------------------
+
+
+def _reference_linprog(models):
+    """The stacked solve as first written: ``A_ub`` and ``A_eq`` as two
+    block-diagonal ``coo_array`` matrices, handed to ``linprog``."""
+    col_at = np.cumsum([0] + [len(m.c) for m in models])
+
+    def block_diag(part, rhs):
+        row_at = np.cumsum([0] + [len(getattr(m, rhs)) for m in models])
+        triplets = [getattr(m, part) for m in models]
+        return coo_array(
+            (
+                np.concatenate([t[2] for t in triplets]),
+                (
+                    np.concatenate([t[0] + o for t, o in zip(triplets, row_at)]),
+                    np.concatenate([t[1] + o for t, o in zip(triplets, col_at)]),
+                ),
+            ),
+            shape=(row_at[-1], col_at[-1]),
+        )
+
+    return linprog(
+        np.concatenate([m.c for m in models]),
+        A_ub=block_diag("ub", "b_ub"),
+        b_ub=np.concatenate([m.b_ub for m in models]),
+        A_eq=block_diag("eq", "b_eq"),
+        b_eq=np.concatenate([m.b_eq for m in models]),
+        bounds=np.concatenate([m.bounds for m in models]),
+        method="highs",
+    )
+
+
+def _random_markets(seed, passes=10):
+    """One market per (operators, links, services) cell of
+    ``random_problem(feasible_for="coalitions")``, ``passes`` times over,
+    drawn as the benchmark's ``market-random`` workload draws them."""
+    rng = np.random.default_rng(seed)
+    cells = [(o, n, k) for o in range(2, 5) for n in range(o, 11) for k in (2, 3)]
+    spare = {cell: [] for cell in cells}
+    markets = []
+    for _ in range(passes):
+        for cell in cells:
+            while not spare[cell]:
+                problem = random_problem(rng, feasible_for="coalitions")
+                spare[(len(problem.members), problem.n_links, problem.n_services)].append(problem)
+            markets.append(spare[cell].pop(0))
+    return markets
+
+
+_MARKETS = _random_markets(1)
+
+
+def _assert_same_lp(problems):
+    models = [_lp_model(p) for p in problems]
+    got, want = _highs(models), _reference_linprog(models)
+    assert got.status == want.status
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+    return want.status
+
+
+def test_highs_call_matches_linprog_bit_for_bit():
+    # all 480 markets under every variant, infeasible ones included
+    statuses = [_assert_same_lp([as_variant(p, v)]) for p in _MARKETS for v in VARIANTS]
+    assert len(statuses) == 1440
+    assert set(statuses) == {0, 2}
+
+
+def test_stacked_highs_call_matches_linprog_bit_for_bit():
+    # every coalition of a market in one stack, as the game solves them;
+    # under s1 most stacks hold an infeasible block
+    statuses = set()
+    for problem in _MARKETS[::8]:
+        members = problem.members
+        for variant in ("s1", "s3"):
+            market = as_variant(problem, variant)
+            statuses.add(
+                _assert_same_lp([
+                    market.restrict(c)
+                    for r in range(1, len(members) + 1)
+                    for c in combinations(members, r)
+                ])
+            )
+    assert statuses == {0, 2}

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slicenet.projections import project_budget_box, project_capped_simplex_eq
+from slicenet.projections import (
+    budget_box_rows,
+    capped_simplex_rows,
+    check_budgets,
+    feasible_totals,
+    project_budget_box,
+    project_capped_simplex_eq,
+)
 from slicenet.solvers import z_projection
 
 GRID_STEP = 1e-3
@@ -256,6 +263,20 @@ def test_stacked_budget_box_matches_reference(case):
     y, mask, budgets, cap = case
     got = project_budget_box(np.where(mask, y, np.nan), budgets, cap=cap)
     _check_rows(got, y, mask, lambda row, k: _ref_budget_box(row, budgets[k], cap))
+
+
+@given(_stacked_case())
+def test_unchecked_cores_match_the_projections_bit_for_bit(case):
+    # the solvers check totals and budgets once and call the cores with
+    # their own mask; the public projections derive it from the NaNs
+    y, mask, totals, cap = case
+    padded = np.where(mask, y, np.nan)
+    simplex = capped_simplex_rows(padded, feasible_totals(totals, mask.sum(axis=1), cap), ~mask, cap)
+    want = project_capped_simplex_eq(padded, totals, cap=cap)
+    assert simplex.tobytes() == want.tobytes()
+    check_budgets(totals)
+    box = budget_box_rows(padded, totals, ~mask, cap)
+    assert box.tobytes() == project_budget_box(padded, totals, cap=cap).tobytes()
 
 
 def test_all_masked_row_stays_zero():

@@ -11,6 +11,7 @@ import pytest
 
 from slicenet import solvers
 from slicenet.problem import VARIANTS, as_variant, solve_lp_oracle
+from slicenet.projections import project_budget_box, project_capped_simplex_eq
 from slicenet.solvers import (
     REPAIR_MAX_ROUNDS,
     REPAIR_TOL,
@@ -221,6 +222,18 @@ def test_settings_outside_their_domain_raise(solve, settings):
     assert issubclass(SolverSettingError, ValueError)
 
 
+@pytest.mark.parametrize("budget", [-1.0e6, math.inf, math.nan])
+def test_bad_budget_raises_when_the_solve_is_set_up(budget):
+    # budgets are checked once per solve, before any iteration, with the
+    # projection's own error
+    problem = _single_link(budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        _Scaled(problem)
+    for solve in (solve_admm, solve_subgradient):
+        with pytest.raises(ValueError, match="budget"):
+            solve(problem, max_iter=0)
+
+
 # -- the solver loops as first written, one trace row per iteration ----------
 
 
@@ -233,15 +246,22 @@ def _qos_shortfall(s, u, a):
     return float(np.maximum(gap, 0.0).max(initial=0.0))
 
 
+def _reference_project_local(s, u, a):
+    """``_Scaled.project_local`` as first written, through the checked
+    public projections."""
+    pa = project_capped_simplex_eq(s.pad(a), s.xi, cap=1.0)
+    return project_budget_box(s.pad(u), s.budget), pa
+
+
 def _reference_repair(s, u, a, tol=REPAIR_TOL, max_rounds=REPAIR_MAX_ROUNDS):
-    u, a = s.project_local(u, a)
+    u, a = _reference_project_local(s, u, a)
     denom = 1.0 + s.band_ratio * s.band_ratio
     for _ in range(max_rounds):
         if _qos_shortfall(s, u, a) <= tol:
             break
         slack = np.maximum((s.qos - (u + s.band_ratio * a)) * s.active, 0.0)
         scale = slack / denom
-        u, a = s.project_local(u + scale, a + scale * s.band_ratio)
+        u, a = _reference_project_local(s, u + scale, a + scale * s.band_ratio)
     return u, a
 
 
