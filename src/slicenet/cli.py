@@ -33,7 +33,7 @@ from .contention import GraphTooLargeError
 from .experiments import AXES, ExperimentPlan, run_experiment
 from .game import check_core, compute_worth, default_division
 from .mboe import TableMissError, estimate_access, remove_mno
-from .problem import InfeasibleProblem, build_problem, solve_lp_oracle
+from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import ScenarioError, load_scenario, save_scenario
 from .solvers import SolverSettingError, check_settings, solve_admm, solve_subgradient
 from .topology import KINDS, generate_topology
@@ -74,6 +74,26 @@ def _common_flags(sub: argparse.ArgumentParser, *, seeded: bool = False) -> None
         choices=("debug", "info", "warning", "error"),
         help="stderr logging verbosity",
     )
+
+
+def _list_of(item, what: str):
+    """An argparse ``type``: comma-separated values, each read by ``item``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(item(tok) for tok in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _variant(name: str) -> str:
+    if name not in VARIANTS:
+        raise ValueError(name)
+    return name
 
 
 def _estimates_for(args) -> tuple:
@@ -145,16 +165,18 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_mboe(args) -> int:
-    _, table, graph, est = _estimates_for(args)
+    scenario, table, graph, est = _estimates_for(args)
+    strangers = set(args.remove or ()) - {m.id for m in scenario.mnos}
+    if strangers:
+        return _fail("usage", f"--remove: no operator {min(strangers)} in the scenario", EXIT_USAGE)
     lines = ["vertex\taccess\tprovenance"]
     for vid in sorted(est.access):
         lines.append(f"{vid}\t{est.access[vid]:.6f}\t{est.provenance[vid]}")
     if args.remove:
-        removed = tuple(int(tok) for tok in args.remove.split(","))
-        reduced = remove_mno(graph, removed)
+        reduced = remove_mno(graph, args.remove)
         after = estimate_access(reduced, table, fallback=args.fallback)
         lines.append("")
-        lines.append(f"without mno {args.remove}:")
+        lines.append(f"without mno {','.join(map(str, args.remove))}:")
         lines.append("vertex\taccess\tprovenance")
         for vid in sorted(after.access):
             lines.append(f"{vid}\t{after.access[vid]:.6f}\t{after.provenance[vid]}")
@@ -241,7 +263,7 @@ def _cmd_game(args) -> int:
     lines.append("mno\tstandalone\tshare")
     for j, mno in enumerate(worth.members):
         lines.append(
-            f"{mno}\t{worth.standalone[j]:.6f}\t{agreement.member_share(mno):.6f}"
+            f"{mno}\t{agreement.standalone[j]:.6f}\t{agreement.member_share(mno):.6f}"
         )
     lines.append("")
     lines.append("service\tworth")
@@ -280,12 +302,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    values = tuple(float(tok) for tok in args.values.split(","))
-    variants = tuple(args.variants.split(","))
     plan = ExperimentPlan(
         axis=args.axis,
-        values=values,
-        variants=variants,
+        values=args.values,
+        variants=args.variants,
         seed=args.seed,
         out_dir=args.out or "results",
         scenario_path=args.scenario,
@@ -337,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     mboe = subs.add_parser("mboe", help="estimate per-link access from a measured table")
     mboe.add_argument("--scenario", required=True)
     mboe.add_argument("--table", required=True)
-    mboe.add_argument("--remove", default=None, help="comma-separated operator ids to take off the air")
+    mboe.add_argument(
+        "--remove", type=_list_of(int, "operator ids"), default=None,
+        help="comma-separated operator ids to take off the air",
+    )
     mboe.add_argument("--fallback", action="store_true", help="equal-share estimates for uncovered graphs")
     _common_flags(mboe)
     mboe.set_defaults(func=_cmd_mboe)
@@ -379,8 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = subs.add_parser("experiment", help="sweep one axis and write result tables")
     exp.add_argument("--axis", choices=AXES, required=True)
-    exp.add_argument("--values", required=True, help="comma-separated sweep values")
-    exp.add_argument("--variants", default="s1,s2,s3")
+    exp.add_argument(
+        "--values", type=_list_of(float, "numbers"), required=True,
+        help="comma-separated sweep values",
+    )
+    exp.add_argument(
+        "--variants", type=_list_of(_variant, f"variants of {', '.join(VARIANTS)}"),
+        default=VARIANTS,
+    )
     exp.add_argument("--scenario", default=None, help="base scenario for min_qos sweeps")
     exp.add_argument("--kind", choices=KINDS, default="two-mno-urban")
     exp.add_argument("--bs-per-mno", type=int, default=2)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .coexist import SimConfig, build_contention_graph, measure_table
 from .contention import CANONICAL_MAX_VERTICES
 from .mboe import estimate_access
-from .problem import InfeasibleProblem, build_problem, solve_lp_oracle
+from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import Scenario, load_scenario
 from .solvers import solve_admm
 from .topology import generate_topology
@@ -40,7 +40,7 @@ class ExperimentPlan:
 
     axis: str
     values: tuple[float, ...]
-    variants: tuple[str, ...] = ("s1", "s2", "s3")
+    variants: tuple[str, ...] = VARIANTS
     seed: int = 0
     out_dir: str = "results"
     scenario_path: str | None = None
@@ -57,6 +57,9 @@ class ExperimentPlan:
             raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {AXES}")
         if not self.variants:
             raise ValueError("variant set must be nonempty")
+        unknown = [v for v in self.variants if v not in VARIANTS]
+        if unknown:
+            raise ValueError(f"unknown variants {unknown}; expected some of {VARIANTS}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
         if any(v <= 0 for v in self.values):

@@ -22,11 +22,15 @@ operators it is the full core condition.  The convexity probe
 spot-checks the marginal-value inequalities instance by instance; a
 convex game has a non-empty core, which says nothing about whether a
 given split lies in it.
+
+An agreement carries the two numbers its split is computed from, the
+grand coalition's optimum and every member's standalone value, so the
+worth and core checks read them and solve nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .problem import (
@@ -52,44 +56,22 @@ def _scale(*values: float) -> float:
 # coalition values
 
 
-def coalition_values(
-    problem: SlicingProblem, coalitions, cache: dict | None = None
-) -> list[float]:
+def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
     """Optimal welfare of the market restricted to each coalition.
 
-    The coalitions not in ``cache`` are solved together in one stacked
-    LP.  An infeasible restriction admits nothing and is worth zero;
-    that convention keeps values defined for every coalition, mirroring
-    an operator that cannot meet its own floors and so signs nobody up.
+    Each distinct coalition is solved once, all of them together in one
+    stacked LP.  An infeasible restriction admits nothing and is worth
+    zero, and so is the empty coalition; that convention keeps values
+    defined for every coalition, mirroring an operator that cannot meet
+    its own floors and so signs nobody up.  A coalition keeps the
+    airtime shares estimated on the full deployment: a lone operator
+    still contends with everyone on the shared band.
     """
-    cache = {} if cache is None else cache
     keys = [frozenset(c) for c in coalitions]
-    todo = [k for k in dict.fromkeys(keys) if k and k not in cache]
-    solved = solve_lp_stack([problem.restrict(k) for k in todo])
-    cache.update((k, 0.0 if s is None else s.objective) for k, s in zip(todo, solved))
-    return [cache[k] if k else 0.0 for k in keys]
-
-
-def coalition_value(problem: SlicingProblem, coalition, cache: dict | None = None) -> float:
-    """Optimal welfare of the market restricted to ``coalition``."""
-    return coalition_values(problem, [coalition], cache)[0]
-
-
-def standalone_value(problem: SlicingProblem, mno_id: int, cache: dict | None = None) -> float:
-    """What one operator earns alone: own links, own budget, own floors.
-
-    The airtime shares stay as estimated on the full deployment; a
-    lone operator still contends with everyone on the shared band.
-    Infeasible or linkless operators earn zero.
-    """
-    if mno_id not in problem.members:
-        raise KeyError(f"operator {mno_id} not in problem")
-    return coalition_value(problem, {mno_id}, cache)
-
-
-def _standalone_values(problem: SlicingProblem, cache: dict | None) -> tuple[float, ...]:
-    """Every member's standalone value, the unsolved ones in one stacked LP."""
-    return tuple(coalition_values(problem, [{i} for i in problem.members], cache))
+    distinct = [k for k in dict.fromkeys(keys) if k]
+    solved = solve_lp_stack([problem.restrict(k) for k in distinct])
+    value = {k: 0.0 if s is None else s.objective for k, s in zip(distinct, solved)}
+    return [value.get(k, 0.0) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +80,23 @@ def _standalone_values(problem: SlicingProblem, cache: dict | None) -> tuple[flo
 
 @dataclass(frozen=True)
 class SlicingAgreement:
-    """A slicing structure together with a utility split.
+    """A slicing structure, a utility split, and the values it splits.
 
     The structure is the allocation itself (licensed draws and airtime
     fractions per link and slice); ``x[l][i]`` is the currency-per-
     second share of slice ``l``'s worth assigned to member ``i``.
+    ``optimum`` is the grand coalition's optimal welfare and
+    ``standalone[j]`` the value of member ``problem.members[j]`` alone,
+    as :func:`default_division` solved them; a ``dataclasses.replace``
+    copy keeps them.
     """
 
     problem: SlicingProblem
     u_hz: tuple[tuple[float, ...], ...]
     alpha: tuple[tuple[float, ...], ...]
     x: tuple[tuple[float, ...], ...]
-    #: values of ``problem`` already solved for this agreement: the
-    #: optimum of ``problem`` itself under ``None``, coalition values
-    #: keyed like ``coalition_value``'s cache; a ``dataclasses.replace``
-    #: copy starts empty
-    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def _values_for(self, problem: SlicingProblem | None) -> dict | None:
-        """The solved values, when ``problem`` is this agreement's own."""
-        return self._values if problem is None or problem is self.problem else None
+    optimum: float
+    standalone: tuple[float, ...]
 
     def as_solution(self) -> SlicingSolution:
         return solution_from_arrays(self.problem, self.u_hz, self.alpha, "agreement")
@@ -139,28 +118,25 @@ class WorthReport:
     slice_worth: tuple[float, ...]
     mno_worth: tuple[float, ...]
     total: float
-    standalone: tuple[float, ...]
 
 
-def compute_worth(agreement: SlicingAgreement, problem: SlicingProblem | None = None) -> WorthReport:
+def compute_worth(agreement: SlicingAgreement) -> WorthReport:
     """Evaluate the worth sums of an agreement.
 
-    The agreement must be feasible for the problem; an allocation that
+    The agreement must be feasible for its problem; an allocation that
     breaks budgets or floors has no defined worth to divide.
     """
-    p = agreement.problem if problem is None else problem
-    sol = solution_from_arrays(p, agreement.u_hz, agreement.alpha, "agreement")
+    p = agreement.problem
+    sol = agreement.as_solution()
     violation = sol.max_violation()
     if violation > EPS_REL:
         raise ValueError(f"infeasible agreement: violation {violation:.3e}")
-    cache = agreement._values_for(problem)
     return WorthReport(
         service_ids=p.service_ids,
         members=p.members,
         slice_worth=tuple(sol.slice_worth(l) for l in range(p.n_services)),
         mno_worth=tuple(sol.mno_worth(i) for i in p.members),
         total=sol.objective,
-        standalone=_standalone_values(p, cache),
     )
 
 
@@ -188,11 +164,12 @@ class CoreVerdict:
         return "in core" if self.in_core else f"not in core: {self.reason}"
 
 
-def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = None) -> CoreVerdict:
+def check_core(agreement: SlicingAgreement) -> CoreVerdict:
     """Check a split for efficiency and individual rationality.
 
     ``in_core`` holds when the split hands out the full optimal welfare
-    and pays every member at least its standalone value.  Coalitions of
+    and pays every member at least its standalone value, both as the
+    agreement carries them.  Coalitions of
     two or more members short of the grand coalition are not checked,
     so with three or more operators a split can pass while some such
     coalition would rather walk away; with two operators the check is
@@ -200,7 +177,7 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
     (shares summing to the slice worth) is a structural precondition
     and raises on violation.
     """
-    p = agreement.problem if problem is None else problem
+    p = agreement.problem
     sol = agreement.as_solution()
     for l in range(p.n_services):
         worth = sol.slice_worth(l)
@@ -210,11 +187,7 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
                 f"slice {p.service_ids[l]} splits {allocated!r}"
                 f" of a worth of {worth!r}"
             )
-    cache = agreement._values_for(problem)
-    if cache is not None and None in cache:
-        optimum = cache[None]
-    else:
-        optimum = solve_lp_oracle(p).objective
+    optimum = agreement.optimum
     eps = EPS_REL * _scale(optimum)
     total = agreement.total_allocated()
     gap = optimum - total
@@ -226,7 +199,7 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
             failing_mno=None,
             reason=f"allocated welfare {total:.6g} short of optimum {optimum:.6g}",
         )
-    for i, floor in zip(p.members, _standalone_values(p, cache)):
+    for i, floor in zip(p.members, agreement.standalone):
         share = agreement.member_share(i)
         if share < floor - eps:
             return CoreVerdict(
@@ -250,11 +223,7 @@ def check_core(agreement: SlicingAgreement, problem: SlicingProblem | None = Non
 DIVISION_RULES = ("egalitarian", "proportional")
 
 
-def default_division(
-    problem: SlicingProblem,
-    solution: SlicingSolution | None = None,
-    rule: str = "egalitarian",
-) -> SlicingAgreement:
+def default_division(problem: SlicingProblem, rule: str = "egalitarian") -> SlicingAgreement:
     """Split the optimal welfare into per-member payoffs.
 
     Every member first receives its standalone value; the cooperative
@@ -270,13 +239,10 @@ def default_division(
     """
     if rule not in DIVISION_RULES:
         raise ValueError(f"unknown division rule {rule!r}")
-    values: dict = {}
-    if solution is None:
-        solution = solve_lp_oracle(problem)
-        values[None] = solution.objective
+    solution = solve_lp_oracle(problem)
     v_star = solution.objective
     members = problem.members
-    t = _standalone_values(problem, values)
+    t = tuple(coalition_values(problem, [{i} for i in members]))
     surplus = v_star - sum(t)
     assert surplus >= -EPS_REL * _scale(v_star), (
         f"optimal welfare {v_star} below summed standalone values {sum(t)}"
@@ -296,14 +262,14 @@ def default_division(
         worth = solution.slice_worth(l)
         frac = worth / v_star if v_star > 0 else 0.0
         x.append(tuple(s * frac for s in shares))
-    agreement = SlicingAgreement(
+    return SlicingAgreement(
         problem=problem,
         u_hz=solution.u_hz,
         alpha=solution.alpha,
         x=tuple(x),
+        optimum=v_star,
+        standalone=t,
     )
-    agreement._values.update(values)
-    return agreement
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +295,26 @@ class ConvexityReport:
         return not self.violations
 
 
-def convexity_probe(problem: SlicingProblem, triples=None) -> ConvexityReport:
+def convexity_probe(problem: SlicingProblem) -> ConvexityReport:
     """Verify increasing marginal value of joining larger coalitions.
 
     For every triple (C, N, O) with N a proper subset of O and both
     disjoint from C, the value added by C to O must be at least the
-    value it adds to N.  Exhaustive enumeration by default, which is
-    why membership is capped at five operators; pass explicit triples
-    to sample larger games.
+    value it adds to N.  Every such triple is checked, which is why
+    membership is capped at five operators.
     """
     members = problem.members
-    if triples is None:
-        if len(members) > 5:
-            raise ValueError("exhaustive probe capped at 5 operators; pass triples")
-        triples = []
-        for c_size in range(1, len(members) + 1):
-            for c in combinations(members, c_size):
-                rest = [i for i in members if i not in c]
-                for o_size in range(1, len(rest) + 1):
-                    for o in combinations(rest, o_size):
-                        for n_size in range(0, o_size):
-                            for n in combinations(o, n_size):
-                                triples.append((frozenset(c), frozenset(n), frozenset(o)))
-
+    if len(members) > 5:
+        raise ValueError("exhaustive probe capped at 5 operators")
     checked = []
-    for c, n, o in triples:
-        c, n, o = frozenset(c), frozenset(n), frozenset(o)
-        if not (n < o and not (c & o)):
-            raise ValueError(f"bad triple: C={sorted(c)} N={sorted(n)} O={sorted(o)}")
-        checked.append((c, n, o))
+    for c_size in range(1, len(members) + 1):
+        for c in combinations(members, c_size):
+            rest = [i for i in members if i not in c]
+            for o_size in range(1, len(rest) + 1):
+                for o in combinations(rest, o_size):
+                    for n_size in range(0, o_size):
+                        for n in combinations(o, n_size):
+                            checked.append((frozenset(c), frozenset(n), frozenset(o)))
     needed = [frozenset(members)] + [s for c, n, o in checked for s in (c | o, o, c | n, n)]
     value = dict(zip(needed, coalition_values(problem, needed)))
     eps = EPS_REL * _scale(value[frozenset(members)])

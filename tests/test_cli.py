@@ -207,6 +207,35 @@ def test_usage_error_exits_2():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["mboe", "--scenario", "sc.yaml", "--table", "t.tsv", "--remove", "x"],
+        ["experiment", "--axis", "min_qos", "--values", "1e6,abc"],
+        # refused before any table is measured
+        ["experiment", "--axis", "density", "--values", "1", "--variants", "s4"],
+    ],
+    ids=["remove-x", "values-abc", "variants-s4"],
+)
+def test_malformed_list_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected comma-separated" in capsys.readouterr().err
+
+
+def test_removing_an_absent_operator_exits_2(workspace, capsys):
+    scenario, table = workspace
+    code = main([
+        "mboe", "--scenario", str(scenario), "--table", str(table), "--fallback",
+        "--remove", "2,9",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: usage: --remove: no operator 9 in the scenario")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "solver, setting, value",
     [
         ("admm", "--gamma", "-1"),

@@ -23,6 +23,8 @@ def test_plan_validation(tmp_path):
         _plan(tmp_path, axis="weather").validate()
     with pytest.raises(ValueError):
         _plan(tmp_path, variants=()).validate()
+    with pytest.raises(ValueError, match="unknown variants"):
+        _plan(tmp_path, variants=("s3", "s4")).validate()
     with pytest.raises(ValueError):
         _plan(tmp_path, values=()).validate()
     with pytest.raises(ValueError):

@@ -12,12 +12,10 @@ from slicenet.game import (
     DIVISION_RULES,
     ConvexityReport,
     check_core,
-    coalition_value,
     coalition_values,
     compute_worth,
     convexity_probe,
     default_division,
-    standalone_value,
 )
 from slicenet.problem import InfeasibleProblem, solve_lp_oracle
 from slicenet.topology import bottleneck_preset, random_problem
@@ -25,9 +23,11 @@ from slicenet.topology import bottleneck_preset, random_problem
 
 def test_bottleneck_worth_pins():
     problem = bottleneck_preset()
-    assert math.isclose(coalition_value(problem, frozenset({1, 2})), 300.0, rel_tol=1e-9)
-    assert math.isclose(standalone_value(problem, 1), 110.0, rel_tol=1e-9)
-    assert math.isclose(standalone_value(problem, 2), 110.0, rel_tol=1e-9)
+    grand, one, two, nobody = coalition_values(problem, [{1, 2}, {1}, {2}, ()])
+    assert math.isclose(grand, 300.0, rel_tol=1e-9)
+    assert math.isclose(one, 110.0, rel_tol=1e-9)
+    assert math.isclose(two, 110.0, rel_tol=1e-9)
+    assert nobody == 0.0
 
 
 def test_bottleneck_division_in_core():
@@ -105,18 +105,9 @@ def test_infeasible_allocation_has_no_worth():
         compute_worth(zeroed)
 
 
-def test_coalition_value_cache_and_infeasible_zero():
-    problem = bottleneck_preset()
-    cache = {}
-    v12 = coalition_value(problem, frozenset({1, 2}), cache=cache)
-    assert frozenset({1, 2}) in cache
-    assert coalition_value(problem, frozenset({1, 2}), cache=cache) == v12
-    assert coalition_value(problem, frozenset(), cache=cache) == 0.0
-
-
 def test_standalone_of_stranger_rejected():
-    with pytest.raises(KeyError):
-        standalone_value(bottleneck_preset(), 7)
+    with pytest.raises(ValueError, match="not among members"):
+        coalition_values(bottleneck_preset(), [{7}])
 
 
 def test_convexity_probe_bottleneck():
@@ -127,21 +118,13 @@ def test_convexity_probe_bottleneck():
     assert report.violations == ()
 
 
-def test_convexity_probe_validates_triples():
-    problem = bottleneck_preset()
-    with pytest.raises(ValueError):
-        convexity_probe(problem, triples=[(frozenset({1}), frozenset({1}), frozenset())])
-
-
 def test_random_instances_superadditive_and_stable():
     rng = np.random.default_rng(31)
     for _ in range(5):
         problem = random_problem(rng, feasible_for="coalitions")
         members = problem.members
-        cache = {}
-        grand = coalition_value(problem, frozenset(members), cache=cache)
-        solo_sum = sum(standalone_value(problem, i) for i in members)
-        assert grand >= solo_sum - 1e-6 * max(grand, 1.0)
+        grand, *solo = coalition_values(problem, [members, *({i} for i in members)])
+        assert grand >= sum(solo) - 1e-6 * max(grand, 1.0)
         agreement = default_division(problem)
         assert check_core(agreement).in_core
         assert convexity_probe(problem).ok
@@ -154,6 +137,21 @@ def test_agreement_matches_grand_coalition_solution():
     sol = agreement.as_solution()
     assert math.isclose(sol.objective, oracle.objective, rel_tol=1e-9)
     assert math.isclose(agreement.total_allocated(), oracle.objective, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("rule", DIVISION_RULES)
+def test_agreement_carries_the_values_it_splits(rule):
+    rng = np.random.default_rng(13)
+    # under the default s3 margin some standalone values are infeasible zeros
+    problems = [bottleneck_preset()] + [random_problem(rng) for _ in range(6)]
+    zeros = 0
+    for problem in problems:
+        agreement = default_division(problem, rule=rule)
+        singletons = [{i} for i in problem.members]
+        assert agreement.optimum == solve_lp_oracle(problem).objective
+        assert agreement.standalone == tuple(coalition_values(problem, singletons))
+        zeros += agreement.standalone.count(0.0)
+    assert zeros > 0
 
 
 @pytest.fixture()
@@ -193,30 +191,18 @@ def test_division_worth_and_core_share_their_lps(lp_calls):
         assert len(lp_calls) == 1
 
 
-def test_solved_values_stay_with_their_problem(lp_calls):
+def test_worth_and_core_read_the_agreement_without_solving(lp_calls):
     problem = bottleneck_preset()
     agreement = default_division(problem)
     lp_calls.clear()
-    # a copy starts empty, and another problem object is solved anew
-    check_core(replace(agreement, x=agreement.x))
-    assert len(lp_calls) == 2
-    lp_calls.clear()
-    check_core(agreement, replace(problem))
-    assert len(lp_calls) == 2
-    lp_calls.clear()
-    check_core(agreement, problem)
-    compute_worth(agreement)
-    assert lp_calls == []
-
-
-def test_division_from_a_given_solution_solves_the_optimum_in_core(lp_calls):
-    problem = bottleneck_preset()
-    agreement = default_division(problem, solution=solve_lp_oracle(problem))
-    lp_calls.clear()
-    # the given solution need not be optimal, so the core check solves
-    # the optimum itself and reuses only the standalone values
+    # a copy keeps the values it was split from
+    skewed = tuple((row[0] * 0.5, row[1] + row[0] * 0.5) for row in agreement.x)
+    copy = replace(agreement, x=skewed)
+    assert (copy.optimum, copy.standalone) == (agreement.optimum, agreement.standalone)
+    assert check_core(copy).failing_mno == 1
     assert check_core(agreement).in_core
-    assert len(lp_calls) == 1
+    compute_worth(copy)
+    assert lp_calls == []
 
 
 def test_stacked_values_match_the_oracle_one_by_one():
@@ -251,8 +237,8 @@ def test_game_never_diagnoses_infeasibility(monkeypatch):
     for _ in range(10):
         problem = random_problem(rng)
         agreement = default_division(problem)
-        worth = compute_worth(agreement)
+        compute_worth(agreement)
         check_core(agreement)
         convexity_probe(problem)
-        worthless += worth.standalone.count(0.0)
+        worthless += agreement.standalone.count(0.0)
     assert worthless > 0

@@ -1,8 +1,11 @@
 """Source hygiene: every module-level import in the package and the
-tests is used by the module that makes it, and the package reaches
-scipy only through its public modules."""
+tests is used by the module that makes it, the package reaches scipy
+only through its public modules, and every function the benchmark's
+tracer wraps still exists."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,21 @@ def test_the_scan_finds_a_private_scipy_import():
         (3, "scipy.optimize._highspy._highs_wrapper"),
         (7, "scipy.optimize._highspy._core.run"),
     ]
+
+
+def test_traced_layers_resolve():
+    # only a traced benchmark run rebinds these names, so without this
+    # check a renamed or deleted function breaks nothing else
+    layers = runpy.run_path(str(ROOT / "slicebench" / "spans.py"))["LAYERS"]
+    missing = []
+    for _, module, attribute, only_in, _ in layers:
+        target = importlib.import_module(module)
+        for name in attribute.split("."):
+            target = vars(target).get(name)
+            if target is None:
+                missing.append(f"{module}.{attribute}")
+                break
+        else:
+            if only_in is not None and target not in vars(importlib.import_module(only_in)).values():
+                missing.append(f"{attribute} in {only_in}")
+    assert missing == []

@@ -91,13 +91,12 @@ def test_random_problem_always_feasible():
 
 
 def test_random_problem_coalition_mode_keeps_singletons_alive():
-    from slicenet.game import standalone_value
+    from slicenet.game import coalition_values
 
     rng = np.random.default_rng(43)
     for _ in range(5):
         problem = random_problem(rng, feasible_for="coalitions")
-        for member in problem.members:
-            assert standalone_value(problem, member) > 0.0
+        assert min(coalition_values(problem, [{i} for i in problem.members])) > 0.0
 
 
 def test_random_problem_mode_validated():
