@@ -13,8 +13,10 @@
 # variants with the LP and ADMM (both infeasible: exit code and message
 # are kept), game under both division rules and a 1 s sim on
 # scenarios/two_mno_20mhz.yaml, and a min_qos sweep over it whose top
-# floor makes some cells infeasible.  It re-saves
-# that scenario as JSON (two_mno.json) and checks that mboe on it prints
+# floor makes some cells infeasible.  It keeps the exit code and stderr
+# line of three malformed inputs: a scenario with a malformed band field,
+# experiment --values 0 and gen --cell-size 50.  It re-saves the
+# committed scenario as JSON (two_mno.json) and checks that mboe on it prints
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
 # runs mboe, solve (also under s2, with the subgradient, and cut short at 25
@@ -62,6 +64,23 @@ slicenet game --scenario "$SCENARIO" --table table.tsv --division prop --out gam
 slicenet sim --scenario "$SCENARIO" --duration 1 --seed 0 --out sim.txt
 slicenet experiment --axis min_qos --values 1e6,5e6,4e7 --scenario "$SCENARIO" \
     --table-max-size 4 --table-duration 0.2 --out experiment > experiment.txt
+
+# malformed inputs: the exit code and the stderr line are the output
+# (a scenario whose band has a malformed field exits 3, parameters
+# outside their domain exit 2)
+cat > bad_band.json <<'JSON'
+{"services": [], "mnos": [], "nodes": [], "links": [],
+ "band": {"unlicensed_bandwidth_hz": 2e7, "ssg": {"1": 5}}}
+JSON
+for case in "bad_band sim --scenario bad_band.json" \
+    "experiment_values_0 experiment --axis density --values 0 --out experiment_values_0" \
+    "gen_cell_size_50 gen --kind grid --cell-size 50 --out gen_cell_size_50.json"; do
+    read -r name command <<< "$case"
+    status=0
+    # shellcheck disable=SC2086  # the command is several words
+    slicenet $command 2> "$name.err" || status=$?
+    echo "exit $status" >> "$name.err"
+done
 
 python -c 'import json, sys
 from slicenet.scenario import load_scenario, scenario_to_dict

@@ -6,7 +6,8 @@ and diffed.  Errors print one ``error: {category}: {message}`` line to
 stderr and map to stable exit codes:
 
     0  success
-    2  usage (argparse, and solver settings such as --gamma 0)
+    2  usage (argparse, solver settings such as --gamma 0, and experiment
+       and gen parameters outside their domain)
     3  scenario file problems
     4  infeasible allocation problem
     5  simulation or estimation inputs unusable
@@ -203,15 +204,13 @@ def _solution_text(solution, trace, oracle_objective=None) -> str:
         lines.append(f"converged\t{int(trace.converged)}")
     lines.append("")
     lines.append("link\towner\taccess\tservice\tlicensed_hz\tunlicensed_share\trate_bps")
-    for k, lid in enumerate(problem.link_ids):
-        for s, sid in enumerate(problem.service_ids):
-            if not problem.offered[k][s]:
-                continue
-            rate = solution.throughput_bps(k, s)
-            lines.append(
-                f"{lid}\t{problem.link_owner[k]}\t{problem.access[k]:.4f}\t{sid}"
-                f"\t{solution.u_hz[k][s]:.1f}\t{solution.alpha[k][s]:.6f}\t{rate:.1f}"
-            )
+    rate = solution.throughput_bps
+    for k, s in zip(problem.rows.tolist(), problem.cols.tolist()):
+        lines.append(
+            f"{problem.link_ids[k]}\t{problem.link_owner[k]}\t{problem.access[k]:.4f}"
+            f"\t{problem.service_ids[s]}\t{solution.u_hz[k, s]:.1f}"
+            f"\t{solution.alpha[k, s]:.6f}\t{rate[k, s]:.1f}"
+        )
     lines.append("")
     lines.append("service\tworth")
     for s, sid in enumerate(problem.service_ids):
@@ -279,17 +278,21 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    scenario = generate_topology(
-        args.kind,
-        seed=args.seed,
-        n_mnos=args.mnos,
-        bs_per_mno=args.bs_per_mno,
-        ues_per_bs=args.ues_per_bs,
-        cell_size_m=args.cell_size,
-        wifi_aps=args.wifi_aps,
-    )
     if args.out is None:
         return _fail("usage", "gen requires --out <scenario.yaml>", EXIT_USAGE)
+    try:
+        scenario = generate_topology(
+            args.kind,
+            seed=args.seed,
+            n_mnos=args.mnos,
+            bs_per_mno=args.bs_per_mno,
+            ues_per_bs=args.ues_per_bs,
+            cell_size_m=args.cell_size,
+            wifi_aps=args.wifi_aps,
+        )
+    except ValueError as exc:
+        # generation reads only its parameters, so one is outside its domain
+        return _fail("usage", exc, EXIT_USAGE)
     save_scenario(scenario, args.out)
     print(
         f"{args.kind}: {len(scenario.nodes)} nodes, {len(scenario.links)} links"
@@ -317,6 +320,11 @@ def _cmd_experiment(args) -> int:
         table_max_size=args.table_max_size,
         table_duration_s=args.table_duration,
     )
+    # a plan that cannot run is a usage error, found before any table is built
+    try:
+        plan.validate()
+    except ValueError as exc:
+        return _fail("usage", exc, EXIT_USAGE)
     rows = run_experiment(plan)
     errors = sum(1 for r in rows if r.error)
     print(f"{len(rows)} rows ({errors} infeasible) -> {plan.out_dir}/results.tsv")

@@ -485,8 +485,6 @@ def simulate_graph(graph: ContentionGraph, config: SimConfig) -> SimOutcome:
 class TableEntry:
     key: str
     size: int
-    colors: tuple[str, ...]
-    edge_bits: int
     access: tuple[float, ...]
     raw_share: tuple[float, ...]
 
@@ -589,7 +587,7 @@ def _parse_entry(line: str) -> TableEntry:
     try:
         size_s, colors, _degs, bits_hex = parts
         size = int(size_s)
-        edge_bits = int(bits_hex, 16)
+        int(bits_hex, 16)  # checked, not kept: the key names the graph
     except ValueError:
         raise ValueError(f"bad key {key!r}") from None
     if len(colors) != size or not set(colors) <= {"L", "W"}:
@@ -598,14 +596,7 @@ def _parse_entry(line: str) -> TableEntry:
     raw_share = tuple(float(x) for x in raw.split(","))
     if len(access) != size or len(raw_share) != size:
         raise ValueError(f"entry {key!r} needs {size} values in each column")
-    return TableEntry(
-        key=key,
-        size=size,
-        colors=tuple(colors),
-        edge_bits=edge_bits,
-        access=access,
-        raw_share=raw_share,
-    )
+    return TableEntry(key=key, size=size, access=access, raw_share=raw_share)
 
 
 def entry_seed(base_seed: int, key: str) -> int:
@@ -630,14 +621,7 @@ def measure_entry(form: CanonicalForm, config: SimConfig) -> TableEntry:
         for p in members:
             access[p] = a
             raw[p] = r
-    return TableEntry(
-        key=form.key,
-        size=form.size,
-        colors=form.colors,
-        edge_bits=form.edge_bits,
-        access=tuple(access),
-        raw_share=tuple(raw),
-    )
+    return TableEntry(key=form.key, size=form.size, access=tuple(access), raw_share=tuple(raw))
 
 
 def measure_table(

@@ -23,9 +23,11 @@ spot-checks the marginal-value inequalities instance by instance; a
 convex game has a non-empty core, which says nothing about whether a
 given split lies in it.
 
-An agreement carries the two numbers its split is computed from, the
-grand coalition's optimum and every member's standalone value, so the
-worth and core checks read them and solve nothing.
+An agreement carries the grand coalition's solution it splits (whose
+``u_hz`` and ``alpha`` are read-only ``(links, slices)`` arrays) and
+the two numbers its split is computed from, the grand coalition's
+optimum and every member's standalone value, so the worth and core
+checks read them and solve nothing.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .problem import (
-    SlicingProblem,
-    SlicingSolution,
-    solution_from_arrays,
-    solve_lp_oracle,
-    solve_lp_stack,
-)
+from .problem import SlicingProblem, SlicingSolution, solve_lp_oracle, solve_lp_stack
 
 #: Relative tolerance for welfare comparisons, tied to solver accuracy.
 EPS_REL = 1e-6
@@ -82,28 +78,23 @@ def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
 class SlicingAgreement:
     """A slicing structure, a utility split, and the values it splits.
 
-    The structure is the allocation itself (licensed draws and airtime
-    fractions per link and slice); ``x[l][i]`` is the currency-per-
-    second share of slice ``l``'s worth assigned to member ``i``.
-    ``optimum`` is the grand coalition's optimal welfare and
-    ``standalone[j]`` the value of member ``problem.members[j]`` alone,
-    as :func:`default_division` solved them; a ``dataclasses.replace``
-    copy keeps them.
+    The structure is ``solution``, the allocation itself (licensed draws
+    and airtime fractions per link and slice) with its problem;
+    ``x[l][i]`` is the currency-per-second share of slice ``l``'s worth
+    assigned to member ``i``.  ``optimum`` is the grand coalition's
+    optimal welfare and ``standalone[j]`` the value of member
+    ``solution.problem.members[j]`` alone, as :func:`default_division`
+    solved them; a ``dataclasses.replace`` copy keeps them.
     """
 
-    problem: SlicingProblem
-    u_hz: tuple[tuple[float, ...], ...]
-    alpha: tuple[tuple[float, ...], ...]
+    solution: SlicingSolution
     x: tuple[tuple[float, ...], ...]
     optimum: float
     standalone: tuple[float, ...]
 
-    def as_solution(self) -> SlicingSolution:
-        return solution_from_arrays(self.problem, self.u_hz, self.alpha, "agreement")
-
     def member_share(self, mno_id: int) -> float:
-        j = self.problem.members.index(mno_id)
-        return sum(self.x[l][j] for l in range(self.problem.n_services))
+        j = self.solution.problem.members.index(mno_id)
+        return sum(row[j] for row in self.x)
 
     def total_allocated(self) -> float:
         return sum(sum(row) for row in self.x)
@@ -126,8 +117,8 @@ def compute_worth(agreement: SlicingAgreement) -> WorthReport:
     The agreement must be feasible for its problem; an allocation that
     breaks budgets or floors has no defined worth to divide.
     """
-    p = agreement.problem
-    sol = agreement.as_solution()
+    sol = agreement.solution
+    p = sol.problem
     violation = sol.max_violation()
     if violation > EPS_REL:
         raise ValueError(f"infeasible agreement: violation {violation:.3e}")
@@ -177,8 +168,8 @@ def check_core(agreement: SlicingAgreement) -> CoreVerdict:
     (shares summing to the slice worth) is a structural precondition
     and raises on violation.
     """
-    p = agreement.problem
-    sol = agreement.as_solution()
+    sol = agreement.solution
+    p = sol.problem
     for l in range(p.n_services):
         worth = sol.slice_worth(l)
         allocated = sum(agreement.x[l])
@@ -263,9 +254,7 @@ def default_division(problem: SlicingProblem, rule: str = "egalitarian") -> Slic
         frac = worth / v_star if v_star > 0 else 0.0
         x.append(tuple(s * frac for s in shares))
     return SlicingAgreement(
-        problem=problem,
-        u_hz=solution.u_hz,
-        alpha=solution.alpha,
+        solution=solution,
         x=tuple(x),
         optimum=v_star,
         standalone=t,

@@ -8,6 +8,10 @@ maximization is an LP, and :func:`solve_lp_oracle` solves it exactly.
 The distributed solver in :mod:`slicenet.solvers` is checked against
 that oracle.
 
+A problem's numeric fields and a solution's allocation are read-only
+numpy arrays, per link, per member or ``(links, slices)``, each copied
+once when the problem or solution is made so that no caller aliases it.
+
 The LP is held as its nonzeros (:class:`LPModel`), never as dense
 matrices.  :func:`solve_lp_stack` solves several problems in one HiGHS
 call by offsetting their models into one block-diagonal matrix; the
@@ -25,8 +29,9 @@ entitlements (licensed only), and ``s3`` keeps both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +49,6 @@ VARIANTS = ("s1", "s2", "s3")
 FAMILY_QOS = "qos"
 FAMILY_ACCESS = "access"
 FAMILY_BUDGET = "budget"
-FAMILY_UNKNOWN = "unknown"
 
 
 class InfeasibleProblem(ValueError):
@@ -61,15 +65,35 @@ class InfeasibleProblem(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
+def _frozen(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A read-only ``shape`` array copied from ``value``: the copy keeps
+    any caller's array from aliasing the field."""
+    a = np.array(value, dtype=dtype)
+    if a.size == 0 and math.prod(shape) == 0:
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class SlicingProblem:
     """Immutable LP data, one row per link, one column per slice.
 
-    ``budget`` holds the licensed cap per link: the summed bandwidth of
-    every operator that pools spectrum for at least one slice the
+    The numeric fields are read-only numpy arrays, copied once from any
+    array-like: ``rate_bps_hz``, ``access`` and ``budget_hz`` hold one
+    entry per link, ``mno_budget_hz`` one per member, and ``offered``
+    (bool), ``min_rate_bps`` and ``price_per_bit`` are ``(links,
+    slices)``.  The labels (``link_ids``, ``link_owner``,
+    ``service_ids``, ``members``, ``ssg``) stay tuples.  Problems compare
+    by identity; compare their fields with ``np.array_equal``.
+
+    ``budget_hz`` holds the licensed cap per link: the summed bandwidth
+    of every operator that pools spectrum for at least one slice the
     link's owner participates in.
 
-    ``offered[k][l]`` marks the (link, slice) pairs that carry
+    ``offered[k, l]`` marks the (link, slice) pairs that carry
     variables at all; pairs outside an owner's sharing groups are
     pinned to zero.
     """
@@ -78,13 +102,13 @@ class SlicingProblem:
     link_owner: tuple[int, ...]
     service_ids: tuple[int, ...]
     members: tuple[int, ...]
-    mno_budget_hz: tuple[float, ...]
-    rate_bps_hz: tuple[float, ...]
-    access: tuple[float, ...]
-    budget_hz: tuple[float, ...]
-    offered: tuple[tuple[bool, ...], ...]
-    min_rate_bps: tuple[tuple[float, ...], ...]
-    price_per_bit: tuple[tuple[float, ...], ...]
+    mno_budget_hz: np.ndarray
+    rate_bps_hz: np.ndarray
+    access: np.ndarray
+    budget_hz: np.ndarray
+    offered: np.ndarray
+    min_rate_bps: np.ndarray
+    price_per_bit: np.ndarray
     unlicensed_hz: float
     ssg: tuple[frozenset[int], ...]
     variant: str = "s3"
@@ -93,28 +117,30 @@ class SlicingProblem:
         n, m = len(self.link_ids), len(self.service_ids)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if len(self.members) != len(self.mno_budget_hz):
-            raise ValueError("one licensed budget per member required")
-        for name in ("link_owner", "rate_bps_hz", "access", "budget_hz"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} must have one entry per link")
-        for name in ("offered", "min_rate_bps", "price_per_bit"):
-            rows = getattr(self, name)
-            if len(rows) != n or any(len(r) != m for r in rows):
-                raise ValueError(f"{name} must be {n} x {m}")
+        if len(self.link_owner) != n:
+            raise ValueError("link_owner must have one entry per link")
         if len(self.ssg) != m:
             raise ValueError("one sharing group per service required")
-        for k in range(n):
-            if self.link_owner[k] not in self.members:
-                raise ValueError(f"link {self.link_ids[k]} owned by non-member")
-            if not 0.0 <= self.access[k] <= 1.0:
-                raise ValueError(f"airtime share of {self.link_ids[k]} outside [0, 1]")
-            if self.rate_bps_hz[k] <= 0:
-                raise ValueError(f"link {self.link_ids[k]} has nonpositive rate")
-            if self.access[k] > 0 and not any(self.offered[k]):
-                raise ValueError(
-                    f"link {self.link_ids[k]} holds airtime but offers no slice"
-                )
+        for name, dtype, shape in (
+            ("mno_budget_hz", float, (len(self.members),)),
+            ("rate_bps_hz", float, (n,)),
+            ("access", float, (n,)),
+            ("budget_hz", float, (n,)),
+            ("offered", bool, (n, m)),
+            ("min_rate_bps", float, (n, m)),
+            ("price_per_bit", float, (n, m)),
+        ):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, shape, name))
+        owned = np.equal.outer(self.link_owner, self.members).any(axis=1)
+        in_range = (self.access >= 0.0) & (self.access <= 1.0)
+        for bad, what in (
+            (~owned, "is owned by a non-member"),
+            (~in_range, "has an airtime share outside [0, 1]"),
+            (self.rate_bps_hz <= 0, "has nonpositive rate"),
+            ((self.access > 0) & ~self.offered.any(axis=1), "holds airtime but offers no slice"),
+        ):
+            if bad.any():
+                raise ValueError(f"link {self.link_ids[bad.argmax()]} {what}")
 
     # -- sizes -----------------------------------------------------------
 
@@ -126,17 +152,31 @@ class SlicingProblem:
     def n_services(self) -> int:
         return len(self.service_ids)
 
-    def links_of(self, mno_id: int) -> list[int]:
-        return [k for k in range(self.n_links) if self.link_owner[k] == mno_id]
+    @property
+    def rows(self) -> np.ndarray:
+        """The link of each offered pair, in link order: the LP's column order."""
+        return np.nonzero(self.offered)[0]
 
-    @cached_property
-    def arrays(self) -> ProblemArrays:
-        """The numeric data as read-only arrays, derived once."""
-        return ProblemArrays(self)
+    @property
+    def cols(self) -> np.ndarray:
+        """The slice of each offered pair, in the order of :attr:`rows`."""
+        return np.nonzero(self.offered)[1]
+
+    @property
+    def width(self) -> float:
+        """The bandwidth scale that normalizes hertz in the solvers and in
+        violation reports: the largest of the unlicensed band, any budget
+        and 1 Hz."""
+        return max(
+            self.unlicensed_hz,
+            max(self.budget_hz.tolist(), default=0.0),
+            max(self.mno_budget_hz.tolist(), default=0.0),
+            1.0,
+        )
 
     # -- coalition restriction -------------------------------------------
 
-    def restrict(self, coalition) -> "SlicingProblem":
+    def restrict(self, coalition) -> SlicingProblem:
         """The same market limited to ``coalition``.
 
         Only the coalition's links remain, sharing groups shrink to
@@ -150,67 +190,30 @@ class SlicingProblem:
             raise ValueError("empty coalition")
         if not coalition <= set(self.members):
             raise ValueError(f"coalition {sorted(coalition)} not among members")
-        members = tuple(i for i in self.members if i in coalition)
-        budget_of = dict(zip(self.members, self.mno_budget_hz))
         ssg = tuple(g & coalition for g in self.ssg)
-        keep = [k for k in range(self.n_links) if self.link_owner[k] in coalition]
-        offered, access, budget = [], [], []
-        for k in keep:
-            owner = self.link_owner[k]
-            row = tuple(
-                bool(self.offered[k][l]) and owner in ssg[l]
-                for l in range(self.n_services)
-            )
-            donors = set()
-            for l in range(self.n_services):
-                if row[l]:
-                    donors |= ssg[l]
-            offered.append(row)
-            access.append(self.access[k] if any(row) else 0.0)
-            budget.append(sum(budget_of[j] for j in donors))
+        joined = np.array([j in coalition for j in self.members])
+        # pools[l, j]: member j pools spectrum for slice l
+        pools = np.array(
+            [[j in g for j in self.members] for g in ssg], dtype=bool
+        ).reshape(self.n_services, len(self.members))
+        owned = np.equal.outer(self.link_owner, self.members)
+        keep = owned @ joined
+        offered = (self.offered & (owned @ pools.T))[keep]
+        donors = np.where(offered @ pools, self.mno_budget_hz, 0.0)
         return replace(
             self,
-            link_ids=tuple(self.link_ids[k] for k in keep),
-            link_owner=tuple(self.link_owner[k] for k in keep),
-            members=members,
-            mno_budget_hz=tuple(budget_of[j] for j in members),
-            rate_bps_hz=tuple(self.rate_bps_hz[k] for k in keep),
-            access=tuple(access),
-            budget_hz=tuple(budget),
-            offered=tuple(offered),
-            min_rate_bps=tuple(tuple(self.min_rate_bps[k]) for k in keep),
-            price_per_bit=tuple(tuple(self.price_per_bit[k]) for k in keep),
+            link_ids=tuple(compress(self.link_ids, keep)),
+            link_owner=tuple(compress(self.link_owner, keep)),
+            members=tuple(compress(self.members, joined)),
+            mno_budget_hz=self.mno_budget_hz[joined],
+            rate_bps_hz=self.rate_bps_hz[keep],
+            access=np.where(offered.any(axis=1), self.access[keep], 0.0),
+            # each donor's budget added in member order, as a Python sum adds
+            budget_hz=np.cumsum(donors, axis=1)[:, -1],
+            offered=offered,
+            min_rate_bps=self.min_rate_bps[keep],
+            price_per_bit=self.price_per_bit[keep],
             ssg=ssg,
-        )
-
-
-class ProblemArrays:
-    """A problem's numeric data as read-only numpy arrays.
-
-    ``offered``, ``floor`` and ``price`` are ``(links, slices)``;
-    ``rate``, ``access`` and ``budget`` hold one entry per link.
-    ``rows``/``cols`` index the offered pairs in link order, which is
-    the LP's column order.  ``width`` is the bandwidth scale (largest of
-    the unlicensed band, any budget and 1 Hz) that normalizes hertz in
-    the solvers and in violation reports.
-    """
-
-    def __init__(self, p: SlicingProblem):
-        n, m = p.n_links, p.n_services
-        self.offered = np.array(p.offered, dtype=bool).reshape(n, m)
-        self.floor = np.array(p.min_rate_bps, dtype=float).reshape(n, m)
-        self.price = np.array(p.price_per_bit, dtype=float).reshape(n, m)
-        self.rate = np.array(p.rate_bps_hz, dtype=float)
-        self.access = np.array(p.access, dtype=float)
-        self.budget = np.array(p.budget_hz, dtype=float)
-        self.rows, self.cols = np.nonzero(self.offered)
-        for a in vars(self).values():
-            a.setflags(write=False)
-        self.width = max(
-            p.unlicensed_hz,
-            max(p.budget_hz, default=0.0),
-            max(p.mno_budget_hz, default=0.0),
-            1.0,
         )
 
 
@@ -283,11 +286,11 @@ def as_variant(problem: SlicingProblem, variant: str) -> SlicingProblem:
         return replace(
             problem,
             variant=variant,
-            budget_hz=(0.0,) * problem.n_links,
-            mno_budget_hz=(0.0,) * len(problem.members),
+            budget_hz=np.zeros(problem.n_links),
+            mno_budget_hz=np.zeros(len(problem.members)),
         )
     if variant == "s2":
-        return replace(problem, variant=variant, access=(0.0,) * problem.n_links)
+        return replace(problem, variant=variant, access=np.zeros(problem.n_links))
     return replace(problem, variant=variant)
 
 
@@ -295,51 +298,53 @@ def as_variant(problem: SlicingProblem, variant: str) -> SlicingProblem:
 # solutions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlicingSolution:
     """An allocation with its welfare and bookkeeping helpers.
 
-    ``u_hz[k][l]`` is licensed bandwidth, ``alpha[k][l]`` the airtime
-    fraction.  ``objective`` is the total revenue of the allocation,
-    recomputed from the primal values rather than copied out of any
-    solver's internal report.
+    ``u_hz[k, l]`` is licensed bandwidth and ``alpha[k, l]`` the airtime
+    fraction, both read-only ``(links, slices)`` arrays copied once from
+    any array-like.  ``objective`` is the total revenue of the
+    allocation, recomputed from the primal values rather than copied out
+    of any solver's internal report.  Sums run pair by pair in link
+    order, as the revenue is defined.
     """
 
     problem: SlicingProblem
-    u_hz: tuple[tuple[float, ...], ...]
-    alpha: tuple[tuple[float, ...], ...]
+    u_hz: np.ndarray
+    alpha: np.ndarray
     objective: float
     method: str
     flags: tuple[str, ...] = ()
 
-    def throughput_bps(self, k: int, l: int) -> float:
-        p = self.problem
-        return (self.u_hz[k][l] + self.alpha[k][l] * p.unlicensed_hz) * p.rate_bps_hz[k]
+    def __post_init__(self):
+        shape = self.problem.offered.shape
+        for name in ("u_hz", "alpha"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), float, shape, name))
 
-    def pair_worth(self, k: int, l: int) -> float:
-        """Revenue earned by slice ``l`` on link ``k``."""
-        return self.problem.price_per_bit[k][l] * self.throughput_bps(k, l)
+    @property
+    def throughput_bps(self) -> np.ndarray:
+        """Delivered rate of every (link, slice) pair, ``(links, slices)``."""
+        p = self.problem
+        return (self.u_hz + self.alpha * p.unlicensed_hz) * p.rate_bps_hz[:, None]
 
     def slice_worth(self, l: int) -> float:
-        return sum(self.pair_worth(k, l) for k in range(self.problem.n_links))
+        """Revenue earned by slice ``l`` over every link."""
+        worth = self.problem.price_per_bit[:, l] * self.throughput_bps[:, l]
+        return sum(worth.tolist(), 0.0)
 
     def mno_worth(self, mno_id: int) -> float:
-        return sum(
-            self.pair_worth(k, l)
-            for k in self.problem.links_of(mno_id)
-            for l in range(self.problem.n_services)
-        )
+        """Revenue earned on ``mno_id``'s links, link by link and slice by slice."""
+        p = self.problem
+        own = np.equal(p.link_owner, mno_id)
+        return sum((p.price_per_bit[own] * self.throughput_bps[own]).ravel().tolist(), 0.0)
 
     def licensed_rate_bps(self, l: int) -> float:
-        p = self.problem
-        return sum(self.u_hz[k][l] * p.rate_bps_hz[k] for k in range(p.n_links))
+        return sum((self.u_hz[:, l] * self.problem.rate_bps_hz).tolist(), 0.0)
 
     def unlicensed_rate_bps(self, l: int) -> float:
         p = self.problem
-        return sum(
-            self.alpha[k][l] * p.unlicensed_hz * p.rate_bps_hz[k]
-            for k in range(p.n_links)
-        )
+        return sum((self.alpha[:, l] * p.unlicensed_hz * p.rate_bps_hz).tolist(), 0.0)
 
     def max_violation(self) -> float:
         """Largest constraint violation, normalized per family scale.
@@ -349,23 +354,21 @@ class SlicingSolution:
         20 MHz market as in a 20 kHz one.
         """
         p = self.problem
-        arr = p.arrays
-        w, off, rate = arr.width, arr.offered, arr.rate[:, None]
-        u = np.array(self.u_hz, dtype=float).reshape(off.shape)
-        a = np.array(self.alpha, dtype=float).reshape(off.shape)
+        w, off, rate = p.width, p.offered, p.rate_bps_hz[:, None]
+        u, a, floor = self.u_hz, self.alpha, p.min_rate_bps
         busy = off.any(axis=1)
-        short = (arr.floor - (u + a * p.unlicensed_hz) * rate) / (w * rate)
+        short = (floor - self.throughput_bps) / (w * rate)
         return float(
             max(
                 0.0,
                 np.abs(u[~off]).max(initial=0.0) / w,
                 np.abs(a[~off]).max(initial=0.0),
-                np.abs(np.where(off, a, 0.0).sum(axis=1) - arr.access)[busy].max(initial=0.0),
-                ((u.sum(axis=1) - arr.budget) / w)[busy].max(initial=0.0),
+                np.abs(np.where(off, a, 0.0).sum(axis=1) - p.access)[busy].max(initial=0.0),
+                ((u.sum(axis=1) - p.budget_hz) / w)[busy].max(initial=0.0),
                 -u.min(initial=0.0) / w,
                 -a.min(initial=0.0),
                 a.max(initial=1.0) - 1.0,
-                short[off & (arr.floor > 0)].max(initial=0.0),
+                short[off & (floor > 0)].max(initial=0.0),
             )
         )
 
@@ -377,18 +380,16 @@ def solution_from_arrays(
     method: str,
     flags: tuple[str, ...] = (),
 ) -> SlicingSolution:
-    """Package dense arrays as a solution, recomputing the objective."""
-    arr = problem.arrays
-    u = np.asarray(u, dtype=float).reshape(arr.offered.shape)
-    alpha = np.asarray(alpha, dtype=float).reshape(arr.offered.shape)
-    r, c = arr.rows, arr.cols
-    thru = (u[r, c] + alpha[r, c] * problem.unlicensed_hz) * arr.rate[r]
+    """Package ``(links, slices)`` arrays as a solution, recomputing the objective."""
+    u, alpha = np.asarray(u, dtype=float), np.asarray(alpha, dtype=float)
+    r, c = problem.rows, problem.cols
+    thru = (u[r, c] + alpha[r, c] * problem.unlicensed_hz) * problem.rate_bps_hz[r]
     return SlicingSolution(
         problem=problem,
-        u_hz=tuple(map(tuple, u.tolist())),
-        alpha=tuple(map(tuple, alpha.tolist())),
+        u_hz=u,
+        alpha=alpha,
         # pair by pair in link order, as the revenue is defined
-        objective=sum((arr.price[r, c] * thru).tolist(), 0.0),
+        objective=sum((problem.price_per_bit[r, c] * thru).tolist(), 0.0),
         method=method,
         flags=flags,
     )
@@ -419,15 +420,14 @@ class LPModel:
 
 
 def _lp_model(problem: SlicingProblem) -> LPModel:
-    arr = problem.arrays
-    r, c = arr.rows, arr.cols
+    r, c = problem.rows, problem.cols
     n = len(r)
     cols = np.arange(n)
     links, link_row = np.unique(r, return_inverse=True)
-    floor = arr.floor[r, c]
+    floor = problem.min_rate_bps[r, c]
     qos = np.flatnonzero(floor > 0)
     q = np.arange(len(qos))
-    gain = arr.price[r, c] * arr.rate[r]
+    gain = problem.price_per_bit[r, c] * problem.rate_bps_hz[r]
     return LPModel(
         c=np.concatenate([-gain, -gain * problem.unlicensed_hz]),
         ub=(
@@ -437,9 +437,9 @@ def _lp_model(problem: SlicingProblem) -> LPModel:
                 [np.full(len(qos), -1.0), np.full(len(qos), -problem.unlicensed_hz), np.ones(n)]
             ),
         ),
-        b_ub=np.concatenate([-floor[qos] / arr.rate[r[qos]], arr.budget[links]]),
+        b_ub=np.concatenate([-floor[qos] / problem.rate_bps_hz[r[qos]], problem.budget_hz[links]]),
         eq=(link_row, n + cols, np.ones(n)),
-        b_eq=arr.access[links],
+        b_eq=problem.access[links],
         bounds=np.column_stack(
             [np.zeros(2 * n), np.concatenate([np.full(n, np.inf), np.ones(n)])]
         ),
@@ -499,11 +499,11 @@ def _blame_family(problem: SlicingProblem) -> str:
     fix it.  ``qos``: the floors exceed even those caps, so the demand
     itself is the problem.
     """
-    pool = sum(problem.mno_budget_hz)
-    pooled = replace(problem, budget_hz=(pool,) * problem.n_links)
+    pool = sum(problem.mno_budget_hz.tolist())
+    pooled = replace(problem, budget_hz=np.full(problem.n_links, pool))
     if _highs_once(pooled).status == 0:
         return FAMILY_BUDGET
-    opened = replace(problem, access=tuple(float(any(row)) for row in problem.offered))
+    opened = replace(problem, access=problem.offered.any(axis=1))
     if _highs_once(opened).status == 0:
         return FAMILY_ACCESS
     return FAMILY_QOS
@@ -511,15 +511,14 @@ def _blame_family(problem: SlicingProblem) -> str:
 
 def _lp_solution(problem: SlicingProblem, x: np.ndarray) -> SlicingSolution:
     """Package a block of HiGHS's primal values as a solution."""
-    arr = problem.arrays
-    n = len(arr.rows)
-    u = np.zeros(arr.offered.shape)
-    alpha = np.zeros(arr.offered.shape)
+    r, c = problem.rows, problem.cols
+    n = len(r)
+    u, alpha = np.zeros((2, *problem.offered.shape))
     # clamp as max(0, x) and min(1, x) do: HiGHS's -0.0 becomes 0.0
     x_u, x_a = x[:n], x[n:]
     x_a = np.where(x_a > 0.0, x_a, 0.0)
-    u[arr.rows, arr.cols] = np.where(x_u > 0.0, x_u, 0.0)
-    alpha[arr.rows, arr.cols] = np.where(x_a < 1.0, x_a, 1.0)
+    u[r, c] = np.where(x_u > 0.0, x_u, 0.0)
+    alpha[r, c] = np.where(x_a < 1.0, x_a, 1.0)
     return solution_from_arrays(problem, u, alpha, "lp")
 
 

@@ -397,6 +397,27 @@ def _entries(raw, entity: str) -> list[dict]:
     return [_mapping(entry, f"{entity} entry") for entry in raw]
 
 
+def _group_id(value, sid) -> int:
+    """An id in the ``ssg`` mapping: an integer, or (as JSON writes keys)
+    a string holding one."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ScenarioParseError(f"band ssg {sid}: {value!r} is not an integer id")
+
+
+def _sharing_groups(raw) -> dict[int, frozenset[int]]:
+    """The band's ``ssg`` mapping: service id to a list of operator ids."""
+    groups = {}
+    for sid, members in _mapping(raw, "band ssg").items():
+        if not isinstance(members, list):
+            raise ScenarioParseError(f"band ssg {sid}: members must be a list")
+        groups[_group_id(sid, sid)] = frozenset(_group_id(m, sid) for m in members)
+    return groups
+
+
 def _service_from_dict(raw: dict) -> ServiceType:
     sid = int(_num(raw, "id", "service"))
     if "min_throughput_bps" in raw:
@@ -478,14 +499,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if section not in doc:
             raise ScenarioParseError(f"missing section {section!r}")
     band_raw = _mapping(doc["band"], "band")
-    ssg = {
-        int(sid): frozenset(int(m) for m in members)
-        for sid, members in _mapping(band_raw.get("ssg") or {}, "band ssg").items()
-    }
     band = BandPlan(
         unlicensed_bandwidth_hz=_num(band_raw, "unlicensed_bandwidth_hz", "band"),
-        carrier_frequency_ghz=float(band_raw.get("carrier_frequency_ghz", 5.5)),
-        ssg=ssg,
+        carrier_frequency_ghz=_num(band_raw, "carrier_frequency_ghz", "band", 5.5),
+        ssg=_sharing_groups(band_raw.get("ssg") or {}),
     )
     return Scenario(
         services=tuple(_service_from_dict(s) for s in _entries(doc["services"], "services")),

@@ -43,6 +43,8 @@ from .projections import (
 
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
+#: relative gap and primal residual of :meth:`ConvergenceTrace.iterations_to_gap`
+GAP_REL = 1e-2
 #: bytes of iterates a solver holds before it reduces them to trace
 #: columns in one pass: a long run keeps one block, not its history
 TRACE_BLOCK_BYTES = 1 << 16
@@ -144,27 +146,26 @@ class _Scaled:
     """
 
     def __init__(self, problem: SlicingProblem):
-        arr = problem.arrays
         # in hertz, before a non-finite budget spreads through the scale
-        check_budgets(arr.budget)
+        check_budgets(problem.budget_hz)
         self.problem = problem
-        self.active = arr.offered
+        self.active = problem.offered
         self.absent = ~self.active
         self.offered = self.active.sum(axis=1, keepdims=True)
-        self.width = arr.width
+        self.width = problem.width
         self.band_ratio = problem.unlicensed_hz / self.width
-        rate = arr.rate[:, None]
-        gain = np.where(self.active, arr.price * rate * self.width, 0.0)
-        qos = np.where(self.active, arr.floor / (rate * self.width), 0.0)
+        rate = problem.rate_bps_hz[:, None]
+        gain = np.where(self.active, problem.price_per_bit * rate * self.width, 0.0)
+        qos = np.where(self.active, problem.min_rate_bps / (rate * self.width), 0.0)
         self.gain_scale = gain.max() if gain.size and gain.max() > 0 else 1.0
         self.gain_u = gain / self.gain_scale
         self.gain_a = self.gain_u * self.band_ratio
         self.gain = np.stack([self.gain_u, self.gain_a])
         self.qos = qos
-        self.budget = arr.budget / self.width
-        self.xi = arr.access
+        self.budget = problem.budget_hz / self.width
+        self.xi = problem.access
         self.xi_total = feasible_totals(self.xi, self.offered[:, 0], 1.0)
-        self.dim = 2 * len(arr.rows)
+        self.dim = 2 * int(self.offered.sum())
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` with every pair the link does not offer set to NaN."""
@@ -186,22 +187,22 @@ class _Scaled:
         gap = (self.qos - (ua[:, 0] + self.band_ratio * ua[:, 1])) * self.active
         return np.maximum(gap, 0.0).max(axis=(1, 2), initial=0.0)
 
-    def repair(self, u: np.ndarray, a: np.ndarray, tol: float = REPAIR_TOL,
-               max_rounds: int = REPAIR_MAX_ROUNDS):
+    def repair(self, u: np.ndarray, a: np.ndarray):
         """Round an iterate to a feasible allocation.
 
         Alternates exact projections between the per-link sets and the
-        QoS halfspaces, finishing on the per-link side so budgets and
-        airtime sums hold exactly; the residual QoS slack falls below
-        ``tol`` for any feasible problem.
+        QoS halfspaces, at most ``REPAIR_MAX_ROUNDS`` times, finishing on
+        the per-link side so budgets and airtime sums hold exactly; the
+        residual QoS slack falls below ``REPAIR_TOL`` for any feasible
+        problem.
         """
         u, a = self.project_local(u, a)
         denom = 1.0 + self.band_ratio * self.band_ratio
-        for _ in range(max_rounds):
+        for _ in range(REPAIR_MAX_ROUNDS):
             # the projections leave the pairs a link does not offer at 0,
             # where the QoS bound is 0 too
             slack = np.maximum(self.qos - (u + self.band_ratio * a), 0.0)
-            if slack.max(initial=0.0) <= tol:
+            if slack.max(initial=0.0) <= REPAIR_TOL:
                 break
             scale = slack / denom
             u, a = self.project_local(u + scale, a + scale * self.band_ratio)
@@ -269,19 +270,19 @@ class ConvergenceTrace:
     def iterations(self) -> int:
         return len(self.rows)
 
-    def iterations_to_gap(self, reference: float, rel: float = 1e-2) -> int | None:
-        """First iteration within ``rel`` of ``reference``, feasibly so.
+    def iterations_to_gap(self, reference: float) -> int | None:
+        """First iteration within ``GAP_REL`` of ``reference``, feasibly so.
 
-        Both gates matter: the objective must sit within ``rel``
+        Both gates matter: the objective must sit within ``GAP_REL``
         relative of the reference and the iterate's primal residual
         (dimensionless, in normalized resource units) must be below
-        ``rel`` as well.  An iterate whose revenue happens to match
+        ``GAP_REL`` as well.  An iterate whose revenue happens to match
         the optimum while its constraints are still violated has not
         converged to anything.
         """
-        bar = rel * max(abs(reference), 1e-300)
+        bar = GAP_REL * max(abs(reference), 1e-300)
         for row in self.rows:
-            if abs(row.objective - reference) <= bar and row.primal_residual <= rel:
+            if abs(row.objective - reference) <= bar and row.primal_residual <= GAP_REL:
                 return row.iteration
         return None
 

@@ -62,8 +62,6 @@ def _build(
     ues_per_bs: int,
     cell_size_m: float,
     n_mnos: int,
-    licensed_hz: float,
-    unlicensed_hz: float,
 ) -> Scenario:
     nodes, links = [], []
     counters = {i: 0 for i in range(1, n_mnos + 1)}
@@ -93,11 +91,11 @@ def _build(
     return Scenario(
         services=DEFAULT_SERVICES,
         mnos=tuple(
-            Mno(id=i, licensed_bandwidth_hz=licensed_hz) for i in range(1, n_mnos + 1)
+            Mno(id=i, licensed_bandwidth_hz=DEFAULT_LICENSED_HZ) for i in range(1, n_mnos + 1)
         ),
         nodes=tuple(nodes),
         links=tuple(links),
-        band=BandPlan(unlicensed_bandwidth_hz=unlicensed_hz),
+        band=BandPlan(unlicensed_bandwidth_hz=DEFAULT_UNLICENSED_HZ),
     )
 
 
@@ -109,8 +107,6 @@ def generate_topology(
     ues_per_bs: int = 1,
     cell_size_m: float = 400.0,
     wifi_aps: int = 2,
-    licensed_hz: float = DEFAULT_LICENSED_HZ,
-    unlicensed_hz: float = DEFAULT_UNLICENSED_HZ,
 ) -> Scenario:
     """Generate a deployment of the given kind.
 
@@ -119,7 +115,9 @@ def generate_topology(
     ``uniform-random`` scatters stations and access points uniformly.
     ``two-mno-urban`` is the dense-downtown picture: two operators on
     a jittered lattice sharing the band with unmanaged coffee-shop
-    access points.
+    access points.  Every operator holds ``DEFAULT_LICENSED_HZ`` of
+    licensed spectrum and the unlicensed band is ``DEFAULT_UNLICENSED_HZ``
+    wide.
     """
     cell = _check_cell(cell_size_m)
     if kind not in KINDS:
@@ -170,16 +168,7 @@ def generate_topology(
             wifi_positions.append(
                 (host[0] + radius * math.cos(angle), host[1] + radius * math.sin(angle))
             )
-    return _build(
-        rng_ue,
-        bs_positions,
-        wifi_positions,
-        ues_per_bs,
-        cell,
-        n_mnos,
-        licensed_hz,
-        unlicensed_hz,
-    )
+    return _build(rng_ue, bs_positions, wifi_positions, ues_per_bs, cell, n_mnos)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +201,23 @@ def bottleneck_preset() -> SlicingProblem:
     )
 
 
+#: :func:`random_problem` draws 2 to ``RANDOM_MAX_MNOS`` operators and 2
+#: to ``RANDOM_MAX_SERVICES`` slices, and loads the busiest link to a
+#: fraction of its capacity drawn from ``RANDOM_LOAD_MARGIN``
+RANDOM_MAX_MNOS = 4
+RANDOM_MAX_SERVICES = 3
+RANDOM_LOAD_MARGIN = (0.6, 0.8)
+
+
 def random_problem(
     rng: np.random.Generator,
-    max_mnos: int = 4,
-    max_services: int = 3,
     max_links: int = 10,
-    margin: tuple[float, float] = (0.6, 0.8),
     feasible_for: str = "s3",
 ) -> SlicingProblem:
     """Draw a random allocation problem with a controlled load margin.
 
     The QoS floors are rescaled so the busiest link needs a fraction of
-    its capacity drawn from ``margin``; capacity means pooled licensed
+    its capacity drawn from ``RANDOM_LOAD_MARGIN``; capacity means pooled licensed
     plus entitled unlicensed bandwidth under ``feasible_for="s3"``, the
     scarcer of the two bands under ``"all"`` (every variant feasible),
     and own-budget-only capacity under ``"coalitions"`` (every
@@ -232,8 +226,8 @@ def random_problem(
     """
     if feasible_for not in ("s3", "all", "coalitions"):
         raise ValueError(f"unknown feasibility mode {feasible_for!r}")
-    n_mnos = int(rng.integers(2, max_mnos + 1))
-    n_serv = int(rng.integers(2, max_services + 1))
+    n_mnos = int(rng.integers(2, RANDOM_MAX_MNOS + 1))
+    n_serv = int(rng.integers(2, RANDOM_MAX_SERVICES + 1))
     members = tuple(range(1, n_mnos + 1))
     service_ids = tuple(range(1, n_serv + 1))
     n_links = int(rng.integers(n_mnos, max_links + 1))
@@ -269,7 +263,7 @@ def random_problem(
         sum(floors[(owner[k], sid)] for sid in service_ids) / (rate[k] * capacity(k))
         for k in range(n_links)
     )
-    target = float(rng.uniform(*margin))
+    target = float(rng.uniform(*RANDOM_LOAD_MARGIN))
     scale = target / load
     eta = [
         tuple(floors[(owner[k], sid)] * scale for sid in service_ids)

@@ -90,25 +90,36 @@ def test_broken_scenario_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: scenario:")
 
 
-@pytest.mark.parametrize("command", ["sim", "mboe", "solve", "game"])
-def test_malformed_override_exits_3(tmp_path, capsys, command):
+_BAD_OVERRIDE = [{"service": 1, "min_throughput_mbps": [5]}]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, band, message",
+    [
+        *((command, _BAD_OVERRIDE, {}, "mno 1 override:")
+          for command in ("sim", "mboe", "solve", "game")),
+        # malformed band fields, each in an otherwise valid document
+        ("sim", [], {"carrier_frequency_ghz": "high"},
+         "band: field 'carrier_frequency_ghz' is not a number"),
+        ("sim", [], {"ssg": {"one": [1]}}, "band ssg one: 'one' is not an integer id"),
+        ("sim", [], {"ssg": {"1": 5}}, "band ssg 1: members must be a list"),
+    ],
+    ids=["sim", "mboe", "solve", "game", "band-carrier", "ssg-key", "ssg-members"],
+)
+def test_malformed_override_exits_3(tmp_path, capsys, command, overrides, band, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "services": [{"id": 1, "min_throughput_bps": 1e6, "price_per_bit": 1e-6}],
-        "mnos": [{
-            "id": 1,
-            "licensed_bandwidth_hz": 2e7,
-            "overrides": [{"service": 1, "min_throughput_mbps": [5]}],
-        }],
+        "mnos": [{"id": 1, "licensed_bandwidth_hz": 2e7, "overrides": overrides}],
         "nodes": [],
         "links": [],
-        "band": {"unlicensed_bandwidth_hz": 2e7},
+        "band": {"unlicensed_bandwidth_hz": 2e7, **band},
     }))
     argv = [command, "--scenario", str(bad)]
     if command != "sim":
         argv += ["--table", str(tmp_path / "unread.tsv")]
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith("error: scenario: mno 1 override:")
+    assert capsys.readouterr().err.startswith(f"error: scenario: {message}")
 
 
 def test_non_numeric_node_field_exits_3(tmp_path, capsys):
@@ -221,6 +232,25 @@ def test_malformed_list_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "expected comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--axis", "density", "--values", "0"],
+        ["experiment", "--axis", "density", "--values", "1", "--table-max-size", "9"],
+        ["experiment", "--axis", "density", "--values", "1", "--scenario", "sc.json"],
+        ["gen", "--kind", "grid", "--cell-size", "50"],
+        ["gen", "--kind", "grid", "--mnos", "0"],
+    ],
+    ids=["values-0", "table-max-size-9", "scenario-density", "cell-size-50", "mnos-0"],
+)
+def test_parameter_outside_its_domain_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: usage: ")
+    # refused before any table is measured or file written
+    assert not out.exists()
 
 
 def test_removing_an_absent_operator_exits_2(workspace, capsys):

@@ -17,7 +17,7 @@ from slicenet.game import (
     convexity_probe,
     default_division,
 )
-from slicenet.problem import InfeasibleProblem, solve_lp_oracle
+from slicenet.problem import InfeasibleProblem, solution_from_arrays, solve_lp_oracle
 from slicenet.topology import bottleneck_preset, random_problem
 
 
@@ -96,11 +96,8 @@ def test_inefficient_agreement_rejected():
 def test_infeasible_allocation_has_no_worth():
     problem = bottleneck_preset()
     agreement = default_division(problem)
-    zeroed = replace(
-        agreement,
-        u_hz=tuple(tuple(0.0 for _ in row) for row in agreement.u_hz),
-        alpha=tuple(tuple(0.0 for _ in row) for row in agreement.alpha),
-    )
+    zero = np.zeros(problem.offered.shape)
+    zeroed = replace(agreement, solution=solution_from_arrays(problem, zero, zero, "zero"))
     with pytest.raises(ValueError, match="infeasible"):
         compute_worth(zeroed)
 
@@ -134,7 +131,7 @@ def test_agreement_matches_grand_coalition_solution():
     problem = bottleneck_preset()
     agreement = default_division(problem)
     oracle = solve_lp_oracle(problem)
-    sol = agreement.as_solution()
+    sol = agreement.solution
     assert math.isclose(sol.objective, oracle.objective, rel_tol=1e-9)
     assert math.isclose(agreement.total_allocated(), oracle.objective, rel_tol=1e-9)
 

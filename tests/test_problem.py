@@ -1,6 +1,7 @@
 """Allocation problem model and the centralized reference solver."""
 
 import math
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -43,6 +44,12 @@ def _single_link(min_rate=1e7, access=1.0, budget=2e7, rate=2.0):
         unlicensed_hz=2e7,
         ssg=(frozenset({1}),),
     )
+
+
+def _assert_same_problem(a, b):
+    """Every field of ``a`` equals ``b``'s exactly."""
+    for field in fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 def test_single_link_optimum():
@@ -153,21 +160,22 @@ def test_build_problem_pools_each_links_sharing_groups():
     )
     problem = build_problem(scenario, ESTIMATE)
     assert problem.members == (1, 2, 3)
-    assert problem.mno_budget_hz == (1e7, 2e7, 4e7)
-    assert problem.offered == ((True, True), (True, False), (False, False))
-    assert problem.budget_hz == (3e7, 3e7, 0.0)
-    assert problem.access == (0.5, 1.0, 0.0)  # 1.02 is clamped
-    assert problem.min_rate_bps == ((1e6, 2e6),) * 3
-    assert problem.price_per_bit == ((1e-6, 2e-6), (5e-6, 2e-6), (1e-6, 2e-6))
+    assert problem.mno_budget_hz.tolist() == [1e7, 2e7, 4e7]
+    assert problem.offered.tolist() == [[True, True], [True, False], [False, False]]
+    assert problem.budget_hz.tolist() == [3e7, 3e7, 0.0]
+    assert problem.access.tolist() == [0.5, 1.0, 0.0]  # 1.02 is clamped
+    assert problem.min_rate_bps.tolist() == [[1e6, 2e6]] * 3
+    assert problem.price_per_bit.tolist() == [[1e-6, 2e-6], [5e-6, 2e-6], [1e-6, 2e-6]]
     for variant in ("s1", "s2"):
-        assert build_problem(scenario, ESTIMATE, variant) == as_variant(problem, variant)
+        built = build_problem(scenario, ESTIMATE, variant)
+        _assert_same_problem(built, as_variant(problem, variant))
 
 
 def test_build_problem_without_services():
     problem = build_problem(_market(), ESTIMATE)
-    assert problem.offered == ((), (), ())
-    assert problem.access == (0.0, 0.0, 0.0)
-    assert problem.budget_hz == (0.0, 0.0, 0.0)
+    assert problem.offered.shape == (3, 0)
+    assert problem.access.tolist() == [0.0, 0.0, 0.0]
+    assert problem.budget_hz.tolist() == [0.0, 0.0, 0.0]
     solution = solve_lp_oracle(problem)
     assert solution.objective == 0.0
     assert solution.max_violation() == 0.0
@@ -182,12 +190,12 @@ def test_build_problem_without_services():
 def test_variant_rewrites():
     base = bottleneck_preset()
     s1 = as_variant(base, "s1")
-    assert set(s1.budget_hz) == {0.0}
-    assert s1.access == base.access
+    assert set(s1.budget_hz.tolist()) == {0.0}
+    assert np.array_equal(s1.access, base.access)
     s2 = as_variant(base, "s2")
-    assert set(s2.access) == {0.0}
-    assert s2.budget_hz == base.budget_hz
-    assert as_variant(base, "s3") == base
+    assert set(s2.access.tolist()) == {0.0}
+    assert np.array_equal(s2.budget_hz, base.budget_hz)
+    _assert_same_problem(as_variant(base, "s3"), base)
     with pytest.raises(ValueError):
         as_variant(base, "s9")
 
@@ -210,6 +218,81 @@ def test_restrict_drops_foreign_links_and_pools_donors():
     # alone, a link's pool is only its own operator's band
     assert all(b == base.mno_budget_hz[0] for b in solo.budget_hz)
     assert all(1 in group for group in solo.ssg)
+
+
+def _reference_restrict(problem, coalition):
+    """The fields ``SlicingProblem.restrict`` rebuilds, as first written:
+    a loop over links and slices."""
+    budget_of = dict(zip(problem.members, problem.mno_budget_hz.tolist()))
+    ssg = tuple(g & coalition for g in problem.ssg)
+    keep = [k for k in range(problem.n_links) if problem.link_owner[k] in coalition]
+    offered, access, budget = [], [], []
+    for k in keep:
+        owner = problem.link_owner[k]
+        row = tuple(
+            bool(problem.offered[k][l]) and owner in ssg[l] for l in range(problem.n_services)
+        )
+        donors = set()
+        for l in range(problem.n_services):
+            if row[l]:
+                donors |= ssg[l]
+        offered.append(row)
+        access.append(problem.access[k] if any(row) else 0.0)
+        # in member order; the first form added in the set's order, which
+        # is the same for operator ids below 8
+        budget.append(sum(budget_of[j] for j in problem.members if j in donors))
+    members = tuple(i for i in problem.members if i in coalition)
+    return {
+        "link_ids": tuple(problem.link_ids[k] for k in keep),
+        "members": members,
+        "mno_budget_hz": [budget_of[j] for j in members],
+        "access": access,
+        "budget_hz": budget,
+        "offered": offered,
+        "price_per_bit": [problem.price_per_bit[k].tolist() for k in keep],
+        "ssg": ssg,
+    }
+
+
+def test_restrict_matches_its_loop_form():
+    # random sharing groups, so that links drop slices and donors differ;
+    # budgets are random, so a pooled sum in another order would show,
+    # and with nine operators numpy's own row sum would add in another order
+    rng = np.random.default_rng(3)
+    markets = [
+        replace(problem, ssg=tuple(
+            frozenset(j for j in problem.members if rng.random() < 0.6)
+            for _ in problem.service_ids
+        ))
+        for problem in _MARKETS[::4]
+    ]
+    nine = tuple(range(1, 10))
+    markets.append(SlicingProblem(
+        link_ids=tuple(f"l{j}" for j in nine),
+        link_owner=nine,
+        service_ids=(1,),
+        members=nine,
+        mno_budget_hz=rng.uniform(5e6, 2e7, 9),
+        rate_bps_hz=np.ones(9),
+        access=np.full(9, 0.5),
+        budget_hz=np.zeros(9),
+        offered=np.ones((9, 1), dtype=bool),
+        min_rate_bps=np.zeros((9, 1)),
+        price_per_bit=np.ones((9, 1)),
+        unlicensed_hz=2e7,
+        ssg=(frozenset(nine),),
+    ))
+    for problem in markets:
+        for size in range(1, len(problem.members) + 1):
+            for coalition in map(frozenset, combinations(problem.members, size)):
+                got = problem.restrict(coalition)
+                for field, want in _reference_restrict(problem, coalition).items():
+                    value = getattr(got, field)
+                    if isinstance(value, np.ndarray):
+                        want = np.array(want, dtype=value.dtype).reshape(value.shape)
+                        assert value.tobytes() == want.tobytes(), field
+                    else:
+                        assert value == want, field
 
 
 def test_restrict_to_nonmember_rejected():
@@ -260,6 +343,38 @@ def test_offered_mask_must_cover_airtime_holders():
             unlicensed_hz=2e7,
             ssg=(frozenset({1}),),
         )
+
+
+def test_problem_and_solution_arrays_are_read_only_copies():
+    rate, offered = np.array([2.0]), np.array([[True]])
+    problem = replace(_single_link(), rate_bps_hz=rate, offered=offered)
+    u, alpha = np.array([[1e7]]), np.array([[1.0]])
+    solution = solution_from_arrays(problem, u, alpha, method="manual")
+    # writing to the caller's arrays leaves the problem and solution alone
+    rate[0], offered[0, 0], u[0, 0], alpha[0, 0] = 9.0, False, 0.0, 0.0
+    assert problem.rate_bps_hz.tolist() == [2.0]
+    assert problem.offered.tolist() == [[True]]
+    assert solution.u_hz.tolist() == [[1e7]]
+    assert solution.alpha.tolist() == [[1.0]]
+    numeric = [getattr(problem, name) for name in (
+        "mno_budget_hz", "rate_bps_hz", "access", "budget_hz", "offered",
+        "min_rate_bps", "price_per_bit",
+    )]
+    for array in numeric + [solution.u_hz, solution.alpha]:
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        problem.access[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        solution.u_hz[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rate_bps_hz", (2.0, 2.0)), ("offered", (True,)), ("min_rate_bps", ((1.0, 2.0),))],
+)
+def test_field_of_the_wrong_shape_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must have shape"):
+        replace(_single_link(), **{field: value})
 
 
 def test_access_share_bounds_checked():

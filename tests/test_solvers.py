@@ -182,12 +182,12 @@ def test_link_offering_no_slice_stays_zero():
         base,
         link_ids=base.link_ids + ("m1b2u1",),
         link_owner=base.link_owner + (1,),
-        rate_bps_hz=base.rate_bps_hz + (4.0,),
-        access=base.access + (0.0,),
-        budget_hz=base.budget_hz + (1.0e7,),
-        offered=base.offered + ((False, False),),
-        min_rate_bps=base.min_rate_bps + ((0.0, 0.0),),
-        price_per_bit=base.price_per_bit + ((1.0e-6, 2.0e-6),),
+        rate_bps_hz=np.append(base.rate_bps_hz, 4.0),
+        access=np.append(base.access, 0.0),
+        budget_hz=np.append(base.budget_hz, 1.0e7),
+        offered=np.vstack([base.offered, [False, False]]),
+        min_rate_bps=np.vstack([base.min_rate_bps, [0.0, 0.0]]),
+        price_per_bit=np.vstack([base.price_per_bit, [1.0e-6, 2.0e-6]]),
     )
     oracle = solve_lp_oracle(problem)
     admm, trace = solve_admm(problem)
@@ -195,7 +195,7 @@ def test_link_offering_no_slice_stays_zero():
     assert trace.converged
     assert abs(admm.objective - oracle.objective) <= 1e-4 * abs(oracle.objective)
     for solution in (admm, sub):
-        assert solution.u_hz[2] == (0.0, 0.0) and solution.alpha[2] == (0.0, 0.0)
+        assert solution.u_hz[2].tolist() == [0.0, 0.0] and solution.alpha[2].tolist() == [0.0, 0.0]
         assert solution.max_violation() <= 1e-6
 
 
@@ -364,8 +364,10 @@ def _reference_solve_subgradient(problem, max_iter=500, step_scale=1.0):
 
 
 def _bits(x):
-    """Nested tuples and lists with every float as its exact hex form,
-    so 0.0 and -0.0 differ."""
+    """Arrays, nested tuples and lists with every float as its exact hex
+    form, so 0.0 and -0.0 differ."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
     if isinstance(x, (tuple, list)):
         return tuple(_bits(v) for v in x)
     if isinstance(x, float):

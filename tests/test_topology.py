@@ -75,10 +75,10 @@ def test_bottleneck_preset_shape():
     p = bottleneck_preset()
     assert p.members == (1, 2)
     assert p.link_ids == ("m1b1u1", "m2b1u1")
-    assert p.access == (0.5, 0.5)
-    assert p.mno_budget_hz == (5e6, 5e6)
+    assert p.access.tolist() == [0.5, 0.5]
+    assert p.mno_budget_hz.tolist() == [5e6, 5e6]
     # pooled licensed cap per link is both operators' bands
-    assert p.budget_hz == (1e7, 1e7)
+    assert p.budget_hz.tolist() == [1e7, 1e7]
 
 
 def test_random_problem_always_feasible():
