@@ -14,8 +14,9 @@
 # are kept), game under both division rules and a 1 s sim on
 # scenarios/two_mno_20mhz.yaml, and a min_qos sweep over it whose top
 # floor makes some cells infeasible.  It keeps the exit code and stderr
-# line of three malformed inputs: a scenario with a malformed band field,
-# experiment --values 0 and gen --cell-size 50.  It re-saves the
+# line of five malformed inputs: a scenario with a malformed band field,
+# a scenario whose operator id is 1.5, sim --duration nan, experiment
+# --values 0 and gen --cell-size 50.  It re-saves the
 # committed scenario as JSON (two_mno.json) and checks that mboe on it prints
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
@@ -66,13 +67,20 @@ slicenet experiment --axis min_qos --values 1e6,5e6,4e7 --scenario "$SCENARIO" \
     --table-max-size 4 --table-duration 0.2 --out experiment > experiment.txt
 
 # malformed inputs: the exit code and the stderr line are the output
-# (a scenario whose band has a malformed field exits 3, parameters
-# outside their domain exit 2)
+# (a scenario whose band has a malformed field or whose operator id is
+# not an integer exits 3, a non-finite simulation setting exits 5,
+# parameters outside their domain exit 2)
 cat > bad_band.json <<'JSON'
 {"services": [], "mnos": [], "nodes": [], "links": [],
  "band": {"unlicensed_bandwidth_hz": 2e7, "ssg": {"1": 5}}}
 JSON
+cat > bad_mno_id.json <<'JSON'
+{"services": [], "mnos": [{"id": 1.5, "licensed_bandwidth_hz": 2e7}],
+ "nodes": [], "links": [], "band": {"unlicensed_bandwidth_hz": 2e7}}
+JSON
 for case in "bad_band sim --scenario bad_band.json" \
+    "bad_mno_id mboe --scenario bad_mno_id.json --table table.tsv" \
+    "sim_duration_nan sim --scenario $SCENARIO --duration nan" \
     "experiment_values_0 experiment --axis density --values 0 --out experiment_values_0" \
     "gen_cell_size_50 gen --kind grid --cell-size 50 --out gen_cell_size_50.json"; do
     read -r name command <<< "$case"

@@ -21,6 +21,14 @@ stop being reproducible across seeds.
 All randomness flows from one seeded generator, so identical inputs
 give bit-identical statistics.
 
+The simulator is event driven.  Three heaps of ``(time, index)`` hold
+the next events: transmission ends, counter expiries ("fires") and,
+under Poisson traffic, each contender's next arrival.  An event costs
+O(log n) plus the work on the neighbours it touches, not a scan of all
+n contenders.  Events that share a time are handled in index order
+(finishers, then arrivals, then the batch that fires within one slot),
+so the draws come in the same order as in a scan of every contender.
+
 Access probability of a contender is its fraction of wall time spent
 in successful transmissions, reported raw and normalized against the
 closed-form share of an isolated station with identical parameters
@@ -39,6 +47,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from pathlib import Path
 
@@ -90,6 +99,15 @@ class SimConfig:
     record_timeline: bool = False
 
     def validate(self) -> None:
+        # NaN fails every comparison, so the sign checks below let it
+        # through; a NaN or infinite setting never ends the event loop
+        for name, value in (
+            ("duration", self.duration_s),
+            ("slot time", self.slot_time_s),
+            ("arrival rate", self.arrival_rate_hz),
+        ):
+            if not math.isfinite(value):
+                raise SimConfigError(f"{name} must be finite, got {value}")
         if self.duration_s <= 0:
             raise SimConfigError(f"duration must be positive, got {self.duration_s}")
         if self.slot_time_s <= 0:
@@ -160,6 +178,18 @@ def run_lbt(
 
     ``neighbor_masks[i]`` holds one bit per contender that contender
     ``i`` senses.  Masks must be symmetric and irreflexive.
+
+    The next events sit in three heaps of ``(time, index)``.  An end
+    entry is pushed when its transmission goes on air and never goes
+    stale.  A fire entry is pushed whenever a DIFS restarts and is live
+    only while ``fire_at[i]`` still equals its time, so a freeze just
+    resets ``fire_at`` and the stale entry is dropped when it surfaces.
+    Arrivals keep one entry per contender.  Ties pop in index order
+    (the heap compares the index after the time), and a fire batch is
+    collected into a bitmask and walked from the lowest bit, which also
+    merges the two live entries a freeze and a restart at the same time
+    can leave.  The draws therefore come in the order of a scan over
+    every contender.
     """
     config.validate()
     n = len(specs)
@@ -217,17 +247,21 @@ def run_lbt(
     fire_at = [INF] * n  # finite iff counting with a clear channel
     cwhi = list(HI)
     tx_start = [0.0] * n
-    tx_end = [INF] * n  # finite iff transmitting
+    tx_end = [0.0] * n  # read only while transmitting
     tx_bad = [False] * n
     ready = [0.0] * n  # when the head frame last began contending
     arrivals: list[deque[float]] = [deque() for _ in range(n)]
-    next_arr = [INF] * n
     airtime = [0.0] * n
     ok_count = [0] * n
     bad_count = [0] * n
     contention = [0.0] * n
     queue_wait = [0.0] * n
     timeline: list[tuple[str, float, float, bool]] = []
+    # the event queues, heaps of (time, index): an entry in ``fires`` is
+    # live only while fire_at still holds its time
+    ends: list[tuple[float, int]] = []
+    fires: list[tuple[float, int]] = []
+    arrs: list[tuple[float, int]] = []
 
     for i in range(n):
         if saturated:
@@ -239,27 +273,30 @@ def run_lbt(
                 r = getrandbits(k)
             rem[i] = LO[i] + r
             fire_at[i] = D[i] + rem[i] * slot
+            fires.append((fire_at[i], i))
         else:
-            next_arr[i] = -log(1.0 - uniform()) / rate
+            arrs.append((-log(1.0 - uniform()) / rate, i))
+    heapify(fires)
+    heapify(arrs)
 
     while True:
-        t_end = min(tx_end)
-        t_fire = min(fire_at)
-        t_arr = min(next_arr) if not saturated else INF
+        while fires and fire_at[fires[0][1]] != fires[0][0]:
+            heappop(fires)
+        t_end = ends[0][0] if ends else INF
+        t_fire = fires[0][0] if fires else INF
+        t_arr = arrs[0][0] if arrs else INF
 
         if t_end >= horizon and t_fire >= horizon and t_arr >= horizon:
             break
 
         if t_end <= t_arr and t_end <= t_fire:
             t = t_end
-            # finishers in index order, so the draws keep their order
+            # ties pop in index order, so the draws keep their order
             near = 0
-            i = -1
-            for _ in range(tx_end.count(t)):
-                i = tx_end.index(t, i + 1)
+            while ends and ends[0][0] == t:
+                i = heappop(ends)[1]
                 busy ^= 1 << i
                 near |= 1 << i | masks[i]
-                tx_end[i] = INF
                 if tx_bad[i]:
                     bad_count[i] += 1
                     if doubling:
@@ -292,34 +329,48 @@ def run_lbt(
                 if counting[j] and fire_at[j] == INF and not busy & masks[j]:
                     anchor[j] = t
                     fire_at[j] = t + D[j] + rem[j] * slot
+                    heappush(fires, (fire_at[j], j))
         elif t_arr <= t_fire:
             t = t_arr
-            for i in range(n):
-                if next_arr[i] == t:
-                    arrivals[i].append(t)
-                    next_arr[i] = t + -log(1.0 - uniform()) / rate
-                    if len(arrivals[i]) == 1 and not busy >> i & 1 and not counting[i]:
-                        counting[i] = True
-                        w = cwhi[i] - LO[i] + 1
-                        k = w.bit_length()
+            # pop all that are due before drawing: a zero gap puts the
+            # next arrival at t again, and it must wait for the next event
+            due = []
+            while arrs and arrs[0][0] == t:
+                due.append(heappop(arrs)[1])
+            for i in due:
+                arrivals[i].append(t)
+                heappush(arrs, (t + -log(1.0 - uniform()) / rate, i))
+                if len(arrivals[i]) == 1 and not busy >> i & 1 and not counting[i]:
+                    counting[i] = True
+                    w = cwhi[i] - LO[i] + 1
+                    k = w.bit_length()
+                    r = getrandbits(k)
+                    while r >= w:
                         r = getrandbits(k)
-                        while r >= w:
-                            r = getrandbits(k)
-                        rem[i] = LO[i] + r
-                        ready[i] = t
-                        if not busy & masks[i]:
-                            anchor[i] = t
-                            fire_at[i] = t + D[i] + rem[i] * slot
+                    rem[i] = LO[i] + r
+                    ready[i] = t
+                    if not busy & masks[i]:
+                        anchor[i] = t
+                        fire_at[i] = t + D[i] + rem[i] * slot
+                        heappush(fires, (fire_at[i], i))
         else:
-            t = t_fire
-            # everyone expiring within one window goes on air together
-            limit = t + window
-            batch = [i for i in range(n) if fire_at[i] < limit]
+            # everyone expiring within one window goes on air together;
+            # the mask merges twin live entries and orders the batch
+            limit = t_fire + window
             batch_mask = 0
-            for i in batch:
-                batch_mask |= 1 << i
+            while fires and fires[0][0] < limit:
+                start, i = heappop(fires)
+                if fire_at[i] == start:
+                    batch_mask |= 1 << i
+            busy |= batch_mask
+            batch = []
             near = 0
-            for i in batch:
+            m = batch_mask
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                m ^= low
+                batch.append(i)
                 start = fire_at[i]
                 counting[i] = False
                 tx_start[i] = start
@@ -327,11 +378,11 @@ def run_lbt(
                     tx_end[i] = start + -log(1.0 - uniform()) / LAM[i]
                 else:
                     tx_end[i] = start + HOLD[i]
+                heappush(ends, (tx_end[i], i))
                 tx_bad[i] = bool(batch_mask & masks[i])
                 contention[i] += start - ready[i]
                 fire_at[i] = INF
                 near |= masks[i]
-            busy |= batch_mask
             # bystanders freeze: completed idle slots are banked, the
             # partial slot and all DIFS progress are lost.  Only the
             # batch's neighbours can be counting next to a busy contender.

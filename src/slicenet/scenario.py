@@ -363,20 +363,38 @@ PER_MBIT = 1e-6
 
 def _num(raw: dict, key: str, entity: str, default: float | None = None) -> float:
     """``raw[key]`` as a number; ``default`` stands in for an absent key,
-    and without one the key is required."""
+    and without one the key is required.  Booleans are not numbers."""
     if key not in raw and default is not None:
         return float(default)
+    if isinstance(raw.get(key), bool):
+        raise ScenarioParseError(f"{entity}: field {key!r} is not a number")
     try:
         return float(raw[key])
     except KeyError:
         raise ScenarioParseError(f"{entity}: missing field {key!r}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioParseError(f"{entity}: field {key!r} is not a number") from None
+
+
+def _int(raw: dict, key: str, entity: str, default: int | None = None) -> int:
+    """``raw[key]`` as an integer: an int, or a number with a whole
+    value such as ``1.0``; fractions, infinities and NaN are refused."""
+    value = raw.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _num(raw, key, entity, default)
+    if not number.is_integer():
+        raise ScenarioParseError(f"{entity}: field {key!r} is not an integer, got {number!r}")
+    return int(number)
 
 
 def _position(raw: dict, key: str, entity: str) -> tuple[float, float]:
     pos = raw.get(key)
-    if isinstance(pos, (list, tuple)) and len(pos) == 2:
+    if (
+        isinstance(pos, (list, tuple))
+        and len(pos) == 2
+        and not any(isinstance(x, bool) for x in pos)
+    ):
         try:
             return (float(pos[0]), float(pos[1]))
         except (TypeError, ValueError):
@@ -419,7 +437,7 @@ def _sharing_groups(raw) -> dict[int, frozenset[int]]:
 
 
 def _service_from_dict(raw: dict) -> ServiceType:
-    sid = int(_num(raw, "id", "service"))
+    sid = _int(raw, "id", "service")
     if "min_throughput_bps" in raw:
         floor = _num(raw, "min_throughput_bps", f"service {sid}")
     else:
@@ -432,12 +450,12 @@ def _service_from_dict(raw: dict) -> ServiceType:
 
 
 def _mno_from_dict(raw: dict) -> Mno:
-    mid = int(_num(raw, "id", "mno"))
+    mid = _int(raw, "id", "mno")
     floors: dict[int, float] = {}
     prices: dict[int, float] = {}
     for ov in _entries(raw.get("overrides") or [], f"mno {mid} overrides"):
         entity = f"mno {mid} override"
-        sid = int(_num(ov, "service", entity))
+        sid = _int(ov, "service", entity)
         if "min_throughput_bps" in ov:
             floors[sid] = _num(ov, "min_throughput_bps", entity)
         elif "min_throughput_mbps" in ov:
@@ -466,13 +484,13 @@ def _node_from_dict(raw: dict) -> Node:
         id=nid,
         kind=kind,
         position_m=_position(raw, "position_m", entity),
-        owner=None if raw.get("owner") in (None, WIFI) else int(_num(raw, "owner", entity)),
+        owner=None if raw.get("owner") in (None, WIFI) else _int(raw, "owner", entity),
         tx_power_dbm=_num(raw, "tx_power_dbm", entity, defaults["tx_power_dbm"]),
         cca_threshold_dbm=_num(raw, "cca_threshold_dbm", entity, defaults["cca_threshold_dbm"]),
         noise_floor_dbm=_num(raw, "noise_floor_dbm", entity, defaults["noise_floor_dbm"]),
         difs_s=_num(raw, "difs_s", entity, defaults["difs_s"]),
-        cw_min=int(_num(raw, "cw_min", entity, defaults["cw_min"])),
-        cw_max=int(_num(raw, "cw_max", entity, defaults["cw_max"])),
+        cw_min=_int(raw, "cw_min", entity, defaults["cw_min"]),
+        cw_max=_int(raw, "cw_max", entity, defaults["cw_max"]),
         txop_s=_num(raw, "txop_s", entity, defaults["txop_s"]),
     )
 
@@ -486,7 +504,7 @@ def _link_from_dict(raw: dict) -> Link:
     entity = f"link {lid}"
     return Link(
         id=lid,
-        owner=int(_num(raw, "owner", entity)),
+        owner=_int(raw, "owner", entity),
         node=node,
         ue_position_m=_position(raw, "ue_position_m", entity),
         snr_db=None if raw.get("snr_db") is None else _num(raw, "snr_db", entity),

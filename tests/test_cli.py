@@ -168,6 +168,25 @@ def test_bad_simulation_config_exits_5(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: simulation:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", "--duration", "nan"],
+        ["sim", "--duration", "inf"],
+        ["sim", "--duration", "0.01", "--slot-time", "nan"],
+        ["sim", "--duration", "0.01", "--arrivals", "poisson", "--arrival-rate", "nan"],
+        ["table", "--max-size", "2", "--duration", "nan"],
+    ],
+    ids=["sim-duration-nan", "sim-duration-inf", "sim-slot-nan", "sim-rate-nan", "table-nan"],
+)
+def test_non_finite_simulation_setting_exits_5(workspace, tmp_path, capsys, argv):
+    # rejected before the event loop starts, which would never end
+    scenario, _ = workspace
+    inputs = {"sim": ["--scenario", str(scenario)], "table": ["--out", str(tmp_path / "t.tsv")]}
+    assert main(argv + inputs[argv[0]]) == 5
+    assert capsys.readouterr().err.startswith("error: simulation:")
+
+
 def test_table_miss_without_fallback_exits_5(workspace, tmp_path, capsys):
     scenario, _ = workspace
     # a singletons-only table cannot cover the sensing pair in the scenario

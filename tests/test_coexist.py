@@ -140,6 +140,14 @@ def test_poisson_arrivals_reduce_airtime():
 def test_config_validation():
     with pytest.raises(SimConfigError):
         SimConfig(duration_s=-1.0).validate()
+    for bad in (math.nan, math.inf):
+        for config in (
+            SimConfig(duration_s=bad),
+            SimConfig(slot_time_s=bad),
+            SimConfig(arrivals="poisson", arrival_rate_hz=bad),
+        ):
+            with pytest.raises(SimConfigError, match="finite"):
+                config.validate()
     with pytest.raises(SimConfigError):
         SimConfig(arrivals="bursty").validate()
     with pytest.raises(SimConfigError):
@@ -530,8 +538,14 @@ def test_event_local_simulator_matches_reference(config):
             "uniform-random",
             SimConfig(duration_s=0.03, seed=2, arrivals="poisson", doubling_backoff=True),
         ),
+        # fixed holds end together across many contenders, so the end
+        # queue pops ties that must come out in index order
+        (
+            "two-mno-urban",
+            SimConfig(duration_s=0.1, seed=7, occupancy="fixed", doubling_backoff=True),
+        ),
     ],
-    ids=["urban-saturated", "random-poisson"],
+    ids=["urban-saturated", "random-poisson", "urban-fixed-doubling"],
 )
 def test_event_local_simulator_matches_reference_on_dense_deployments(kind, config):
     # 200 contenders in many overlapping neighbourhoods

@@ -183,6 +183,23 @@ def _link(**fields) -> dict:
         _doc(links=[_link(snr_db="loud")]),
         _doc(links=[_link(owner="x")]),
         _doc(links=[_link(ue_position_m=[0.0, None])]),
+        # integer fields take whole numbers only
+        _doc(mnos=[{"id": 1.5, "licensed_bandwidth_hz": 2e7}]),
+        _doc(mnos=[{"id": "ID", "licensed_bandwidth_hz": 2e7}]).replace('"ID"', "1e999"),
+        _doc(links=[_link(owner=math.nan)]),
+        _doc(nodes=[_node(cw_min=3.7)]),
+        _doc(services=[{"id": 2.5, "min_throughput_bps": 1e6, "price_per_bit": 1e-6}]),
+        _doc(mnos=[{
+            "id": 1,
+            "licensed_bandwidth_hz": 2e7,
+            "overrides": [{"service": 1.5, "price_per_bit": 1e-6}],
+        }]),
+        _doc(nodes=[_node(owner=math.inf)]),
+        _doc(nodes=[_node(cw_max=7.5)]),
+        _doc(nodes=[_node(tx_power_dbm=10**400)]),
+        _doc(services=[{"id": True, "min_throughput_bps": 1e6, "price_per_bit": 1e-6}]),
+        _doc(nodes=[_node(cw_min=False)]),
+        _doc(links=[_link(ue_position_m=[True, 0.0])]),
     ],
     ids=[
         "neither-json-nor-yaml",
@@ -202,6 +219,18 @@ def _link(**fields) -> dict:
         "link-snr-not-a-number",
         "link-owner-not-a-number",
         "link-position-not-numbers",
+        "mno-id-fraction",
+        "mno-id-overflow",
+        "link-owner-nan",
+        "node-cw-min-fraction",
+        "service-id-fraction",
+        "override-service-fraction",
+        "node-owner-infinite",
+        "node-cw-max-fraction",
+        "node-power-overflow",
+        "service-id-boolean",
+        "node-cw-min-boolean",
+        "link-position-boolean",
     ],
 )
 def test_malformed_file_is_a_parse_error(tmp_path, capsys, text):
@@ -211,6 +240,25 @@ def test_malformed_file_is_a_parse_error(tmp_path, capsys, text):
         load_scenario(path)
     assert main(["sim", "--scenario", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: scenario:")
+
+
+def test_integral_numbers_load_as_integers():
+    doc = json.loads(_doc(
+        services=[{"id": 1.0, "min_throughput_bps": 1e6, "price_per_bit": 1e-6}],
+        mnos=[{
+            "id": 1,
+            "licensed_bandwidth_hz": 2e7,
+            "overrides": [{"service": 1.0, "price_per_bit": 2e-6}],
+        }],
+        nodes=[_node(owner=1.0, cw_min=3.0, cw_max="7")],
+        links=[_link(owner=1.0)],
+    ))
+    sc = scenario_from_dict(doc)
+    assert sc.services[0].id == 1 and type(sc.services[0].id) is int
+    assert sc.mnos[0].price_overrides_per_bit == {1: 2e-6}
+    node, link = sc.nodes[0], sc.links[0]
+    assert (node.owner, node.cw_min, node.cw_max, link.owner) == (1, 3, 7, 1)
+    assert all(type(v) is int for v in (node.owner, node.cw_min, node.cw_max, link.owner))
 
 
 def test_dict_round_trip(two_mno_scenario):
