@@ -23,9 +23,12 @@
 # runs mboe, solve (also under s2, with the subgradient, and cut short at 25
 # ADMM iterations) and game (under both division rules) on it with --fallback,
 # checks that out-of-domain solver settings exit 2, and simulates it with a
-# timeline and with Poisson arrivals.  dense.yaml is gen's own output,
-# so it holds JSON text: its bytes differ from checkouts whose gen wrote
-# YAML, while the scenario it describes is the same.
+# timeline and with Poisson arrivals.  Last, it runs mboe strict (exit code
+# and stderr kept) and with --fallback against copies of table.tsv that
+# each lack one row the estimate reads: 1;W;0;0 for dense.yaml and the
+# 2-vertex 2;LW;11;1 for the committed scenario.  dense.yaml is gen's own
+# output, so it holds JSON text: its bytes differ from checkouts whose gen
+# wrote YAML, while the scenario it describes is the same.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -126,3 +129,21 @@ slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --timeline dense_time
     --out dense_sim.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --arrivals poisson \
     --arrival-rate 200 --out dense_sim_poisson.txt
+
+# a table that lacks one row the estimate reads, so the estimate misses
+# inside the table's reach.  dense.yaml reads only 1;W;0;0 (its other
+# components are cliques of 6 and 7 vertices, which fail before any miss
+# without --fallback); the committed scenario reads the 2-vertex row
+# 2;LW;11;1 for its one contending pair
+mboe_missing() {  # NAME SCENARIO KEY
+    awk -F '\t' -v key="$3" '$1 != key' table.tsv > "table_$1.tsv"
+    # exactly that one row is gone
+    [ "$(wc -l < "table_$1.tsv")" -eq $(($(wc -l < table.tsv) - 1)) ]
+    local status=0
+    slicenet mboe --scenario "$2" --table "table_$1.tsv" --out "$1.txt" 2> "$1.err" \
+        || status=$?
+    echo "exit $status" >> "$1.err"
+    slicenet mboe --scenario "$2" --table "table_$1.tsv" --fallback --out "$1_fallback.txt"
+}
+mboe_missing dense_miss_1W dense.yaml "1;W;0;0"
+mboe_missing miss_2LW "$SCENARIO" "2;LW;11;1"

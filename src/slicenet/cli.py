@@ -102,7 +102,7 @@ def _estimates_for(args) -> tuple:
     scenario = load_scenario(args.scenario)
     table = AccessTable.load(args.table)
     graph = build_contention_graph(scenario)
-    est = estimate_access(graph, table, fallback=getattr(args, "fallback", False))
+    est = estimate_access(graph, table, fallback=args.fallback)
     return scenario, table, graph, est
 
 

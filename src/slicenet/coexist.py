@@ -428,44 +428,26 @@ def run_lbt(
 # -- scenario wiring -------------------------------------------------------
 
 
+def _spec(cid: str, tech: str, lbt) -> ContenderSpec:
+    """A contender whose LBT parameters are read from the mapping
+    ``lbt``: a node's fields or a technology's defaults."""
+    return ContenderSpec(cid, tech, lbt["difs_s"], lbt["txop_s"], lbt["cw_min"], lbt["cw_max"])
+
+
 def unlicensed_contenders(scenario: Scenario) -> list[tuple[ContenderSpec, str, int | None]]:
     """Contenders on the shared band: one per operator link plus one per
     Wi-Fi access point that serves no link.  Returns (spec, serving
     node id, owner)."""
     out = []
-    serving = {l.node for l in scenario.links}
     for l in scenario.links:
         node = scenario.node(l.node)
-        out.append(
-            (
-                ContenderSpec(
-                    id=l.id,
-                    tech=node.kind,
-                    difs_s=node.difs_s,
-                    txop_s=node.txop_s,
-                    cw_min=node.cw_min,
-                    cw_max=node.cw_max,
-                ),
-                node.id,
-                l.owner,
-            )
-        )
-    for node in scenario.nodes:
-        if node.kind == WIFI and node.id not in serving:
-            out.append(
-                (
-                    ContenderSpec(
-                        id=node.id,
-                        tech=WIFI,
-                        difs_s=node.difs_s,
-                        txop_s=node.txop_s,
-                        cw_min=node.cw_min,
-                        cw_max=node.cw_max,
-                    ),
-                    node.id,
-                    None,
-                )
-            )
+        out.append((_spec(l.id, node.kind, vars(node)), node.id, l.owner))
+    serving = {l.node for l in scenario.links}
+    out += [
+        (_spec(node.id, WIFI, vars(node)), node.id, None)
+        for node in scenario.nodes
+        if node.kind == WIFI and node.id not in serving
+    ]
     return out
 
 
@@ -513,19 +495,7 @@ def run_coexistence(scenario: Scenario, config: SimConfig) -> SimOutcome:
 def simulate_graph(graph: ContentionGraph, config: SimConfig) -> SimOutcome:
     """Simulate an abstract contention graph with per-technology LBT
     defaults."""
-    specs = []
-    for v in graph.vertices:
-        p = NODE_DEFAULTS[v.tech]
-        specs.append(
-            ContenderSpec(
-                id=v.id,
-                tech=v.tech,
-                difs_s=p["difs_s"],
-                txop_s=p["txop_s"],
-                cw_min=p["cw_min"],
-                cw_max=p["cw_max"],
-            )
-        )
+    specs = [_spec(v.id, v.tech, NODE_DEFAULTS[v.tech]) for v in graph.vertices]
     return run_lbt(specs, graph.adjacency_masks(), config)
 
 

@@ -101,16 +101,6 @@ class ContentionGraph:
             edges=frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
 
-    def complement(self) -> "ContentionGraph":
-        ids = self.ids
-        comp = {
-            tuple(sorted((a, b)))
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-            if not self.has_edge(a, b)
-        }
-        return ContentionGraph(vertices=self.vertices, edges=frozenset(comp))
-
     def adjacency_masks(self) -> list[int]:
         """Neighbor bitmasks in vertex order."""
         index = {v.id: i for i, v in enumerate(self.vertices)}
@@ -194,7 +184,13 @@ def independence_number(graph: ContentionGraph) -> int:
 
 def clique_number(graph: ContentionGraph) -> int:
     """Largest mutually-sensing group; independence number of the complement."""
-    return independence_number(graph.complement())
+    n = len(graph.vertices)
+    if n > MIS_MAX_VERTICES:
+        raise GraphTooLargeError(n, MIS_MAX_VERTICES, "independence number")
+    full = (1 << n) - 1
+    # complement masks: every other vertex that is not a neighbor
+    masks = [full & ~(m | 1 << i) for i, m in enumerate(graph.adjacency_masks())]
+    return _independence_number(masks, full)
 
 
 def maximum_independent_sets(graph: ContentionGraph) -> list[tuple[str, ...]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .coexist import SimConfig, build_contention_graph, measure_table
 from .contention import CANONICAL_MAX_VERTICES
-from .mboe import estimate_access
+from .mboe import PROV_FALLBACK, estimate_access
 from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import Scenario, load_scenario
 from .solvers import solve_admm
@@ -156,7 +156,7 @@ def run_experiment(plan: ExperimentPlan) -> list[ResultRow]:
         scenario = _scenario_at(plan, value)
         graph = build_contention_graph(scenario)
         estimates = estimate_access(graph, table, fallback=True)
-        fb = sum(1 for p in estimates.provenance.values() if p == "fallback")
+        fb = sum(1 for p in estimates.provenance.values() if p == PROV_FALLBACK)
         for variant in plan.variants:
             rows.append(
                 _run_cell(plan, out, scenario, estimates, fb, value, variant)

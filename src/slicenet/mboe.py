@@ -3,18 +3,23 @@
 An operator that knows which transmitters its links sense can predict
 each link's share of the unlicensed channel from a small table of
 measured contention subgraphs.  Every connected component of its
-one-hop contention view that the table stores is read off directly.
-A component too large to be stored is reduced first:
+one-hop contention view is served in one order:
 
-1. enumerate its maximum independent sets (the states the contention
-   process actually dwells in),
-2. drop vertices that appear in none of them (they are dominated and
-   rarely hold the channel),
-3. look up each surviving connected piece in the table.
-
-Dominated vertices still get an estimate: they are looked up inside
-the subgraph induced by themselves plus the surviving pieces they
-sense, which is exactly the contention they face in practice.
+1. a component the table could hold (up to its largest entry) is
+   read off its entry;
+2. any other component, or one whose entry is missing, is pruned:
+   its maximum independent sets (the states the contention process
+   actually dwells in) are enumerated and vertices in none of them
+   are dropped (they are dominated and rarely hold the channel); each
+   surviving connected piece is read off the table;
+3. a dominated vertex is read off the entry of the subgraph induced
+   by itself plus the surviving pieces it senses, which is exactly
+   the contention it faces in practice;
+4. a piece or neighborhood the table misses, and a component above
+   ``MIS_MAX_VERTICES`` vertices (too large to prune exactly), gets
+   the equal share when fallback is allowed: 1 over its clique
+   number, exact up to ``MIS_MAX_VERTICES`` vertices and a greedy
+   lower bound above.  Without fallback such a miss is an error.
 
 The value-of-rights report monetizes the difference between such
 estimates with and without a set of operators present on the band.
@@ -94,9 +99,10 @@ def prune_to_mis(graph: ContentionGraph) -> ContentionGraph:
 class AccessEstimate:
     """Per-vertex channel-access estimates with their provenance.
 
-    Provenance is ``table`` for a direct component lookup, ``pruned``
-    for a dominated vertex estimated inside its local neighborhood,
-    and ``fallback`` for the equal-share heuristic on graphs the table
+    Provenance is ``table`` for a vertex read off the entry of its
+    component or of its piece that survives pruning, ``pruned`` for a
+    dominated vertex read off the entry of its local neighborhood, and
+    ``fallback`` for the equal-share heuristic on graphs the table
     cannot cover.
     """
 
@@ -120,6 +126,8 @@ def _greedy_clique_number(graph: ContentionGraph) -> int:
 
 
 def _equal_share(comp: ContentionGraph):
+    # 1 over the clique number: exact up to MIS_MAX_VERTICES, a greedy
+    # lower bound above
     try:
         cliques = clique_number(comp)
     except GraphTooLargeError:
@@ -128,93 +136,49 @@ def _equal_share(comp: ContentionGraph):
     return {v.id: share for v in comp.vertices}, PROV_FALLBACK
 
 
-def _table_reach(table: AccessTable) -> int:
-    """Largest component the table can serve: its largest entry, as
-    far as canonical labeling goes."""
-    largest = max((e.size for e in table.entries.values()), default=0)
-    return min(largest, CANONICAL_MAX_VERTICES)
-
-
-def _read_table(comp: ContentionGraph, form, entry) -> dict[str, float]:
-    return {v.id: entry.access[form.to_canon[i]] for i, v in enumerate(comp.vertices)}
-
-
-def _lookup_component(
-    comp: ContentionGraph, table: AccessTable, reach: int, fallback: bool, form=None
-):
-    """Per-vertex access of a connected graph from the table, or the
-    equal-share heuristic when allowed.  ``form`` is the graph's
-    canonical form when the caller has it already."""
-    n = len(comp.vertices)
-    if n <= reach or (not fallback and n <= CANONICAL_MAX_VERTICES):
-        # past the table's reach, labeled only to name the missing key
-        form = form if form is not None else canonical_form(comp)
-        entry = table.lookup(form)
-        if entry is not None:
-            return _read_table(comp, form, entry), PROV_TABLE
-        if not fallback:
-            raise TableMissError(form.key)
-    elif not fallback:
-        raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "table lookup")
-    return _equal_share(comp)
-
-
 def _estimate_component(
-    comp: ContentionGraph,
-    table: AccessTable,
-    reach: int,
-    fallback: bool,
-    access: dict[str, float],
-    prov: dict[str, str],
-) -> None:
-    # a component the table stores is read off as measured; reduction
-    # below only approximates that measurement, so it is a last resort
+    graph: ContentionGraph, table: AccessTable, reach: int, fallback: bool, prune: bool = True
+) -> tuple[dict[str, float], dict[str, str]]:
+    """Per-vertex access and provenance of a connected graph: a whole
+    component, or (``prune`` off) a piece that survives its pruning or
+    a dominated vertex's neighborhood in it."""
+    n = len(graph.vertices)
     form = None
-    if len(comp.vertices) <= reach:
-        form = canonical_form(comp)
+    if n <= reach:
+        form = canonical_form(graph)
         entry = table.lookup(form)
         if entry is not None:
-            for vid, x in _read_table(comp, form, entry).items():
-                access[vid] = x
-                prov[vid] = PROV_TABLE
-            return
-    if fallback and len(comp.vertices) > MIS_MAX_VERTICES:
-        # too large to prune exactly: the equal share is all there is
-        vals, kind = _equal_share(comp)
+            access = {v.id: entry.access[form.to_canon[i]] for i, v in enumerate(graph.vertices)}
+            return access, dict.fromkeys(access, PROV_TABLE)
+    # a piece or neighborhood is not pruned again, and a component
+    # above MIS_MAX_VERTICES cannot be pruned exactly
+    if fallback and (not prune or n > MIS_MAX_VERTICES):
+        access, kind = _equal_share(graph)
+        return access, dict.fromkeys(access, kind)
+    if not prune:
+        if n > CANONICAL_MAX_VERTICES:
+            raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "table lookup")
+        # past the table's reach, labeled only to name the missing key
+        raise TableMissError((form or canonical_form(graph)).key)
+
+    access, prov = {}, {}
+    pieces = []
+    for piece in prune_to_mis(graph).components():
+        vals, kinds = _estimate_component(piece, table, reach, fallback, prune=False)
         access.update(vals)
-        prov.update(dict.fromkeys(vals, kind))
-        return
-
-    pruned = prune_to_mis(comp)
-    survivors = set(pruned.ids)
-    pieces = pruned.components()
-    whole = len(survivors) == len(comp.vertices)
-    for piece in pieces:
-        # pruning that drops nothing leaves the component, form and all
-        vals, kind = _lookup_component(
-            piece, table, reach, fallback, form if whole else None
-        )
-        for vid, x in vals.items():
-            access[vid] = x
-            prov[vid] = kind
-
-    piece_of = {}
-    for ci, piece in enumerate(pieces):
-        for vid in piece.ids:
-            piece_of[vid] = ci
-    for v in comp.vertices:
-        if v.id in survivors:
-            continue
+        prov.update(kinds)
+        pieces.append(set(piece.ids))
+    dominated = [v.id for v in graph.vertices if v.id not in access]
+    for vid in dominated:
         # a dominated vertex contends with the surviving pieces it
         # senses; estimate it inside that induced neighborhood
-        touched = {piece_of[u] for u in comp.neighbors(v.id) if u in survivors}
-        local = {v.id}
-        for ci in touched:
-            local.update(pieces[ci].ids)
-        sub = comp.induced(local)
-        vals, kind = _lookup_component(sub, table, reach, fallback)
-        access[v.id] = vals[v.id]
-        prov[v.id] = PROV_PRUNED if kind == PROV_TABLE else PROV_FALLBACK
+        local = {vid}.union(*(p for p in pieces if p & graph.neighbors(vid)))
+        vals, kinds = _estimate_component(
+            graph.induced(local), table, reach, fallback, prune=False
+        )
+        access[vid] = vals[vid]
+        prov[vid] = PROV_PRUNED if kinds[vid] == PROV_TABLE else PROV_FALLBACK
+    return access, prov
 
 
 def estimate_access(
@@ -222,18 +186,32 @@ def estimate_access(
 ) -> AccessEstimate:
     """Estimate every vertex's channel access from the measured table.
 
-    Raises ``TableMissError`` (naming the canonical key) or
-    ``GraphTooLargeError`` when a lookup cannot be served and
-    ``fallback`` is off; with ``fallback`` on, uncovered components
-    get the clique-number reciprocal, flagged in the provenance.
-    Components larger than the table's largest entry are never
-    labeled when ``fallback`` is on: no entry could match them.
+    Each connected component is served in one order.  A component the
+    table could hold (up to its largest entry, at most
+    ``CANONICAL_MAX_VERTICES``) is labeled and read off its entry.  Any
+    other component, or one whose entry is missing, is pruned to its
+    maximum independent sets; each surviving piece, and each dominated
+    vertex's neighborhood, is then read off the table in the same way.
+    Where that misses, ``fallback`` gives the equal share, flagged in
+    the provenance: 1 over the clique number, exact up to
+    ``MIS_MAX_VERTICES`` vertices and a greedy lower bound above.  A
+    component above ``MIS_MAX_VERTICES`` cannot be pruned exactly and,
+    with ``fallback``, gets the equal share whole.  Without
+    ``fallback`` a miss raises ``TableMissError`` (naming the canonical
+    key) or ``GraphTooLargeError``.  Graphs larger than the table's
+    largest entry are never labeled with ``fallback`` on: no entry
+    could match them.
     """
+    # the largest graph the table can serve, as far as labeling goes
+    reach = min(
+        max((e.size for e in table.entries.values()), default=0), CANONICAL_MAX_VERTICES
+    )
     access: dict[str, float] = {}
     prov: dict[str, str] = {}
-    reach = _table_reach(table)
     for comp in graph.components():
-        _estimate_component(comp, table, reach, fallback, access, prov)
+        vals, kinds = _estimate_component(comp, table, reach, fallback)
+        access.update(vals)
+        prov.update(kinds)
     return AccessEstimate(access=access, provenance=prov)
 
 

@@ -1,5 +1,7 @@
 """Table-driven access estimation: pruning, provenance, counterfactuals."""
 
+from dataclasses import replace
+
 import pytest
 
 import slicenet.mboe as mboe
@@ -280,3 +282,39 @@ def test_misses_without_fallback_name_the_same_key(table3):
         with pytest.raises(error) as old:
             _reference_estimate(graph, table3, False)
         assert str(new.value) == str(old.value)
+
+
+def _without(table, graph):
+    """A copy of ``table`` that lacks the entry of ``graph``."""
+    key = canonical_form(graph).key
+    entries = {k: e for k, e in table.entries.items() if k != key}
+    assert len(entries) == len(table.entries) - 1
+    return replace(table, entries=entries)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["strict", "fallback"])
+@pytest.mark.parametrize(
+    "graph, missing",
+    [
+        # the component's own entry is gone; pruning keeps both
+        # vertices, so its one piece is the component again
+        (_path(["a", "b"]), _path(["a", "b"])),
+        # the pieces a, c and e are in the table, but the 3-path that
+        # is each dominated vertex's neighborhood is not
+        (_path(["a", "b", "c", "d", "e"]), _path(["a", "b", "c"])),
+    ],
+    ids=["component", "neighborhood"],
+)
+def test_entry_missing_inside_the_reach(graph, missing, fallback, table3):
+    table = _without(table3, missing)
+    if not fallback:
+        with pytest.raises(TableMissError) as new:
+            estimate_access(graph, table)
+        with pytest.raises(TableMissError) as old:
+            _reference_estimate(graph, table, False)
+        assert new.value.key == canonical_form(missing).key
+        assert str(new.value) == str(old.value)
+        return
+    est = estimate_access(graph, table, fallback=True)
+    assert (est.access, est.provenance) == _reference_estimate(graph, table, True)
+    assert "fallback" in est.provenance.values()
