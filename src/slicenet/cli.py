@@ -6,8 +6,9 @@ and diffed.  Errors print one ``error: {category}: {message}`` line to
 stderr and map to stable exit codes:
 
     0  success
-    2  usage (argparse, solver settings such as --gamma 0, and experiment
-       and gen parameters outside their domain)
+    2  usage (argparse, solver settings such as --gamma 0, a table
+       --max-size outside 1..6, and experiment and gen parameters outside
+       their domain)
     3  scenario file problems
     4  infeasible allocation problem
     5  simulation or estimation inputs unusable
@@ -30,7 +31,7 @@ from .coexist import (
     measure_table,
     run_coexistence,
 )
-from .contention import GraphTooLargeError
+from .contention import CANONICAL_MAX_VERTICES, GraphTooLargeError
 from .experiments import AXES, ExperimentPlan, run_experiment
 from .game import check_core, compute_worth, default_division
 from .mboe import TableMissError, estimate_access, remove_mno
@@ -142,6 +143,10 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    # enumeration and canonical labeling stop at CANONICAL_MAX_VERTICES
+    if not 1 <= args.max_size <= CANONICAL_MAX_VERTICES:
+        message = f"--max-size must be within 1..{CANONICAL_MAX_VERTICES}, got {args.max_size}"
+        return _fail("usage", message, EXIT_USAGE)
     config = SimConfig(
         duration_s=args.duration,
         seed=args.seed,

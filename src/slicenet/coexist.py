@@ -658,8 +658,11 @@ def measure_table(
     the canonical key, so the table is independent of enumeration
     order and of how the entries are spread over processes: they are
     measured on every usable CPU.  With ``cache_dir`` set, a previously
-    measured table with identical parameters is reused from disk.
+    measured table with identical parameters is reused from disk.  A
+    ``max_size`` below 1 raises ``ValueError``.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     config.validate()
     table = AccessTable(
         max_size=max_size,

@@ -186,7 +186,7 @@ def clique_number(graph: ContentionGraph) -> int:
     """Largest mutually-sensing group; independence number of the complement."""
     n = len(graph.vertices)
     if n > MIS_MAX_VERTICES:
-        raise GraphTooLargeError(n, MIS_MAX_VERTICES, "independence number")
+        raise GraphTooLargeError(n, MIS_MAX_VERTICES, "clique number")
     full = (1 << n) - 1
     # complement masks: every other vertex that is not a neighbor
     masks = [full & ~(m | 1 << i) for i, m in enumerate(graph.adjacency_masks())]
@@ -309,21 +309,9 @@ def canonical_form(graph: ContentionGraph) -> CanonicalForm:
     for pos, i in enumerate(base):
         to_canon[i] = pos
 
-    # positions related by any two minimizing relabelings share an orbit
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for arr in best_arrangements[1:]:
-        for pos in range(n):
-            a, b = find(pos), find(to_canon[arr[pos]])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    orbits = tuple(find(p) for p in range(n))
+    # the minimizing relabelings are the base one composed with every
+    # automorphism, so the positions they send p to are p's orbit
+    orbits = tuple(min(to_canon[arr[p]] for arr in best_arrangements) for p in range(n))
 
     return CanonicalForm(
         key=key,

@@ -21,10 +21,12 @@ results bit for bit, signed zeros included.
 
 Each public projection is its input checks followed by an unchecked
 core (:func:`capped_simplex_rows`, :func:`budget_box_rows`) that holds
-the only copy of its math.  A solver whose totals, budgets and masks
-are fixed for the whole solve checks them once
-(:func:`feasible_totals`, :func:`check_budgets`) and then calls the
-cores directly.
+the only copy of its math.  The solvers' totals, budgets and masks are
+fixed for the whole solve, so ``solvers._Scaled`` checks them once
+(:func:`feasible_totals`, :func:`check_budgets`); the cores are then
+called by the ADMM block functions (``solvers.alpha_subproblem`` and
+``solvers.w_subproblem``) and by the repair's per-link projection.  The
+public projections are the checked entry points for any other caller.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ scaled dual ties them together.  Each X update touches one link's own
 prices, rates, and entitlements only; the consensus side works purely
 on (Z, dual) blocks plus the per-pair QoS bounds.  That boundary is
 what lets operators run the per-link updates locally without shipping
-their tariffs to the coordinator, and the test suite enforces it
-structurally.  Here every link's update runs in one batched call over
-dense ``(links, slices)`` rows, each row reading only its own link's
-data.
+their tariffs to the coordinator.  Every link's update runs in one
+batched call of :func:`alpha_subproblem` and :func:`w_subproblem` over
+dense ``(links, slices)`` rows, and ``test_link_updates_take_only_local_state``
+checks the boundary on these functions, so on the update that runs:
+each takes only link-local parameters, and other links' rows never
+change a link's updated row.
 
 A projected dual subgradient method on the same split serves as the
 baseline; both report per-iteration traces of their own iterates'
@@ -40,6 +42,11 @@ from .projections import (
     project_budget_box,
     project_capped_simplex_eq,
 )
+
+#: bound here only for the benchmark tracer's projections layer
+#: (``slicebench/spans.py``), which wraps these names in this module;
+#: no solver calls them
+TRACED_PROJECTIONS = (project_capped_simplex_eq, project_budget_box)
 
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
@@ -76,32 +83,27 @@ def check_settings(
 # subproblems (exact, closed form)
 
 
-def alpha_subproblem(z_block, dual_block, gamma: float, xi_budget, gains) -> np.ndarray:
+def alpha_subproblem(z, dual, gamma: float, total, absent, gains) -> np.ndarray:
     """Each link's airtime split against the current consensus point.
 
     Minimizes ``-gains . a + (gamma/2) ||a - z + dual||^2`` over the
-    capped simplex ``{sum a = xi_budget, 0 <= a <= 1}``; the linear
-    term folds into the projection target, so the minimizer is exact.
-    A block is one link's slices or a stack of links, one row each,
-    with ``xi_budget`` per row; a NaN gain marks a slice the link does
-    not offer, whose share stays 0.
+    capped simplex ``{sum a = total, 0 <= a <= 1}``; the linear term
+    folds into the projection target, so the minimizer is exact.  One
+    row per link, ``total`` as :func:`feasible_totals` clips it, and
+    ``absent`` (NaN gains) marking the slices a link does not offer,
+    whose share stays 0.
     """
-    z = np.asarray(z_block, dtype=float)
-    lam = np.asarray(dual_block, dtype=float)
-    g = np.asarray(gains, dtype=float)
-    return project_capped_simplex_eq(z - lam + g / gamma, xi_budget, cap=1.0)
+    return capped_simplex_rows(z - dual + gains / gamma, total, absent, 1.0)
 
 
-def w_subproblem(z_block, dual_block, gamma: float, budget, gains) -> np.ndarray:
+def w_subproblem(z, dual, gamma: float, budget, absent, gains) -> np.ndarray:
     """Each link's licensed draw against the current consensus point.
 
-    Same quadratic form and block layout as :func:`alpha_subproblem`,
-    minimized over ``{sum u <= budget, u >= 0}``.
+    Same quadratic form and rows as :func:`alpha_subproblem`, minimized
+    over ``{sum u <= budget, u >= 0}`` with budgets that passed
+    :func:`check_budgets`.
     """
-    z = np.asarray(z_block, dtype=float)
-    lam = np.asarray(dual_block, dtype=float)
-    g = np.asarray(gains, dtype=float)
-    return project_budget_box(z - lam + g / gamma, budget)
+    return budget_box_rows(z - dual + gains / gamma, budget, absent, math.inf)
 
 
 def z_projection(u_block, alpha_block, dual_u, dual_alpha, band_ratio: float, qos_bound):
@@ -340,10 +342,8 @@ def solve_admm(
     for first in range(1, max_iter + 1, block):
         residuals = []
         for k in range(min(block, max_iter + 1 - first)):
-            # alpha_subproblem and w_subproblem, on the totals checked
-            # once in _Scaled
-            xa = capped_simplex_rows(za - la + gain_a / gamma, s.xi_total, s.absent, 1.0)
-            xu = budget_box_rows(zu - lu + gain_u / gamma, s.budget, s.absent, math.inf)
+            xa = alpha_subproblem(za, la, gamma, s.xi_total, s.absent, gain_a)
+            xu = w_subproblem(zu, lu, gamma, s.budget, s.absent, gain_u)
             zu_prev, za_prev = zu, za
             # every pair a link does not offer stays at 0 in x, z and
             # the dual, so z needs no masking

@@ -261,8 +261,11 @@ def test_malformed_list_exits_2(capsys, argv):
         ["experiment", "--axis", "density", "--values", "1", "--scenario", "sc.json"],
         ["gen", "--kind", "grid", "--cell-size", "50"],
         ["gen", "--kind", "grid", "--mnos", "0"],
+        ["table", "--max-size", "0"],
+        ["table", "--max-size", "7"],
     ],
-    ids=["values-0", "table-max-size-9", "scenario-density", "cell-size-50", "mnos-0"],
+    ids=["values-0", "table-max-size-9", "scenario-density", "cell-size-50", "mnos-0",
+         "max-size-0", "max-size-7"],
 )
 def test_parameter_outside_its_domain_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -604,9 +604,14 @@ def test_pooled_table_equals_serial_entries(cpus, monkeypatch):
     assert seen == [(i + 1, len(forms), f.key) for i, f in enumerate(forms)]
 
 
-def test_measure_table_rejects_bad_config_up_front():
+def test_measure_table_rejects_bad_config_up_front(tmp_path):
     with pytest.raises(SimConfigError):
         measure_table(2, SimConfig(duration_s=0.0))
+    # a size below 1 would give an empty table
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="max_size must be at least 1"):
+            measure_table(size, SimConfig(duration_s=0.2), cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_key_covers_defaults_and_stream(tmp_path, monkeypatch):

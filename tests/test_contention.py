@@ -1,14 +1,18 @@
 """Exact graph machinery: independent sets, canonical labels, enumeration."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from slicenet.contention import (
     _SKELETONS,
     CANONICAL_MAX_VERTICES,
+    MIS_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
     Vertex,
+    _pair_bit,
     canonical_form,
     clique_number,
     enumerate_connected_colored_graphs,
@@ -140,6 +144,36 @@ def test_enumeration_keys_unique_and_round_trip():
         assert canonical_form(g).key == form.key
 
 
+def _brute_force_orbits(size, colors, edge_bits):
+    """Smallest position each position reaches under the color- and
+    edge-preserving permutations of the canonical graph."""
+    edges = {
+        (i, j)
+        for i in range(size)
+        for j in range(i + 1, size)
+        if edge_bits >> _pair_bit(i, j, size) & 1
+    }
+    orbits = list(range(size))
+    for perm in permutations(range(size)):
+        if all(colors[perm[i]] == colors[i] for i in range(size)) and edges == {
+            tuple(sorted((perm[i], perm[j]))) for i, j in edges
+        }:
+            orbits = [min(o, perm[p]) for p, o in enumerate(orbits)]
+    return tuple(orbits)
+
+
+def test_orbits_match_brute_force():
+    # in canonical vertex order and in reversed order, which relabels
+    # every graph of two or more vertices
+    for form in enumerate_connected_colored_graphs(5):
+        want = _brute_force_orbits(form.size, form.colors, form.edge_bits)
+        g = graph_from_canonical(form.size, form.colors, form.edge_bits)
+        reversed_g = ContentionGraph.build(g.vertices[::-1], g.edges)
+        assert form.orbits == want, form.key
+        assert canonical_form(g).orbits == want, form.key
+        assert canonical_form(reversed_g).orbits == want, form.key
+
+
 def test_size_limits():
     big = ContentionGraph.build(
         [Vertex(f"v{i}", "laa", 1) for i in range(CANONICAL_MAX_VERTICES + 1)],
@@ -149,6 +183,13 @@ def test_size_limits():
         canonical_form(big)
     with pytest.raises(GraphTooLargeError):
         enumerate_connected_colored_graphs(CANONICAL_MAX_VERTICES + 1)
+    beyond = ContentionGraph.build(
+        [Vertex(f"v{i}", "laa", 1) for i in range(MIS_MAX_VERTICES + 1)], []
+    )
+    with pytest.raises(GraphTooLargeError, match="^clique number supports at most 20 "):
+        clique_number(beyond)
+    with pytest.raises(GraphTooLargeError, match="^independence number supports at most 20 "):
+        independence_number(beyond)
 
 
 def test_graph_validation():

@@ -11,7 +11,7 @@ import pytest
 
 from slicenet import solvers
 from slicenet.problem import VARIANTS, as_variant, solve_lp_oracle
-from slicenet.projections import project_budget_box, project_capped_simplex_eq
+from slicenet.projections import feasible_totals, project_budget_box, project_capped_simplex_eq
 from slicenet.solvers import (
     REPAIR_MAX_ROUNDS,
     REPAIR_TOL,
@@ -120,24 +120,66 @@ def test_admm_usually_reaches_gap_first():
 
 def test_link_updates_take_only_local_state():
     # the per-link solves must stay expressible in link-local data:
-    # consensus blocks, the penalty, and that link's own parameters
-    for fn, params in (
-        (alpha_subproblem, {"z_block", "dual_block", "gamma", "xi_budget", "gains"}),
-        (w_subproblem, {"z_block", "dual_block", "gamma", "budget", "gains"}),
-    ):
+    # consensus rows, the penalty, and that link's own total, offered
+    # slices and gains
+    for fn, total in ((alpha_subproblem, "total"), (w_subproblem, "budget")):
+        params = {"z", "dual", "gamma", total, "absent", "gains"}
         assert set(inspect.signature(fn).parameters) == params
+    # and each link's row of the update, as solve_admm runs it, reads only
+    # that link's rows: redrawing every other link's rows leaves it bit
+    # for bit the same
+    rng = np.random.default_rng(25)
+
+    def draw(n, m):
+        """z, dual, airtime total, budget, absent and gains, one row a link."""
+        offered = rng.random((n, m)) < 0.7
+        count = offered.sum(axis=1)
+        return (
+            rng.uniform(-0.5, 1.5, (n, m)),
+            rng.uniform(-0.5, 0.5, (n, m)),
+            feasible_totals(rng.uniform(0.0, 1.0, n) * count, count, 1.0),
+            rng.uniform(0.0, 1.5, n),
+            ~offered,
+            np.where(offered, rng.uniform(0.0, 2.0, (n, m)), np.nan),
+        )
+
+    for _ in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        gamma = float(rng.uniform(0.2, 3.0))
+        link = int(rng.integers(n))
+        mine = draw(n, m)
+        theirs = draw(n, m)
+        for a, b in zip(mine, theirs):
+            b[link] = a[link]
+        z, dual, total, budget, absent, gains = mine
+        z2, dual2, total2, budget2, absent2, gains2 = theirs
+        for want, got in (
+            (
+                alpha_subproblem(z, dual, gamma, total, absent, gains),
+                alpha_subproblem(z2, dual2, gamma, total2, absent2, gains2),
+            ),
+            (
+                w_subproblem(z, dual, gamma, budget, absent, gains),
+                w_subproblem(z2, dual2, gamma, budget2, absent2, gains2),
+            ),
+        ):
+            assert got[link].tobytes() == want[link].tobytes()
 
 
 def test_alpha_subproblem_is_projection():
     out = alpha_subproblem(
-        np.array([1.5, 0.1]), np.zeros(2), 1.0, 1.0, np.zeros(2)
+        np.array([[1.5, 0.1]]), np.zeros((1, 2)), 1.0, np.array([1.0]),
+        np.zeros((1, 2), bool), np.zeros((1, 2)),
     )
-    assert np.allclose(out, [1.0, 0.0])
+    assert np.allclose(out, [[1.0, 0.0]])
     assert math.isclose(out.sum(), 1.0, abs_tol=1e-12)
 
 
 def test_w_subproblem_respects_budget():
-    out = w_subproblem(np.array([3.0, 2.0]), np.zeros(2), 1.0, 4.0, np.zeros(2))
+    out = w_subproblem(
+        np.array([[3.0, 2.0]]), np.zeros((1, 2)), 1.0, np.array([4.0]),
+        np.zeros((1, 2), bool), np.zeros((1, 2)),
+    )
     assert out.sum() <= 4.0 + 1e-9
     assert np.all(out >= 0.0)
 
@@ -150,13 +192,17 @@ def test_subproblems_accept_stacked_blocks():
     gains = rng.uniform(0.0, 2.0, (5, 3))
     offered = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 0]], bool)
     padded = np.where(offered, gains, np.nan)
-    xi, budget = rng.uniform(0.0, 1.0, 5), rng.uniform(0.1, 1.0, 5)
+    xi = feasible_totals(rng.uniform(0.0, 1.0, 5), offered.sum(axis=1), 1.0)
+    budget = rng.uniform(0.1, 1.0, 5)
     for fn, totals in ((alpha_subproblem, xi), (w_subproblem, budget)):
-        stacked = fn(z, lam, 0.7, totals, padded)
+        stacked = fn(z, lam, 0.7, totals, ~offered, padded)
         assert np.all(stacked[~offered] == 0.0)
         for k, row in enumerate(offered):
-            one = fn(z[k, row], lam[k, row], 0.7, totals[k], gains[k, row])
-            assert np.array_equal(stacked[k, row], one)
+            one = fn(
+                z[k:k + 1, row], lam[k:k + 1, row], 0.7, totals[k:k + 1],
+                np.zeros((1, row.sum()), bool), gains[k:k + 1, row],
+            )
+            assert np.array_equal(stacked[k, row], one[0])
 
 
 def test_z_projection_enforces_qos_bound():
@@ -283,8 +329,8 @@ def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
     eps = tol * math.sqrt(s.dim)
 
     for it in range(1, max_iter + 1):
-        xa = alpha_subproblem(za, la, gamma, s.xi, gain_a)
-        xu = w_subproblem(zu, lu, gamma, s.budget, gain_u)
+        xa = project_capped_simplex_eq(za - la + gain_a / gamma, s.xi, cap=1.0)
+        xu = project_budget_box(zu - lu + gain_u / gamma, s.budget)
         zu_prev, za_prev = zu, za
         zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
         zu *= s.active
