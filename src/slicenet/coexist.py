@@ -564,6 +564,7 @@ class AccessTable:
         text = Path(path).read_text()
         params: dict[str, str] = {}
         entries: dict[str, TableEntry] = {}
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -582,7 +583,13 @@ class AccessTable:
                 entry = _parse_entry(line)
             except ValueError as exc:
                 raise TableFormatError(f"{path}:{lineno}: {exc}") from None
+            if entry.key in entries:
+                raise TableFormatError(
+                    f"{path}:{lineno}: duplicate key {entry.key!r}, "
+                    f"first on line {first_line[entry.key]}"
+                )
             entries[entry.key] = entry
+            first_line[entry.key] = lineno
         try:
             return AccessTable(
                 max_size=int(params.get("max_size", 0)),
@@ -606,12 +613,19 @@ def _parse_entry(line: str) -> TableEntry:
     key, acc, raw = fields
     parts = key.split(";")
     try:
-        size_s, colors, _degs, bits_hex = parts
+        size_s, colors, degs, bits_hex = parts
         size = int(size_s)
         int(bits_hex, 16)  # checked, not kept: the key names the graph
     except ValueError:
         raise ValueError(f"bad key {key!r}") from None
-    if len(colors) != size or not set(colors) <= {"L", "W"}:
+    # one technology and one degree (below the size) per vertex, or no
+    # canonical form could ever carry this key
+    if (
+        len(colors) != size
+        or not set(colors) <= {"L", "W"}
+        or len(degs) != size
+        or not set(degs) <= set("0123456789"[:size])
+    ):
         raise ValueError(f"bad key {key!r}")
     access = tuple(float(x) for x in acc.split(","))
     raw_share = tuple(float(x) for x in raw.split(","))
@@ -698,8 +712,9 @@ def _measure_entries(forms: list[CanonicalForm], config: SimConfig):
     """``measure_entry`` over ``forms``, yielded in order.
 
     Entries are spread over a pool of forked workers, one per usable
-    CPU; forked workers inherit the loaded modules, where spawned ones
-    would import numpy and scipy again.  Forking is safe here because
+    CPU; forked workers inherit the loaded modules (numpy, and never
+    scipy, which only an LP solve imports), where spawned ones would
+    import numpy again.  Forking is safe here because
     a worker runs only the pure-Python simulator, which takes no lock
     a thread of the parent could hold.  Each worker gets several
     chunks, so the costly largest graphs, which come last, are shared.

@@ -12,7 +12,7 @@ to key measured access-probability tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 
 LAA_TECH = "laa"
@@ -24,6 +24,10 @@ _TECH_CHAR = {LAA_TECH: "L", WIFI_TECH: "W"}
 CANONICAL_MAX_VERTICES = 6
 
 MIS_MAX_VERTICES = 20
+
+# Distinct inputs the estimator's label memo keeps; a dense deployment
+# labels a few dozen.
+LABEL_MEMO_SIZE = 1024
 
 
 class GraphTooLargeError(ValueError):
@@ -321,6 +325,32 @@ def canonical_form(graph: ContentionGraph) -> CanonicalForm:
         colors=colors,
         edge_bits=best_bits or 0,
     )
+
+
+def cached_canonical_form(graph: ContentionGraph) -> CanonicalForm:
+    """``canonical_form(graph)``, remembered per process for the last
+    ``LABEL_MEMO_SIZE`` distinct inputs.
+
+    The form depends only on the vertex-order colors and on the edges
+    over vertex positions: ``to_canon`` is positional and vertex ids are
+    never read.  That pair (the color string and the edge mask in
+    ``_pair_bit`` order) is the memo key, so a hit returns exactly the
+    form ``canonical_form`` would, ``orbits`` included.
+    """
+    n = len(graph.vertices)
+    if n > CANONICAL_MAX_VERTICES:
+        raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
+    index = {v.id: i for i, v in enumerate(graph.vertices)}
+    bits = 0
+    for a, b in graph.edges:
+        i, j = sorted((index[a], index[b]))
+        bits |= 1 << _pair_bit(i, j, n)
+    return _labeled("".join(_TECH_CHAR[v.tech] for v in graph.vertices), bits)
+
+
+@lru_cache(maxsize=LABEL_MEMO_SIZE)
+def _labeled(colors: str, edge_bits: int) -> CanonicalForm:
+    return canonical_form(graph_from_canonical(len(colors), colors, edge_bits))
 
 
 def graph_from_canonical(size: int, colors, edge_bits: int) -> ContentionGraph:

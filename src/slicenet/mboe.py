@@ -35,7 +35,7 @@ from .contention import (
     MIS_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
-    canonical_form,
+    cached_canonical_form,
     clique_number,
     maximum_independent_sets,
 )
@@ -143,9 +143,8 @@ def _estimate_component(
     component, or (``prune`` off) a piece that survives its pruning or
     a dominated vertex's neighborhood in it."""
     n = len(graph.vertices)
-    form = None
     if n <= reach:
-        form = canonical_form(graph)
+        form = cached_canonical_form(graph)
         entry = table.lookup(form)
         if entry is not None:
             access = {v.id: entry.access[form.to_canon[i]] for i, v in enumerate(graph.vertices)}
@@ -158,8 +157,9 @@ def _estimate_component(
     if not prune:
         if n > CANONICAL_MAX_VERTICES:
             raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "table lookup")
-        # past the table's reach, labeled only to name the missing key
-        raise TableMissError((form or canonical_form(graph)).key)
+        # labeled only to name the missing key: a memo hit when the
+        # table could hold the graph, past its reach a fresh label
+        raise TableMissError(cached_canonical_form(graph).key)
 
     access, prov = {}, {}
     pieces = []

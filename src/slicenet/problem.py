@@ -20,7 +20,9 @@ public ``milp`` with no integer variables: one sparse CSC matrix
 ``lo <= A x <= hi`` holds every inequality row (``lo = -inf``) and
 then every equality row (``lo = hi``), the row order ``linprog`` would
 build from the same models, so the solutions are the ones ``linprog``
-returns, bit for bit, without its per-call input handling.
+returns, bit for bit, without its per-call input handling.  scipy is
+imported inside that one call, not with this module, so a command or
+library call that solves no LP never loads it.
 
 Three deployment variants share one problem shape: ``s1`` zeroes the
 licensed budgets (unlicensed only), ``s2`` zeroes the airtime
@@ -35,8 +37,6 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
 
 from .scenario import Scenario
 
@@ -455,6 +455,11 @@ def _highs(models: list[LPModel]):
     with ``lo <= A x <= hi``: every model's inequality rows (``lo`` is
     ``-inf``), then every model's equality rows (``lo = hi = b_eq``).
     """
+    # importing scipy is most of a command's start-up: only an LP
+    # solve pays for it
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
+
     col_at = np.cumsum([0] + [len(m.c) for m in models])
     ub_at = np.cumsum([0] + [len(m.b_ub) for m in models])
     eq_at = ub_at[-1] + np.cumsum([0] + [len(m.b_eq) for m in models])

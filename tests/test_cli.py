@@ -1,11 +1,18 @@
 """Command-line behavior: exit codes, file outputs, error categories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicenet
 from slicenet.cli import main
 from slicenet.scenario import load_scenario, scenario_to_dict
+
+COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.yaml"
 
 
 @pytest.fixture()
@@ -21,6 +28,37 @@ def workspace(tmp_path):
         "--out", str(table), "--cache", str(tmp_path / "cache"),
     ]) == 0
     return scenario, table
+
+
+def test_commands_without_an_lp_never_import_scipy(tmp_path):
+    # a fresh interpreter: this one has imported scipy already
+    table = str(tmp_path / "t.tsv")
+    code = (
+        "import sys\n"
+        "from slicenet.cli import main\n"
+        "def run(*argv):\n"
+        "    assert main(list(argv)) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, f'scipy imported by {argv[0]}'\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by slicenet.cli'\n"
+        f"sc, table = {str(COMMITTED)!r}, {table!r}\n"
+        f"run('gen', '--kind', 'grid', '--out', {str(tmp_path / 'g.json')!r})\n"
+        "run('sim', '--scenario', sc, '--duration', '0.1')\n"
+        "run('table', '--max-size', '2', '--duration', '0.1', '--out', table)\n"
+        "run('mboe', '--scenario', sc, '--table', table)\n"
+        "assert main(['solve', '--scenario', sc, '--table', table, '--solver', 'lp']) == 0\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(slicenet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_gen_writes_scenario(tmp_path, capsys):
@@ -219,6 +257,18 @@ def test_malformed_table_exits_5(workspace, tmp_path, capsys, edit):
     assert code == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: table: {bad}:{len(lines)}:")
+
+
+def test_table_with_duplicate_key_exits_5(workspace, tmp_path, capsys):
+    scenario, table = workspace
+    lines = table.read_text().splitlines()
+    bad = tmp_path / "dup.tsv"
+    bad.write_text("\n".join(lines + lines[-1:]) + "\n")
+    code = main(["mboe", "--scenario", str(scenario), "--table", str(bad)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: table: {bad}:{len(lines) + 1}: duplicate key ")
+    assert err.rstrip().endswith(f"first on line {len(lines)}")
 
 
 def test_table_of_unknown_version_exits_5(workspace, tmp_path, capsys):

@@ -294,14 +294,31 @@ def _write_table(tmp_path, table3, edit):
         (lambda row: row.replace("\t", "\tabc,", 1), "could not convert"),
         (lambda row: "2;LX;11;1" + row[row.index("\t"):], "bad key"),
         (lambda row: "2;LL;11;1\t0.5\t0.5", "needs 2 values"),
+        # a degree field without one digit below the size per vertex
+        # would load as an entry no lookup can match
+        (lambda row: "1;L;000;0\t0.5\t0.5", "bad key '1;L;000;0'"),
+        (lambda row: "2;LL;12;1\t0.5,0.5\t0.5,0.5", "bad key '2;LL;12;1'"),
     ],
-    ids=["truncated", "non-numeric", "bad-key", "short"],
+    ids=["truncated", "non-numeric", "bad-key", "short", "degree-digits", "degree-range"],
 )
 def test_table_load_names_file_and_line(tmp_path, table3, edit, message):
     path = _write_table(tmp_path, table3, edit)
     with pytest.raises(TableFormatError, match=message) as err:
         AccessTable.load(path)
     assert f"{path}:4:" in str(err.value)
+
+
+def test_table_load_refuses_a_duplicate_key(tmp_path, table3):
+    path = tmp_path / "t.tsv"
+    table3.save(path)
+    lines = path.read_text().splitlines()
+    key = lines[3].split("\t")[0]
+    # the same key again, with other shares: neither row may win silently
+    lines.append(f"{key}\t0.5\t0.5")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError) as err:
+        AccessTable.load(path)
+    assert str(err.value) == f"{path}:{len(lines)}: duplicate key {key!r}, first on line 4"
 
 
 def _reference_run_lbt(

@@ -1,6 +1,6 @@
 """Exact graph machinery: independent sets, canonical labels, enumeration."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +8,14 @@ from hypothesis import given, strategies as st
 from slicenet.contention import (
     _SKELETONS,
     CANONICAL_MAX_VERTICES,
+    LABEL_MEMO_SIZE,
     MIS_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
     Vertex,
+    _labeled,
     _pair_bit,
+    cached_canonical_form,
     canonical_form,
     clique_number,
     enumerate_connected_colored_graphs,
@@ -172,6 +175,68 @@ def test_orbits_match_brute_force():
         assert form.orbits == want, form.key
         assert canonical_form(g).orbits == want, form.key
         assert canonical_form(reversed_g).orbits == want, form.key
+
+
+def _shuffled(graph, rng, prefix):
+    """The same graph in a random vertex order, under fresh ids."""
+    order = list(rng.permutation(len(graph.vertices)))
+    fresh = {v.id: f"{prefix}{i}" for i, v in enumerate(graph.vertices)}
+    return ContentionGraph.build(
+        [Vertex(fresh[graph.vertices[i].id], graph.vertices[i].tech) for i in order],
+        [(fresh[a], fresh[b]) for a, b in graph.edges],
+    )
+
+
+def test_label_memo_is_exact():
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    _labeled.cache_clear()
+    for form in enumerate_connected_colored_graphs(5):
+        g = graph_from_canonical(form.size, form.colors, form.edge_bits)
+        views = [g] + [_shuffled(g, rng, f"s{k}_") for k in range(3)]
+        # each view twice: the first may miss, the second hits
+        for view in views + views:
+            # dataclass equality compares every field, orbits included
+            assert cached_canonical_form(view) == canonical_form(view), form.key
+    assert _labeled.cache_info().hits > 0
+
+
+def test_label_memo_hits_on_a_relabeled_copy():
+    g = ContentionGraph.build(
+        [Vertex("a", "laa", 1), Vertex("b", "wifi"), Vertex("c", "laa", 2)],
+        [("a", "b"), ("b", "c")],
+    )
+    # same colors and edges by position, other ids in another sort order
+    copy = ContentionGraph.build(
+        [Vertex("z", "laa", 3), Vertex("y", "wifi"), Vertex("x", "laa")],
+        [("z", "y"), ("y", "x")],
+    )
+    _labeled.cache_clear()
+    first = cached_canonical_form(g)
+    assert _labeled.cache_info().misses == 1
+    assert cached_canonical_form(copy) is first
+    assert _labeled.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_label_memo_is_bounded():
+    assert LABEL_MEMO_SIZE == 1024
+    assert _labeled.cache_info().maxsize == LABEL_MEMO_SIZE
+    _labeled.cache_clear()
+    # 16 colorings x 64 edge sets of 4 vertices, and 8 x 8 of 3: 1088
+    # distinct inputs, connected or not
+    for n in (3, 4):
+        pairs = n * (n - 1) // 2
+        for colors in product("LW", repeat=n):
+            for bits in range(1 << pairs):
+                g = graph_from_canonical(n, colors, bits)
+                assert cached_canonical_form(g) == canonical_form(g)
+    assert _labeled.cache_info().currsize == LABEL_MEMO_SIZE
+    big = ContentionGraph.build(
+        [Vertex(f"v{i}", "laa", 1) for i in range(CANONICAL_MAX_VERTICES + 1)], []
+    )
+    with pytest.raises(GraphTooLargeError, match="^canonical labeling supports at most 6 "):
+        cached_canonical_form(big)
 
 
 def test_size_limits():

@@ -153,8 +153,10 @@ def test_agreement_carries_the_values_it_splits(rule):
 
 @pytest.fixture()
 def lp_calls(monkeypatch):
-    """Record each HiGHS call the allocation layer makes."""
-    import slicenet.problem
+    """Record each HiGHS call the allocation layer makes.  The layer
+    imports ``milp`` from ``scipy.optimize`` at each solve, so the spy
+    sits there."""
+    import scipy.optimize
 
     calls = []
 
@@ -162,7 +164,7 @@ def lp_calls(monkeypatch):
         calls.append(args)
         return milp(*args, **kwargs)
 
-    monkeypatch.setattr(slicenet.problem, "milp", counted)
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
     return calls
 
 

@@ -253,7 +253,7 @@ def test_fallback_labels_only_what_the_table_can_hold(deployment, table3, table5
         labeled.append(len(graph.vertices))
         return canonical_form(graph)
 
-    monkeypatch.setattr(mboe, "canonical_form", spy)
+    monkeypatch.setattr(mboe, "cached_canonical_form", spy)
     sizes = set()
     for seed in range(2):
         graph = build_contention_graph(generate_topology(
