@@ -11,10 +11,12 @@ first on ``PYTHONPATH``.  Further checkouts named on the command line
 are timed in the same rounds, command by command and checkout by
 checkout, so a slow spell of a shared host falls on all of them alike.
 ``mboe``, ``solve`` and ``game`` read the table that the timed
-``table`` command writes just before them (graphs up to 3 vertices,
-0.2 simulated s each).  One row per command: its name, then the median wall
-time in ms of each checkout, this one first.  A command that exits
-non-zero stops the script.
+``table --max-size 3`` command writes just before them (graphs up to 3
+vertices, 0.2 simulated s each).  ``table --max-size 5`` is the cold
+build of the benchmark's ``table-cold`` workload (419 graphs, 0.2
+simulated s each) and writes a file of its own.  One row per command:
+its name, then the median wall time in ms of each checkout, this one
+first.  A command that exits non-zero stops the script.
 """
 
 import argparse
@@ -32,7 +34,7 @@ SCENARIO = ROOT / "scenarios" / "two_mno_20mhz.yaml"
 
 def commands(work: Path) -> list[tuple[str, list[str]]]:
     """(name, interpreter arguments) of each timed command."""
-    sc, table = str(SCENARIO), str(work / "table.tsv")
+    sc, table, table5 = str(SCENARIO), str(work / "table.tsv"), str(work / "table5.tsv")
     cli = ["-m", "slicenet.cli"]
     return [
         ("python -c pass", ["-c", "pass"]),
@@ -42,6 +44,10 @@ def commands(work: Path) -> list[tuple[str, list[str]]]:
         (
             "table --max-size 3 --duration 0.2",
             cli + ["table", "--max-size", "3", "--duration", "0.2", "--out", table],
+        ),
+        (
+            "table --max-size 5 --duration 0.2",
+            cli + ["table", "--max-size", "5", "--duration", "0.2", "--out", table5],
         ),
         ("mboe", cli + ["mboe", "--scenario", sc, "--table", table]),
         ("solve --solver lp", cli + ["solve", "--scenario", sc, "--table", table, "--solver", "lp"]),

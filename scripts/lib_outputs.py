@@ -25,6 +25,9 @@ bit, signed zeros included.  The files, one record per line:
   Strict runs that fail record the error type and text.  One
   deployment is chosen so that the ``table``, ``pruned`` and
   ``fallback`` paths all occur; the script fails if one does not.
+- ``table.tsv``: that 0.2 s table itself, one record per graph in
+  enumeration order: the canonical key, its automorphism orbits and
+  the entry's access and raw shares.
 - ``lbt.tsv``: ``run_lbt`` statistics, through ``simulate_graph`` on
   every graph of up to 3 vertices and ``run_coexistence`` on two
   scenarios, on three seeds each, under the default and the other
@@ -171,6 +174,9 @@ def deployment(kind, bs, ues, aps, cell, seed):
 
 def estimate_records(out: dict[str, list[str]]) -> None:
     table = measure_table(5, SimConfig(duration_s=0.2, seed=0))
+    for form in enumerate_connected_colored_graphs(5):
+        entry = table.entries[form.key]
+        out["table"].append(record(form.key, form.orbits, entry.access, entry.raw_share))
     scenarios = [("two_mno_20mhz", load_scenario(SCENARIO))]
     scenarios += [deployment(*d) for d in DEPLOYMENTS]
     three_paths = scenarios[1][0]
@@ -235,7 +241,7 @@ def main() -> int:
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
     out: dict[str, list[str]] = {
-        name: [] for name in ("lp", "admm", "subgrad", "game", "estimate", "lbt")
+        name: [] for name in ("lp", "admm", "subgrad", "game", "estimate", "table", "lbt")
     }
     start = time.perf_counter()
     for section in (market_records, estimate_records, lbt_records):

@@ -54,11 +54,14 @@ from pathlib import Path
 import numpy as np
 
 from .contention import (
+    CANONICAL_MAX_VERTICES,
+    TECH_OF_CHAR,
     CanonicalForm,
     ContentionGraph,
     Vertex,
+    degrees_from_bits,
     enumerate_connected_colored_graphs,
-    graph_from_canonical,
+    masks_from_bits,
 )
 from .scenario import NODE_DEFAULTS, WIFI, Scenario
 
@@ -68,6 +71,10 @@ DEFAULT_SLOT_TIME_S = 9e-6
 #: that alters the draws ``run_lbt`` makes for a given seed: cached
 #: access tables are keyed on it.
 SIM_STREAM_VERSION = 1
+
+#: Distinct masks whose set bits one ``run_lbt`` run remembers before it
+#: starts over; a small graph has far fewer, a dense deployment more.
+SET_BITS_MEMO_SIZE = 4096
 
 TABLE_FORMAT = "slicenet access table v1"
 
@@ -190,6 +197,15 @@ def run_lbt(
     merges the two live entries a freeze and a restart at the same time
     can leave.  The draws therefore come in the order of a scan over
     every contender.
+
+    Each heap ends in a sentinel ``(inf, n)`` that never pops (slot
+    ``n`` of ``fire_at`` stays infinite, so the sentinel fire is always
+    live): the loop reads every head without an emptiness test, and
+    stops when the earliest head, the one whose branch it takes, reaches
+    the horizon.  The batch, restart and freeze walks iterate the set
+    bits of their mask, lowest first, from a per-run memo of each
+    mask's bit list (cleared after ``SET_BITS_MEMO_SIZE`` distinct
+    masks); small graphs meet only a few dozen masks.
     """
     config.validate()
     n = len(specs)
@@ -244,7 +260,8 @@ def run_lbt(
     counting = [False] * n
     anchor = [0.0] * n  # where the current uninterrupted sensing run began
     rem = [0] * n  # whole backoff slots still to complete
-    fire_at = [INF] * n  # finite iff counting with a clear channel
+    # finite iff counting with a clear channel; slot n is the sentinel's
+    fire_at = [INF] * (n + 1)
     cwhi = list(HI)
     tx_start = [0.0] * n
     tx_end = [0.0] * n  # read only while transmitting
@@ -257,11 +274,26 @@ def run_lbt(
     contention = [0.0] * n
     queue_wait = [0.0] * n
     timeline: list[tuple[str, float, float, bool]] = []
-    # the event queues, heaps of (time, index): an entry in ``fires`` is
-    # live only while fire_at still holds its time
-    ends: list[tuple[float, int]] = []
-    fires: list[tuple[float, int]] = []
-    arrs: list[tuple[float, int]] = []
+    # the event queues, heaps of (time, index) that each end in the
+    # sentinel (inf, n), so the head is always there to read: an entry
+    # in ``fires`` is live only while fire_at still holds its time
+    ends: list[tuple[float, int]] = [(INF, n)]
+    fires: list[tuple[float, int]] = [(INF, n)]
+    arrs: list[tuple[float, int]] = [(INF, n)]
+    # the set bits of each mask walked this run, lowest first
+    bits_of: dict[int, tuple[int, ...]] = {}
+
+    def set_bits(mask: int) -> tuple[int, ...]:
+        if len(bits_of) >= SET_BITS_MEMO_SIZE:
+            bits_of.clear()
+        out = []
+        m = mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        bits = bits_of[mask] = tuple(out)
+        return bits
 
     for i in range(n):
         if saturated:
@@ -280,20 +312,21 @@ def run_lbt(
     heapify(arrs)
 
     while True:
-        while fires and fire_at[fires[0][1]] != fires[0][0]:
+        while fire_at[fires[0][1]] != fires[0][0]:
             heappop(fires)
-        t_end = ends[0][0] if ends else INF
-        t_fire = fires[0][0] if fires else INF
-        t_arr = arrs[0][0] if arrs else INF
+        t_end = ends[0][0]
+        t_fire = fires[0][0]
+        t_arr = arrs[0][0]
 
-        if t_end >= horizon and t_fire >= horizon and t_arr >= horizon:
-            break
-
+        # each branch is taken for the earliest head, so the run ends
+        # once that head reaches the horizon
         if t_end <= t_arr and t_end <= t_fire:
+            if t_end >= horizon:
+                break
             t = t_end
             # ties pop in index order, so the draws keep their order
             near = 0
-            while ends and ends[0][0] == t:
+            while ends[0][0] == t:
                 i = heappop(ends)[1]
                 busy ^= 1 << i
                 near |= 1 << i | masks[i]
@@ -322,20 +355,19 @@ def run_lbt(
             # the channel just quieted down for the finishers and their
             # neighbours, the only contenders it can unblock: restart
             # their DIFS
-            while near:
-                low = near & -near
-                j = low.bit_length() - 1
-                near ^= low
+            for j in bits_of.get(near) or set_bits(near):
                 if counting[j] and fire_at[j] == INF and not busy & masks[j]:
                     anchor[j] = t
                     fire_at[j] = t + D[j] + rem[j] * slot
                     heappush(fires, (fire_at[j], j))
         elif t_arr <= t_fire:
+            if t_arr >= horizon:
+                break
             t = t_arr
             # pop all that are due before drawing: a zero gap puts the
             # next arrival at t again, and it must wait for the next event
             due = []
-            while arrs and arrs[0][0] == t:
+            while arrs[0][0] == t:
                 due.append(heappop(arrs)[1])
             for i in due:
                 arrivals[i].append(t)
@@ -354,23 +386,20 @@ def run_lbt(
                         fire_at[i] = t + D[i] + rem[i] * slot
                         heappush(fires, (fire_at[i], i))
         else:
+            if t_fire >= horizon:
+                break
             # everyone expiring within one window goes on air together;
             # the mask merges twin live entries and orders the batch
             limit = t_fire + window
             batch_mask = 0
-            while fires and fires[0][0] < limit:
+            while fires[0][0] < limit:
                 start, i = heappop(fires)
                 if fire_at[i] == start:
                     batch_mask |= 1 << i
             busy |= batch_mask
-            batch = []
+            batch = bits_of.get(batch_mask) or set_bits(batch_mask)
             near = 0
-            m = batch_mask
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                m ^= low
-                batch.append(i)
+            for i in batch:
                 start = fire_at[i]
                 counting[i] = False
                 tx_start[i] = start
@@ -385,13 +414,17 @@ def run_lbt(
                 near |= masks[i]
             # bystanders freeze: completed idle slots are banked, the
             # partial slot and all DIFS progress are lost.  Only the
-            # batch's neighbours can be counting next to a busy contender.
-            while near:
-                low = near & -near
-                j = low.bit_length() - 1
-                near ^= low
+            # batch's neighbours can be counting next to a busy contender;
+            # each freezes at the first start among the batch it senses,
+            # which for a batch of one is the start the loop left in
+            # ``start``.
+            single = len(batch) == 1
+            for j in bits_of.get(near) or set_bits(near):
                 if fire_at[j] != INF:
-                    beta = min(tx_start[i] for i in batch if masks[j] >> i & 1)
+                    if single:
+                        beta = start
+                    else:
+                        beta = min(tx_start[i] for i in batch if masks[j] >> i & 1)
                     elapsed = beta - anchor[j] - D[j]
                     if elapsed > 0:
                         done = int(elapsed / slot + 1e-7)
@@ -615,20 +648,23 @@ def _parse_entry(line: str) -> TableEntry:
     try:
         size_s, colors, degs, bits_hex = parts
         size = int(size_s)
-        int(bits_hex, 16)  # checked, not kept: the key names the graph
+        bits = int(bits_hex, 16)
     except ValueError:
         raise ValueError(f"bad key {key!r}") from None
-    # one technology and one degree (below the size) per vertex, or no
-    # canonical form could ever carry this key
+    # one technology per vertex, edge bits in plain hex within the pairs
+    # of the vertices, and the degrees those edges give, or no canonical
+    # form could ever carry this key
     if (
-        len(colors) != size
+        not 1 <= size <= CANONICAL_MAX_VERTICES
+        or bits_hex != f"{bits:x}"
+        or len(colors) != size
         or not set(colors) <= {"L", "W"}
-        or len(degs) != size
-        or not set(degs) <= set("0123456789"[:size])
+        or bits >> (size * (size - 1) // 2)
+        or degs != "".join(map(str, degrees_from_bits(size, bits)))
     ):
         raise ValueError(f"bad key {key!r}")
-    access = tuple(float(x) for x in acc.split(","))
-    raw_share = tuple(float(x) for x in raw.split(","))
+    access = tuple(map(float, acc.split(",")))
+    raw_share = tuple(map(float, raw.split(",")))
     if len(access) != size or len(raw_share) != size:
         raise ValueError(f"entry {key!r} needs {size} values in each column")
     return TableEntry(key=key, size=size, access=access, raw_share=raw_share)
@@ -640,13 +676,25 @@ def entry_seed(base_seed: int, key: str) -> int:
 
 
 def measure_entry(form: CanonicalForm, config: SimConfig) -> TableEntry:
-    graph = graph_from_canonical(form.size, form.colors, form.edge_bits)
+    """The table entry of ``form``: its graph simulated on the entry's
+    own seed, per-vertex shares averaged over automorphism orbits.
+
+    The contenders and sense masks come straight from the form's colors
+    and edge bits, vertex ``p`` at canonical position ``p``, with the
+    per-technology LBT defaults: the same run ``simulate_graph`` makes
+    on ``graph_from_canonical(form.size, form.colors, form.edge_bits)``.
+    """
+    specs = [
+        _spec(f"v{p}", TECH_OF_CHAR[c], NODE_DEFAULTS[TECH_OF_CHAR[c]])
+        for p, c in enumerate(form.colors)
+    ]
     cfg = replace(
         config, seed=entry_seed(config.seed, form.key), record_timeline=False
     )
-    outcome = simulate_graph(graph, cfg)
-    access = [outcome.stats[f"v{p}"].normalized_access for p in range(form.size)]
-    raw = [outcome.stats[f"v{p}"].access_share for p in range(form.size)]
+    outcome = run_lbt(specs, masks_from_bits(form.size, form.edge_bits), cfg)
+    stats = list(outcome.stats.values())
+    access = [st.normalized_access for st in stats]
+    raw = [st.access_share for st in stats]
     # vertices in one automorphism orbit are statistically identical;
     # report the orbit mean so symmetry is exact in the table
     for orbit in set(form.orbits):
@@ -711,13 +759,16 @@ def measure_table(
 def _measure_entries(forms: list[CanonicalForm], config: SimConfig):
     """``measure_entry`` over ``forms``, yielded in order.
 
-    Entries are spread over a pool of forked workers, one per usable
-    CPU; forked workers inherit the loaded modules (numpy, and never
-    scipy, which only an LP solve imports), where spawned ones would
-    import numpy again.  Forking is safe here because
-    a worker runs only the pure-Python simulator, which takes no lock
-    a thread of the parent could hold.  Each worker gets several
-    chunks, so the costly largest graphs, which come last, are shared.
+    A worker receives the forms themselves (key, colors, edge bits and
+    orbits) and simulates each from its bits, so the whole build, the
+    enumeration included, makes no graph object.  Entries are spread
+    over a pool of forked workers, one per usable CPU; forked workers
+    inherit the loaded modules (numpy, and never scipy, which only an
+    LP solve imports), where spawned ones would import numpy again.
+    Forking is safe here because a worker runs only the pure-Python
+    simulator, which takes no lock a thread of the parent could hold.
+    Each worker gets several chunks, so the costly largest graphs,
+    which come last, are shared.
     """
     workers = min(len(os.sched_getaffinity(0)), len(forms))
     if workers < 2:

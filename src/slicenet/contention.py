@@ -18,6 +18,8 @@ from itertools import permutations, product
 LAA_TECH = "laa"
 WIFI_TECH = "wifi"
 _TECH_CHAR = {LAA_TECH: "L", WIFI_TECH: "W"}
+#: the technology of each character of a canonical color string
+TECH_OF_CHAR = {c: tech for tech, c in _TECH_CHAR.items()}
 
 # Exhaustive class-respecting relabeling stays cheap up to this order;
 # larger graphs must go through the fallback path instead.
@@ -260,44 +262,77 @@ def _pair_bit(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def canonical_form(graph: ContentionGraph) -> CanonicalForm:
-    """Exact canonical form via minimum adjacency bitmap.
+# _PAIR_BITS[n][p][q] is the edge-mask bit of the pair {p, q} of an
+# n-vertex graph in ``_pair_bit`` order, in either order of p and q
+# (0 on the diagonal)
+_PAIR_BITS = {
+    n: tuple(
+        tuple(0 if p == q else 1 << _pair_bit(min(p, q), max(p, q), n) for q in range(n))
+        for p in range(n)
+    )
+    for n in range(CANONICAL_MAX_VERTICES + 1)
+}
+
+
+# _INCIDENT_BITS[n][p] holds the bits of every pair of an n-vertex
+# graph that contains p
+_INCIDENT_BITS = {n: tuple(sum(row) for row in rows) for n, rows in _PAIR_BITS.items()}
+
+
+def degrees_from_bits(size: int, edge_bits: int) -> list[int]:
+    """Degrees of vertices 0..size-1 whose edges are ``edge_bits`` in
+    ``_pair_bit`` order, one mask-and-count each.  Sizes up to
+    ``CANONICAL_MAX_VERTICES``."""
+    return [(edge_bits & incident).bit_count() for incident in _INCIDENT_BITS[size]]
+
+
+def masks_from_bits(size: int, edge_bits: int) -> list[int]:
+    """Neighbor bitmasks of vertices 0..size-1 whose edges are
+    ``edge_bits`` in ``_pair_bit`` order; bits past the pairs of ``size``
+    vertices are ignored.  Sizes up to ``CANONICAL_MAX_VERTICES``."""
+    masks = [0] * size
+    for p, row in enumerate(_PAIR_BITS[size]):
+        for q in range(p + 1, size):
+            if edge_bits & row[q]:
+                masks[p] |= 1 << q
+                masks[q] |= 1 << p
+    return masks
+
+
+def _label(colors: str, masks: list[int]) -> CanonicalForm:
+    """The labeling core: the canonical form of the graph whose vertex
+    ``i`` has technology character ``colors[i]`` and neighbor bitmask
+    ``masks[i]``.
 
     Vertices are first sorted into (technology, degree) classes; the
-    bitmap is minimized over all class-respecting relabelings, which
-    is invariant under color-preserving isomorphism and exact at
-    small orders.
+    edge bitmap is minimized over all class-respecting relabelings,
+    which is invariant under color-preserving isomorphism and exact at
+    small orders.  A relabeling's bitmap is gathered from
+    ``_PAIR_BITS``, one lookup per edge at its relabeled positions.
     """
-    n = len(graph.vertices)
-    if n > CANONICAL_MAX_VERTICES:
-        raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
-    adj = [[False] * n for _ in range(n)]
-    for a, b in graph.edges:
-        ia, ib = index[a], index[b]
-        adj[ia][ib] = adj[ib][ia] = True
-
-    techs = [_TECH_CHAR[v.tech] for v in graph.vertices]
-    degs = [sum(row) for row in adj]
-    order = sorted(range(n), key=lambda i: (techs[i], degs[i]))
+    n = len(colors)
+    degs = [m.bit_count() for m in masks]
+    order = sorted(range(n), key=lambda i: (colors[i], degs[i]))
 
     blocks: list[list[int]] = []
     for i in order:
-        if blocks and (techs[blocks[-1][0]], degs[blocks[-1][0]]) == (techs[i], degs[i]):
+        if blocks and (colors[blocks[-1][0]], degs[blocks[-1][0]]) == (colors[i], degs[i]):
             blocks[-1].append(i)
         else:
             blocks.append([i])
 
+    pair = _PAIR_BITS[n]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if masks[i] >> j & 1]
+    place = [0] * n  # each vertex's position in the current arrangement
     best_bits: int | None = None
-    best_arrangements: list[tuple[int, ...]] = []
+    best_arrangements: list[list[int]] = []
     for parts in product(*(permutations(block) for block in blocks)):
-        arrangement = tuple(i for part in parts for i in part)
+        arrangement = [i for part in parts for i in part]
+        for p, i in enumerate(arrangement):
+            place[i] = p
         bits = 0
-        for p in range(n):
-            row = adj[arrangement[p]]
-            for q in range(p + 1, n):
-                if row[arrangement[q]]:
-                    bits |= 1 << _pair_bit(p, q, n)
+        for i, j in edges:
+            bits |= pair[place[i]][place[j]]
         if best_bits is None or bits < best_bits:
             best_bits = bits
             best_arrangements = [arrangement]
@@ -305,9 +340,9 @@ def canonical_form(graph: ContentionGraph) -> CanonicalForm:
             best_arrangements.append(arrangement)
 
     base = best_arrangements[0]
-    colors = tuple(techs[i] for i in base)
+    canon_colors = tuple(colors[i] for i in base)
     degseq = "".join(str(degs[i]) for i in base)
-    key = f"{n};{''.join(colors)};{degseq};{best_bits:x}"
+    key = f"{n};{''.join(canon_colors)};{degseq};{best_bits:x}"
 
     to_canon = [0] * n
     for pos, i in enumerate(base):
@@ -322,9 +357,20 @@ def canonical_form(graph: ContentionGraph) -> CanonicalForm:
         size=n,
         to_canon=tuple(to_canon),
         orbits=orbits,
-        colors=colors,
+        colors=canon_colors,
         edge_bits=best_bits or 0,
     )
+
+
+def canonical_form(graph: ContentionGraph) -> CanonicalForm:
+    """Exact canonical form via minimum adjacency bitmap: the labeling
+    core ``_label`` run on the graph's vertex-order colors and neighbor
+    masks."""
+    n = len(graph.vertices)
+    if n > CANONICAL_MAX_VERTICES:
+        raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
+    colors = "".join(_TECH_CHAR[v.tech] for v in graph.vertices)
+    return _label(colors, graph.adjacency_masks())
 
 
 def cached_canonical_form(graph: ContentionGraph) -> CanonicalForm:
@@ -341,22 +387,21 @@ def cached_canonical_form(graph: ContentionGraph) -> CanonicalForm:
     if n > CANONICAL_MAX_VERTICES:
         raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
     index = {v.id: i for i, v in enumerate(graph.vertices)}
+    pair = _PAIR_BITS[n]
     bits = 0
     for a, b in graph.edges:
-        i, j = sorted((index[a], index[b]))
-        bits |= 1 << _pair_bit(i, j, n)
+        bits |= pair[index[a]][index[b]]
     return _labeled("".join(_TECH_CHAR[v.tech] for v in graph.vertices), bits)
 
 
 @lru_cache(maxsize=LABEL_MEMO_SIZE)
 def _labeled(colors: str, edge_bits: int) -> CanonicalForm:
-    return canonical_form(graph_from_canonical(len(colors), colors, edge_bits))
+    return _label(colors, masks_from_bits(len(colors), edge_bits))
 
 
 def graph_from_canonical(size: int, colors, edge_bits: int) -> ContentionGraph:
     """Rebuild a concrete graph from canonical data; vertices are v0..v{n-1}."""
-    rev = {"L": LAA_TECH, "W": WIFI_TECH}
-    verts = [Vertex(id=f"v{i}", tech=rev[c]) for i, c in enumerate(colors)]
+    verts = [Vertex(id=f"v{i}", tech=TECH_OF_CHAR[c]) for i, c in enumerate(colors)]
     edges = set()
     for i in range(size):
         for j in range(i + 1, size):
@@ -402,15 +447,17 @@ def enumerate_connected_colored_graphs(max_size: int) -> list[CanonicalForm]:
     technology coloring, one canonical representative each.
 
     Colors every connected skeleton in ``_SKELETONS`` both ways per
-    vertex and deduplicates with this module's canonical labeling.
-    Sorted by (size, key) so table builds enumerate deterministically.
+    vertex and deduplicates with the labeling core, straight from the
+    skeleton's bitmasks: no graph object is built.  Sorted by (size,
+    key) so table builds enumerate deterministically.
     """
     if max_size > CANONICAL_MAX_VERTICES:
         raise GraphTooLargeError(max_size, CANONICAL_MAX_VERTICES, "graph enumeration")
     seen: dict[str, CanonicalForm] = {}
     for n in range(1, max_size + 1):
         for bits in _SKELETONS[n]:
+            masks = masks_from_bits(n, bits)
             for coloring in product("LW", repeat=n):
-                form = canonical_form(graph_from_canonical(n, coloring, bits))
+                form = _label("".join(coloring), masks)
                 seen.setdefault(form.key, form)
     return sorted(seen.values(), key=lambda f: (f.size, f.key))

@@ -17,6 +17,7 @@ from slicenet.coexist import (
     SimConfig,
     SimConfigError,
     SimOutcome,
+    TableEntry,
     TableFormatError,
     build_contention_graph,
     entry_seed,
@@ -25,6 +26,7 @@ from slicenet.coexist import (
     measure_table,
     run_coexistence,
     run_lbt,
+    simulate_graph,
     unlicensed_contenders,
 )
 from slicenet.contention import enumerate_connected_colored_graphs, graph_from_canonical
@@ -298,8 +300,27 @@ def _write_table(tmp_path, table3, edit):
         # would load as an entry no lookup can match
         (lambda row: "1;L;000;0\t0.5\t0.5", "bad key '1;L;000;0'"),
         (lambda row: "2;LL;12;1\t0.5,0.5\t0.5,0.5", "bad key '2;LL;12;1'"),
+        # edge bits past the one pair of two vertices
+        (lambda row: "2;LL;11;ff\t0.5,0.5\t0.5,0.5", "bad key '2;LL;11;ff'"),
+        # degrees that the edge bits do not give
+        (lambda row: "2;LL;00;1\t0.5,0.5\t0.5,0.5", "bad key '2;LL;00;1'"),
+        # edge bits spelled otherwise than the labeling writes them
+        (lambda row: "2;LL;11;01\t0.5,0.5\t0.5,0.5", "bad key '2;LL;11;01'"),
+        # more vertices than any canonical form has
+        (lambda row: "7;LLLLLLL;0000000;0" + "\t0.5,0.5,0.5,0.5,0.5,0.5,0.5" * 2, "bad key '7;"),
     ],
-    ids=["truncated", "non-numeric", "bad-key", "short", "degree-digits", "degree-range"],
+    ids=[
+        "truncated",
+        "non-numeric",
+        "bad-key",
+        "short",
+        "degree-digits",
+        "degree-range",
+        "edge-bits-range",
+        "degrees-off-edges",
+        "edge-bits-spelling",
+        "size-range",
+    ],
 )
 def test_table_load_names_file_and_line(tmp_path, table3, edit, message):
     path = _write_table(tmp_path, table3, edit)
@@ -574,6 +595,17 @@ def test_event_local_simulator_matches_reference_on_dense_deployments(kind, conf
     assert run_lbt(specs, masks, config) == _reference_run_lbt(specs, masks, config)
 
 
+def test_a_full_set_bits_memo_starts_over(monkeypatch):
+    # with room for two masks the memo clears on nearly every miss
+    monkeypatch.setattr(coexist, "SET_BITS_MEMO_SIZE", 2)
+    scenario = generate_topology(
+        "two-mno-urban", seed=3, bs_per_mno=5, ues_per_bs=3, wifi_aps=10, cell_size_m=200.0
+    )
+    specs, masks = _masks(scenario)
+    config = SimConfig(duration_s=0.05, seed=3)
+    assert run_lbt(specs, masks, config) == _reference_run_lbt(specs, masks, config)
+
+
 def test_inlined_draws_match_the_library():
     # run_lbt draws backoffs and holds without calling randint or
     # expovariate; the stream must stay the one those calls make
@@ -607,6 +639,26 @@ def test_bad_sense_masks_rejected(masks, message):
     specs = [_spec("a", "laa"), _spec("b", "wifi")]
     with pytest.raises(SimConfigError, match=message):
         run_lbt(specs, masks, SimConfig(duration_s=0.1))
+
+
+def test_measure_entry_equals_simulating_the_rebuilt_graph():
+    # the graph-object path: graph_from_canonical, simulate_graph on
+    # it, and the orbit means of its per-vertex stats
+    config = SimConfig(duration_s=0.2, seed=9)
+    for form in enumerate_connected_colored_graphs(5)[::12]:
+        graph = graph_from_canonical(form.size, form.colors, form.edge_bits)
+        cfg = SimConfig(duration_s=0.2, seed=entry_seed(config.seed, form.key))
+        stats = simulate_graph(graph, cfg).stats
+        columns = []
+        for field in ("normalized_access", "access_share"):
+            values = [getattr(stats[f"v{p}"], field) for p in range(form.size)]
+            means = {}
+            for orbit in set(form.orbits):
+                members = [values[p] for p in range(form.size) if form.orbits[p] == orbit]
+                means[orbit] = sum(members) / len(members)
+            columns.append(tuple(means[o] for o in form.orbits))
+        want = TableEntry(form.key, form.size, columns[0], columns[1])
+        assert measure_entry(form, config) == want, form.key
 
 
 @pytest.mark.parametrize("cpus", [None, 1], ids=["every-cpu", "one-cpu"])

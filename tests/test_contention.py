@@ -1,5 +1,6 @@
 """Exact graph machinery: independent sets, canonical labels, enumeration."""
 
+import hashlib
 from itertools import permutations, product
 
 import pytest
@@ -18,9 +19,11 @@ from slicenet.contention import (
     cached_canonical_form,
     canonical_form,
     clique_number,
+    degrees_from_bits,
     enumerate_connected_colored_graphs,
     graph_from_canonical,
     independence_number,
+    masks_from_bits,
     maximum_independent_sets,
 )
 
@@ -104,6 +107,26 @@ def test_canonical_distinguishes_tech():
     )
     assert canonical_form(pair("laa", "laa")).key != canonical_form(pair("laa", "wifi")).key
     assert canonical_form(pair("laa", "wifi")).key == canonical_form(pair("wifi", "laa")).key
+
+
+def test_enumeration_keys_and_orbits_are_pinned():
+    # stored tables and cache files are keyed on these keys, and the
+    # orbits decide which vertices each entry averages, so a labeling
+    # change that moves either one orphans every table already written
+    forms = enumerate_connected_colored_graphs(5)
+    text = "".join(f"{f.key}\t{f.orbits}\n" for f in forms)
+    assert len(forms) == 419
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "54a6f3ff8c9f1135db7364935a18924b6d6d8208dfd675def735d224dc514cb8"
+    )
+
+
+def test_bit_helpers_match_the_rebuilt_graph():
+    for n in range(1, 6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            masks = graph_from_canonical(n, "L" * n, bits).adjacency_masks()
+            assert masks_from_bits(n, bits) == masks
+            assert degrees_from_bits(n, bits) == [m.bit_count() for m in masks]
 
 
 def test_enumeration_counts():
