@@ -9,15 +9,18 @@ bit-for-bit comparison of two checkouts:
 Every float is written with ``float.hex``, so the diff sees any changed
 bit, signed zeros included.  The files, one record per line:
 
-- ``lp.tsv``, ``admm.tsv``, ``subgrad.tsv``, ``game.tsv``: the 480
-  markets ``random_problem(default_rng(1), feasible_for="coalitions")``
-  draws, each under the s1, s2 and s3 variants (the iterative solvers
-  run s1 on the first 24 only).  The LP record holds
-  the status (``optimal`` or the blamed family and message) and the
-  solution; the ADMM and subgradient records the solution, flags,
-  ``gamma_final``, the row count, the last trace row and a SHA-256 of
-  every trace row; the game record, per division rule, the division,
-  worth and core verdict, and then the convexity probe.
+- ``lp.tsv``, ``admm.tsv``, ``subgrad.tsv``, ``game.tsv``,
+  ``coalitions.tsv``: the 480 markets ``random_problem(default_rng(1),
+  feasible_for="coalitions")`` draws, each under the s1, s2 and s3
+  variants (the iterative solvers run s1 on the first 24 only).  The LP
+  record holds the status (``optimal`` or the blamed family and
+  message) and the solution; the ADMM and subgradient records the
+  solution, flags, ``gamma_final``, the row count, the last trace row
+  and a SHA-256 of every trace row; the game record, per division rule,
+  the division, worth and core verdict, and then the convexity probe.
+  The coalitions record holds one coalition and its value, for every
+  non-empty coalition of the market, all valued in one
+  ``coalition_values`` call.
 - ``estimate.tsv``: ``estimate_access`` strict and with ``fallback`` on
   the whole contention graph, each operator's view and each view with
   one operator removed, of the committed scenario and of generated
@@ -43,6 +46,7 @@ import hashlib
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +65,7 @@ from slicenet.contention import enumerate_connected_colored_graphs, graph_from_c
 from slicenet.game import (
     DIVISION_RULES,
     check_core,
+    coalition_values,
     compute_worth,
     convexity_probe,
     default_division,
@@ -152,6 +157,14 @@ def market_records(out: dict[str, list[str]]) -> None:
                         verdict.failing_mno, verdict.reason,
                     )
                 )
+            coalitions = [
+                c for size in range(1, len(problem.members) + 1)
+                for c in combinations(problem.members, size)
+            ]
+            out["coalitions"].extend(
+                record(name, list(c), value)
+                for c, value in zip(coalitions, coalition_values(problem, coalitions))
+            )
             probe = convexity_probe(problem)
             out["game"].append(
                 record(
@@ -241,7 +254,9 @@ def main() -> int:
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
     out: dict[str, list[str]] = {
-        name: [] for name in ("lp", "admm", "subgrad", "game", "estimate", "table", "lbt")
+        name: [] for name in (
+            "lp", "admm", "subgrad", "game", "coalitions", "estimate", "table", "lbt"
+        )
     }
     start = time.perf_counter()
     for section in (market_records, estimate_records, lbt_records):

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .problem import SlicingProblem, SlicingSolution, solve_lp_oracle, solve_lp_stack
+from .problem import SlicingProblem, SlicingSolution, solve_lp_coalitions, solve_lp_oracle
 
 #: Relative tolerance for welfare comparisons, tied to solver accuracy.
 EPS_REL = 1e-6
@@ -55,18 +55,21 @@ def _scale(*values: float) -> float:
 def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
     """Optimal welfare of the market restricted to each coalition.
 
-    Each distinct coalition is solved once, all of them together in one
-    stacked LP.  An infeasible restriction admits nothing and is worth
-    zero, and so is the empty coalition; that convention keeps values
-    defined for every coalition, mirroring an operator that cannot meet
-    its own floors and so signs nobody up.  A coalition keeps the
-    airtime shares estimated on the full deployment: a lone operator
-    still contends with everyone on the shared band.
+    Each distinct non-empty coalition is solved once, in order of first
+    appearance, all of them together in one stacked LP that
+    :func:`~slicenet.problem.solve_lp_coalitions` lays out from the
+    market's arrays, with no per-coalition problem or solution.  An
+    infeasible restriction admits nothing and is worth zero, and so is
+    the empty coalition; that convention keeps values defined for every
+    coalition, mirroring an operator that cannot meet its own floors
+    and so signs nobody up.  A coalition keeps the airtime shares
+    estimated on the full deployment: a lone operator still contends
+    with everyone on the shared band.
     """
     keys = [frozenset(c) for c in coalitions]
     distinct = [k for k in dict.fromkeys(keys) if k]
-    solved = solve_lp_stack([problem.restrict(k) for k in distinct])
-    value = {k: 0.0 if s is None else s.objective for k, s in zip(distinct, solved)}
+    solved = solve_lp_coalitions(problem, problem.coalition_mask(distinct))
+    value = {k: 0.0 if v is None else v for k, v in zip(distinct, solved)}
     return [value.get(k, 0.0) for k in keys]
 
 
@@ -295,22 +298,32 @@ def convexity_probe(problem: SlicingProblem) -> ConvexityReport:
     members = problem.members
     if len(members) > 5:
         raise ValueError("exhaustive probe capped at 5 operators")
+    # coalitions as bitmasks over member positions
+    bits = [1 << j for j in range(len(members))]
     checked = []
-    for c_size in range(1, len(members) + 1):
-        for c in combinations(members, c_size):
-            rest = [i for i in members if i not in c]
+    for c_size in range(1, len(bits) + 1):
+        for c in combinations(bits, c_size):
+            rest = [b for b in bits if b not in c]
             for o_size in range(1, len(rest) + 1):
                 for o in combinations(rest, o_size):
                     for n_size in range(0, o_size):
                         for n in combinations(o, n_size):
-                            checked.append((frozenset(c), frozenset(n), frozenset(o)))
-    needed = [frozenset(members)] + [s for c, n, o in checked for s in (c | o, o, c | n, n)]
-    value = dict(zip(needed, coalition_values(problem, needed)))
-    eps = EPS_REL * _scale(value[frozenset(members)])
+                            checked.append((sum(c), sum(n), sum(o)))
+
+    def ids(mask: int) -> frozenset[int]:
+        return frozenset(j for b, j in zip(bits, members) if mask & b)
+
+    grand = (1 << len(members)) - 1
+    needed = [grand] + [s for c, n, o in checked for s in (c | o, o, c | n, n)]
+    distinct = list(dict.fromkeys(needed))
+    value = [0.0] * (grand + 1)
+    for s, v in zip(distinct, coalition_values(problem, map(ids, distinct))):
+        value[s] = v
+    eps = EPS_REL * _scale(value[grand])
     violations = []
     for c, n, o in checked:
         lhs = value[c | o] - value[o]
         rhs = value[c | n] - value[n]
         if lhs < rhs - eps:
-            violations.append(ConvexityViolation(c, n, o, lhs, rhs))
+            violations.append(ConvexityViolation(ids(c), ids(n), ids(o), lhs, rhs))
     return ConvexityReport(checked=len(checked), violations=tuple(violations))

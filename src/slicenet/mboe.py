@@ -59,8 +59,11 @@ PROV_FALLBACK = "fallback"
 
 
 class TableMissError(KeyError):
-    def __init__(self, key: str):
-        super().__init__(f"no table entry for canonical key {key!r}")
+    """No table entry serves a graph.  ``key`` names the missing
+    canonical key, or is ``None`` for a graph too large to label."""
+
+    def __init__(self, key: str | None, message: str | None = None):
+        super().__init__(message or f"no table entry for canonical key {key!r}")
         self.key = key
 
 
@@ -156,7 +159,9 @@ def _estimate_component(
         return access, dict.fromkeys(access, kind)
     if not prune:
         if n > CANONICAL_MAX_VERTICES:
-            raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "table lookup")
+            raise TableMissError(
+                None, f"no table entry for a {n}-vertex graph: the table reaches {reach} vertices"
+            )
         # labeled only to name the missing key: a memo hit when the
         # table could hold the graph, past its reach a fresh label
         raise TableMissError(cached_canonical_form(graph).key)
@@ -197,8 +202,10 @@ def estimate_access(
     ``MIS_MAX_VERTICES`` vertices and a greedy lower bound above.  A
     component above ``MIS_MAX_VERTICES`` cannot be pruned exactly and,
     with ``fallback``, gets the equal share whole.  Without
-    ``fallback`` a miss raises ``TableMissError`` (naming the canonical
-    key) or ``GraphTooLargeError``.  Graphs larger than the table's
+    ``fallback`` a miss raises ``TableMissError``, naming the canonical
+    key, or the size of a piece or neighborhood too large to label and
+    the table's reach; a component above ``MIS_MAX_VERTICES`` raises
+    ``GraphTooLargeError``.  Graphs larger than the table's
     largest entry are never labeled with ``fallback`` on: no entry
     could match them.
     """

@@ -13,16 +13,23 @@ numpy arrays, per link, per member or ``(links, slices)``, each copied
 once when the problem or solution is made so that no caller aliases it.
 
 The LP is held as its nonzeros (:class:`LPModel`), never as dense
-matrices.  :func:`solve_lp_stack` solves several problems in one HiGHS
-call by offsetting their models into one block-diagonal matrix; the
-oracle is its one-problem case.  HiGHS is reached through scipy's
-public ``milp`` with no integer variables: one sparse CSC matrix
-``lo <= A x <= hi`` holds every inequality row (``lo = -inf``) and
-then every equality row (``lo = hi``), the row order ``linprog`` would
-build from the same models, so the solutions are the ones ``linprog``
-returns, bit for bit, without its per-call input handling.  scipy is
-imported inside that one call, not with this module, so a command or
-library call that solves no LP never loads it.
+matrices.  One assembly (:func:`_lp_model`) lays out a stack of LPs,
+one block per LP, from their offered pairs: each block's rows and
+columns follow those of the blocks before it, so the blocks share no
+variable.  :func:`solve_lp_stack` stacks several problems, and the
+oracle is its one-problem case.  :func:`solve_lp_coalitions` stacks
+the restrictions of one market to many coalitions straight from the
+market's arrays, in one pass of masks over coalitions, links and
+slices, and returns only their optimal values: it builds no
+restricted problem and no solution, and :meth:`SlicingProblem.restrict`
+is the one-coalition case of its pooling rule.  HiGHS is reached
+through scipy's public ``milp`` with no integer variables: one sparse
+CSC matrix ``lo <= A x <= hi`` holds every inequality row (``lo =
+-inf``) and then every equality row (``lo = hi``), the row order
+``linprog`` would build from the same model, so the solutions are the
+ones ``linprog`` returns, bit for bit, without its per-call input
+handling.  scipy is imported inside that one call, not with this
+module, so a command or library call that solves no LP never loads it.
 
 Three deployment variants share one problem shape: ``s1`` zeroes the
 licensed budgets (unlicensed only), ``s2`` zeroes the airtime
@@ -176,6 +183,20 @@ class SlicingProblem:
 
     # -- coalition restriction -------------------------------------------
 
+    def coalition_mask(self, coalitions) -> np.ndarray:
+        """``joined[k, j]``: member ``j`` belongs to ``coalitions[k]``.
+
+        Each coalition is a set of member ids; one with a non-member
+        raises ``ValueError``.
+        """
+        members = set(self.members)
+        for coalition in coalitions:
+            if not coalition <= members:
+                raise ValueError(f"coalition {sorted(coalition)} not among members")
+        return np.array(
+            [[j in c for j in self.members] for c in coalitions], dtype=bool
+        ).reshape(len(coalitions), len(self.members))
+
     def restrict(self, coalition) -> SlicingProblem:
         """The same market limited to ``coalition``.
 
@@ -183,38 +204,63 @@ class SlicingProblem:
         coalition members, and each link's licensed cap is rebuilt from
         the budgets of the operators still pooling for it.  A link
         whose owner no longer shares any slice is carried along with
-        zero entitlements so per-link reports keep their shape.
+        zero entitlements so per-link reports keep their shape.  This
+        is the one-coalition case of :func:`_pooled`, the mask pass
+        :func:`solve_lp_coalitions` runs over many coalitions at once.
         """
         coalition = frozenset(coalition)
         if not coalition:
             raise ValueError("empty coalition")
-        if not coalition <= set(self.members):
-            raise ValueError(f"coalition {sorted(coalition)} not among members")
-        ssg = tuple(g & coalition for g in self.ssg)
-        joined = np.array([j in coalition for j in self.members])
-        # pools[l, j]: member j pools spectrum for slice l
-        pools = np.array(
-            [[j in g for j in self.members] for g in ssg], dtype=bool
-        ).reshape(self.n_services, len(self.members))
-        owned = np.equal.outer(self.link_owner, self.members)
-        keep = owned @ joined
-        offered = (self.offered & (owned @ pools.T))[keep]
-        donors = np.where(offered @ pools, self.mno_budget_hz, 0.0)
+        joined = self.coalition_mask([coalition])
+        keep, offered, access, budget = _pooled(self, joined)
+        keep, budget = keep[0], budget[0]
         return replace(
             self,
             link_ids=tuple(compress(self.link_ids, keep)),
             link_owner=tuple(compress(self.link_owner, keep)),
-            members=tuple(compress(self.members, joined)),
-            mno_budget_hz=self.mno_budget_hz[joined],
+            members=tuple(compress(self.members, joined[0])),
+            mno_budget_hz=self.mno_budget_hz[joined[0]],
             rate_bps_hz=self.rate_bps_hz[keep],
-            access=np.where(offered.any(axis=1), self.access[keep], 0.0),
-            # each donor's budget added in member order, as a Python sum adds
-            budget_hz=np.cumsum(donors, axis=1)[:, -1],
-            offered=offered,
+            access=access[keep],
+            budget_hz=budget[keep],
+            offered=offered[keep],
             min_rate_bps=self.min_rate_bps[keep],
             price_per_bit=self.price_per_bit[keep],
-            ssg=ssg,
+            ssg=tuple(g & coalition for g in self.ssg),
         )
+
+
+def _pooled(problem: SlicingProblem, joined: np.ndarray):
+    """The pooling rule of :meth:`SlicingProblem.restrict`, for a stack
+    of coalitions at once.
+
+    ``joined[k, j]`` marks member ``j`` of coalition ``k``.  Returns
+    ``keep[k, i]``, whether link ``i``'s owner is in coalition ``k``;
+    ``offered``, the pairs a kept link offers, which do not depend on
+    the rest of its coalition; ``access``, per link, zero on a link
+    that offers no slice; and ``budget_hz[k, i]``, the summed budgets
+    of coalition ``k``'s members that pool spectrum for a slice link
+    ``i`` offers.
+    """
+    members = problem.members
+    # pools[l, j]: member j pools spectrum for slice l
+    pools = np.array(
+        [[j in g for j in members] for g in problem.ssg], dtype=bool
+    ).reshape(problem.n_services, len(members))
+    owner = np.equal.outer(problem.link_owner, members).argmax(axis=1)
+    # a kept link's owner is in the coalition, so it shares a slice
+    # exactly where its owner pools for it
+    offered = problem.offered & pools[:, owner].T
+    donors = np.where(
+        (offered @ pools)[None] & joined[:, None, :], problem.mno_budget_hz, 0.0
+    )
+    return (
+        joined[:, owner],
+        offered,
+        np.where(offered.any(axis=1), problem.access, 0.0),
+        # each donor's budget added in member order, as a Python sum adds
+        np.cumsum(donors, axis=2)[..., -1],
+    )
 
 
 def build_problem(
@@ -373,6 +419,11 @@ class SlicingSolution:
         )
 
 
+def _revenue(price, u, alpha, unlicensed, rate) -> np.ndarray:
+    """The revenue of each pair: its tariff times its delivered rate."""
+    return price * ((u + alpha * unlicensed) * rate)
+
+
 def solution_from_arrays(
     problem: SlicingProblem,
     u: np.ndarray,
@@ -383,13 +434,16 @@ def solution_from_arrays(
     """Package ``(links, slices)`` arrays as a solution, recomputing the objective."""
     u, alpha = np.asarray(u, dtype=float), np.asarray(alpha, dtype=float)
     r, c = problem.rows, problem.cols
-    thru = (u[r, c] + alpha[r, c] * problem.unlicensed_hz) * problem.rate_bps_hz[r]
+    revenue = _revenue(
+        problem.price_per_bit[r, c], u[r, c], alpha[r, c], problem.unlicensed_hz,
+        problem.rate_bps_hz[r],
+    )
     return SlicingSolution(
         problem=problem,
         u_hz=u,
         alpha=alpha,
         # pair by pair in link order, as the revenue is defined
-        objective=sum((problem.price_per_bit[r, c] * thru).tolist(), 0.0),
+        objective=sum(revenue.tolist(), 0.0),
         method=method,
         flags=flags,
     )
@@ -400,15 +454,122 @@ def solution_from_arrays(
 
 
 @dataclass(frozen=True)
-class LPModel:
-    """One allocation LP held as its nonzeros.
+class _Pairs:
+    """The offered pairs of a stack of allocation LPs, one block per LP.
 
-    There is a column per offered pair's ``u``, then one per pair's
-    ``alpha``.  ``ub`` and ``eq`` are the ``(row, col, value)`` triplets
-    of the inequality and equality matrices: a QoS row per pair with a
-    positive floor and a budget row per link that offers a slice, and an
-    airtime equality per such link.  ``bounds`` holds a ``(low, high)``
-    row per column.
+    Pairs run block by block, and within a block in link order, then
+    slice order.  Per pair: its ``block``, the index of its ``link``
+    among the busy links (those that offer a slice), its tariff
+    ``price``, its link's ``rate``, its QoS ``floor`` and its block's
+    ``unlicensed`` band.  Per busy link, in the same order: its
+    ``link_block``, licensed cap ``budget`` and airtime ``access``.
+    """
+
+    n_blocks: int
+    block: np.ndarray
+    link: np.ndarray
+    price: np.ndarray
+    rate: np.ndarray
+    floor: np.ndarray
+    unlicensed: np.ndarray
+    link_block: np.ndarray
+    budget: np.ndarray
+    access: np.ndarray
+
+    @property
+    def ends(self) -> np.ndarray:
+        """One past each block's last pair."""
+        return np.cumsum(np.bincount(self.block, minlength=self.n_blocks))
+
+    def one_block(self, k: int) -> _Pairs:
+        """Block ``k`` alone."""
+        pairs = slice(*np.searchsorted(self.block, [k, k + 1]))
+        links = slice(*np.searchsorted(self.link_block, [k, k + 1]))
+        return _Pairs(
+            n_blocks=1,
+            block=self.block[pairs] - k,
+            link=self.link[pairs] - links.start,
+            price=self.price[pairs],
+            rate=self.rate[pairs],
+            floor=self.floor[pairs],
+            unlicensed=self.unlicensed[pairs],
+            link_block=self.link_block[links] - k,
+            budget=self.budget[links],
+            access=self.access[links],
+        )
+
+
+def _pairs(offered, price, floor, rate, budget, access, unlicensed) -> _Pairs:
+    """The pairs of a stack given as ``offered[k, i, l]``: block ``k``
+    offers slice ``l`` on link ``i``.
+
+    ``price`` and ``floor`` broadcast to ``offered``'s shape, ``rate``,
+    ``budget`` and ``access`` to its ``(blocks, links)`` and
+    ``unlicensed`` to its blocks.
+    """
+    shape = offered.shape
+    k, i, l = np.nonzero(offered)
+    busy = offered.any(axis=2)
+    link_block, link = np.nonzero(busy)
+    # each busy link's index among them all, block by block
+    at = (np.cumsum(busy.ravel()) - 1).reshape(shape[:2])
+    return _Pairs(
+        n_blocks=shape[0],
+        block=k,
+        link=at[k, i],
+        price=np.broadcast_to(price, shape)[k, i, l],
+        rate=np.broadcast_to(rate, shape[:2])[k, i],
+        floor=np.broadcast_to(floor, shape)[k, i, l],
+        unlicensed=np.broadcast_to(unlicensed, shape[:1])[k],
+        link_block=link_block,
+        budget=np.broadcast_to(budget, shape[:2])[link_block, link],
+        access=np.broadcast_to(access, shape[:2])[link_block, link],
+    )
+
+
+def _problem_pairs(problems: list[SlicingProblem]) -> _Pairs:
+    """The pairs of ``problems``' LPs, one block per problem."""
+    parts = [
+        _pairs(
+            p.offered[None], p.price_per_bit, p.min_rate_bps, p.rate_bps_hz,
+            p.budget_hz, p.access, p.unlicensed_hz,
+        )
+        for p in problems
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    link_at = np.cumsum([0] + [len(q.link_block) for q in parts])
+
+    def stacked(name, offsets=(0,) * len(parts)):
+        return np.concatenate([getattr(q, name) + o for q, o in zip(parts, offsets)])
+
+    return _Pairs(
+        n_blocks=len(parts),
+        block=stacked("block", range(len(parts))),
+        link=stacked("link", link_at),
+        price=stacked("price"),
+        rate=stacked("rate"),
+        floor=stacked("floor"),
+        unlicensed=stacked("unlicensed"),
+        link_block=stacked("link_block", range(len(parts))),
+        budget=stacked("budget"),
+        access=stacked("access"),
+    )
+
+
+@dataclass(frozen=True)
+class LPModel:
+    """A stack of allocation LPs held as its nonzeros.
+
+    Each block has a column per offered pair's ``u``, then one per
+    pair's ``alpha``.  ``ub`` and ``eq`` are the ``(row, col, value)``
+    triplets of the inequality and equality matrices.  Each block has
+    a QoS row per pair with a positive floor, then a budget row per
+    link that offers a slice, and an airtime equality per such link.
+    Every block's columns and rows come after those of the blocks
+    before it, so the blocks share no variable.  ``bounds`` holds a
+    ``(low, high)`` row per column.  ``u_col`` and ``alpha_col`` are
+    the columns of each pair.
     """
 
     c: np.ndarray
@@ -417,81 +578,85 @@ class LPModel:
     eq: tuple[np.ndarray, np.ndarray, np.ndarray]
     b_eq: np.ndarray
     bounds: np.ndarray
+    u_col: np.ndarray
+    alpha_col: np.ndarray
 
 
-def _lp_model(problem: SlicingProblem) -> LPModel:
-    r, c = problem.rows, problem.cols
-    n = len(r)
-    cols = np.arange(n)
-    links, link_row = np.unique(r, return_inverse=True)
-    floor = problem.min_rate_bps[r, c]
-    qos = np.flatnonzero(floor > 0)
-    q = np.arange(len(qos))
-    gain = problem.price_per_bit[r, c] * problem.rate_bps_hz[r]
+def _lp_model(pairs: _Pairs) -> LPModel:
+    n, k = len(pairs.block), pairs.n_blocks
+    index = np.arange(n)
+    ends = pairs.ends
+    # a block's u columns follow both column sets of the blocks before it
+    u_col = index + (ends - np.bincount(pairs.block, minlength=k))[pairs.block]
+    alpha_col = index + ends[pairs.block]
+    qos = np.flatnonzero(pairs.floor > 0)
+    q_ends = np.cumsum(np.bincount(pairs.block[qos], minlength=k))
+    l_counts = np.bincount(pairs.link_block, minlength=k)
+    # a block's QoS rows follow every inequality row of the blocks
+    # before it, and its budget rows follow its own QoS rows
+    qos_row = np.arange(len(qos)) + (np.cumsum(l_counts) - l_counts)[pairs.block[qos]]
+    budget_row = np.arange(len(pairs.link_block)) + q_ends[pairs.link_block]
+    gain = pairs.price * pairs.rate
+    c = np.empty(2 * n)
+    c[u_col], c[alpha_col] = -gain, -gain * pairs.unlicensed
+    b_ub = np.empty(len(qos) + len(budget_row))
+    b_ub[qos_row] = -pairs.floor[qos] / pairs.rate[qos]
+    b_ub[budget_row] = pairs.budget
+    high = np.empty(2 * n)
+    high[u_col], high[alpha_col] = np.inf, 1.0
     return LPModel(
-        c=np.concatenate([-gain, -gain * problem.unlicensed_hz]),
+        c=c,
         ub=(
-            np.concatenate([q, q, len(qos) + link_row]),
-            np.concatenate([qos, n + qos, cols]),
-            np.concatenate(
-                [np.full(len(qos), -1.0), np.full(len(qos), -problem.unlicensed_hz), np.ones(n)]
-            ),
+            np.concatenate([qos_row, qos_row, budget_row[pairs.link]]),
+            np.concatenate([u_col[qos], alpha_col[qos], u_col]),
+            np.concatenate([np.full(len(qos), -1.0), -pairs.unlicensed[qos], np.ones(n)]),
         ),
-        b_ub=np.concatenate([-floor[qos] / problem.rate_bps_hz[r[qos]], problem.budget_hz[links]]),
-        eq=(link_row, n + cols, np.ones(n)),
-        b_eq=problem.access[links],
-        bounds=np.column_stack(
-            [np.zeros(2 * n), np.concatenate([np.full(n, np.inf), np.ones(n)])]
-        ),
+        b_ub=b_ub,
+        eq=(pairs.link, alpha_col, np.ones(n)),
+        b_eq=pairs.access,
+        bounds=np.column_stack([np.zeros(2 * n), high]),
+        u_col=u_col,
+        alpha_col=alpha_col,
     )
 
 
-def _highs(models: list[LPModel]):
-    """One HiGHS solve of the block-diagonal stack of ``models``.
+def _highs(model: LPModel):
+    """One HiGHS solve of ``model``.
 
-    Each model's rows and columns are offset past those of the models
-    before it, so the stacked matrix holds exactly the models' own
-    nonzeros and the blocks share no variable.  HiGHS takes one matrix
-    with ``lo <= A x <= hi``: every model's inequality rows (``lo`` is
-    ``-inf``), then every model's equality rows (``lo = hi = b_eq``).
+    HiGHS takes one matrix with ``lo <= A x <= hi``: every inequality
+    row (``lo`` is ``-inf``), then every equality row (``lo = hi =
+    b_eq``).
     """
     # importing scipy is most of a command's start-up: only an LP
     # solve pays for it
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_array
 
-    col_at = np.cumsum([0] + [len(m.c) for m in models])
-    ub_at = np.cumsum([0] + [len(m.b_ub) for m in models])
-    eq_at = ub_at[-1] + np.cumsum([0] + [len(m.b_eq) for m in models])
-    parts = [(m.ub, r, c) for m, r, c in zip(models, ub_at, col_at)]
-    parts += [(m.eq, r, c) for m, r, c in zip(models, eq_at, col_at)]
-    b_ub = np.concatenate([m.b_ub for m in models])
-    b_eq = np.concatenate([m.b_eq for m in models])
-    rows = np.concatenate([t[0] + r for t, r, _ in parts])
-    cols = np.concatenate([t[1] + c for t, _, c in parts])
+    n_ub, n_cols = len(model.b_ub), len(model.c)
+    rows = np.concatenate([model.ub[0], model.eq[0] + n_ub])
+    cols = np.concatenate([model.ub[1], model.eq[1]])
     # CSC order: by column, rows ascending within each
     order = np.lexsort((rows, cols))
-    starts = np.zeros(col_at[-1] + 1, dtype=rows.dtype)
-    np.cumsum(np.bincount(cols, minlength=col_at[-1]), out=starts[1:])
+    starts = np.zeros(n_cols + 1, dtype=rows.dtype)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=starts[1:])
     a = csc_array(
-        (np.concatenate([t[2] for t, _, _ in parts])[order], rows[order], starts),
-        shape=(eq_at[-1], col_at[-1]),
+        (np.concatenate([model.ub[2], model.eq[2]])[order], rows[order], starts),
+        shape=(n_ub + len(model.b_eq), n_cols),
     )
-    bounds = np.concatenate([m.bounds for m in models])
     return milp(
-        np.concatenate([m.c for m in models]),
-        bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+        model.c,
+        bounds=Bounds(model.bounds[:, 0], model.bounds[:, 1]),
         constraints=LinearConstraint(
             a,
-            np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
-            np.concatenate([b_ub, b_eq]),
+            np.concatenate([np.full(n_ub, -np.inf), model.b_eq]),
+            np.concatenate([model.b_ub, model.b_eq]),
         ),
     )
 
 
 def _highs_once(problem: SlicingProblem):
     """One HiGHS solve of ``problem``'s LP."""
-    return _highs([_lp_model(problem)])
+    return _highs(_lp_model(_problem_pairs([problem])))
 
 
 def _blame_family(problem: SlicingProblem) -> str:
@@ -514,43 +679,94 @@ def _blame_family(problem: SlicingProblem) -> str:
     return FAMILY_QOS
 
 
-def _lp_solution(problem: SlicingProblem, x: np.ndarray) -> SlicingSolution:
-    """Package a block of HiGHS's primal values as a solution."""
-    r, c = problem.rows, problem.cols
-    n = len(r)
-    u, alpha = np.zeros((2, *problem.offered.shape))
-    # clamp as max(0, x) and min(1, x) do: HiGHS's -0.0 becomes 0.0
-    x_u, x_a = x[:n], x[n:]
-    x_a = np.where(x_a > 0.0, x_a, 0.0)
-    u[r, c] = np.where(x_u > 0.0, x_u, 0.0)
-    alpha[r, c] = np.where(x_a < 1.0, x_a, 1.0)
-    return solution_from_arrays(problem, u, alpha, "lp")
+def _solve_pairs(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """Solve a stack of LPs in one HiGHS call.
+
+    The LPs share no variable, so their stack is optimal exactly where
+    each block is optimal for its own LP.  One infeasible block makes
+    the whole stack infeasible, and then each block is solved on its
+    own.  Returns every pair's ``u`` and ``alpha``, clamped into their
+    bounds as ``max(0, x)`` and ``min(1, x)`` do (HiGHS's -0.0 becomes
+    0.0), and whether each block is feasible; an infeasible block's
+    values are zeros.
+    """
+    n = len(pairs.block)
+    if not n:
+        # no pair, no column and no row: nothing to solve
+        return np.zeros(0), np.zeros(0), [True] * pairs.n_blocks
+    model = _lp_model(pairs)
+    res = _highs(model)
+    if res.status == 2:
+        if pairs.n_blocks == 1:
+            return np.zeros(n), np.zeros(n), [False]
+        parts = [_solve_pairs(pairs.one_block(k)) for k in range(pairs.n_blocks)]
+        u, alpha, feasible = zip(*parts)
+        return np.concatenate(u), np.concatenate(alpha), [ok for f in feasible for ok in f]
+    if res.status != 0:
+        raise RuntimeError(f"allocation solve failed with status {res.status}")
+    u, alpha = res.x[model.u_col], res.x[model.alpha_col]
+    alpha = np.where(alpha > 0.0, alpha, 0.0)
+    return np.where(u > 0.0, u, 0.0), np.where(alpha < 1.0, alpha, 1.0), [True] * pairs.n_blocks
 
 
 def solve_lp_stack(problems: list[SlicingProblem]) -> list[SlicingSolution | None]:
     """Solve several allocation LPs exactly, in one HiGHS call.
 
-    The LPs share no variable, so their block-diagonal stack is optimal
-    exactly where each block is optimal for its own problem.  ``None``
-    marks a problem with no feasible point: one such block makes the
-    whole stack infeasible, and then each problem is solved on its own.
-    The violated constraint family is not diagnosed here.
+    ``None`` marks a problem with no feasible point; if there is one,
+    each problem is solved on its own.  The violated constraint family
+    is not diagnosed here.
     """
     if not problems:
         return []
-    models = [_lp_model(p) for p in problems]
-    ends = np.cumsum([len(m.c) for m in models])
-    x = np.zeros(0)
-    if ends[-1]:
-        res = _highs(models)
-        if res.status == 2:
-            if len(problems) == 1:
-                return [None]
-            return [solve_lp_stack([p])[0] for p in problems]
-        if res.status != 0:
-            raise RuntimeError(f"allocation solve failed with status {res.status}")
-        x = res.x
-    return [_lp_solution(p, b) for p, b in zip(problems, np.split(x, ends[:-1]))]
+    pairs = _problem_pairs(problems)
+    u, alpha, feasible = _solve_pairs(pairs)
+    ends = pairs.ends.tolist()
+    solutions = []
+    for problem, ok, start, end in zip(problems, feasible, [0] + ends, ends):
+        if not ok:
+            solutions.append(None)
+            continue
+        r, c = problem.rows, problem.cols
+        u_hz, airtime = np.zeros((2, *problem.offered.shape))
+        u_hz[r, c], airtime[r, c] = u[start:end], alpha[start:end]
+        solutions.append(solution_from_arrays(problem, u_hz, airtime, "lp"))
+    return solutions
+
+
+def _coalition_pairs(problem: SlicingProblem, joined: np.ndarray) -> _Pairs:
+    """The pairs of ``problem.restrict`` of each coalition ``joined``
+    marks, one block per coalition, with no problem built."""
+    keep, offered, access, budget = _pooled(problem, joined)
+    return _pairs(
+        keep[:, :, None] & offered, problem.price_per_bit, problem.min_rate_bps,
+        problem.rate_bps_hz, budget, access, problem.unlicensed_hz,
+    )
+
+
+def solve_lp_coalitions(problem: SlicingProblem, joined: np.ndarray) -> list[float | None]:
+    """The optimal welfare of ``problem`` restricted to each coalition,
+    all of them in one HiGHS call.
+
+    ``joined[k, j]`` marks member ``j`` of coalition ``k``
+    (:meth:`SlicingProblem.coalition_mask`); every coalition is
+    non-empty.  One pass of masks over coalitions, links and slices
+    (:func:`_pooled`) lays out the stacked LP straight from the
+    market's arrays, and each value is read off the stacked solution as
+    :func:`solution_from_arrays` computes an objective.  The values are
+    bit for bit the objectives of ``solve_lp_stack`` over
+    ``problem.restrict`` of each coalition, in the same order, with
+    ``None`` for a coalition with no feasible point.
+    """
+    if not len(joined):
+        return []
+    pairs = _coalition_pairs(problem, joined)
+    u, alpha, feasible = _solve_pairs(pairs)
+    revenue = _revenue(pairs.price, u, alpha, pairs.unlicensed, pairs.rate).tolist()
+    ends = pairs.ends.tolist()
+    return [
+        sum(revenue[start:end], 0.0) if ok else None
+        for ok, start, end in zip(feasible, [0] + ends, ends)
+    ]
 
 
 def solve_lp_oracle(problem: SlicingProblem) -> SlicingSolution:

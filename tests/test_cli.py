@@ -236,7 +236,7 @@ def test_table_miss_without_fallback_exits_5(workspace, tmp_path, capsys):
     code = main(["solve", "--scenario", str(scenario), "--table", str(small)])
     assert code == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: table-miss") or err.startswith("error: simulation")
+    assert err.startswith("error: table-miss")
 
 
 @pytest.mark.parametrize(

@@ -241,3 +241,30 @@ def test_game_never_diagnoses_infeasibility(monkeypatch):
         convexity_probe(problem)
         worthless += agreement.standalone.count(0.0)
     assert worthless > 0
+
+
+def test_all_coalitions_in_one_pass(monkeypatch):
+    import slicenet.problem
+
+    rng = np.random.default_rng(2)
+    problem = random_problem(rng, feasible_for="coalitions")
+    while len(problem.members) != 4:
+        problem = random_problem(rng, feasible_for="coalitions")
+    calls = {"highs": 0, "restrict": 0}
+    highs, restrict = slicenet.problem._highs, slicenet.problem.SlicingProblem.restrict
+
+    def counted_highs(model):
+        calls["highs"] += 1
+        return highs(model)
+
+    def counted_restrict(self, coalition):
+        calls["restrict"] += 1
+        return restrict(self, coalition)
+
+    monkeypatch.setattr(slicenet.problem, "_highs", counted_highs)
+    monkeypatch.setattr(slicenet.problem.SlicingProblem, "restrict", counted_restrict)
+    members = problem.members
+    coalitions = [c for r in range(1, 5) for c in combinations(members, r)]
+    values = coalition_values(problem, coalitions)
+    assert len(values) == 15 and min(values) > 0.0
+    assert calls == {"highs": 1, "restrict": 0}

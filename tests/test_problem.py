@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
+from slicenet.game import coalition_values
 from slicenet.mboe import AccessEstimate
 from slicenet.problem import (
     FAMILY_ACCESS,
@@ -17,12 +18,15 @@ from slicenet.problem import (
     VARIANTS,
     InfeasibleProblem,
     SlicingProblem,
+    _coalition_pairs,
     _highs,
     _lp_model,
+    _problem_pairs,
     as_variant,
     build_problem,
     solution_from_arrays,
     solve_lp_oracle,
+    solve_lp_stack,
 )
 from slicenet.scenario import BandPlan, Link, Mno, Node, Scenario, ServiceType
 from slicenet.topology import bottleneck_preset, random_problem
@@ -437,9 +441,12 @@ def _random_markets(seed, passes=10):
 _MARKETS = _random_markets(1)
 
 
-def _assert_same_lp(problems):
-    models = [_lp_model(p) for p in problems]
-    got, want = _highs(models), _reference_linprog(models)
+def _assert_same_lp(problems, pairs=None):
+    """HiGHS on the stack of ``problems`` (or on ``pairs``, their pairs
+    laid out another way) returns what ``linprog`` returns on the block
+    diagonal of their one-problem models."""
+    got = _highs(_lp_model(pairs or _problem_pairs(problems)))
+    want = _reference_linprog([_lp_model(_problem_pairs([p])) for p in problems])
     assert got.status == want.status
     if want.x is None:
         assert got.x is None
@@ -463,11 +470,42 @@ def test_stacked_highs_call_matches_linprog_bit_for_bit():
         members = problem.members
         for variant in ("s1", "s3"):
             market = as_variant(problem, variant)
-            statuses.add(
-                _assert_same_lp([
-                    market.restrict(c)
-                    for r in range(1, len(members) + 1)
-                    for c in combinations(members, r)
-                ])
-            )
+            coalitions = [
+                frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)
+            ]
+            restricted = [market.restrict(c) for c in coalitions]
+            statuses.add(_assert_same_lp(restricted))
+            # the game's mask pass lays out the very same stack
+            masked = _coalition_pairs(market, market.coalition_mask(coalitions))
+            statuses.add(_assert_same_lp(restricted, masked))
+            got, want = _lp_model(masked), _lp_model(_problem_pairs(restricted))
+            for name in ("c", "b_ub", "b_eq", "bounds", "u_col", "alpha_col"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            for name in ("ub", "eq"):
+                for a, b in zip(getattr(got, name), getattr(want, name)):
+                    assert a.tobytes() == b.tobytes(), name
     assert statuses == {0, 2}
+
+
+def test_coalition_values_match_restricted_stacks_bit_for_bit():
+    # the game's mask pass against one stack of restricted problems;
+    # under s1 and s2 most stacks hold an infeasible block, so the
+    # one-by-one fallback runs too
+    infeasible = 0
+    for problem in _MARKETS[::8]:
+        members = problem.members
+        coalitions = [
+            frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)
+        ]
+        for variant in VARIANTS:
+            market = as_variant(problem, variant)
+            solved = solve_lp_stack([market.restrict(c) for c in coalitions])
+            want = [0.0 if s is None else s.objective for s in solved]
+            infeasible += want.count(0.0)
+            # a duplicate and the empty coalition change neither the
+            # stack nor its values
+            asked = coalitions[:1] + [frozenset(), coalitions[0]] + coalitions[1:]
+            got = coalition_values(market, asked)
+            assert got[1] == 0.0
+            assert [v.hex() for v in got[:1] + got[2:]] == [v.hex() for v in want[:1] + want]
+    assert infeasible > 0
