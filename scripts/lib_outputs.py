@@ -28,6 +28,10 @@ bit, signed zeros included.  The files, one record per line:
   Strict runs that fail record the error type and text.  One
   deployment is chosen so that the ``table``, ``pruned`` and
   ``fallback`` paths all occur; the script fails if one does not.
+- ``graph.tsv``: the contention graph of every scenario and view that
+  ``estimate.tsv`` estimates: its sorted edge list, then one record per
+  connected component with its vertex ids and, for a component of at
+  most ``MIS_MAX_VERTICES`` vertices, its maximum independent sets.
 - ``table.tsv``: that 0.2 s table itself, one record per graph in
   enumeration order: the canonical key, its automorphism orbits and
   the entry's access and raw shares.
@@ -61,7 +65,12 @@ from slicenet.coexist import (
     run_coexistence,
     simulate_graph,
 )
-from slicenet.contention import enumerate_connected_colored_graphs, graph_from_canonical
+from slicenet.contention import (
+    MIS_MAX_VERTICES,
+    enumerate_connected_colored_graphs,
+    graph_from_canonical,
+    maximum_independent_sets,
+)
 from slicenet.game import (
     DIVISION_RULES,
     check_core,
@@ -185,35 +194,55 @@ def deployment(kind, bs, ues, aps, cell, seed):
     return "-".join(map(str, (kind, bs, ues, aps, cell, seed))), scenario
 
 
+def views():
+    """(scenario label, view label, contention graph) of the committed
+    scenario and each deployment: the whole graph, each operator's view
+    and each view with one operator removed."""
+    scenarios = [("two_mno_20mhz", load_scenario(SCENARIO))]
+    scenarios += [deployment(*d) for d in DEPLOYMENTS]
+    for label, scenario in scenarios:
+        graph = build_contention_graph(scenario)
+        owners = sorted(m.id for m in scenario.mnos)
+        yield label, "whole", graph
+        for m in owners:
+            yield label, f"mno{m}", subgraph_for_mno(graph, m)
+        for m in owners:
+            yield label, f"without{m}", remove_mno(graph, [m])
+
+
 def estimate_records(out: dict[str, list[str]]) -> None:
     table = measure_table(5, SimConfig(duration_s=0.2, seed=0))
     for form in enumerate_connected_colored_graphs(5):
         entry = table.entries[form.key]
         out["table"].append(record(form.key, form.orbits, entry.access, entry.raw_share))
-    scenarios = [("two_mno_20mhz", load_scenario(SCENARIO))]
-    scenarios += [deployment(*d) for d in DEPLOYMENTS]
-    three_paths = scenarios[1][0]
-    for label, scenario in scenarios:
-        graph = build_contention_graph(scenario)
-        owners = sorted(m.id for m in scenario.mnos)
-        views = [("whole", graph)]
-        views += [(f"mno{m}", subgraph_for_mno(graph, m)) for m in owners]
-        views += [(f"without{m}", remove_mno(graph, [m])) for m in owners]
-        for view, g in views:
-            for fallback in (False, True):
-                name = f"{label}\t{view}\t{'fallback' if fallback else 'strict'}"
-                try:
-                    est = estimate_access(g, table, fallback=fallback)
-                except (KeyError, ValueError) as exc:
-                    out["estimate"].append(record(name, type(exc).__name__, exc))
-                    continue
-                out["estimate"].extend(
-                    record(name, vid, est.access[vid], est.provenance[vid])
-                    for vid in sorted(est.access)
-                )
-                kinds = Counter(est.provenance.values())
-                if label == three_paths and view == "whole" and fallback and len(kinds) < 3:
-                    raise RuntimeError(f"{label} reaches only {dict(kinds)}")
+    three_paths = "-".join(map(str, DEPLOYMENTS[0]))  # the first deployment's label
+    for label, view, g in views():
+        for fallback in (False, True):
+            name = f"{label}\t{view}\t{'fallback' if fallback else 'strict'}"
+            try:
+                est = estimate_access(g, table, fallback=fallback)
+            except (KeyError, ValueError) as exc:
+                out["estimate"].append(record(name, type(exc).__name__, exc))
+                continue
+            out["estimate"].extend(
+                record(name, vid, est.access[vid], est.provenance[vid])
+                for vid in sorted(est.access)
+            )
+            kinds = Counter(est.provenance.values())
+            if label == three_paths and view == "whole" and fallback and len(kinds) < 3:
+                raise RuntimeError(f"{label} reaches only {dict(kinds)}")
+
+
+def graph_records(out: dict[str, list[str]]) -> None:
+    for label, view, g in views():
+        out["graph"].append(record(label, view, "edges", sorted(g.edges)))
+        for k, comp in enumerate(g.components()):
+            sets = (
+                maximum_independent_sets(comp)
+                if len(comp.vertices) <= MIS_MAX_VERTICES
+                else "too-large"
+            )
+            out["graph"].append(record(label, view, f"component{k}", list(comp.ids), sets))
 
 
 def stats_records(out, name, outcome) -> None:
@@ -255,11 +284,12 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     out: dict[str, list[str]] = {
         name: [] for name in (
-            "lp", "admm", "subgrad", "game", "coalitions", "estimate", "table", "lbt"
+            "lp", "admm", "subgrad", "game", "coalitions", "estimate", "graph", "table",
+            "lbt",
         )
     }
     start = time.perf_counter()
-    for section in (market_records, estimate_records, lbt_records):
+    for section in (market_records, estimate_records, graph_records, lbt_records):
         t = time.perf_counter()
         section(out)
         print(f"{section.__name__}: {time.perf_counter() - t:.1f} s", file=sys.stderr)

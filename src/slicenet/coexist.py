@@ -494,9 +494,14 @@ def build_contention_graph(scenario: Scenario) -> ContentionGraph:
     contenders served by the same physical node share one radio and
     are always adjacent.
     """
+    return _contention_graph(scenario, unlicensed_contenders(scenario))
+
+
+def _contention_graph(scenario: Scenario, contenders) -> ContentionGraph:
+    """``build_contention_graph`` over ``unlicensed_contenders(scenario)``
+    already at hand: each contender's neighbor mask is its row of the
+    adjacency matrix, packed into bits."""
     nodes = scenario.nodes
-    contenders = unlicensed_contenders(scenario)
-    verts = [Vertex(id=spec.id, tech=spec.tech, owner=owner) for spec, _, owner in contenders]
     row = {n.id: i for i, n in enumerate(nodes)}
     pos = np.array([n.position_m for n in nodes], dtype=float).reshape(-1, 2)
     tx = np.array([n.tx_power_dbm for n in nodes], dtype=float)
@@ -511,25 +516,26 @@ def build_contention_graph(scenario: Scenario) -> ContentionGraph:
     hears = (tx[None, :] - loss >= cca[:, None]) | (dist <= 0.0)
     at = np.array([row[node_id] for _, node_id, _ in contenders], dtype=np.intp)
     adjacent = (hears | hears.T)[np.ix_(at, at)]
-    ia, ib = np.nonzero(np.triu(adjacent, 1))
-    edges = [(verts[i].id, verts[j].id) for i, j in zip(ia.tolist(), ib.tolist())]
-    return ContentionGraph.build(verts, edges)
+    np.fill_diagonal(adjacent, False)
+    packed = np.packbits(adjacent, axis=1, bitorder="little")
+    return ContentionGraph(
+        vertices=tuple(Vertex(spec.id, spec.tech, owner) for spec, _, owner in contenders),
+        masks=tuple(int.from_bytes(bits.tobytes(), "little") for bits in packed),
+    )
 
 
 def run_coexistence(scenario: Scenario, config: SimConfig) -> SimOutcome:
     """Simulate the scenario's unlicensed band and report per-link stats."""
-    graph = build_contention_graph(scenario)
     contenders = unlicensed_contenders(scenario)
-    specs = [spec for spec, _, _ in contenders]
-    # the graph's vertices are the contenders, in the same order
-    return run_lbt(specs, graph.adjacency_masks(), config)
+    graph = _contention_graph(scenario, contenders)
+    return run_lbt([spec for spec, _, _ in contenders], graph.masks, config)
 
 
 def simulate_graph(graph: ContentionGraph, config: SimConfig) -> SimOutcome:
     """Simulate an abstract contention graph with per-technology LBT
     defaults."""
     specs = [_spec(v.id, v.tech, NODE_DEFAULTS[v.tech]) for v in graph.vertices]
-    return run_lbt(specs, graph.adjacency_masks(), config)
+    return run_lbt(specs, graph.masks, config)
 
 
 # -- measured access-probability tables ------------------------------------

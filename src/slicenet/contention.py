@@ -3,10 +3,12 @@
 Vertices are saturated transmitters (operator links or plain Wi-Fi
 access points) tagged with a technology label; an edge means the two
 endpoints hear each other above the clear-channel threshold and defer
-to one another.  The module is pure graph machinery: induced
-subgraphs, components, exact maximum-independent-set enumeration, and
-an exact canonical labeling for small technology-colored graphs used
-to key measured access-probability tables.
+to one another.  A graph holds one neighbor bitmask per vertex, the
+form every algorithm here runs on.  The module is pure graph
+machinery: induced subgraphs, components, exact
+maximum-independent-set enumeration, and an exact canonical labeling
+for small technology-colored graphs, memoized per process, used to key
+measured access-probability tables.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ CANONICAL_MAX_VERTICES = 6
 
 MIS_MAX_VERTICES = 20
 
-# Distinct inputs the estimator's label memo keeps; a dense deployment
-# labels a few dozen.
+# Distinct inputs the memo of ``canonical_form`` keeps; a dense
+# deployment labels a few dozen.
 LABEL_MEMO_SIZE = 1024
 
 
@@ -52,29 +54,43 @@ class Vertex:
 
 @dataclass(frozen=True)
 class ContentionGraph:
-    """Simple undirected graph; edges are sorted id pairs."""
+    """Simple undirected graph held as neighbor bitmasks: bit ``j`` of
+    ``masks[i]`` means vertices ``i`` and ``j`` hear each other."""
 
     vertices: tuple[Vertex, ...]
-    edges: frozenset[tuple[str, str]]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        ids = [v.id for v in self.vertices]
+        ids = self.ids
         if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate vertex ids: {ids}")
-        known = set(ids)
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self loop on {a}")
-            if a > b:
-                raise ValueError(f"edge ({a}, {b}) not in sorted order")
-            if a not in known or b not in known:
-                raise ValueError(f"edge ({a}, {b}) references unknown vertex")
+            raise ValueError(f"duplicate vertex ids: {list(ids)}")
+        n = len(ids)
+        if len(self.masks) != n:
+            raise ValueError(f"{len(self.masks)} neighbor masks for {n} vertices")
+        for i, m in enumerate(self.masks):
+            if m >> n:
+                raise ValueError(f"mask of {ids[i]} has a bit past the last vertex")
+            if m >> i & 1:
+                raise ValueError(f"self loop on {ids[i]}")
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                if not self.masks[j] >> i & 1:
+                    raise ValueError(f"edge ({ids[i]}, {ids[j]}) is not in both masks")
+                m ^= low
 
     @staticmethod
     def build(vertices, edges) -> "ContentionGraph":
-        """Normalize loose (a, b) pairs into a validated graph."""
-        pairs = frozenset(tuple(sorted((a, b))) for a, b in edges)
-        return ContentionGraph(vertices=tuple(vertices), edges=pairs)
+        """The graph on ``vertices`` with loose (a, b) id pairs as edges."""
+        vertices = tuple(vertices)
+        index = {v.id: i for i, v in enumerate(vertices)}
+        masks = [0] * len(vertices)
+        for a, b in edges:
+            if a not in index or b not in index:
+                raise ValueError(f"edge ({a}, {b}) references unknown vertex")
+            masks[index[a]] |= 1 << index[b]
+            masks[index[b]] |= 1 << index[a]
+        return ContentionGraph(vertices=vertices, masks=tuple(masks))
 
     # -- basic access ----------------------------------------------------
 
@@ -82,79 +98,66 @@ class ContentionGraph:
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in self.edges
-
     @cached_property
-    def _adjacency(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {vid: set() for vid in self.ids}
-        for a, b in self.edges:
-            out[a].add(b)
-            out[b].add(a)
-        return {vid: frozenset(nbrs) for vid, nbrs in out.items()}
-
-    def neighbors(self, vid: str) -> frozenset[str]:
-        return self._adjacency.get(vid, frozenset())
-
-    def degree(self, vid: str) -> int:
-        return len(self.neighbors(vid))
-
-    def induced(self, keep) -> "ContentionGraph":
-        """Induced subgraph on ``keep``, preserving vertex order."""
-        keep = set(keep)
-        return ContentionGraph(
-            vertices=tuple(v for v in self.vertices if v.id in keep),
-            edges=frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The edges as sorted id pairs."""
+        ids = self.ids
+        return frozenset(
+            tuple(sorted((ids[i], ids[j])))
+            for i, m in enumerate(self.masks)
+            for j in range(i + 1, len(ids))
+            if m >> j & 1
         )
 
-    def adjacency_masks(self) -> list[int]:
-        """Neighbor bitmasks in vertex order."""
-        index = {v.id: i for i, v in enumerate(self.vertices)}
-        masks = [0] * len(self.vertices)
-        for a, b in self.edges:
-            ia, ib = index[a], index[b]
-            masks[ia] |= 1 << ib
-            masks[ib] |= 1 << ia
-        return masks
+    def subgraph(self, keep: int) -> "ContentionGraph":
+        """Induced subgraph on the vertex positions set in ``keep``,
+        preserving vertex order: each kept mask is remapped bit by bit
+        to the kept positions."""
+        if keep == (1 << len(self.masks)) - 1:
+            return self
+        pos = {}
+        rest = keep
+        while rest:
+            low = rest & -rest
+            pos[low.bit_length() - 1] = 1 << len(pos)
+            rest ^= low
+        masks = []
+        for i in pos:
+            m = self.masks[i] & keep
+            out = 0
+            while m:
+                low = m & -m
+                out |= pos[low.bit_length() - 1]
+                m ^= low
+            masks.append(out)
+        return ContentionGraph(
+            vertices=tuple(self.vertices[i] for i in pos), masks=tuple(masks)
+        )
+
+    def induced(self, keep) -> "ContentionGraph":
+        """Induced subgraph on the ids in ``keep``, preserving vertex order."""
+        keep = set(keep)
+        return self.subgraph(sum(1 << i for i, vid in enumerate(self.ids) if vid in keep))
 
     def components(self) -> list["ContentionGraph"]:
         """Connected components, ordered by first vertex appearance."""
-        masks = self.adjacency_masks()
-        n = len(self.vertices)
-        label = [-1] * n
-        count = 0
-        for start in range(n):
-            if label[start] >= 0:
-                continue
-            frontier = 1 << start
+        masks = self.masks
+        comps = []
+        unseen = (1 << len(masks)) - 1
+        while unseen:
+            frontier = unseen & -unseen
             comp = 0
             while frontier:
                 comp |= frontier
                 nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
+                while frontier:
+                    low = frontier & -frontier
                     nxt |= masks[low.bit_length() - 1]
-                    f ^= low
+                    frontier ^= low
                 frontier = nxt & ~comp
-            while comp:
-                low = comp & -comp
-                label[low.bit_length() - 1] = count
-                comp ^= low
-            count += 1
-        # split vertices and edges by label in one pass each
-        verts: list[list[Vertex]] = [[] for _ in range(count)]
-        edges: list[list[tuple[str, str]]] = [[] for _ in range(count)]
-        of = {}
-        for v, ci in zip(self.vertices, label):
-            verts[ci].append(v)
-            of[v.id] = ci
-        for e in self.edges:
-            edges[of[e[0]]].append(e)
-        return [
-            ContentionGraph(vertices=tuple(vs), edges=frozenset(es))
-            for vs, es in zip(verts, edges)
-        ]
+            comps.append(comp)
+            unseen &= ~comp
+        return [self.subgraph(comp) for comp in comps]
 
 
 # -- maximum independent sets ---------------------------------------------
@@ -185,7 +188,7 @@ def independence_number(graph: ContentionGraph) -> int:
     n = len(graph.vertices)
     if n > MIS_MAX_VERTICES:
         raise GraphTooLargeError(n, MIS_MAX_VERTICES, "independence number")
-    return _independence_number(graph.adjacency_masks(), (1 << n) - 1)
+    return _independence_number(graph.masks, (1 << n) - 1)
 
 
 def clique_number(graph: ContentionGraph) -> int:
@@ -195,7 +198,7 @@ def clique_number(graph: ContentionGraph) -> int:
         raise GraphTooLargeError(n, MIS_MAX_VERTICES, "clique number")
     full = (1 << n) - 1
     # complement masks: every other vertex that is not a neighbor
-    masks = [full & ~(m | 1 << i) for i, m in enumerate(graph.adjacency_masks())]
+    masks = [full & ~(m | 1 << i) for i, m in enumerate(graph.masks)]
     return _independence_number(masks, full)
 
 
@@ -211,7 +214,7 @@ def maximum_independent_sets(graph: ContentionGraph) -> list[tuple[str, ...]]:
         raise GraphTooLargeError(n, MIS_MAX_VERTICES, "independent-set enumeration")
     if n == 0:
         return [()]
-    masks = graph.adjacency_masks()
+    masks = graph.masks
     full = (1 << n) - 1
     alpha = _independence_number(masks, full)
     found: list[int] = []
@@ -286,17 +289,13 @@ def degrees_from_bits(size: int, edge_bits: int) -> list[int]:
     return [(edge_bits & incident).bit_count() for incident in _INCIDENT_BITS[size]]
 
 
-def masks_from_bits(size: int, edge_bits: int) -> list[int]:
+def masks_from_bits(size: int, edge_bits: int) -> tuple[int, ...]:
     """Neighbor bitmasks of vertices 0..size-1 whose edges are
     ``edge_bits`` in ``_pair_bit`` order; bits past the pairs of ``size``
     vertices are ignored.  Sizes up to ``CANONICAL_MAX_VERTICES``."""
-    masks = [0] * size
-    for p, row in enumerate(_PAIR_BITS[size]):
-        for q in range(p + 1, size):
-            if edge_bits & row[q]:
-                masks[p] |= 1 << q
-                masks[q] |= 1 << p
-    return masks
+    return tuple(
+        sum(1 << q for q, bit in enumerate(row) if edge_bits & bit) for row in _PAIR_BITS[size]
+    )
 
 
 def _label(colors: str, masks: list[int]) -> CanonicalForm:
@@ -363,34 +362,23 @@ def _label(colors: str, masks: list[int]) -> CanonicalForm:
 
 
 def canonical_form(graph: ContentionGraph) -> CanonicalForm:
-    """Exact canonical form via minimum adjacency bitmap: the labeling
-    core ``_label`` run on the graph's vertex-order colors and neighbor
-    masks."""
-    n = len(graph.vertices)
-    if n > CANONICAL_MAX_VERTICES:
-        raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
-    colors = "".join(_TECH_CHAR[v.tech] for v in graph.vertices)
-    return _label(colors, graph.adjacency_masks())
-
-
-def cached_canonical_form(graph: ContentionGraph) -> CanonicalForm:
-    """``canonical_form(graph)``, remembered per process for the last
-    ``LABEL_MEMO_SIZE`` distinct inputs.
+    """Exact canonical form via minimum adjacency bitmap, remembered per
+    process for the last ``LABEL_MEMO_SIZE`` distinct inputs.
 
     The form depends only on the vertex-order colors and on the edges
     over vertex positions: ``to_canon`` is positional and vertex ids are
     never read.  That pair (the color string and the edge mask in
-    ``_pair_bit`` order) is the memo key, so a hit returns exactly the
-    form ``canonical_form`` would, ``orbits`` included.
+    ``_pair_bit`` order) is the memo key of the labeling core
+    ``_label``, so a hit returns exactly the form a fresh label would,
+    ``orbits`` included.
     """
     n = len(graph.vertices)
     if n > CANONICAL_MAX_VERTICES:
         raise GraphTooLargeError(n, CANONICAL_MAX_VERTICES, "canonical labeling")
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
     pair = _PAIR_BITS[n]
-    bits = 0
-    for a, b in graph.edges:
-        bits |= pair[index[a]][index[b]]
+    bits = sum(
+        pair[i][j] for i, m in enumerate(graph.masks) for j in range(i + 1, n) if m >> j & 1
+    )
     return _labeled("".join(_TECH_CHAR[v.tech] for v in graph.vertices), bits)
 
 
@@ -401,13 +389,8 @@ def _labeled(colors: str, edge_bits: int) -> CanonicalForm:
 
 def graph_from_canonical(size: int, colors, edge_bits: int) -> ContentionGraph:
     """Rebuild a concrete graph from canonical data; vertices are v0..v{n-1}."""
-    verts = [Vertex(id=f"v{i}", tech=TECH_OF_CHAR[c]) for i, c in enumerate(colors)]
-    edges = set()
-    for i in range(size):
-        for j in range(i + 1, size):
-            if edge_bits >> _pair_bit(i, j, size) & 1:
-                edges.add((f"v{i}", f"v{j}"))
-    return ContentionGraph.build(verts, edges)
+    verts = tuple(Vertex(id=f"v{i}", tech=TECH_OF_CHAR[c]) for i, c in enumerate(colors))
+    return ContentionGraph(vertices=verts, masks=masks_from_bits(size, edge_bits))
 
 
 # Every connected graph of one to six vertices, up to isomorphism, as

@@ -35,7 +35,7 @@ from .contention import (
     MIS_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
-    cached_canonical_form,
+    canonical_form,
     clique_number,
     maximum_independent_sets,
 )
@@ -69,11 +69,11 @@ class TableMissError(KeyError):
 
 def subgraph_for_mno(graph: ContentionGraph, mno_id: int) -> ContentionGraph:
     """The operator's view: its own links plus everything they sense."""
-    own = {v.id for v in graph.vertices if v.owner == mno_id}
-    keep = set(own)
-    for vid in own:
-        keep |= graph.neighbors(vid)
-    return graph.induced(keep)
+    keep = 0
+    for i, (v, m) in enumerate(zip(graph.vertices, graph.masks)):
+        if v.owner == mno_id:
+            keep |= m | 1 << i
+    return graph.subgraph(keep)
 
 
 def remove_mno(graph: ContentionGraph, removed) -> ContentionGraph:
@@ -85,8 +85,8 @@ def remove_mno(graph: ContentionGraph, removed) -> ContentionGraph:
     if isinstance(removed, int):
         removed = {removed}
     removed = set(removed)
-    keep = [v.id for v in graph.vertices if v.owner is None or v.owner not in removed]
-    return graph.induced(keep)
+    stays = [v.owner is None or v.owner not in removed for v in graph.vertices]
+    return graph.subgraph(sum(1 << i for i, keep in enumerate(stays) if keep))
 
 
 def prune_to_mis(graph: ContentionGraph) -> ContentionGraph:
@@ -116,15 +116,17 @@ class AccessEstimate:
 def _greedy_clique_number(graph: ContentionGraph) -> int:
     """Deterministic lower bound, for components too big to solve
     exactly."""
+    masks, ids = graph.masks, graph.ids
+    order = sorted(range(len(ids)), key=lambda i: (-masks[i].bit_count(), ids[i]))
     best = 1
-    degree = {vid: graph.degree(vid) for vid in graph.ids}
-    order = sorted(graph.ids, key=lambda vid: (-degree[vid], vid))
     for seed in order:
-        clique = {seed}
-        for vid in order:
-            if vid not in clique and all(graph.has_edge(vid, u) for u in clique):
-                clique.add(vid)
-        best = max(best, len(clique))
+        # grow the clique by every vertex, in order, that senses all of it
+        size, common = 1, masks[seed]
+        for i in order:
+            if common >> i & 1:
+                size += 1
+                common &= masks[i]
+        best = max(best, size)
     return best
 
 
@@ -147,7 +149,7 @@ def _estimate_component(
     a dominated vertex's neighborhood in it."""
     n = len(graph.vertices)
     if n <= reach:
-        form = cached_canonical_form(graph)
+        form = canonical_form(graph)
         entry = table.lookup(form)
         if entry is not None:
             access = {v.id: entry.access[form.to_canon[i]] for i, v in enumerate(graph.vertices)}
@@ -164,22 +166,25 @@ def _estimate_component(
             )
         # labeled only to name the missing key: a memo hit when the
         # table could hold the graph, past its reach a fresh label
-        raise TableMissError(cached_canonical_form(graph).key)
+        raise TableMissError(canonical_form(graph).key)
 
     access, prov = {}, {}
-    pieces = []
+    at = {vid: i for i, vid in enumerate(graph.ids)}
+    pieces = []  # the vertex positions of each piece, as bitmasks
     for piece in prune_to_mis(graph).components():
         vals, kinds = _estimate_component(piece, table, reach, fallback, prune=False)
         access.update(vals)
         prov.update(kinds)
-        pieces.append(set(piece.ids))
-    dominated = [v.id for v in graph.vertices if v.id not in access]
-    for vid in dominated:
+        pieces.append(sum(1 << at[vid] for vid in piece.ids))
+    for i, (vid, m) in enumerate(zip(graph.ids, graph.masks)):
+        if vid in access:
+            continue
         # a dominated vertex contends with the surviving pieces it
-        # senses; estimate it inside that induced neighborhood
-        local = {vid}.union(*(p for p in pieces if p & graph.neighbors(vid)))
+        # senses; estimate it inside that induced neighborhood (the
+        # pieces are disjoint and exclude it, so the sum is the union)
+        local = sum((piece for piece in pieces if piece & m), 1 << i)
         vals, kinds = _estimate_component(
-            graph.induced(local), table, reach, fallback, prune=False
+            graph.subgraph(local), table, reach, fallback, prune=False
         )
         access[vid] = vals[vid]
         prov[vid] = PROV_PRUNED if kinds[vid] == PROV_TABLE else PROV_FALLBACK

@@ -564,7 +564,7 @@ def test_event_local_simulator_matches_reference(config):
     for form in enumerate_connected_colored_graphs(5)[::12]:
         graph = graph_from_canonical(form.size, form.colors, form.edge_bits)
         specs = [_spec(v.id, v.tech) for v in graph.vertices]
-        masks = graph.adjacency_masks()
+        masks = graph.masks
         assert run_lbt(specs, masks, config) == _reference_run_lbt(specs, masks, config), form.key
 
 

@@ -9,14 +9,15 @@ from hypothesis import given, strategies as st
 from slicenet.contention import (
     _SKELETONS,
     CANONICAL_MAX_VERTICES,
+    LAA_TECH,
     LABEL_MEMO_SIZE,
     MIS_MAX_VERTICES,
     ContentionGraph,
     GraphTooLargeError,
     Vertex,
+    _label,
     _labeled,
     _pair_bit,
-    cached_canonical_form,
     canonical_form,
     clique_number,
     degrees_from_bits,
@@ -124,7 +125,7 @@ def test_enumeration_keys_and_orbits_are_pinned():
 def test_bit_helpers_match_the_rebuilt_graph():
     for n in range(1, 6):
         for bits in range(1 << (n * (n - 1) // 2)):
-            masks = graph_from_canonical(n, "L" * n, bits).adjacency_masks()
+            masks = graph_from_canonical(n, "L" * n, bits).masks
             assert masks_from_bits(n, bits) == masks
             assert degrees_from_bits(n, bits) == [m.bit_count() for m in masks]
 
@@ -210,6 +211,12 @@ def _shuffled(graph, rng, prefix):
     )
 
 
+def _fresh_label(graph):
+    """The unmemoized labeling core on the graph's colors and masks."""
+    colors = "".join("L" if v.tech == LAA_TECH else "W" for v in graph.vertices)
+    return _label(colors, graph.masks)
+
+
 def test_label_memo_is_exact():
     import numpy as np
 
@@ -221,7 +228,7 @@ def test_label_memo_is_exact():
         # each view twice: the first may miss, the second hits
         for view in views + views:
             # dataclass equality compares every field, orbits included
-            assert cached_canonical_form(view) == canonical_form(view), form.key
+            assert canonical_form(view) == _fresh_label(view), form.key
     assert _labeled.cache_info().hits > 0
 
 
@@ -236,9 +243,10 @@ def test_label_memo_hits_on_a_relabeled_copy():
         [("z", "y"), ("y", "x")],
     )
     _labeled.cache_clear()
-    first = cached_canonical_form(g)
+    first = canonical_form(g)
     assert _labeled.cache_info().misses == 1
-    assert cached_canonical_form(copy) is first
+    assert first == _fresh_label(g)
+    assert canonical_form(copy) is first
     assert _labeled.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
@@ -253,13 +261,13 @@ def test_label_memo_is_bounded():
         for colors in product("LW", repeat=n):
             for bits in range(1 << pairs):
                 g = graph_from_canonical(n, colors, bits)
-                assert cached_canonical_form(g) == canonical_form(g)
+                assert canonical_form(g) == _fresh_label(g)
     assert _labeled.cache_info().currsize == LABEL_MEMO_SIZE
     big = ContentionGraph.build(
         [Vertex(f"v{i}", "laa", 1) for i in range(CANONICAL_MAX_VERTICES + 1)], []
     )
     with pytest.raises(GraphTooLargeError, match="^canonical labeling supports at most 6 "):
-        cached_canonical_form(big)
+        canonical_form(big)
 
 
 def test_size_limits():
@@ -287,6 +295,20 @@ def test_graph_validation():
         ContentionGraph.build([Vertex("a", "laa", 1)], [("a", "a")])
     with pytest.raises(ValueError, match="unknown vertex"):
         ContentionGraph.build([Vertex("a", "laa", 1)], [("a", "b")])
+    pair = (Vertex("a", "laa", 1), Vertex("b", "wifi"))
+    assert ContentionGraph(pair, (0b10, 0b01)) == ContentionGraph.build(pair, [("b", "a")])
+    with pytest.raises(ValueError, match="self loop on b"):
+        ContentionGraph(pair, (0b10, 0b11))
+    with pytest.raises(ValueError, match=r"edge \(a, b\) is not in both masks"):
+        ContentionGraph(pair, (0b10, 0b00))
+    with pytest.raises(ValueError, match="mask of a has a bit past the last vertex"):
+        ContentionGraph(pair, (0b110, 0b01))
+    with pytest.raises(ValueError, match="mask of b has a bit past the last vertex"):
+        ContentionGraph(pair, (0b10, -1))
+    with pytest.raises(ValueError, match="3 neighbor masks for 2 vertices"):
+        ContentionGraph(pair, (0b10, 0b01, 0b00))
+    with pytest.raises(ValueError, match="1 neighbor masks for 2 vertices"):
+        ContentionGraph(pair, (0b00,))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 15 - 1))
@@ -320,11 +342,9 @@ def test_neighbors_and_components_match_edge_scans():
     rng = np.random.default_rng(17)
     for n, p in ((1, 0.5), (8, 0.15), (12, 0.3), (15, 0.1)):
         g = _random_graph(rng, n, p)
-        for vid in g.ids:
+        for vid, mask in zip(g.ids, g.masks):
             scanned = {b if a == vid else a for a, b in g.edges if vid in (a, b)}
-            assert g.neighbors(vid) == scanned
-            assert g.degree(vid) == len(scanned)
-        assert g.neighbors("absent") == frozenset()
+            assert mask == sum(1 << g.ids.index(u) for u in scanned)
         comps = g.components()
         # each component is the induced subgraph on its vertices, in
         # first-appearance order

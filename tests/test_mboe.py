@@ -229,8 +229,9 @@ def _reference_estimate(graph, table, fallback):
             if v.id in pruned.ids:
                 continue
             local = {v.id}
+            near = {b if a == v.id else a for a, b in comp.edges if v.id in (a, b)}
             for piece in pieces:
-                if comp.neighbors(v.id) & set(piece.ids):
+                if near & set(piece.ids):
                     local.update(piece.ids)
             vals, kind = _reference_lookup(comp.induced(local), table, fallback)
             access[v.id] = vals[v.id]
@@ -257,7 +258,7 @@ def test_fallback_labels_only_what_the_table_can_hold(deployment, table3, table5
         labeled.append(len(graph.vertices))
         return canonical_form(graph)
 
-    monkeypatch.setattr(mboe, "cached_canonical_form", spy)
+    monkeypatch.setattr(mboe, "canonical_form", spy)
     sizes = set()
     for seed in range(2):
         graph = build_contention_graph(generate_topology(
