@@ -134,30 +134,28 @@ class ContentionGraph:
             vertices=tuple(self.vertices[i] for i in pos), masks=tuple(masks)
         )
 
-    def induced(self, keep) -> "ContentionGraph":
-        """Induced subgraph on the ids in ``keep``, preserving vertex order."""
-        keep = set(keep)
-        return self.subgraph(sum(1 << i for i, vid in enumerate(self.ids) if vid in keep))
-
-    def components(self) -> list["ContentionGraph"]:
-        """Connected components, ordered by first vertex appearance."""
-        masks = self.masks
+    def component_masks(self, keep: int) -> list[int]:
+        """The positions of each connected component of the subgraph on
+        the positions set in ``keep``, as bitmasks, by first appearance."""
         comps = []
-        unseen = (1 << len(masks)) - 1
-        while unseen:
-            frontier = unseen & -unseen
+        while keep:
+            frontier = keep & -keep
             comp = 0
             while frontier:
                 comp |= frontier
                 nxt = 0
                 while frontier:
                     low = frontier & -frontier
-                    nxt |= masks[low.bit_length() - 1]
+                    nxt |= self.masks[low.bit_length() - 1]
                     frontier ^= low
-                frontier = nxt & ~comp
+                frontier = nxt & keep & ~comp
             comps.append(comp)
-            unseen &= ~comp
-        return [self.subgraph(comp) for comp in comps]
+            keep &= ~comp
+        return comps
+
+    def components(self) -> list["ContentionGraph"]:
+        """Connected components, ordered by first vertex appearance."""
+        return [self.subgraph(c) for c in self.component_masks((1 << len(self.masks)) - 1)]
 
 
 # -- maximum independent sets ---------------------------------------------

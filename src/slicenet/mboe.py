@@ -89,13 +89,18 @@ def remove_mno(graph: ContentionGraph, removed) -> ContentionGraph:
     return graph.subgraph(sum(1 << i for i, keep in enumerate(stays) if keep))
 
 
-def prune_to_mis(graph: ContentionGraph) -> ContentionGraph:
-    """Induced subgraph on the union of all maximum independent sets."""
-    keep: set[str] = set()
+def _mis_positions(graph: ContentionGraph) -> int:
+    """Bitmask of the positions of every vertex in a maximum independent set."""
+    survivors: set[str] = set()
     for comp in graph.components():
         for mis in maximum_independent_sets(comp):
-            keep.update(mis)
-    return graph.induced(keep)
+            survivors.update(mis)
+    return sum(1 << i for i, vid in enumerate(graph.ids) if vid in survivors)
+
+
+def prune_to_mis(graph: ContentionGraph) -> ContentionGraph:
+    """Induced subgraph on the union of all maximum independent sets."""
+    return graph.subgraph(_mis_positions(graph))
 
 
 @dataclass(frozen=True)
@@ -169,15 +174,16 @@ def _estimate_component(
         raise TableMissError(canonical_form(graph).key)
 
     access, prov = {}, {}
-    at = {vid: i for i, vid in enumerate(graph.ids)}
-    pieces = []  # the vertex positions of each piece, as bitmasks
-    for piece in prune_to_mis(graph).components():
-        vals, kinds = _estimate_component(piece, table, reach, fallback, prune=False)
+    kept = _mis_positions(graph)
+    pieces = graph.component_masks(kept)  # the positions of each surviving piece
+    for piece in pieces:
+        vals, kinds = _estimate_component(
+            graph.subgraph(piece), table, reach, fallback, prune=False
+        )
         access.update(vals)
         prov.update(kinds)
-        pieces.append(sum(1 << at[vid] for vid in piece.ids))
     for i, (vid, m) in enumerate(zip(graph.ids, graph.masks)):
-        if vid in access:
+        if kept >> i & 1:
             continue
         # a dominated vertex contends with the surviving pieces it
         # senses; estimate it inside that induced neighborhood (the

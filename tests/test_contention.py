@@ -29,7 +29,7 @@ from slicenet.contention import (
 )
 
 
-def _random_graph(rng, n, p, techs=("laa", "wifi")):
+def _random_parts(rng, n, p, techs=("laa", "wifi")):
     vertices = [Vertex(id=f"v{i}", tech=techs[rng.integers(0, len(techs))]) for i in range(n)]
     edges = [
         (f"v{i}", f"v{j}")
@@ -37,7 +37,11 @@ def _random_graph(rng, n, p, techs=("laa", "wifi")):
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return ContentionGraph.build(vertices, edges)
+    return vertices, edges
+
+
+def _random_graph(rng, n, p, techs=("laa", "wifi")):
+    return ContentionGraph.build(*_random_parts(rng, n, p, techs))
 
 
 def _brute_force_alpha(graph):
@@ -125,8 +129,16 @@ def test_enumeration_keys_and_orbits_are_pinned():
 def test_bit_helpers_match_the_rebuilt_graph():
     for n in range(1, 6):
         for bits in range(1 << (n * (n - 1) // 2)):
-            masks = graph_from_canonical(n, "L" * n, bits).masks
+            # reference masks straight from the pair bits
+            masks = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if bits >> _pair_bit(i, j, n) & 1:
+                        masks[i] |= 1 << j
+                        masks[j] |= 1 << i
+            masks = tuple(masks)
             assert masks_from_bits(n, bits) == masks
+            assert graph_from_canonical(n, "L" * n, bits).masks == masks
             assert degrees_from_bits(n, bits) == [m.bit_count() for m in masks]
 
 
@@ -341,13 +353,31 @@ def test_neighbors_and_components_match_edge_scans():
 
     rng = np.random.default_rng(17)
     for n, p in ((1, 0.5), (8, 0.15), (12, 0.3), (15, 0.1)):
-        g = _random_graph(rng, n, p)
+        vertices, edges = _random_parts(rng, n, p)
+        g = ContentionGraph.build(vertices, edges)
         for vid, mask in zip(g.ids, g.masks):
-            scanned = {b if a == vid else a for a, b in g.edges if vid in (a, b)}
+            scanned = {b if a == vid else a for a, b in edges if vid in (a, b)}
             assert mask == sum(1 << g.ids.index(u) for u in scanned)
+        # reference components: a set-based search over the edge pairs,
+        # each seeded at its first unseen vertex in vertex order
+        near = {vid: set() for vid in g.ids}
+        for a, b in edges:
+            near[a].add(b)
+            near[b].add(a)
+        expected, unseen = [], list(g.ids)
+        while unseen:
+            comp, todo = set(), [unseen[0]]
+            while todo:
+                vid = todo.pop()
+                if vid not in comp:
+                    comp.add(vid)
+                    todo.extend(near[vid] - comp)
+            unseen = [vid for vid in unseen if vid not in comp]
+            expected.append((
+                [vid for vid in g.ids if vid in comp],
+                {tuple(sorted(e)) for e in edges if e[0] in comp},
+            ))
         comps = g.components()
-        # each component is the induced subgraph on its vertices, in
-        # first-appearance order
-        assert comps == [g.induced(c.ids) for c in comps]
-        firsts = [g.ids.index(c.ids[0]) for c in comps]
-        assert firsts == sorted(firsts)
+        assert [(list(c.ids), set(c.edges)) for c in comps] == expected
+        for c in comps:
+            assert c.vertices == tuple(v for v in g.vertices if v.id in c.ids)

@@ -206,6 +206,14 @@ def _reference_lookup(comp, table, fallback):
     return mboe._equal_share(comp)
 
 
+def _induced(graph, ids):
+    """The subgraph on the vertices in ``ids``, rebuilt from the id pairs."""
+    return ContentionGraph.build(
+        [v for v in graph.vertices if v.id in ids],
+        [(a, b) for a, b in graph.edges if a in ids and b in ids],
+    )
+
+
 def _reference_estimate(graph, table, fallback):
     """The estimator as first written: table read, else prune and look
     up each surviving piece and each dominated vertex's neighborhood."""
@@ -233,7 +241,7 @@ def _reference_estimate(graph, table, fallback):
             for piece in pieces:
                 if near & set(piece.ids):
                     local.update(piece.ids)
-            vals, kind = _reference_lookup(comp.induced(local), table, fallback)
+            vals, kind = _reference_lookup(_induced(comp, local), table, fallback)
             access[v.id] = vals[v.id]
             prov[v.id] = "pruned" if kind == "table" else "fallback"
     return access, prov
