@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from functools import cache
 from pathlib import Path
 
 from .coexist import (
@@ -437,14 +438,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in a process reuses, built at the
+    first call: parsing reads it and never changes it."""
+    return build_parser()
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted, so
+    each call's redirection of stderr applies."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_STDERR_LOG = _StderrHandler()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=args.log_level.upper(),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    args = _parser().parse_args(argv)
+    # every call sets its own level; the handler goes in once, next to
+    # any that others have installed
+    package_log = logging.getLogger("slicenet")
+    package_log.addHandler(_STDERR_LOG)
+    package_log.setLevel(args.log_level.upper())
     if args.command == "table" and args.out is None:
         return _fail("usage", "table requires --out <table.tsv>", EXIT_USAGE)
     try:

@@ -47,9 +47,11 @@ import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +73,10 @@ DEFAULT_SLOT_TIME_S = 9e-6
 #: that alters the draws ``run_lbt`` makes for a given seed: cached
 #: access tables are keyed on it.
 SIM_STREAM_VERSION = 1
+
+#: Distinct table rows whose parse ``_parse_entry`` remembers: two
+#: tables of every graph up to six vertices (4302 rows each).
+TABLE_ROW_MEMO_SIZE = 8192
 
 #: Distinct masks whose set bits one ``run_lbt`` run remembers before it
 #: starts over; a small graph has far fewer, a dense deployment more.
@@ -500,7 +506,13 @@ def build_contention_graph(scenario: Scenario) -> ContentionGraph:
 def _contention_graph(scenario: Scenario, contenders) -> ContentionGraph:
     """``build_contention_graph`` over ``unlicensed_contenders(scenario)``
     already at hand: each contender's neighbor mask is its row of the
-    adjacency matrix, packed into bits."""
+    symmetric adjacency matrix with its diagonal cleared, packed into
+    bits, so only the contender ids are checked."""
+    vertices = tuple(Vertex(spec.id, spec.tech, owner) for spec, _, owner in contenders)
+    ids = [v.id for v in vertices]
+    if len(ids) != len(set(ids)):
+        # a link may share its id with a Wi-Fi access point that serves none
+        raise ValueError(f"duplicate vertex ids: {ids}")
     nodes = scenario.nodes
     row = {n.id: i for i, n in enumerate(nodes)}
     pos = np.array([n.position_m for n in nodes], dtype=float).reshape(-1, 2)
@@ -518,10 +530,8 @@ def _contention_graph(scenario: Scenario, contenders) -> ContentionGraph:
     adjacent = (hears | hears.T)[np.ix_(at, at)]
     np.fill_diagonal(adjacent, False)
     packed = np.packbits(adjacent, axis=1, bitorder="little")
-    return ContentionGraph(
-        vertices=tuple(Vertex(spec.id, spec.tech, owner) for spec, _, owner in contenders),
-        masks=tuple(int.from_bytes(bits.tobytes(), "little") for bits in packed),
-    )
+    masks = tuple(int.from_bytes(bits.tobytes(), "little") for bits in packed)
+    return ContentionGraph._derived(vertices, masks)
 
 
 def run_coexistence(scenario: Scenario, config: SimConfig) -> SimOutcome:
@@ -541,8 +551,7 @@ def simulate_graph(graph: ContentionGraph, config: SimConfig) -> SimOutcome:
 # -- measured access-probability tables ------------------------------------
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     key: str
     size: int
     access: tuple[float, ...]
@@ -643,9 +652,17 @@ class AccessTable:
             raise TableFormatError(f"{path}: bad header value ({exc})") from None
 
 
+@lru_cache(maxsize=TABLE_ROW_MEMO_SIZE)
 def _parse_entry(line: str) -> TableEntry:
     """One table row ``key<TAB>access,...<TAB>raw_share,...``; raises
-    ``ValueError`` saying what is wrong with it."""
+    ``ValueError`` saying what is wrong with it.
+
+    The entry is immutable and depends on the row's text alone, so the
+    last ``TABLE_ROW_MEMO_SIZE`` rows parsed are remembered by their
+    text: loading a table again reads each unchanged row back from the
+    memo, a changed row is parsed afresh, and a malformed row is never
+    remembered and is refused every time.
+    """
     fields = line.split("\t")
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
@@ -673,7 +690,7 @@ def _parse_entry(line: str) -> TableEntry:
     raw_share = tuple(map(float, raw.split(",")))
     if len(access) != size or len(raw_share) != size:
         raise ValueError(f"entry {key!r} needs {size} values in each column")
-    return TableEntry(key=key, size=size, access=access, raw_share=raw_share)
+    return TableEntry(key, size, access, raw_share)
 
 
 def entry_seed(base_seed: int, key: str) -> int:
@@ -710,7 +727,7 @@ def measure_entry(form: CanonicalForm, config: SimConfig) -> TableEntry:
         for p in members:
             access[p] = a
             raw[p] = r
-    return TableEntry(key=form.key, size=form.size, access=tuple(access), raw_share=tuple(raw))
+    return TableEntry(form.key, form.size, tuple(access), tuple(raw))
 
 
 def measure_table(

@@ -55,7 +55,12 @@ class Vertex:
 @dataclass(frozen=True)
 class ContentionGraph:
     """Simple undirected graph held as neighbor bitmasks: bit ``j`` of
-    ``masks[i]`` means vertices ``i`` and ``j`` hear each other."""
+    ``masks[i]`` means vertices ``i`` and ``j`` hear each other.
+
+    Direct construction and ``build`` check the ids and masks.  Graphs
+    valid by construction (``subgraph`` of a valid graph, the
+    radio-geometry build, ``graph_from_canonical``) are made through
+    ``_derived``, which checks nothing."""
 
     vertices: tuple[Vertex, ...]
     masks: tuple[int, ...]
@@ -91,6 +96,16 @@ class ContentionGraph:
             masks[index[a]] |= 1 << index[b]
             masks[index[b]] |= 1 << index[a]
         return ContentionGraph(vertices=vertices, masks=tuple(masks))
+
+    @classmethod
+    def _derived(cls, vertices: tuple, masks: tuple) -> "ContentionGraph":
+        """The graph on ``vertices`` and ``masks`` without the checks of
+        ``__post_init__``: only for masks symmetric, in range and free of
+        self loops by construction, over distinct vertex ids."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertices", vertices)
+        object.__setattr__(graph, "masks", masks)
+        return graph
 
     # -- basic access ----------------------------------------------------
 
@@ -130,9 +145,7 @@ class ContentionGraph:
                 out |= pos[low.bit_length() - 1]
                 m ^= low
             masks.append(out)
-        return ContentionGraph(
-            vertices=tuple(self.vertices[i] for i in pos), masks=tuple(masks)
-        )
+        return ContentionGraph._derived(tuple(self.vertices[i] for i in pos), tuple(masks))
 
     def component_masks(self, keep: int) -> list[int]:
         """The positions of each connected component of the subgraph on
@@ -387,8 +400,10 @@ def _labeled(colors: str, edge_bits: int) -> CanonicalForm:
 
 def graph_from_canonical(size: int, colors, edge_bits: int) -> ContentionGraph:
     """Rebuild a concrete graph from canonical data; vertices are v0..v{n-1}."""
+    if len(colors) != size:
+        raise ValueError(f"{size} neighbor masks for {len(colors)} vertices")
     verts = tuple(Vertex(id=f"v{i}", tech=TECH_OF_CHAR[c]) for i, c in enumerate(colors))
-    return ContentionGraph(vertices=verts, masks=masks_from_bits(size, edge_bits))
+    return ContentionGraph._derived(verts, masks_from_bits(size, edge_bits))
 
 
 # Every connected graph of one to six vertices, up to isomorphism, as

@@ -48,7 +48,6 @@ __all__ = [
     "subgraph_for_mno",
     "remove_mno",
     "maximum_independent_sets",
-    "prune_to_mis",
     "estimate_access",
     "value_of_rights",
 ]
@@ -96,11 +95,6 @@ def _mis_positions(graph: ContentionGraph) -> int:
         for mis in maximum_independent_sets(comp):
             survivors.update(mis)
     return sum(1 << i for i, vid in enumerate(graph.ids) if vid in survivors)
-
-
-def prune_to_mis(graph: ContentionGraph) -> ContentionGraph:
-    """Induced subgraph on the union of all maximum independent sets."""
-    return graph.subgraph(_mis_positions(graph))
 
 
 @dataclass(frozen=True)

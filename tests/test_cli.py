@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, error categories."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -411,3 +413,52 @@ def test_experiment_smoke(tmp_path, capsys):
     ]) == 0
     assert (out_dir / "results.tsv").exists()
     assert "1 rows" in capsys.readouterr().out
+
+
+def test_reused_parser_leaks_no_state(workspace, capsys):
+    # main builds its parser once per process; no call may see another's
+    # options or defaults
+    _, table = workspace
+    base = ["--scenario", str(COMMITTED), "--table", str(table), "--fallback"]
+    assert main(["solve", *base]) == 0
+    first = capsys.readouterr().out
+    assert main(["game", *base]) == 0
+    assert main(["solve", *base, "--solver", "subgrad", "--step-scale", "0.5", "--max-iter", "5"]) == 0
+    capsys.readouterr()
+    assert main(["solve", *base]) == 0
+    assert capsys.readouterr().out == first
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *base, "--solver", "quantum"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", *base]) == 0
+    assert capsys.readouterr().out == first
+
+
+def _logged(argv):
+    """Run ``main`` with stdout and stderr redirected; its exit code and
+    the stream its stderr went to."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err
+
+
+def test_each_call_logs_at_its_own_level_to_its_own_stderr(tmp_path):
+    argv = ["table", "--max-size", "1", "--duration", "0.1", "--out", str(tmp_path / "t.tsv")]
+    code, first = _logged([*argv, "--log-level", "info"])
+    assert code == 0
+    progress = first.getvalue().splitlines()
+    assert progress == [
+        "INFO slicenet.cli: measured 1/2 (1;L;0;0)",
+        "INFO slicenet.cli: measured 2/2 (1;W;0;0)",
+    ]
+    # a second call prints to its own stream, not to the first one's
+    code, second = _logged([*argv, "--log-level", "info"])
+    assert code == 0
+    assert second.getvalue().splitlines() == progress
+    assert first.getvalue().splitlines() == progress
+    # and a later call may lower the level again
+    code, quiet = _logged([*argv, "--log-level", "warning"])
+    assert code == 0
+    assert quiet.getvalue() == ""

@@ -29,7 +29,12 @@ from slicenet.coexist import (
     simulate_graph,
     unlicensed_contenders,
 )
-from slicenet.contention import enumerate_connected_colored_graphs, graph_from_canonical
+from slicenet.contention import (
+    ContentionGraph,
+    enumerate_connected_colored_graphs,
+    graph_from_canonical,
+)
+from slicenet.mboe import remove_mno, subgraph_for_mno
 from slicenet.scenario import (
     NODE_DEFAULTS,
     BandPlan,
@@ -210,6 +215,34 @@ def test_graph_build_matches_scalar_reference(kind):
         assert g.edges  # dense enough that the comparison means something
 
 
+@pytest.mark.parametrize("kind", ["two-mno-urban", "uniform-random"])
+def test_built_graphs_pass_the_check(kind):
+    # the radio-geometry build skips the graph check; at dense sizes
+    # (masks wider than a machine word) its graphs, and the operator
+    # views and components derived from them, must pass it
+    for seed, aps in ((0, 20), (1, 100)):
+        scenario = generate_topology(
+            kind, seed=seed, bs_per_mno=40, ues_per_bs=2, wifi_aps=aps, cell_size_m=150.0
+        )
+        g = build_contention_graph(scenario)
+        views = [subgraph_for_mno(g, m.id) for m in scenario.mnos]
+        for derived in (g, *views, *g.components(), remove_mno(g, 1)):
+            assert ContentionGraph(derived.vertices, derived.masks) == derived
+        assert len(g.vertices) > 64 and g.edges
+
+
+def test_graph_build_refuses_a_link_named_like_an_access_point():
+    # node and link ids are each unique, but a link may share its id
+    # with a Wi-Fi access point that serves no link
+    nodes = [
+        Node(id="b1", kind="laa", position_m=(0.0, 0.0), owner=1),
+        Node(id="w1", kind="wifi", position_m=(900.0, 0.0)),
+    ]
+    links = [Link(id="w1", owner=1, node="b1", ue_position_m=(0.0, 10.0))]
+    with pytest.raises(ValueError, match=r"duplicate vertex ids: \['w1', 'w1'\]"):
+        build_contention_graph(_hand_scenario(nodes, links))
+
+
 def _hand_scenario(nodes, links):
     return Scenario(
         services=(ServiceType(id=1, min_throughput_bps=1e6, price_per_bit=1e-6),),
@@ -238,6 +271,8 @@ def test_graph_build_one_way_hearing_and_shared_radios():
     ]
     scenario = _hand_scenario(nodes, links)
     g = build_contention_graph(scenario)
+    # built unchecked: one-way hearing must still give symmetric masks
+    assert ContentionGraph(g.vertices, g.masks) == g
     assert g.edges == _reference_edges(scenario)
     assert g.edges == frozenset({
         ("b1u1", "b1u2"),  # one node, one radio
@@ -327,6 +362,25 @@ def test_table_load_names_file_and_line(tmp_path, table3, edit, message):
     with pytest.raises(TableFormatError, match=message) as err:
         AccessTable.load(path)
     assert f"{path}:4:" in str(err.value)
+
+
+def test_table_reload_reads_the_file_again(tmp_path, table3):
+    # rows are remembered by their text, never by path: an edited row
+    # loads its new values, and a malformed row is refused on every load
+    path = tmp_path / "t.tsv"
+    table3.save(path)
+    assert AccessTable.load(path).entries == table3.entries
+    lines = path.read_text().splitlines()
+    key, acc, raw = lines[3].split("\t")
+    size = table3.entries[key].size
+    lines[3] = "\t".join((key, ",".join(["0.5"] * size), raw))
+    path.write_text("\n".join(lines) + "\n")
+    assert AccessTable.load(path).entries[key].access == (0.5,) * size
+    lines[3] = "\t".join((key, "abc", raw))
+    path.write_text("\n".join(lines) + "\n")
+    for _ in range(2):
+        with pytest.raises(TableFormatError, match=f"^{path}:4: could not convert"):
+            AccessTable.load(path)
 
 
 def test_table_load_refuses_a_duplicate_key(tmp_path, table3):

@@ -321,6 +321,50 @@ def test_graph_validation():
         ContentionGraph(pair, (0b10, 0b01, 0b00))
     with pytest.raises(ValueError, match="1 neighbor masks for 2 vertices"):
         ContentionGraph(pair, (0b00,))
+    with pytest.raises(ValueError, match="3 neighbor masks for 2 vertices"):
+        graph_from_canonical(3, "LW", 0b1)
+
+
+def _checked(graph):
+    """``graph`` rebuilt through the checking constructor."""
+    return ContentionGraph(graph.vertices, graph.masks)
+
+
+@st.composite
+def _graph_and_keep(draw):
+    n = draw(st.integers(min_value=0, max_value=24))
+    techs = draw(st.lists(st.sampled_from(("laa", "wifi")), min_size=n, max_size=n))
+    # ids in a drawn order, so vertex order and id order differ
+    names = draw(st.permutations(range(n)))
+    vertices = [Vertex(f"x{k}", tech) for k, tech in zip(names, techs)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(vertices[i].id, vertices[j].id) for i, j in chosen]
+    keep = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return ContentionGraph.build(vertices, edges), keep
+
+
+@given(_graph_and_keep())
+def test_derived_graphs_pass_the_check(graph_keep):
+    # subgraph and components skip the check; what they make must pass it
+    g, keep = graph_keep
+    sub = g.subgraph(keep)
+    for derived in (sub, *g.components(), *sub.components()):
+        assert _checked(derived) == derived
+    assert sub.ids == tuple(vid for i, vid in enumerate(g.ids) if keep >> i & 1)
+
+
+@given(
+    st.integers(min_value=1, max_value=CANONICAL_MAX_VERTICES).flatmap(
+        lambda n: st.tuples(
+            st.text("LW", min_size=n, max_size=n), st.integers(min_value=0, max_value=2 ** 15 - 1)
+        )
+    )
+)
+def test_graphs_from_canonical_data_pass_the_check(colors_bits):
+    colors, bits = colors_bits
+    g = graph_from_canonical(len(colors), colors, bits)
+    assert _checked(g) == g
 
 
 @given(st.integers(min_value=0, max_value=2 ** 15 - 1))

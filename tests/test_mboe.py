@@ -15,8 +15,8 @@ from slicenet.contention import (
 )
 from slicenet.mboe import (
     TableMissError,
+    _mis_positions,
     estimate_access,
-    prune_to_mis,
     remove_mno,
     subgraph_for_mno,
     value_of_rights,
@@ -51,7 +51,7 @@ def _clique(n, tech="laa"):
 
 def test_prune_path_keeps_alternating_vertices():
     g = _path(["a", "b", "c"])
-    pruned = prune_to_mis(g)
+    pruned = g.subgraph(_mis_positions(g))
     assert sorted(pruned.ids) == ["a", "c"]
     assert pruned.edges == frozenset()
 
@@ -59,7 +59,7 @@ def test_prune_path_keeps_alternating_vertices():
 def test_prune_star_keeps_leaves():
     verts = [Vertex("hub", "wifi")] + [Vertex(f"l{i}", "laa", i) for i in range(1, 5)]
     g = ContentionGraph.build(verts, [("hub", f"l{i}") for i in range(1, 5)])
-    pruned = prune_to_mis(g)
+    pruned = g.subgraph(_mis_positions(g))
     assert sorted(pruned.ids) == ["l1", "l2", "l3", "l4"]
 
 
@@ -70,7 +70,7 @@ def test_prune_keeps_every_maximum_set():
         [Vertex(i, "laa", k + 1) for k, i in enumerate(ids)],
         [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
     )
-    assert sorted(prune_to_mis(g).ids) == ids
+    assert sorted(g.subgraph(_mis_positions(g)).ids) == ids
 
 
 def test_estimate_small_component_reads_table(table3):
@@ -227,7 +227,7 @@ def _reference_estimate(graph, table, fallback):
                     access[v.id] = entry.access[form.to_canon[i]]
                     prov[v.id] = "table"
                 continue
-        pruned = prune_to_mis(comp)
+        pruned = comp.subgraph(_mis_positions(comp))
         pieces = pruned.components()
         for piece in pieces:
             vals, kind = _reference_lookup(piece, table, fallback)
