@@ -7,9 +7,9 @@ both sides' numbers to one JSON file:
 
 The parent side is a ``git archive`` copy of REV in a temporary
 directory, as for the byte-diffs; the change side is this checkout's
-working tree, or a ``git archive`` copy of ``--change REV``.  Each side
-runs the command of ``BENCHMARK.json`` from its own root, so each builds
-what it runs from its own sources.
+working tree.  Each side runs the command of ``BENCHMARK.json`` from its
+own root, so each builds what it runs from its own sources, and every
+run lasts the benchmark's ``run_seconds``.
 
 For every workload the script makes ``--pairs`` untraced runs per side
 (``--trace 0``), alternating which side goes first from pair to pair so
@@ -61,17 +61,18 @@ def archive(rev: str, into: Path) -> Path:
     return into
 
 
-def run_once(root: Path, command: list[str], workload: str, args, trace: int) -> dict:
+def run_once(root: Path, bench: dict, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run from ``root``: its provenance and result blocks."""
+    seconds = bench["run_seconds"]
     argv = [
-        *command,
+        *bench["command"],
         "--workload", workload,
-        "--seed", str(args.seed),
-        "--seconds", repr(args.seconds),
+        "--seed", str(seed),
+        "--seconds", str(seconds),
         "--trace", str(trace),
     ]
     done = subprocess.run(
-        argv, cwd=root, capture_output=True, text=True, timeout=max(600, 20 * args.seconds)
+        argv, cwd=root, capture_output=True, text=True, timeout=max(600, 20 * seconds)
     )
     if done.returncode != 0:
         raise SystemExit(f"{root}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
@@ -106,17 +107,17 @@ def host_block(run: dict) -> dict:
     return {**host, "cpu_model": cpu, "platform": platform.platform()}
 
 
-def bench_workload(workload: str, sides: dict, command, bench: dict, args) -> dict:
+def bench_workload(workload: str, sides: dict, bench: dict, args) -> dict:
     plain = {side: [] for side in sides}
     for pair in range(args.pairs):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for side in order:
             print(f"{workload}: pair {pair + 1}/{args.pairs}, {side}", file=sys.stderr)
-            plain[side].append(run_once(sides[side], command, workload, args, 0))
+            plain[side].append(run_once(sides[side], bench, workload, args.seed, 0))
     traced = {}
     for side, root in sides.items():
         print(f"{workload}: traced, {side}", file=sys.stderr)
-        traced[side] = run_once(root, command, workload, args, 1)
+        traced[side] = run_once(root, bench, workload, args.seed, 1)
 
     end_to_end = {}
     for metric in bench["end_to_end"]:
@@ -160,42 +161,35 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<N>.json")
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--change", default=None, help="git revision (default: the working tree)")
     parser.add_argument("--pairs", type=int, default=5, help="untraced runs per side and workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     parser.add_argument(
         "--workloads", default=",".join(w["name"] for w in bench["workloads"]),
         help="comma-separated workload names (default: every workload)",
     )
-    parser.add_argument("--out", type=Path, default=None, help="default: BENCH_<N>.json here")
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="default: BENCH_<N>.json here; a confirming run on another seed writes elsewhere",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
-    command = bench["command"]
 
     with tempfile.TemporaryDirectory(prefix="bench_json_") as tmp:
-        sides = {
-            "parent": archive(args.parent, Path(tmp) / "parent"),
-            "change": ROOT if args.change is None else archive(args.change, Path(tmp) / "change"),
-        }
+        sides = {"parent": archive(args.parent, Path(tmp) / "parent"), "change": ROOT}
         report = {}
         for workload in args.workloads.split(","):
-            report[workload], sample = bench_workload(workload, sides, command, bench, args)
+            report[workload], sample = bench_workload(workload, sides, bench, args)
     # only the sources and the benchmark decide what a run measures
-    dirty = args.change is None and bool(git("status", "--porcelain", "--", "src", "slicebench"))
+    dirty = bool(git("status", "--porcelain", "--", "src", "slicebench"))
     document = {
         "pr": args.pr,
         "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
-        "change": {
-            "rev": args.change or "working tree",
-            "commit": git("rev-parse", args.change or "HEAD"),
-            "uncommitted_source_changes": dirty,
-        },
+        "change": {"commit": git("rev-parse", "HEAD"), "uncommitted_source_changes": dirty},
         "command": " ".join(
-            [*command, "--workload", "<workload>", "--seed", str(args.seed),
-             "--seconds", repr(args.seconds), "--trace", "<0 untraced, 1 traced>"]
+            [*bench["command"], "--workload", "<workload>", "--seed", str(args.seed),
+             "--seconds", str(bench["run_seconds"]), "--trace", "<0 untraced, 1 traced>"]
         ),
         "repeats": {"untraced_pairs": args.pairs, "traced_runs_per_side": 1},
         "host": host_block(sample),

@@ -41,7 +41,9 @@ from .scenario import ScenarioError, load_scenario, save_scenario
 from .solvers import SolverSettingError, check_settings, solve_admm, solve_subgradient
 from .topology import KINDS, generate_topology
 
-log = logging.getLogger(__name__)
+# named, not ``__name__``: run as ``python -m slicenet.cli`` this module is
+# ``__main__``, outside the ``slicenet`` logger that ``main`` configures
+log = logging.getLogger("slicenet.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -444,6 +444,26 @@ def _logged(argv):
     return code, err
 
 
+def test_module_entry_logs_at_its_level(tmp_path):
+    # run as ``python -m slicenet.cli``, the module is ``__main__``
+    src = str(Path(slicenet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["table", "--max-size", "1", "--duration", "0.1", "--out", str(tmp_path / "t.tsv")]
+    run = subprocess.run(
+        [sys.executable, "-m", "slicenet.cli", *argv, "--log-level", "info"],
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines() == [
+        "INFO slicenet.cli: measured 1/2 (1;L;0;0)",
+        "INFO slicenet.cli: measured 2/2 (1;W;0;0)",
+    ]
+
+
 def test_each_call_logs_at_its_own_level_to_its_own_stderr(tmp_path):
     argv = ["table", "--max-size", "1", "--duration", "0.1", "--out", str(tmp_path / "t.tsv")]
     code, first = _logged([*argv, "--log-level", "info"])
