@@ -47,9 +47,8 @@ import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,13 +56,15 @@ import numpy as np
 
 from .contention import (
     CANONICAL_MAX_VERTICES,
+    FORM_COUNTS,
     TECH_OF_CHAR,
     CanonicalForm,
     ContentionGraph,
     Vertex,
     degrees_from_bits,
-    enumerate_connected_colored_graphs,
     masks_from_bits,
+    skeleton_forms,
+    skeletons,
 )
 from .scenario import NODE_DEFAULTS, WIFI, Scenario
 
@@ -507,12 +508,9 @@ def _contention_graph(scenario: Scenario, contenders) -> ContentionGraph:
     """``build_contention_graph`` over ``unlicensed_contenders(scenario)``
     already at hand: each contender's neighbor mask is its row of the
     symmetric adjacency matrix with its diagonal cleared, packed into
-    bits, so only the contender ids are checked."""
+    bits.  Nothing is checked: the contender ids of a scenario, which
+    is valid once built, are distinct (``contender-ids-unique``)."""
     vertices = tuple(Vertex(spec.id, spec.tech, owner) for spec, _, owner in contenders)
-    ids = [v.id for v in vertices]
-    if len(ids) != len(set(ids)):
-        # a link may share its id with a Wi-Fi access point that serves none
-        raise ValueError(f"duplicate vertex ids: {ids}")
     nodes = scenario.nodes
     row = {n.id: i for i, n in enumerate(nodes)}
     pos = np.array([n.position_m for n in nodes], dtype=float).reshape(-1, 2)
@@ -739,12 +737,17 @@ def measure_table(
     """Measure access probabilities for every connected colored graph
     up to ``max_size`` vertices.
 
-    Each entry runs on its own seed derived from ``config.seed`` and
-    the canonical key, so the table is independent of enumeration
-    order and of how the entries are spread over processes: they are
-    measured on every usable CPU.  With ``cache_dir`` set, a previously
-    measured table with identical parameters is reused from disk.  A
-    ``max_size`` below 1 raises ``ValueError``.
+    One task per skeleton (``_measure_entries``) labels and simulates
+    that skeleton's forms, and the tasks run on every usable CPU,
+    largest skeletons first.  ``progress(done, total, key)``, if given,
+    is called once per entry as the entries arrive, with ``total``
+    known up front from ``FORM_COUNTS``; the table then holds them in
+    (size, key) order.  Each entry runs on its own seed derived from
+    ``config.seed`` and the canonical key, so the table is independent
+    of the order of arrival and of how the entries are spread over
+    processes.  With ``cache_dir`` set, a previously measured table
+    with identical parameters is reused from disk.  A ``max_size``
+    below 1 raises ``ValueError``.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
@@ -762,11 +765,17 @@ def measure_table(
         cache_path = Path(cache_dir) / f"table_{max_size}_{table.content_key()}.tsv"
         if cache_path.exists():
             return AccessTable.load(cache_path)
-    forms = enumerate_connected_colored_graphs(max_size)
-    for idx, entry in enumerate(_measure_entries(forms, config)):
-        table.entries[entry.key] = entry
-        if progress is not None:
-            progress(idx + 1, len(forms), entry.key)
+    # the largest skeletons first, so that no long task starts last
+    tasks = sorted(skeletons(max_size), key=lambda skeleton: -skeleton[0])
+    total = sum(FORM_COUNTS[n] for n in range(1, max_size + 1))
+    entries = []
+    for batch in fork_map(partial(_measure_entries, config=config), tasks):
+        for entry in batch:
+            entries.append(entry)
+            if progress is not None:
+                progress(len(entries), total, entry.key)
+    entries.sort(key=lambda e: (e.size, e.key))
+    table.entries = {e.key: e for e in entries}
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # a concurrent reader sees either no file or a whole one
@@ -779,26 +788,29 @@ def measure_table(
     return table
 
 
-def _measure_entries(forms: list[CanonicalForm], config: SimConfig):
-    """``measure_entry`` over ``forms``, yielded in order.
+def _measure_entries(skeleton: tuple[int, int], config: SimConfig) -> list[TableEntry]:
+    """One task of a table build: ``measure_entry`` over the forms of
+    one skeleton (``skeleton_forms``), labeled and simulated where the
+    task runs, so the process that builds the table labels nothing.
+    A task sends back only its entries."""
+    return [measure_entry(form, config) for form in skeleton_forms(*skeleton)]
 
-    A worker receives the forms themselves (key, colors, edge bits and
-    orbits) and simulates each from its bits, so the whole build, the
-    enumeration included, makes no graph object.  Entries are spread
-    over a pool of forked workers, one per usable CPU; forked workers
-    inherit the loaded modules (numpy, and never scipy, which only an
-    LP solve imports), where spawned ones would import numpy again.
-    Forking is safe here because a worker runs only the pure-Python
-    simulator, which takes no lock a thread of the parent could hold.
-    Each worker gets several chunks, so the costly largest graphs,
-    which come last, are shared.
+
+def fork_map(fn, items: list):
+    """``map(fn, items)``, yielded in order, with one task per item
+    spread over a pool of forked workers: one per usable CPU and no
+    more than there are items, or in-process when that leaves one.
+
+    Forked workers inherit the loaded modules (numpy, and never scipy,
+    which only an LP solve imports), where spawned ones would import
+    numpy again.  ``fn`` must be picklable by reference, and forking is
+    safe only for an ``fn`` that takes no lock a thread of the parent
+    could hold: the pure-Python simulator and labeling take none.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(forms))
+    workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:
-        for form in forms:
-            yield measure_entry(form, config)
+        yield from map(fn, items)
         return
-    chunk = -(-len(forms) // (8 * workers))
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        yield from pool.map(measure_entry, forms, repeat(config), chunksize=chunk)
+        yield from pool.map(fn, items)

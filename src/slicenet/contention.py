@@ -438,22 +438,41 @@ _SKELETONS = {
 }
 
 
-def enumerate_connected_colored_graphs(max_size: int) -> list[CanonicalForm]:
-    """All connected graphs up to ``max_size`` vertices with every
-    technology coloring, one canonical representative each.
+#: How many colored forms the skeletons of each size give, so a table
+#: build knows its length before any labeling (checked against
+#: enumeration by the tests).
+FORM_COUNTS = {1: 2, 2: 3, 3: 10, 4: 50, 5: 354, 6: 3883}
 
-    Colors every connected skeleton in ``_SKELETONS`` both ways per
-    vertex and deduplicates with the labeling core, straight from the
-    skeleton's bitmasks: no graph object is built.  Sorted by (size,
-    key) so table builds enumerate deterministically.
-    """
+
+def skeletons(max_size: int) -> list[tuple[int, int]]:
+    """(size, edge bits) of every skeleton in ``_SKELETONS`` up to
+    ``max_size`` vertices, smallest first."""
     if max_size > CANONICAL_MAX_VERTICES:
         raise GraphTooLargeError(max_size, CANONICAL_MAX_VERTICES, "graph enumeration")
+    return [(n, bits) for n in range(1, max_size + 1) for bits in _SKELETONS[n]]
+
+
+def skeleton_forms(size: int, edge_bits: int) -> list[CanonicalForm]:
+    """The canonical forms of every technology coloring of one skeleton,
+    the first form of each key, in order of first appearance.
+
+    The labeling loop of enumeration and of table builds: each of the
+    2^size colorings is labeled straight from the skeleton's bitmasks by
+    the labeling core, and no graph object is built.  Skeletons are
+    pairwise non-isomorphic, so no key comes from two of them.
+    """
+    masks = masks_from_bits(size, edge_bits)
     seen: dict[str, CanonicalForm] = {}
-    for n in range(1, max_size + 1):
-        for bits in _SKELETONS[n]:
-            masks = masks_from_bits(n, bits)
-            for coloring in product("LW", repeat=n):
-                form = _label("".join(coloring), masks)
-                seen.setdefault(form.key, form)
-    return sorted(seen.values(), key=lambda f: (f.size, f.key))
+    for coloring in product("LW", repeat=size):
+        form = _label("".join(coloring), masks)
+        seen.setdefault(form.key, form)
+    return list(seen.values())
+
+
+def enumerate_connected_colored_graphs(max_size: int) -> list[CanonicalForm]:
+    """All connected graphs up to ``max_size`` vertices with every
+    technology coloring, one canonical representative each: the forms
+    of every skeleton, sorted by (size, key) so table builds enumerate
+    deterministically."""
+    forms = [form for n, bits in skeletons(max_size) for form in skeleton_forms(n, bits)]
+    return sorted(forms, key=lambda f: (f.size, f.key))

@@ -335,6 +335,16 @@ def validate_scenario(sc: Scenario) -> None:
             raise ScenarioValidationError(
                 "link-node-exists", f"link {l.id} served by unknown node {l.node}"
             )
+    # the shared band's contenders are the links and the Wi-Fi access
+    # points that serve none, so those ids must not meet
+    serving = {l.node for l in sc.links}
+    link_ids = {l.id for l in sc.links}
+    for n in sc.nodes:
+        if n.kind == WIFI and n.id not in serving and n.id in link_ids:
+            raise ScenarioValidationError(
+                "contender-ids-unique",
+                f"link {n.id} shares its id with Wi-Fi access point {n.id}, which serves no link",
+            )
     for m in sc.mnos:
         for sid in (*m.min_throughput_overrides_bps, *m.price_overrides_per_bit):
             if sid not in service_ids:

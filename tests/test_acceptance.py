@@ -14,6 +14,7 @@ import pytest
 from slicenet.coexist import (
     SimConfig,
     entry_seed,
+    fork_map,
     isolated_access_share,
     simulate_graph,
 )
@@ -174,13 +175,18 @@ def test_criterion_4_simulator_tracks_renewal_theory(verdict):
     assert ok, detail
 
 
-def _reference_run(graph, seed):
-    """Direct simulation of ``graph`` long enough that every vertex's
-    batch-means standard error is at most REFERENCE_SE, or
-    REFERENCE_CAP_S long.  The length is chosen from the run's own
-    error alone; reruns keep the seed, so they extend the same sample
-    path.  Returns the outcome, its per-vertex errors and its length."""
-    config = SimConfig(duration_s=10.0, seed=seed, record_timeline=True)
+def _reference(form):
+    """Direct simulation of ``form``'s graph long enough that every
+    vertex's batch-means standard error is at most REFERENCE_SE, or
+    REFERENCE_CAP_S long, on a seed stream disjoint from the table's.
+    The length is chosen from the run's own error alone; reruns keep
+    the seed, so they extend the same sample path.  Returns each
+    vertex's normalized access, its error and the run's length, and
+    leaves the outcome and its timeline where the run took place."""
+    graph = graph_from_canonical(form.size, form.colors, form.edge_bits)
+    config = SimConfig(
+        duration_s=10.0, seed=entry_seed(1000, form.key), record_timeline=True
+    )
     while True:
         outcome = simulate_graph(graph, config)
         errors = {
@@ -189,7 +195,8 @@ def _reference_run(graph, seed):
         }
         worst = max(errors.values())
         if worst <= REFERENCE_SE or config.duration_s >= REFERENCE_CAP_S:
-            return outcome, errors, config.duration_s
+            access = {vid: st.normalized_access for vid, st in outcome.stats.items()}
+            return access, errors, config.duration_s
         longer = config.duration_s * (worst / REFERENCE_SE) ** 2
         config = replace(config, duration_s=min(REFERENCE_CAP_S, longer))
 
@@ -202,23 +209,23 @@ def test_criterion_5_table_estimates_track_direct_simulation(table5, verdict):
     is lengthened wherever its own batch-means error shows that 10 s
     cannot resolve the 0.1 tolerance (slowly mixing graphs with
     competing maximum independent sets), so a red verdict measures the
-    table's error rather than the reference's."""
+    table's error rather than the reference's.  The references run in
+    forked workers, the largest graphs first."""
     checked = 0
     offenders = []
     worst = (0.0, "", "", 0.0, 0.0)
     lengthened = 0
     imprecise = []
-    for form in enumerate_connected_colored_graphs(5):
+    forms = enumerate_connected_colored_graphs(5)
+    references = list(fork_map(_reference, forms[::-1]))[::-1]
+    for form, (reference, errors, length) in zip(forms, references):
         graph = graph_from_canonical(form.size, form.colors, form.edge_bits)
         estimate = estimate_access(graph, table5)
-        reference, errors, length = _reference_run(
-            graph, entry_seed(1000, form.key)
-        )
         lengthened += length > 10.0
         if max(errors.values()) > REFERENCE_SE:
             imprecise.append(form.key)
         for vid in graph.ids:
-            diff = abs(estimate.access[vid] - reference.stats[vid].normalized_access)
+            diff = abs(estimate.access[vid] - reference[vid])
             checked += 1
             worst = max(worst, (diff, form.key, vid, length, errors[vid]))
             if diff > 0.1:

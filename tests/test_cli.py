@@ -187,6 +187,13 @@ def test_invalid_scenario_exits_3(tmp_path, capsys):
     assert main(["sim", "--scenario", str(bad)]) == 3
 
 
+def test_link_named_like_an_idle_access_point_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(COMMITTED.read_text().replace("id: m1b1u1\n", "id: w1\n"))
+    assert main(["sim", "--scenario", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: scenario: contender-ids-unique: link w1")
+
+
 def test_infeasible_problem_exits_4(workspace, tmp_path, capsys):
     scenario, table = workspace
     doc = scenario_to_dict(load_scenario(scenario))

@@ -231,18 +231,6 @@ def test_built_graphs_pass_the_check(kind):
         assert len(g.vertices) > 64 and g.edges
 
 
-def test_graph_build_refuses_a_link_named_like_an_access_point():
-    # node and link ids are each unique, but a link may share its id
-    # with a Wi-Fi access point that serves no link
-    nodes = [
-        Node(id="b1", kind="laa", position_m=(0.0, 0.0), owner=1),
-        Node(id="w1", kind="wifi", position_m=(900.0, 0.0)),
-    ]
-    links = [Link(id="w1", owner=1, node="b1", ue_position_m=(0.0, 10.0))]
-    with pytest.raises(ValueError, match=r"duplicate vertex ids: \['w1', 'w1'\]"):
-        build_contention_graph(_hand_scenario(nodes, links))
-
-
 def _hand_scenario(nodes, links):
     return Scenario(
         services=(ServiceType(id=1, min_throughput_bps=1e6, price_per_bit=1e-6),),
@@ -716,15 +704,24 @@ def test_measure_entry_equals_simulating_the_rebuilt_graph():
 
 
 @pytest.mark.parametrize("cpus", [None, 1], ids=["every-cpu", "one-cpu"])
-def test_pooled_table_equals_serial_entries(cpus, monkeypatch):
+def test_pooled_table_equals_serial_entries(cpus, monkeypatch, tmp_path):
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     config = SimConfig(duration_s=0.2, seed=11)
-    forms = enumerate_connected_colored_graphs(3)
+    # six skeletons, one task each: more tasks than workers
+    forms = enumerate_connected_colored_graphs(4)
+    serial = [measure_entry(f, config) for f in forms]
     seen = []
-    table = measure_table(3, config, progress=lambda *call: seen.append(call))
-    assert list(table.entries.values()) == [measure_entry(f, config) for f in forms]
-    assert seen == [(i + 1, len(forms), f.key) for i, f in enumerate(forms)]
+    table = measure_table(4, config, progress=lambda *call: seen.append(call))
+    assert list(table.entries.values()) == serial
+    reference = AccessTable(4, 0.2, config.slot_time_s, 11, entries={e.key: e for e in serial})
+    table.save(tmp_path / "pooled.tsv")
+    reference.save(tmp_path / "serial.tsv")
+    assert (tmp_path / "pooled.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
+    # one call per entry as the entries arrive, whose order may differ
+    # from the table's
+    assert [call[:2] for call in seen] == [(i + 1, len(forms)) for i in range(len(forms))]
+    assert sorted(call[2] for call in seen) == sorted(f.key for f in forms)
 
 
 def test_measure_table_rejects_bad_config_up_front(tmp_path):

@@ -1,6 +1,7 @@
 """Exact graph machinery: independent sets, canonical labels, enumeration."""
 
 import hashlib
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from slicenet.contention import (
     _SKELETONS,
     CANONICAL_MAX_VERTICES,
+    FORM_COUNTS,
     LAA_TECH,
     LABEL_MEMO_SIZE,
     MIS_MAX_VERTICES,
@@ -146,6 +148,12 @@ def test_enumeration_counts():
     # connected, vertex-colored with two colors, up to isomorphism
     for size, expected in ((1, 2), (2, 5), (3, 15), (4, 65), (5, 419)):
         assert len(enumerate_connected_colored_graphs(size)) == expected
+    # a table build reads the per-size counts in place of enumerating,
+    # and merges the forms of each skeleton unchecked, so no key may
+    # come from two skeletons
+    forms = enumerate_connected_colored_graphs(CANONICAL_MAX_VERTICES)
+    assert Counter(f.size for f in forms) == FORM_COUNTS
+    assert len({f.key for f in forms}) == len(forms)
 
 
 def _skeleton_key(n, bits):

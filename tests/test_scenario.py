@@ -266,6 +266,24 @@ def test_dict_round_trip(two_mno_scenario):
     assert scenario_from_dict(doc) == two_mno_scenario
 
 
+def _link_renamed(tmp_path, new_id):
+    """A copy of the committed scenario whose link ``m1b1u1`` is named
+    ``new_id``."""
+    path = tmp_path / "renamed.yaml"
+    path.write_text(COMMITTED.read_text().replace("id: m1b1u1\n", f"id: {new_id}\n"))
+    return path
+
+
+def test_link_named_like_an_idle_access_point_is_refused(tmp_path):
+    # links and idle Wi-Fi access points contend side by side on the
+    # shared band, so their ids must differ; w1 serves no link
+    with pytest.raises(ScenarioValidationError, match="contender-ids-unique: link w1") as err:
+        load_scenario(_link_renamed(tmp_path, "w1"))
+    assert err.value.invariant == "contender-ids-unique"
+    # a base station is no contender of its own, so its id is free
+    assert load_scenario(_link_renamed(tmp_path, "m2b2")).links[0].id == "m2b2"
+
+
 def test_wifi_node_must_not_have_owner():
     with pytest.raises(ScenarioValidationError, match="wifi-node-unowned"):
         Node(id="w1", kind="wifi", position_m=(0.0, 0.0), owner=1).validate()
