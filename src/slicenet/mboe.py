@@ -89,11 +89,9 @@ def remove_mno(graph: ContentionGraph, removed) -> ContentionGraph:
 
 
 def _mis_positions(graph: ContentionGraph) -> int:
-    """Bitmask of the positions of every vertex in a maximum independent set."""
-    survivors: set[str] = set()
-    for comp in graph.components():
-        for mis in maximum_independent_sets(comp):
-            survivors.update(mis)
+    """Bitmask of the positions of every vertex in a maximum independent
+    set of the connected ``graph``."""
+    survivors = set().union(*maximum_independent_sets(graph))
     return sum(1 << i for i, vid in enumerate(graph.ids) if vid in survivors)
 
 

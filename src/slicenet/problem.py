@@ -16,20 +16,22 @@ The LP is held as its nonzeros (:class:`LPModel`), never as dense
 matrices.  One assembly (:func:`_lp_model`) lays out a stack of LPs,
 one block per LP, from their offered pairs: each block's rows and
 columns follow those of the blocks before it, so the blocks share no
-variable.  :func:`solve_lp_stack` stacks several problems, and the
-oracle is its one-problem case.  :func:`solve_lp_coalitions` stacks
-the restrictions of one market to many coalitions straight from the
-market's arrays, in one pass of masks over coalitions, links and
-slices, and returns only their optimal values: it builds no
-restricted problem and no solution, and :meth:`SlicingProblem.restrict`
-is the one-coalition case of its pooling rule.  HiGHS is reached
-through scipy's public ``milp`` with no integer variables: one sparse
-CSC matrix ``lo <= A x <= hi`` holds every inequality row (``lo =
--inf``) and then every equality row (``lo = hi``), the row order
-``linprog`` would build from the same model, so the solutions are the
-ones ``linprog`` returns, bit for bit, without its per-call input
-handling.  scipy is imported inside that one call, not with this
-module, so a command or library call that solves no LP never loads it.
+variable.  The oracle solves one problem as a single block.
+:func:`solve_lp_coalitions` stacks the restrictions of one market to
+many coalitions straight from the market's arrays, in one pass of
+masks over coalitions, links and slices, and returns only their
+optimal values: it builds no restricted problem and no solution, and
+:meth:`SlicingProblem.restrict` is the one-coalition case of its
+pooling rule.  Its values are bit for bit those that ``linprog`` gives
+on the block diagonal of the restricted problems' one-block models.
+HiGHS is reached through scipy's public ``milp`` with no integer
+variables: one sparse CSC matrix ``lo <= A x <= hi`` holds every
+inequality row (``lo = -inf``) and then every equality row (``lo =
+hi``), the row order ``linprog`` would build from the same model, so
+the solutions are the ones ``linprog`` returns, bit for bit, without
+its per-call input handling.  scipy is imported inside that one call,
+not with this module, so a command or library call that solves no LP
+never loads it.
 
 Three deployment variants share one problem shape: ``s1`` zeroes the
 licensed budgets (unlicensed only), ``s2`` zeroes the airtime
@@ -481,23 +483,6 @@ class _Pairs:
         """One past each block's last pair."""
         return np.cumsum(np.bincount(self.block, minlength=self.n_blocks))
 
-    def one_block(self, k: int) -> _Pairs:
-        """Block ``k`` alone."""
-        pairs = slice(*np.searchsorted(self.block, [k, k + 1]))
-        links = slice(*np.searchsorted(self.link_block, [k, k + 1]))
-        return _Pairs(
-            n_blocks=1,
-            block=self.block[pairs] - k,
-            link=self.link[pairs] - links.start,
-            price=self.price[pairs],
-            rate=self.rate[pairs],
-            floor=self.floor[pairs],
-            unlicensed=self.unlicensed[pairs],
-            link_block=self.link_block[links] - k,
-            budget=self.budget[links],
-            access=self.access[links],
-        )
-
 
 def _pairs(offered, price, floor, rate, budget, access, unlicensed) -> _Pairs:
     """The pairs of a stack given as ``offered[k, i, l]``: block ``k``
@@ -527,33 +512,11 @@ def _pairs(offered, price, floor, rate, budget, access, unlicensed) -> _Pairs:
     )
 
 
-def _problem_pairs(problems: list[SlicingProblem]) -> _Pairs:
-    """The pairs of ``problems``' LPs, one block per problem."""
-    parts = [
-        _pairs(
-            p.offered[None], p.price_per_bit, p.min_rate_bps, p.rate_bps_hz,
-            p.budget_hz, p.access, p.unlicensed_hz,
-        )
-        for p in problems
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    link_at = np.cumsum([0] + [len(q.link_block) for q in parts])
-
-    def stacked(name, offsets=(0,) * len(parts)):
-        return np.concatenate([getattr(q, name) + o for q, o in zip(parts, offsets)])
-
-    return _Pairs(
-        n_blocks=len(parts),
-        block=stacked("block", range(len(parts))),
-        link=stacked("link", link_at),
-        price=stacked("price"),
-        rate=stacked("rate"),
-        floor=stacked("floor"),
-        unlicensed=stacked("unlicensed"),
-        link_block=stacked("link_block", range(len(parts))),
-        budget=stacked("budget"),
-        access=stacked("access"),
+def _problem_pairs(p: SlicingProblem) -> _Pairs:
+    """The pairs of ``p``'s LP, as one block."""
+    return _pairs(
+        p.offered[None], p.price_per_bit, p.min_rate_bps, p.rate_bps_hz,
+        p.budget_hz, p.access, p.unlicensed_hz,
     )
 
 
@@ -654,11 +617,6 @@ def _highs(model: LPModel):
     )
 
 
-def _highs_once(problem: SlicingProblem):
-    """One HiGHS solve of ``problem``'s LP."""
-    return _highs(_lp_model(_problem_pairs([problem])))
-
-
 def _blame_family(problem: SlicingProblem) -> str:
     """Name the cheapest relaxation that would restore feasibility.
 
@@ -671,66 +629,36 @@ def _blame_family(problem: SlicingProblem) -> str:
     """
     pool = sum(problem.mno_budget_hz.tolist())
     pooled = replace(problem, budget_hz=np.full(problem.n_links, pool))
-    if _highs_once(pooled).status == 0:
+    if _highs(_lp_model(_problem_pairs(pooled))).status == 0:
         return FAMILY_BUDGET
     opened = replace(problem, access=problem.offered.any(axis=1))
-    if _highs_once(opened).status == 0:
+    if _highs(_lp_model(_problem_pairs(opened))).status == 0:
         return FAMILY_ACCESS
     return FAMILY_QOS
 
 
-def _solve_pairs(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+def _solve_pairs(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray] | None:
     """Solve a stack of LPs in one HiGHS call.
 
     The LPs share no variable, so their stack is optimal exactly where
-    each block is optimal for its own LP.  One infeasible block makes
-    the whole stack infeasible, and then each block is solved on its
-    own.  Returns every pair's ``u`` and ``alpha``, clamped into their
-    bounds as ``max(0, x)`` and ``min(1, x)`` do (HiGHS's -0.0 becomes
-    0.0), and whether each block is feasible; an infeasible block's
-    values are zeros.
+    each block is optimal for its own LP.  Returns every pair's ``u``
+    and ``alpha``, clamped into their bounds as ``max(0, x)`` and
+    ``min(1, x)`` do (HiGHS's -0.0 becomes 0.0), or ``None`` when the
+    stack has no feasible point, that is when one of its blocks has
+    none.
     """
-    n = len(pairs.block)
-    if not n:
+    if not len(pairs.block):
         # no pair, no column and no row: nothing to solve
-        return np.zeros(0), np.zeros(0), [True] * pairs.n_blocks
+        return np.zeros(0), np.zeros(0)
     model = _lp_model(pairs)
     res = _highs(model)
     if res.status == 2:
-        if pairs.n_blocks == 1:
-            return np.zeros(n), np.zeros(n), [False]
-        parts = [_solve_pairs(pairs.one_block(k)) for k in range(pairs.n_blocks)]
-        u, alpha, feasible = zip(*parts)
-        return np.concatenate(u), np.concatenate(alpha), [ok for f in feasible for ok in f]
+        return None
     if res.status != 0:
         raise RuntimeError(f"allocation solve failed with status {res.status}")
     u, alpha = res.x[model.u_col], res.x[model.alpha_col]
     alpha = np.where(alpha > 0.0, alpha, 0.0)
-    return np.where(u > 0.0, u, 0.0), np.where(alpha < 1.0, alpha, 1.0), [True] * pairs.n_blocks
-
-
-def solve_lp_stack(problems: list[SlicingProblem]) -> list[SlicingSolution | None]:
-    """Solve several allocation LPs exactly, in one HiGHS call.
-
-    ``None`` marks a problem with no feasible point; if there is one,
-    each problem is solved on its own.  The violated constraint family
-    is not diagnosed here.
-    """
-    if not problems:
-        return []
-    pairs = _problem_pairs(problems)
-    u, alpha, feasible = _solve_pairs(pairs)
-    ends = pairs.ends.tolist()
-    solutions = []
-    for problem, ok, start, end in zip(problems, feasible, [0] + ends, ends):
-        if not ok:
-            solutions.append(None)
-            continue
-        r, c = problem.rows, problem.cols
-        u_hz, airtime = np.zeros((2, *problem.offered.shape))
-        u_hz[r, c], airtime[r, c] = u[start:end], alpha[start:end]
-        solutions.append(solution_from_arrays(problem, u_hz, airtime, "lp"))
-    return solutions
+    return np.where(u > 0.0, u, 0.0), np.where(alpha < 1.0, alpha, 1.0)
 
 
 def _coalition_pairs(problem: SlicingProblem, joined: np.ndarray) -> _Pairs:
@@ -752,34 +680,41 @@ def solve_lp_coalitions(problem: SlicingProblem, joined: np.ndarray) -> list[flo
     non-empty.  One pass of masks over coalitions, links and slices
     (:func:`_pooled`) lays out the stacked LP straight from the
     market's arrays, and each value is read off the stacked solution as
-    :func:`solution_from_arrays` computes an objective.  The values are
-    bit for bit the objectives of ``solve_lp_stack`` over
-    ``problem.restrict`` of each coalition, in the same order, with
-    ``None`` for a coalition with no feasible point.
+    :func:`solution_from_arrays` computes an objective.  ``None`` marks
+    a coalition with no feasible point.  One such coalition spoils the
+    whole stack, and then each coalition is solved on its own: the
+    pass works row by row, so a one-row mask lays out exactly that
+    coalition's block.  The values are bit for bit those that
+    ``linprog`` gives on the block diagonal of the one-block models of
+    ``problem.restrict`` of each coalition, in the same order.
     """
     if not len(joined):
         return []
     pairs = _coalition_pairs(problem, joined)
-    u, alpha, feasible = _solve_pairs(pairs)
-    revenue = _revenue(pairs.price, u, alpha, pairs.unlicensed, pairs.rate).tolist()
+    solved = _solve_pairs(pairs)
+    if solved is None:
+        if len(joined) == 1:
+            return [None]
+        return [solve_lp_coalitions(problem, joined[k : k + 1])[0] for k in range(len(joined))]
+    revenue = _revenue(pairs.price, *solved, pairs.unlicensed, pairs.rate).tolist()
     ends = pairs.ends.tolist()
-    return [
-        sum(revenue[start:end], 0.0) if ok else None
-        for ok, start, end in zip(feasible, [0] + ends, ends)
-    ]
+    return [sum(revenue[start:end], 0.0) for start, end in zip([0] + ends, ends)]
 
 
 def solve_lp_oracle(problem: SlicingProblem) -> SlicingSolution:
-    """Solve the allocation LP exactly.
+    """Solve the allocation LP exactly, as a stack of one block.
 
     Raises :class:`InfeasibleProblem` with the violated constraint
     family when the QoS floors cannot be met from the pooled spectrum.
     """
-    (solution,) = solve_lp_stack([problem])
-    if solution is None:
+    solved = _solve_pairs(_problem_pairs(problem))
+    if solved is None:
         raise InfeasibleProblem(
             _blame_family(problem),
             f"no feasible allocation for {problem.n_links} links"
             f" / {problem.n_services} slices ({problem.variant})",
         )
-    return solution
+    r, c = problem.rows, problem.cols
+    u_hz, airtime = np.zeros((2, *problem.offered.shape))
+    u_hz[r, c], airtime[r, c] = solved
+    return solution_from_arrays(problem, u_hz, airtime, "lp")

@@ -252,8 +252,7 @@ class Scenario:
 
     @cached_property
     def _node_by_id(self) -> dict[str, Node]:
-        # reversed, so the first of any duplicate ids wins
-        return {n.id: n for n in reversed(self.nodes)}
+        return {n.id: n for n in self.nodes}
 
     def node(self, node_id: str) -> Node:
         return self._node_by_id[node_id]

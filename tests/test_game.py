@@ -17,7 +17,13 @@ from slicenet.game import (
     convexity_probe,
     default_division,
 )
-from slicenet.problem import InfeasibleProblem, solution_from_arrays, solve_lp_oracle
+from slicenet.problem import (
+    InfeasibleProblem,
+    SlicingProblem,
+    as_variant,
+    solution_from_arrays,
+    solve_lp_oracle,
+)
 from slicenet.topology import bottleneck_preset, random_problem
 
 
@@ -222,6 +228,37 @@ def test_stacked_values_match_the_oracle_one_by_one():
                 infeasible += 1
             assert math.isclose(value, alone, rel_tol=1e-12), (coalition, value, alone)
     assert infeasible > 0
+
+
+def test_a_spoiled_stack_solves_each_coalition_from_the_market(lp_calls, monkeypatch):
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        problem = random_problem(rng, feasible_for="coalitions")
+    # unlicensed only, some of this market's coalitions miss their floors
+    market = as_variant(problem, "s1")
+    members = market.members
+    coalitions = [
+        frozenset(c) for size in range(1, len(members) + 1) for c in combinations(members, size)
+    ]
+    restricted = []
+    restrict = SlicingProblem.restrict
+    monkeypatch.setattr(
+        SlicingProblem, "restrict", lambda self, c: restricted.append(c) or restrict(self, c)
+    )
+    lp_calls.clear()
+    values = coalition_values(market, coalitions)
+    # the spoiled stack, then each coalition alone from the market's arrays
+    assert len(lp_calls) == 1 + len(coalitions)
+    assert restricted == []
+    infeasible = 0
+    for coalition, value in zip(coalitions, values):
+        try:
+            alone = solve_lp_oracle(market.restrict(coalition)).objective
+        except InfeasibleProblem:
+            alone = 0.0
+            infeasible += 1
+        assert value == alone, coalition
+    assert 0 < infeasible < len(coalitions)
 
 
 def test_game_never_diagnoses_infeasibility(monkeypatch):

@@ -17,6 +17,7 @@ from slicenet.problem import (
     FAMILY_QOS,
     VARIANTS,
     InfeasibleProblem,
+    LPModel,
     SlicingProblem,
     _coalition_pairs,
     _highs,
@@ -26,7 +27,6 @@ from slicenet.problem import (
     build_problem,
     solution_from_arrays,
     solve_lp_oracle,
-    solve_lp_stack,
 )
 from slicenet.scenario import BandPlan, Link, Mno, Node, Scenario, ServiceType
 from slicenet.topology import bottleneck_preset, random_problem
@@ -391,32 +391,50 @@ def test_access_share_bounds_checked():
 # -- the HiGHS call as first written, through linprog ------------------------
 
 
+def _block_diagonal(models):
+    """``models`` as one block-diagonal model: each model's rows and
+    columns follow those of the models before it, and each triplet
+    list runs model by model."""
+    col_at = np.cumsum([0] + [len(m.c) for m in models])
+
+    def triplets(part, rhs):
+        row_at = np.cumsum([0] + [len(getattr(m, rhs)) for m in models])
+        parts = [getattr(m, part) for m in models]
+        return (
+            np.concatenate([t[0] + o for t, o in zip(parts, row_at)]),
+            np.concatenate([t[1] + o for t, o in zip(parts, col_at)]),
+            np.concatenate([t[2] for t in parts]),
+        )
+
+    return LPModel(
+        c=np.concatenate([m.c for m in models]),
+        ub=triplets("ub", "b_ub"),
+        b_ub=np.concatenate([m.b_ub for m in models]),
+        eq=triplets("eq", "b_eq"),
+        b_eq=np.concatenate([m.b_eq for m in models]),
+        bounds=np.concatenate([m.bounds for m in models]),
+        u_col=np.concatenate([m.u_col + o for m, o in zip(models, col_at)]),
+        alpha_col=np.concatenate([m.alpha_col + o for m, o in zip(models, col_at)]),
+    )
+
+
 def _reference_linprog(models):
     """The stacked solve as first written: ``A_ub`` and ``A_eq`` as two
     block-diagonal ``coo_array`` matrices, handed to ``linprog``."""
-    col_at = np.cumsum([0] + [len(m.c) for m in models])
+    stack = _block_diagonal(models)
+    n = len(stack.c)
 
-    def block_diag(part, rhs):
-        row_at = np.cumsum([0] + [len(getattr(m, rhs)) for m in models])
-        triplets = [getattr(m, part) for m in models]
-        return coo_array(
-            (
-                np.concatenate([t[2] for t in triplets]),
-                (
-                    np.concatenate([t[0] + o for t, o in zip(triplets, row_at)]),
-                    np.concatenate([t[1] + o for t, o in zip(triplets, col_at)]),
-                ),
-            ),
-            shape=(row_at[-1], col_at[-1]),
-        )
+    def matrix(part, rhs):
+        rows, cols, values = getattr(stack, part)
+        return coo_array((values, (rows, cols)), shape=(len(getattr(stack, rhs)), n))
 
     return linprog(
-        np.concatenate([m.c for m in models]),
-        A_ub=block_diag("ub", "b_ub"),
-        b_ub=np.concatenate([m.b_ub for m in models]),
-        A_eq=block_diag("eq", "b_eq"),
-        b_eq=np.concatenate([m.b_eq for m in models]),
-        bounds=np.concatenate([m.bounds for m in models]),
+        stack.c,
+        A_ub=matrix("ub", "b_ub"),
+        b_ub=stack.b_ub,
+        A_eq=matrix("eq", "b_eq"),
+        b_eq=stack.b_eq,
+        bounds=stack.bounds,
         method="highs",
     )
 
@@ -442,17 +460,26 @@ _MARKETS = _random_markets(1)
 
 
 def _assert_same_lp(problems, pairs=None):
-    """HiGHS on the stack of ``problems`` (or on ``pairs``, their pairs
-    laid out another way) returns what ``linprog`` returns on the block
-    diagonal of their one-problem models."""
-    got = _highs(_lp_model(pairs or _problem_pairs(problems)))
-    want = _reference_linprog([_lp_model(_problem_pairs([p])) for p in problems])
+    """HiGHS on ``pairs``, the pairs of ``problems`` in one stack (by
+    default the one problem's own block), returns what ``linprog``
+    returns on the block diagonal of their one-block models."""
+    if pairs is None:
+        (problem,) = problems
+        pairs = _problem_pairs(problem)
+    got = _highs(_lp_model(pairs))
+    want = _reference_linprog([_lp_model(_problem_pairs(p)) for p in problems])
     assert got.status == want.status
     if want.x is None:
         assert got.x is None
     else:
         assert got.x.tobytes() == want.x.tobytes()
     return want.status
+
+
+def _sorted_triplets(triplets):
+    """``(row, col, value)`` triplets in CSC order, by column and then row."""
+    order = np.lexsort((triplets[0], triplets[1]))
+    return [t[order] for t in triplets]
 
 
 def test_highs_call_matches_linprog_bit_for_bit():
@@ -474,21 +501,49 @@ def test_stacked_highs_call_matches_linprog_bit_for_bit():
                 frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)
             ]
             restricted = [market.restrict(c) for c in coalitions]
-            statuses.add(_assert_same_lp(restricted))
-            # the game's mask pass lays out the very same stack
+            # the game's mask pass lays out the block diagonal of the
+            # restricted problems' one-block models
             masked = _coalition_pairs(market, market.coalition_mask(coalitions))
             statuses.add(_assert_same_lp(restricted, masked))
-            got, want = _lp_model(masked), _lp_model(_problem_pairs(restricted))
+            got = _lp_model(masked)
+            want = _block_diagonal([_lp_model(_problem_pairs(p)) for p in restricted])
             for name in ("c", "b_ub", "b_eq", "bounds", "u_col", "alpha_col"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             for name in ("ub", "eq"):
-                for a, b in zip(getattr(got, name), getattr(want, name)):
+                got_t, want_t = (_sorted_triplets(getattr(m, name)) for m in (got, want))
+                for a, b in zip(got_t, want_t):
                     assert a.tobytes() == b.tobytes(), name
     assert statuses == {0, 2}
 
 
+def _reference_values(restricted):
+    """The optimal welfare of each of ``restricted``, 0.0 where it has
+    no feasible point: ``linprog`` on the block diagonal of their
+    one-block models, or on each model alone where that stack is
+    infeasible, each block's value read as ``solution_from_arrays``
+    computes it."""
+    models = [_lp_model(_problem_pairs(p)) for p in restricted]
+    stack = _reference_linprog(models)
+    if stack.status == 2:
+        xs = [_reference_linprog([m]).x for m in models]
+    else:
+        col_at = np.cumsum([len(m.c) for m in models])
+        xs = np.split(stack.x, col_at[:-1])
+    values = []
+    for problem, model, x in zip(restricted, models, xs):
+        if x is None:
+            values.append(0.0)
+            continue
+        x = np.clip(x, model.bounds[:, 0], model.bounds[:, 1])
+        r, c = problem.rows, problem.cols
+        u, alpha = np.zeros((2, *problem.offered.shape))
+        u[r, c], alpha[r, c] = x[model.u_col], x[model.alpha_col]
+        values.append(solution_from_arrays(problem, u, alpha, "lp").objective)
+    return values
+
+
 def test_coalition_values_match_restricted_stacks_bit_for_bit():
-    # the game's mask pass against one stack of restricted problems;
+    # the game's mask pass against linprog on the restricted problems;
     # under s1 and s2 most stacks hold an infeasible block, so the
     # one-by-one fallback runs too
     infeasible = 0
@@ -499,8 +554,7 @@ def test_coalition_values_match_restricted_stacks_bit_for_bit():
         ]
         for variant in VARIANTS:
             market = as_variant(problem, variant)
-            solved = solve_lp_stack([market.restrict(c) for c in coalitions])
-            want = [0.0 if s is None else s.objective for s in solved]
+            want = _reference_values([market.restrict(c) for c in coalitions])
             infeasible += want.count(0.0)
             # a duplicate and the empty coalition change neither the
             # stack nor its values
