@@ -12,12 +12,12 @@
 # solver (with its trace; the LP has none), solve under the s1 and s2
 # variants with the LP and ADMM (both infeasible: exit code and message
 # are kept), game under both division rules and a 1 s sim on
-# scenarios/two_mno_20mhz.yaml, and a min_qos sweep over it whose top
+# scenarios/two_mno_20mhz.json, and a min_qos sweep over it whose top
 # floor makes some cells infeasible.  It keeps the exit code and stderr
 # line of five malformed inputs: a scenario with a malformed band field,
 # a scenario whose operator id is 1.5, sim --duration nan, experiment
 # --values 0 and gen --cell-size 50.  It re-saves the
-# committed scenario as JSON (two_mno.json) and checks that mboe on it prints
+# committed scenario (two_mno.json) and checks that mboe on it prints
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
 # runs mboe, solve (also under s2, with the subgradient, and cut short at 25
@@ -26,9 +26,9 @@
 # timeline and with Poisson arrivals.  Last, it runs mboe strict (exit code
 # and stderr kept) and with --fallback against copies of table.tsv that
 # each lack one row the estimate reads: 1;W;0;0 for dense.yaml and the
-# 2-vertex 2;LW;11;1 for the committed scenario.  dense.yaml is gen's own
-# output, so it holds JSON text: its bytes differ from checkouts whose gen
-# wrote YAML, while the scenario it describes is the same.
+# 2-vertex 2;LW;11;1 for the committed scenario.  dense.yaml holds the
+# JSON that gen writes, like every scenario file; it keeps its old name,
+# which gen_dense.txt prints, so outputs compare with older checkouts.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -39,7 +39,7 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1"
 cd "$1"
 export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
-SCENARIO="$ROOT/scenarios/two_mno_20mhz.yaml"
+SCENARIO="$ROOT/scenarios/two_mno_20mhz.json"
 
 slicenet() { python -m slicenet.cli "$@"; }
 

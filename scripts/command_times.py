@@ -6,7 +6,7 @@ the medians as TSV:
     python scripts/command_times.py --runs 7 OTHER_CHECKOUT  # and another
 
 Every command runs ``--runs`` times (default 5) on the committed
-scenario ``scenarios/two_mno_20mhz.yaml``, with the checkout's ``src``
+scenario ``scenarios/two_mno_20mhz.json``, with the checkout's ``src``
 first on ``PYTHONPATH``.  Further checkouts named on the command line
 are timed in the same rounds, command by command and checkout by
 checkout, so a slow spell of a shared host falls on all of them alike.
@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIO = ROOT / "scenarios" / "two_mno_20mhz.yaml"
+SCENARIO = ROOT / "scenarios" / "two_mno_20mhz.json"
 
 
 def commands(work: Path) -> list[tuple[str, list[str]]]:

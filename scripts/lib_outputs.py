@@ -90,7 +90,7 @@ MARKETS = 480
 #: on nearly every market, so both run to their iteration caps there
 #: and take most of the script's time
 S1_ITERATIVE = 24
-SCENARIO = ROOT / "scenarios" / "two_mno_20mhz.yaml"
+SCENARIO = ROOT / "scenarios" / "two_mno_20mhz.json"
 #: (kind, stations per operator, users per station, access points, cell
 #: size in m, seed) of the generated deployments; the first reaches all
 #: three provenances, the second is ``cli_outputs.sh``'s dense one and

@@ -287,7 +287,7 @@ def _cmd_game(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.out is None:
-        return _fail("usage", "gen requires --out <scenario.yaml>", EXIT_USAGE)
+        return _fail("usage", "gen requires --out <scenario.json>", EXIT_USAGE)
     try:
         scenario = generate_topology(
             args.kind,

@@ -12,6 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,8 +63,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown variants {unknown}; expected some of {VARIANTS}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("sweep values must be positive")
+        if not all(0 < v < math.inf for v in self.values):
+            raise ValueError("sweep values must be positive and finite")
         # enumeration and canonical labeling stop at this size
         if not 1 <= self.table_max_size <= CANONICAL_MAX_VERTICES:
             raise ValueError(
@@ -103,23 +104,9 @@ class ResultRow:
 
 def _scenario_at(plan: ExperimentPlan, value: float) -> Scenario:
     if plan.axis == "density":
-        return generate_topology(
-            plan.kind,
-            seed=plan.seed,
-            bs_per_mno=plan.bs_per_mno,
-            ues_per_bs=plan.ues_per_bs,
-            cell_size_m=plan.cell_size_m,
-            wifi_aps=int(round(value)),
-        )
-    if plan.axis == "cell_size":
-        return generate_topology(
-            plan.kind,
-            seed=plan.seed,
-            bs_per_mno=plan.bs_per_mno,
-            ues_per_bs=plan.ues_per_bs,
-            cell_size_m=value,
-            wifi_aps=plan.wifi_aps,
-        )
+        plan = replace(plan, wifi_aps=int(round(value)))
+    elif plan.axis == "cell_size":
+        plan = replace(plan, cell_size_m=value)
     if plan.scenario_path is not None:
         base = load_scenario(plan.scenario_path)
     else:
@@ -131,6 +118,8 @@ def _scenario_at(plan: ExperimentPlan, value: float) -> Scenario:
             cell_size_m=plan.cell_size_m,
             wifi_aps=plan.wifi_aps,
         )
+    if plan.axis != "min_qos":
+        return base
     services = sorted(base.services, key=lambda s: s.id)
     bumped = (replace(services[0], min_throughput_bps=value),) + tuple(services[1:])
     return replace(base, services=bumped)
@@ -186,7 +175,7 @@ def _run_cell(plan, out, scenario, estimates, fallback_links, value, variant) ->
             fallback_links=fallback_links,
             error=f"infeasible-{err.family}",
         )
-    trace_path = out / f"trace_{plan.axis}_{value:g}_{variant}.tsv"
+    trace_path = out / f"trace_{plan.axis}_{float(value)!r}_{variant}.tsv"
     trace_path.write_text(trace.to_text())
     order = [problem.service_ids.index(sid) for sid in service_ids]
     return ResultRow(

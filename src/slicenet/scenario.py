@@ -3,10 +3,11 @@
 All quantities are stored in SI units (Hz, bits/s, seconds, meters).
 Monetary prices are per bit.  Scenario files carry explicit units in
 field names; convenience fields ``min_throughput_mbps`` and
-``price_per_mbit`` are converted on load.  ``save_scenario`` writes
-JSON, which is also valid YAML.  ``load_scenario`` reads JSON, and
-falls back to YAML for hand-written files; the format is told from the
-text, not the file name.
+``price_per_mbit`` are converted on load.  Scenario files are JSON:
+``save_scenario`` writes it and ``load_scenario`` reads nothing else,
+whatever the file name.  Every number must be finite; JSON has no
+``NaN`` or ``Infinity`` (RFC 8259), and a file holding one is refused
+as malformed.
 
 A scenario ties together:
 
@@ -62,7 +63,8 @@ class ScenarioError(ValueError):
 
 
 class ScenarioParseError(ScenarioError):
-    """The file is neither JSON nor YAML, or lacks required structure."""
+    """The file is not JSON, lacks required structure, or holds a
+    non-finite number."""
 
 
 class ScenarioValidationError(ScenarioError):
@@ -371,23 +373,27 @@ PER_MBIT = 1e-6
 
 
 def _num(raw: dict, key: str, entity: str, default: float | None = None) -> float:
-    """``raw[key]`` as a number; ``default`` stands in for an absent key,
-    and without one the key is required.  Booleans are not numbers."""
+    """``raw[key]`` as a finite number; ``default`` stands in for an
+    absent key, and without one the key is required.  Booleans are not
+    numbers."""
     if key not in raw and default is not None:
         return float(default)
     if isinstance(raw.get(key), bool):
         raise ScenarioParseError(f"{entity}: field {key!r} is not a number")
     try:
-        return float(raw[key])
+        number = float(raw[key])
     except KeyError:
         raise ScenarioParseError(f"{entity}: missing field {key!r}") from None
     except (TypeError, ValueError, OverflowError):
         raise ScenarioParseError(f"{entity}: field {key!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ScenarioParseError(f"{entity}: field {key!r} is not finite, got {number!r}")
+    return number
 
 
 def _int(raw: dict, key: str, entity: str, default: int | None = None) -> int:
-    """``raw[key]`` as an integer: an int, or a number with a whole
-    value such as ``1.0``; fractions, infinities and NaN are refused."""
+    """``raw[key]`` as an integer: an int, or a finite number with a
+    whole value such as ``1.0``."""
     value = raw.get(key, default)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -405,10 +411,13 @@ def _position(raw: dict, key: str, entity: str) -> tuple[float, float]:
         and not any(isinstance(x, bool) for x in pos)
     ):
         try:
-            return (float(pos[0]), float(pos[1]))
-        except (TypeError, ValueError):
+            x, y = float(pos[0]), float(pos[1])
+        except (TypeError, ValueError, OverflowError):
             pass
-    raise ScenarioParseError(f"{entity}: {key} must be [x, y]")
+        else:
+            if math.isfinite(x) and math.isfinite(y):
+                return (x, y)
+    raise ScenarioParseError(f"{entity}: {key} must be [x, y] of finite numbers")
 
 
 def _mapping(raw, entity: str) -> dict:
@@ -604,27 +613,20 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file, JSON or YAML.
+    """Parse and validate a JSON scenario file.
 
     Raises ``ScenarioParseError`` for malformed files and
     ``ScenarioValidationError`` (naming the invariant) for
     structurally invalid ones.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        # hand-written YAML; imported here so JSON-only runs never pay for it
-        import yaml
-
-        try:
-            # libyaml's parser when present: same documents and errors, ~6x faster
-            doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            raise ScenarioParseError(f"{path}: {exc}") from exc
+        # from bytes, so json picks the encoding as JSON text does, not by locale
+        doc = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioParseError(f"{path}: not a JSON document: {exc}") from exc
     return scenario_from_dict(doc)
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
-    """Write ``sc`` as JSON: ``load_scenario``'s fast path, and still valid YAML."""
+    """Write ``sc`` as the JSON that ``load_scenario`` reads."""
     Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")

@@ -46,4 +46,4 @@ def table5():
 
 @pytest.fixture(scope="session")
 def two_mno_scenario():
-    return load_scenario(SCENARIO_DIR / "two_mno_20mhz.yaml")
+    return load_scenario(SCENARIO_DIR / "two_mno_20mhz.json")

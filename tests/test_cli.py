@@ -14,7 +14,7 @@ import slicenet
 from slicenet.cli import main
 from slicenet.scenario import load_scenario, scenario_to_dict
 
-COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.yaml"
+COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.json"
 
 
 @pytest.fixture()
@@ -177,19 +177,40 @@ def test_non_numeric_node_field_exits_3(tmp_path, capsys):
     assert err.startswith("error: scenario: node b1: field 'tx_power_dbm' is not a number")
 
 
-def test_invalid_scenario_exits_3(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
+def test_yaml_document_exits_3(tmp_path, capsys):
+    # hand-written YAML is no scenario file
+    bad = tmp_path / "hand.yaml"
     bad.write_text(
-        "services:\n- id: 1\n  min_throughput_bps: 1.0\n  price_per_bit: 1.0\n"
-        "mnos: []\nnodes: []\nlinks: []\n"
-        "band:\n  unlicensed_bandwidth_hz: -5.0\n"
+        "services: []\nmnos: []\nnodes: []\nlinks: []\n"
+        "band: {unlicensed_bandwidth_hz: 2.0e+7}\n"
     )
     assert main(["sim", "--scenario", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: scenario: {bad}: not a JSON document:")
+
+
+def test_scenario_not_in_utf8_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"services": "\xff"}')
+    assert main(["sim", "--scenario", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: scenario: {bad}: not a JSON document:")
+
+
+def test_invalid_scenario_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "services": [{"id": 1, "min_throughput_bps": 1.0, "price_per_bit": 1.0}],
+        "mnos": [],
+        "nodes": [],
+        "links": [],
+        "band": {"unlicensed_bandwidth_hz": -5.0},
+    }))
+    assert main(["sim", "--scenario", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: scenario: band-unlicensed-nonnegative:")
 
 
 def test_link_named_like_an_idle_access_point_exits_3(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(COMMITTED.read_text().replace("id: m1b1u1\n", "id: w1\n"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(COMMITTED.read_text().replace('"id": "m1b1u1"', '"id": "w1"'))
     assert main(["sim", "--scenario", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("error: scenario: contender-ids-unique: link w1")
 
@@ -316,6 +337,9 @@ def test_malformed_list_exits_2(capsys, argv):
     "argv",
     [
         ["experiment", "--axis", "density", "--values", "0"],
+        ["experiment", "--axis", "density", "--values", "inf"],
+        ["experiment", "--axis", "density", "--values", "nan"],
+        ["experiment", "--axis", "min_qos", "--values", "1e6,nan"],
         ["experiment", "--axis", "density", "--values", "1", "--table-max-size", "9"],
         ["experiment", "--axis", "density", "--values", "1", "--scenario", "sc.json"],
         ["gen", "--kind", "grid", "--cell-size", "50"],
@@ -323,8 +347,8 @@ def test_malformed_list_exits_2(capsys, argv):
         ["table", "--max-size", "0"],
         ["table", "--max-size", "7"],
     ],
-    ids=["values-0", "table-max-size-9", "scenario-density", "cell-size-50", "mnos-0",
-         "max-size-0", "max-size-7"],
+    ids=["values-0", "values-inf", "values-nan", "min-qos-nan", "table-max-size-9",
+         "scenario-density", "cell-size-50", "mnos-0", "max-size-0", "max-size-7"],
 )
 def test_parameter_outside_its_domain_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

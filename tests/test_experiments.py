@@ -1,5 +1,7 @@
 """Sweep orchestration: reproducibility, invariants, failure rows."""
 
+import math
+
 import pytest
 
 from slicenet.experiments import AXES, ExperimentPlan, report, run_experiment
@@ -30,7 +32,12 @@ def test_plan_validation(tmp_path):
     with pytest.raises(ValueError):
         _plan(tmp_path, table_max_size=9).validate()
     with pytest.raises(ValueError):
-        _plan(tmp_path, scenario_path="x.yaml").validate()
+        _plan(tmp_path, scenario_path="x.json").validate()
+    # non-finite values are refused before any table is built
+    for axis, values in (("density", (math.inf,)), ("density", (math.nan,)),
+                         ("min_qos", (1e6, math.nan))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _plan(tmp_path, axis=axis, values=values).validate()
     assert sorted(AXES) == ["cell_size", "density", "min_qos"]
 
 
@@ -79,6 +86,15 @@ def test_infeasible_cells_become_error_rows(tmp_path):
     assert by_value[5e9].objective == 0.0
     # the sweep recorded both cells despite the failure
     assert len(rows) == 2
+
+
+def test_close_values_write_their_own_traces(tmp_path):
+    # the two floors agree to 6 significant digits
+    plan = _plan(tmp_path, axis="min_qos", values=(1234567.0, 1234568.0))
+    rows = run_experiment(plan)
+    assert not any(row.error for row in rows)
+    traces = sorted(p.name for p in (tmp_path / "out").glob("trace_*.tsv"))
+    assert traces == ["trace_min_qos_1234567.0_s3.tsv", "trace_min_qos_1234568.0_s3.tsv"]
 
 
 def test_density_increases_contention(tmp_path):

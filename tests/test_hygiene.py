@@ -1,11 +1,14 @@
 """Source hygiene: every module-level import in the package and the
-tests is used by the module that makes it, the package reaches scipy
-only through its public modules, and every function the benchmark's
-tracer wraps still exists."""
+tests is used by the module that makes it, the package imports exactly
+the third-party modules it declares, reaches scipy only through its
+public modules, and every function the benchmark's tracer wraps still
+exists."""
 
 import ast
 import importlib
+import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,40 @@ def test_the_scan_finds_an_unused_import():
         "    return sys.argv, loads\n"
     )
     assert sorted(unused_imports(source)) == [(2, "os"), (6, "dumps")]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports, at any depth, that are
+    neither the standard library nor the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"__future__", "slicenet"}
+
+
+def test_package_imports_exactly_its_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    # a requirement's name runs up to its first version or extras marker
+    declared = {re.match(r"[\w.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in PACKAGE))
+    assert imported == declared
+
+
+def test_the_scan_finds_a_third_party_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, numpy as np\n"
+        "from . import scenario\n"
+        "from slicenet.problem import VARIANTS\n"
+        "def f():\n"
+        "    from scipy.optimize import linprog\n"
+        "    import networkx.algorithms\n"
+    )
+    assert third_party_imports(source) == {"networkx", "numpy", "scipy"}
 
 
 def private_scipy_imports(source: str) -> list[tuple[int, str]]:

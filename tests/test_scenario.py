@@ -3,15 +3,11 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import slicenet
 from slicenet.cli import main
 from slicenet.scenario import (
     BandPlan,
@@ -28,7 +24,7 @@ from slicenet.scenario import (
 )
 from slicenet.topology import generate_topology
 
-COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.yaml"
+COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.json"
 
 
 def test_path_loss_pins():
@@ -97,52 +93,15 @@ def test_gen_writes_plain_json(tmp_path):
     assert scenario_from_dict(doc) == load_scenario(out)
 
 
-def test_json_runs_never_import_yaml(tmp_path):
-    # a fresh interpreter: this one may have imported PyYAML already
-    code = (
-        "import sys\n"
-        "from slicenet.cli import main\n"
-        "from slicenet.scenario import load_scenario\n"
-        f"out = {str(tmp_path / 'g.yaml')!r}\n"
-        "assert main(['gen', '--kind', 'grid', '--out', out]) == 0\n"
-        "load_scenario(out)\n"
-        "assert 'yaml' not in sys.modules, 'PyYAML imported'\n"
-    )
-    src = str(Path(slicenet.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-
-
-def test_committed_yaml_loads_equal_to_its_json(tmp_path):
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(COMMITTED.read_text())  # so it covers the YAML path
+def test_committed_json_is_gen_output_and_round_trips(tmp_path):
+    # README's first command writes the committed scenario
+    out = tmp_path / "g.json"
+    assert main(["gen", "--kind", "two-mno-urban", "--seed", "7", "--out", str(out)]) == 0
+    assert out.read_bytes() == COMMITTED.read_bytes()
     sc = load_scenario(COMMITTED)
     path = tmp_path / "sc.json"
     save_scenario(sc, path)
     assert load_scenario(path) == sc
-
-
-def test_yaml_dotless_exponent_is_a_number(tmp_path):
-    # PyYAML reads 1e-06 (no dot) as the string "1e-06"
-    path = tmp_path / "hand.yaml"
-    path.write_text(
-        "services:\n- {id: 1, min_throughput_bps: 1e+7, price_per_bit: 1e-06}\n"
-        "mnos:\n- id: 1\n  licensed_bandwidth_hz: 2e+7\n"
-        "  overrides: [{service: 1, price_per_bit: 3e-06}]\n"
-        "nodes: []\nlinks: []\nband: {unlicensed_bandwidth_hz: 2e+7}\n"
-    )
-    sc = load_scenario(path)
-    assert sc.services[0].price_per_bit == 1e-06
-    assert sc.services[0].min_throughput_bps == 1e7
-    assert sc.price_per_bit(1, 1) == 3e-06
-    assert sc.band.unlicensed_bandwidth_hz == 2e7
 
 
 def _doc(**sections) -> str:
@@ -200,9 +159,21 @@ def _link(**fields) -> dict:
         _doc(services=[{"id": True, "min_throughput_bps": 1e6, "price_per_bit": 1e-6}]),
         _doc(nodes=[_node(cw_min=False)]),
         _doc(links=[_link(ue_position_m=[True, 0.0])]),
+        # JSON has no NaN or Infinity, and 1e400 overflows to infinity
+        _doc(services=[{"id": 1, "min_throughput_bps": math.nan, "price_per_bit": 1e-6}]),
+        _doc(services=[{"id": 1, "min_throughput_mbps": math.inf, "price_per_bit": 1e-6}]),
+        _doc(mnos=[{"id": 1, "licensed_bandwidth_hz": math.nan}]),
+        _doc(mnos=[{"id": 1, "licensed_bandwidth_hz": math.inf}]),
+        _doc(mnos=[{"id": 1, "licensed_bandwidth_hz": "BW"}]).replace('"BW"', "1e400"),
+        _doc(band={"unlicensed_bandwidth_hz": math.nan}),
+        _doc(nodes=[_node(tx_power_dbm=math.nan)]),
+        _doc(nodes=[_node(difs_s=math.inf)]),
+        _doc(nodes=[_node(position_m=[-math.inf, 0.0])]),
+        _doc(links=[_link(ue_position_m=[0.0, math.nan])]),
+        _doc(links=[_link(ue_position_m=[10**400, 0.0])]),
     ],
     ids=[
-        "neither-json-nor-yaml",
+        "not-json",
         "json-array",
         "json-null",
         "json-missing-section",
@@ -231,10 +202,21 @@ def _link(**fields) -> dict:
         "service-id-boolean",
         "node-cw-min-boolean",
         "link-position-boolean",
+        "service-floor-nan",
+        "service-floor-infinite",
+        "mno-bandwidth-nan",
+        "mno-bandwidth-infinite",
+        "mno-bandwidth-overflow",
+        "band-bandwidth-nan",
+        "node-power-nan",
+        "node-difs-infinite",
+        "node-position-infinite",
+        "link-position-nan",
+        "link-position-overflow",
     ],
 )
 def test_malformed_file_is_a_parse_error(tmp_path, capsys, text):
-    path = tmp_path / "bad.yaml"
+    path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ScenarioParseError):
         load_scenario(path)
@@ -269,8 +251,8 @@ def test_dict_round_trip(two_mno_scenario):
 def _link_renamed(tmp_path, new_id):
     """A copy of the committed scenario whose link ``m1b1u1`` is named
     ``new_id``."""
-    path = tmp_path / "renamed.yaml"
-    path.write_text(COMMITTED.read_text().replace("id: m1b1u1\n", f"id: {new_id}\n"))
+    path = tmp_path / "renamed.json"
+    path.write_text(COMMITTED.read_text().replace('"id": "m1b1u1"', f'"id": "{new_id}"'))
     return path
 
 
