@@ -24,7 +24,15 @@ per side (``--trace 1``).  It writes, per workload:
 
 Top-level fields give the revisions, the exact command, the repeat counts
 and the host (CPU count and model, platform, Python, numpy and scipy).
-Progress goes to stderr.
+
+Last, the ``tier1`` block times the Tier-1 command of ROADMAP.md on each
+side, in a fresh temporary copy of that side's tracked files (the
+parent's ``git archive``; this checkout's tracked files as they are in
+the working tree): once cold, with no ``tests/.cache``, and once warm, on
+the cache the cold run left.  Each run records its wall seconds, exit
+code, passed, failed and error counts and pytest's summary line.  The
+checkout's own ``tests/.cache`` is never read or written.  Progress goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -32,12 +40,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
+import re
+import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +71,60 @@ def archive(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(into)
     return into
+
+
+def tracked_copy(into: Path) -> Path:
+    """This checkout's tracked files, as they are in the working tree,
+    copied into ``into``; a tracked file deleted from the tree is left out."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True
+    ).stdout.decode().split("\0")
+    for name in filter(None, names):
+        source, target = ROOT / name, into / name
+        if source.is_file() or source.is_symlink():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
+    return into
+
+
+#: the Tier-1 command of ROADMAP.md, run from a copy's root
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def tier1_once(root: Path) -> dict:
+    """One Tier-1 run from ``root``: wall seconds, exit code and counts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=7200)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {word: int(count) for count, word in re.findall(r"(\d+) ([a-z]+)", summary)}
+    return {
+        "wall_s": round(wall, 2),
+        "exit_code": done.returncode,
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0),
+        "errors": counts.get("error", 0) + counts.get("errors", 0),
+        "summary": summary,
+    }
+
+
+def tier1_block(parent_rev: str, tmp: Path) -> dict:
+    """Cold, then warm, Tier-1 runs of each side in a fresh copy."""
+    copies = {
+        "parent": archive(parent_rev, tmp / "tier1_parent"),
+        "change": tracked_copy(tmp / "tier1_change"),
+    }
+    runs = {}
+    for side, root in copies.items():
+        runs[side] = {}
+        for state in ("cold", "warm"):
+            print(f"tier1: {side}, {state}", file=sys.stderr)
+            runs[side][state] = tier1_once(root)
+    return {"command": TIER1, **runs}
 
 
 def run_once(root: Path, bench: dict, workload: str, seed: int, trace: int) -> dict:
@@ -181,6 +247,7 @@ def main(argv=None) -> int:
         report = {}
         for workload in args.workloads.split(","):
             report[workload], sample = bench_workload(workload, sides, bench, args)
+        tier1 = tier1_block(args.parent, Path(tmp))
     # only the sources and the benchmark decide what a run measures
     dirty = bool(git("status", "--porcelain", "--", "src", "slicebench"))
     document = {
@@ -194,6 +261,7 @@ def main(argv=None) -> int:
         "repeats": {"untraced_pairs": args.pairs, "traced_runs_per_side": 1},
         "host": host_block(sample),
         "workloads": report,
+        "tier1": tier1,
     }
     out.write_text(json.dumps(document, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

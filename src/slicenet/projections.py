@@ -15,9 +15,15 @@ finite.
 
 The solvers call these on a few links at a time, thousands of times
 per solve, so the arithmetic is written for few numpy calls: row-wise
-lookups index the flattened arrays, and clamps are ``maximum`` and
+lookups index the flattened arrays, results are written in place (into
+the caller's ``out`` buffer when given), and clamps are ``maximum`` and
 ``minimum`` with their arguments in the order that gives ``np.clip``'s
-results bit for bit, signed zeros included.
+results bit for bit, signed zeros included.  Those clamps keep NaN, so
+the absent entries of a result are zeroed by one ``putmask``.  Only the
+breakpoint mass drops its NaNs with ``fmax``: on a tie of -0.0 and +0.0
+numpy's vectorized ``fmax`` returns one operand in some lanes and the
+other in the rest, and the mass is the one place where a zero's sign
+cannot reach the result.
 
 Each public projection is its input checks followed by an unchecked
 core (:func:`capped_simplex_rows`, :func:`budget_box_rows`) that holds
@@ -89,83 +95,110 @@ def check_budgets(budgets) -> None:
         raise ValueError(f"{kind} budget {bad}")
 
 
-def _water_fill(y: np.ndarray, total: np.ndarray, absent: np.ndarray) -> np.ndarray:
+def _water_fill(y, total, absent, out=None) -> np.ndarray:
     """Project each row onto {x >= 0, sum x = total} by water-filling."""
     n, m = y.shape
     # rows in descending order with the absent entries (NaN) last: they
     # never satisfy the condition, and raise no floating-point warning
     u = -y
     u.sort(axis=1)
-    u = -u
+    np.negative(u, out=u)
     css = u.cumsum(axis=1)
     cond = u - (css - total[:, None]) / _arange(m + 1)[1:] > 0
     # the largest entry always qualifies in exact arithmetic; a total
     # below its roundoff can fail the test and must not drop it
-    k = 1 + np.where(cond, _arange(m), 0).max(axis=1)
-    tau = (css.take(_arange(n * m, m) + (k - 1)) - total) / k
-    empty = absent | (total <= 0.0)[:, None]
-    return np.where(empty, 0.0, np.maximum(y - tau[:, None], 0.0))
+    last = (cond * _arange(m)).max(axis=1)
+    tau = (css.take(_arange(n * m, m) + last) - total) / (last + 1)
+    x = np.subtract(y, tau[:, None], out=out)
+    np.maximum(x, 0.0, out=x)
+    np.putmask(x, absent, 0.0)
+    empty = total <= 0.0
+    if np.count_nonzero(empty):
+        x[empty] = 0.0
+    return x
 
 
-def _breakpoint_walk(y, total, absent, cap: float) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _segment_ends(n: int, m: int) -> np.ndarray:
+    """Flat positions of the breakpoint before and at the start of each
+    of ``n`` rows of ``2 m`` breakpoints, read-only and kept across
+    calls; a row's segment ends are these plus its breakpoint index."""
+    out = np.arange(0, 2 * n * m, 2 * m) + np.array([[-1], [0]])
+    out.setflags(write=False)
+    return out
+
+
+def _breakpoint_walk(y, total, absent, cap: float, out=None) -> np.ndarray:
     """Solve sum clip(y - tau, 0, cap) = total for tau, row by row.
 
     The mass is piecewise linear and nonincreasing in tau, with
     breakpoints {y - cap, y} over a row's present entries; absent ones
-    give NaN breakpoints, which sort last and never count.  The mass is
-    evaluated at every breakpoint at once.  The breakpoints whose mass
-    exceeds the total form a prefix (the computed mass is monotone
-    too); the segment leaving it holds tau, found by interpolation
-    across a strictly falling mass, and a row with an empty prefix
-    takes its lowest breakpoint.
+    give NaN breakpoints, which sort last, and NaN differences, which
+    ``fmax`` counts as 0.  The mass is evaluated at every breakpoint at
+    once.  The breakpoints whose mass exceeds the total form a prefix
+    (the computed mass is monotone too); the segment leaving it holds
+    tau, found by interpolation across a strictly falling mass, and a
+    row with an empty prefix takes its lowest breakpoint.
     """
     n, m = y.shape
     points = np.concatenate([y - cap, y], axis=1)
     points.sort(axis=1)
-    d = np.where(absent, -np.inf, y)[:, None, :] - points[:, :, None]
-    mass = np.minimum(np.maximum(d, 0.0), cap).sum(axis=2)
+    d = y[:, None, :] - points[:, :, None]
+    # a zero's sign here never reaches tau: it only decides whether a
+    # mass of exactly 0 is +0.0 or -0.0, and such a mass is never the
+    # upper end of a segment
+    np.fmax(d, 0.0, out=d)
+    mass = np.minimum(d, cap, out=d).sum(axis=2)
     # the prefix ends at the first breakpoint whose mass does not exceed
     # the total; the row's largest breakpoint (mass 0) or a NaN one
     # always qualifies
     j = (mass > total[:, None]).argmin(axis=1)
-    # flat positions of each row's segment ends
-    end = _arange(2 * n * m, 2 * m) + j
-    start = end - 1
-    a, b = points.take(start), points.take(end)
-    ma, mb = mass.take(start), mass.take(end)
-    # a row with j = 0 reads its neighbour's last breakpoint, and its
-    # interpolation is discarded; it can divide 0 by 0 where the mass is
-    # flat (entries so large that y - cap rounds to y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tau = np.where(j == 0, points[:, 0], a + (ma - total) * (b - a) / (ma - mb))
-    return np.where(absent, 0.0, np.minimum(cap, np.maximum(0.0, y - tau[:, None])))
+    ends = _segment_ends(n, m) + j
+    a, b = points.take(ends)
+    ma, mb = mass.take(ends)
+    # a row with j = 0 reads its neighbour's last breakpoint and its
+    # interpolation is discarded; its divisor is set to 1 so that a flat
+    # mass (entries so large that y - cap rounds to y) divides no 0 by 0
+    first = j == 0
+    fall = ma - mb
+    np.putmask(fall, first, 1.0)
+    tau = np.where(first, points[:, 0], a + (ma - total) * (b - a) / fall)
+    x = np.subtract(y, tau[:, None], out=out)
+    np.minimum(cap, np.maximum(0.0, x, out=x), out=x)
+    np.putmask(x, absent, 0.0)
+    return x
 
 
-def capped_simplex_rows(y, total, absent, cap: float) -> np.ndarray:
+def capped_simplex_rows(y, total, absent, cap: float, out=None) -> np.ndarray:
     """Rows onto {sum x = total, 0 <= x <= cap}, unchecked.
 
     ``y`` is ``(rows, m)`` with NaN exactly where ``absent`` holds, and
-    ``total`` comes from :func:`feasible_totals`."""
+    ``total`` comes from :func:`feasible_totals`.  The rows are written
+    into ``out`` when it is given; it must not overlap ``y``."""
     if math.isfinite(cap):
-        return _breakpoint_walk(y, total, absent, cap)
-    return _water_fill(y, total, absent)
+        return _breakpoint_walk(y, total, absent, cap, out)
+    return _water_fill(y, total, absent, out)
 
 
-def budget_box_rows(y, budget, absent, cap: float) -> np.ndarray:
+def budget_box_rows(y, budget, absent, cap: float, out=None) -> np.ndarray:
     """Rows onto {sum x <= budget, 0 <= x <= cap}, unchecked.
 
     When the box projection already fits the budget it is the answer;
     otherwise the budget binds and the equality projection applies.
-    ``y`` and ``absent`` are as for :func:`capped_simplex_rows`, and the
-    budgets have passed :func:`check_budgets`."""
-    box = np.minimum(cap, np.maximum(0.0, y)) if math.isfinite(cap) else np.maximum(y, 0.0)
-    inside = np.where(absent, 0.0, box)
+    ``y``, ``absent`` and ``out`` are as for :func:`capped_simplex_rows`,
+    and the budgets have passed :func:`check_budgets`."""
+    if math.isfinite(cap):
+        inside = np.maximum(0.0, y, out=out)
+        np.minimum(cap, inside, out=inside)
+    else:
+        inside = np.maximum(y, 0.0, out=out)
+    np.putmask(inside, absent, 0.0)
     over = inside.sum(axis=1) > budget
     if np.count_nonzero(over):
         # a binding budget is below the row's capacity, so the equality
         # projection is feasible; it is computed for every row and kept
         # where the budget binds
-        inside = np.where(over[:, None], capped_simplex_rows(y, budget, absent, cap), inside)
+        np.copyto(inside, capped_simplex_rows(y, budget, absent, cap), where=over[:, None])
     return inside
 
 

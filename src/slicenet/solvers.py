@@ -14,6 +14,14 @@ checks the boundary on these functions, so on the update that runs:
 each takes only link-local parameters, and other links' rows never
 change a link's updated row.
 
+The loops hold each side pair as one stacked ``(2, links, slices)``
+block, licensed then airtime: the X iterate, Z, the dual, the repair's
+allocation and the subgradient's average.  The block functions write
+their halves of X in place, :func:`z_projection` writes Z straight into
+the trace block, and the dual step and the residual differences are one
+numpy call per stack, into buffers allocated once per solve.  Every
+output is bit for bit what one fresh array per update gave.
+
 A projected dual subgradient method on the same split serves as the
 baseline; both report per-iteration traces of their own iterates'
 revenue and constraint residuals, and both return an allocation
@@ -30,6 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +92,7 @@ def check_settings(
 # subproblems (exact, closed form)
 
 
-def alpha_subproblem(z, dual, gamma: float, total, absent, gains) -> np.ndarray:
+def alpha_subproblem(z, dual, gamma: float, total, absent, gains, out=None) -> np.ndarray:
     """Each link's airtime split against the current consensus point.
 
     Minimizes ``-gains . a + (gamma/2) ||a - z + dual||^2`` over the
@@ -91,39 +100,42 @@ def alpha_subproblem(z, dual, gamma: float, total, absent, gains) -> np.ndarray:
     folds into the projection target, so the minimizer is exact.  One
     row per link, ``total`` as :func:`feasible_totals` clips it, and
     ``absent`` (NaN gains) marking the slices a link does not offer,
-    whose share stays 0.
+    whose share stays 0.  The rows are written into ``out`` when given.
     """
-    return capped_simplex_rows(z - dual + gains / gamma, total, absent, 1.0)
+    return capped_simplex_rows(z - dual + gains / gamma, total, absent, 1.0, out)
 
 
-def w_subproblem(z, dual, gamma: float, budget, absent, gains) -> np.ndarray:
+def w_subproblem(z, dual, gamma: float, budget, absent, gains, out=None) -> np.ndarray:
     """Each link's licensed draw against the current consensus point.
 
-    Same quadratic form and rows as :func:`alpha_subproblem`, minimized
-    over ``{sum u <= budget, u >= 0}`` with budgets that passed
+    Same quadratic form, rows and ``out`` as :func:`alpha_subproblem`,
+    minimized over ``{sum u <= budget, u >= 0}`` with budgets that passed
     :func:`check_budgets`.
     """
-    return budget_box_rows(z - dual + gains / gamma, budget, absent, math.inf)
+    return budget_box_rows(z - dual + gains / gamma, budget, absent, math.inf, out)
 
 
-def z_projection(u_block, alpha_block, dual_u, dual_alpha, band_ratio: float, qos_bound):
+def z_projection(x, dual, band_ratio: float, qos_bound, out=None) -> np.ndarray:
     """Consensus update: project (X + dual) onto the QoS halfspaces.
 
-    Every (link, slice) pair is independent, so this is a batch of 2-d
-    halfspace projections onto ``z_u + band_ratio * z_a >= bound``.
-    Pairs with a nonpositive bound pass through unchanged.
+    ``x`` and ``dual`` stack a licensed and an airtime block along their
+    first axis, and so does the result, which is written into ``out``
+    when given.  Every (link, slice) pair is independent, so this is a
+    batch of 2-d halfspace projections onto
+    ``z_u + band_ratio * z_a >= bound``.  Pairs with a nonpositive bound
+    pass through unchanged.
     """
-    p = np.asarray(u_block, dtype=float) + np.asarray(dual_u, dtype=float)
-    q = np.asarray(alpha_block, dtype=float) + np.asarray(dual_alpha, dtype=float)
-    bound = np.asarray(qos_bound, dtype=float)
-    slack = np.maximum(bound - (p + band_ratio * q), 0.0)
+    z = np.add(x, dual, out=out)
+    slack = np.maximum(qos_bound - (z[0] + band_ratio * z[1]), 0.0)
     scale = slack / (1.0 + band_ratio * band_ratio)
-    return p + scale, q + scale * band_ratio
+    z[0] += scale
+    z[1] += scale * band_ratio
+    return z
 
 
 def dual_update(dual: np.ndarray, x, z) -> np.ndarray:
     """Scaled ascent step: accumulate the consensus gap into ``dual``,
-    in place, and return it."""
+    in place, and return it; stacked blocks update in one step."""
     dual += x
     dual -= z
     return dual
@@ -138,7 +150,8 @@ class _Scaled:
 
     ``active`` masks the offered (link, slice) pairs; gains and QoS
     bounds are 0 elsewhere, and :meth:`pad` marks the other pairs NaN
-    for the projections, which leave them at 0.
+    for the projections, which leave them at 0.  An allocation is a
+    stacked ``(2, links, slices)`` block ``(u, a)``.
 
     The per-link sets are fixed for the whole solve, so the airtime
     totals and licensed budgets are checked here, once, with the
@@ -168,6 +181,11 @@ class _Scaled:
         self.xi = problem.access
         self.xi_total = feasible_totals(self.xi, self.offered[:, 0], 1.0)
         self.dim = 2 * int(self.offered.sum())
+        #: the repair's step along each QoS normal, licensed then airtime
+        self.normal = np.array([1.0, self.band_ratio])[:, None, None]
+        #: the normal's squared length, NaN where a pair is not offered so
+        #: that a repair step marks those pairs for the projections
+        self.normal_sq = self.pad(1.0 + self.band_ratio * self.band_ratio)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """``x`` with every pair the link does not offer set to NaN."""
@@ -179,18 +197,20 @@ class _Scaled:
         sides = (self.gain * ua).reshape(len(ua), 2, -1).sum(axis=2)
         return (sides[:, 0] + sides[:, 1]) * self.gain_scale
 
-    def project_local(self, u: np.ndarray, a: np.ndarray):
-        """Exact projection onto every link's own feasibility sets."""
-        pa = capped_simplex_rows(self.pad(a), self.xi_total, self.absent, 1.0)
-        return budget_box_rows(self.pad(u), self.budget, self.absent, math.inf), pa
+    def project_local(self, ua: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Exact projection of a padded allocation onto every link's own
+        feasibility sets, written into ``out``."""
+        budget_box_rows(ua[0], self.budget, self.absent, math.inf, out[0])
+        capped_simplex_rows(ua[1], self.xi_total, self.absent, 1.0, out[1])
+        return out
 
     def qos_shortfalls(self, ua: np.ndarray) -> np.ndarray:
         """Largest QoS floor violation of each allocation ``ua[k] = (u, a)``."""
         gap = (self.qos - (ua[:, 0] + self.band_ratio * ua[:, 1])) * self.active
         return np.maximum(gap, 0.0).max(axis=(1, 2), initial=0.0)
 
-    def repair(self, u: np.ndarray, a: np.ndarray):
-        """Round an iterate to a feasible allocation.
+    def repair(self, ua: np.ndarray) -> np.ndarray:
+        """Round an iterate ``ua = (u, a)`` to a feasible allocation.
 
         Alternates exact projections between the per-link sets and the
         QoS halfspaces, at most ``REPAIR_MAX_ROUNDS`` times, finishing on
@@ -198,17 +218,18 @@ class _Scaled:
         residual QoS slack falls below ``REPAIR_TOL`` for any feasible
         problem.
         """
-        u, a = self.project_local(u, a)
-        denom = 1.0 + self.band_ratio * self.band_ratio
+        out = self.project_local(self.pad(ua), np.empty_like(ua))
+        u, a = out
         for _ in range(REPAIR_MAX_ROUNDS):
             # the projections leave the pairs a link does not offer at 0,
             # where the QoS bound is 0 too
             slack = np.maximum(self.qos - (u + self.band_ratio * a), 0.0)
             if slack.max(initial=0.0) <= REPAIR_TOL:
                 break
-            scale = slack / denom
-            u, a = self.project_local(u + scale, a + scale * self.band_ratio)
-        return u, a
+            # NaN where a pair is not offered, as the projections take it
+            scale = slack / self.normal_sq
+            self.project_local(out + scale * self.normal, out)
+        return out
 
     def to_solution(self, u, a, method, flags=()) -> SlicingSolution:
         return solution_from_arrays(
@@ -220,8 +241,7 @@ class _Scaled:
 # traces
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     iteration: int
     objective: float
     primal_residual: float
@@ -235,15 +255,8 @@ def _block_len(floats_per_iteration: int, max_iter: int) -> int:
 
 def _trace_rows(first: int, objective, primal, dual) -> list[TraceRow]:
     """Rows for iterations ``first, first + 1, ...`` from column values."""
-    return [
-        TraceRow(it, o, p, d)
-        for it, o, p, d in zip(
-            range(first, first + len(objective)),
-            np.asarray(objective).tolist(),
-            np.asarray(primal).tolist(),
-            np.asarray(dual).tolist(),
-        )
-    ]
+    columns = (np.asarray(c).tolist() for c in (objective, primal, dual))
+    return list(map(TraceRow._make, zip(range(first, first + len(objective)), *columns)))
 
 
 @dataclass
@@ -302,10 +315,10 @@ class ConvergenceTrace:
 # operator-consensus solver
 
 
-def _norm(d: np.ndarray) -> float:
-    """Euclidean norm, by the dot product ``np.linalg.norm`` takes."""
-    d = d.ravel()
-    return math.sqrt(d.dot(d))
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a flat vector, by the dot product
+    ``np.linalg.norm`` takes."""
+    return math.sqrt(v.dot(v))
 
 
 def solve_admm(
@@ -331,50 +344,58 @@ def solve_admm(
         trace.converged = True
         return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "admm"), trace
 
-    zu = np.zeros((n, m))
-    za = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
-    lu, la = np.zeros((n, m)), np.zeros((n, m))
-    gain_u, gain_a = s.pad(s.gain_u), s.pad(s.gain_a)
+    # every block is a stacked (licensed, airtime) pair; x, z and the
+    # dual keep the pairs a link does not offer at 0, so z needs no
+    # masking
+    lam = np.zeros((2, n, m))
+    x = np.empty((2, n, m))
+    gains = s.pad(s.gain)
+    (lam_u, lam_a), (x_u, x_a), (gain_u, gain_a) = lam, x, gains
     eps = tol * math.sqrt(s.dim)
+    # each block's z iterates, after the last one of the block before
     block = _block_len(2 * n * m, max_iter)
-    zs = np.empty((block, 2, n, m))
+    zs = np.empty((block + 1, 2, n, m))
+    zs[0, 0] = 0.0
+    zs[0, 1] = np.where(s.active, s.xi[:, None] / np.maximum(s.offered, 1), 0.0)
+    # x - z and z - z_prev, one flat row per side
+    diffs = np.empty((4, n * m))
+    gap, move = diffs.reshape(2, 2, n, m)
+    gap_u, gap_a, move_u, move_a = diffs
 
     for first in range(1, max_iter + 1, block):
         residuals = []
-        for k in range(min(block, max_iter + 1 - first)):
-            xa = alpha_subproblem(za, la, gamma, s.xi_total, s.absent, gain_a)
-            xu = w_subproblem(zu, lu, gamma, s.budget, s.absent, gain_u)
-            zu_prev, za_prev = zu, za
-            # every pair a link does not offer stays at 0 in x, z and
-            # the dual, so z needs no masking
-            zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
-            zs[k, 0], zs[k, 1] = zu, za
-            dual_update(lu, xu, zu)
-            dual_update(la, xa, za)
+        for k in range(1, min(block, max_iter + 1 - first) + 1):
+            z_prev = zs[k - 1]
+            z_u, z_a = z_prev
+            alpha_subproblem(z_a, lam_a, gamma, s.xi_total, s.absent, gain_a, x_a)
+            w_subproblem(z_u, lam_u, gamma, s.budget, s.absent, gain_u, x_u)
+            z = z_projection(x, lam, s.band_ratio, s.qos, zs[k])
+            dual_update(lam, x, z)
 
-            primal = math.hypot(_norm(xu - zu), _norm(xa - za))
-            dual = gamma * math.hypot(_norm(zu - zu_prev), _norm(za - za_prev))
+            np.subtract(x, z, out=gap)
+            np.subtract(z, z_prev, out=move)
+            primal = math.hypot(_norm(gap_u), _norm(gap_a))
+            dual = gamma * math.hypot(_norm(move_u), _norm(move_a))
             residuals.append((primal, dual))
             if primal <= eps and dual <= eps:
                 trace.converged = True
                 break
             if primal > 10.0 * dual and dual > 0:
                 gamma *= 2.0
-                lu /= 2.0
-                la /= 2.0
+                lam /= 2.0
             elif dual > 10.0 * primal and primal > 0:
                 gamma /= 2.0
-                lu *= 2.0
-                la *= 2.0
+                lam *= 2.0
+        done = len(residuals)
         primals, duals = zip(*residuals)
-        trace.rows += _trace_rows(first, s.objectives(zs[: len(residuals)]), primals, duals)
+        trace.rows += _trace_rows(first, s.objectives(zs[1 : done + 1]), primals, duals)
+        zs[0] = zs[done]
         if trace.converged:
             break
 
     trace.gamma_final = gamma
-    ru, ra = s.repair(zu, za)
     flags = () if trace.converged else ("max-iterations",)
-    return s.to_solution(ru, ra, "admm", flags), trace
+    return s.to_solution(*s.repair(zs[0]), "admm", flags), trace
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +435,23 @@ def solve_subgradient(
     neg_gain_a = -s.pad(s.gain_a)
     gain_u = np.where(s.active, s.gain_u, -np.inf)
     links = np.arange(n)[:, None]
-    starts = np.arange(0, n * m, m)
     lam = np.zeros((n, m))
+    # The licensed coefficients and draws carry a spare column 0 ahead of
+    # each link's slices, with coefficient 0.  A link whose best
+    # coefficient is not positive picks the spare column (argmax takes
+    # the first maximum) and draws there, outside this iteration's (u, a).
+    coef = np.zeros((n, m + 1))
+    draws = np.zeros((n, m + 1))
+    coef_u, drawn, draws_flat = coef[:, 1:], draws[:, 1:], draws.reshape(-1)
+    starts = np.arange(0, n * (m + 1), m + 1)
     # this iteration's (u, a), overwritten in place: the airtime fill
-    # writes every entry, the licensed draw one per link
+    # writes every entry, the licensed draw is copied in
     x = np.zeros((2, n, m))
     xu, xa = x
-    xu_flat = xu.reshape(-1)
+    # the sort keys, the multiplier step and the average's step, written
+    # in place each iteration
+    key, shift = np.empty((2, n, m))
+    move = np.empty((2, n, m))
     # running averages and slacks of the block's iterations, reduced to
     # trace columns after it; the pairs a link does not offer stay at 0
     # in x, the slack and the multipliers
@@ -430,17 +461,24 @@ def solve_subgradient(
     for first in range(1, max_iter + 1, block):
         its = range(first, min(first + block, max_iter + 1))
         for k, it in enumerate(its):
-            rank = (neg_gain_a - lam * s.band_ratio).argsort(axis=1, kind="stable")
-            xa[links, rank] = fill
-            coef_u = gain_u + lam
-            best = coef_u.argmax(axis=1) + starts
-            xu.fill(0.0)
-            xu_flat[best] = np.where(coef_u.take(best) > 0, s.budget, 0.0)
-            avg = np.add(avg, (x - avg) / it, out=avgs[k])
+            np.multiply(lam, s.band_ratio, out=key)
+            np.subtract(neg_gain_a, key, out=key)
+            xa[links, key.argsort(axis=1, kind="stable")] = fill
+            np.add(gain_u, lam, out=coef_u)
+            draws.fill(0.0)
+            draws_flat[coef.argmax(axis=1) + starts] = s.budget
+            xu[...] = drawn
+            np.subtract(x, avg, out=move)
+            move /= it
+            avg = np.add(avg, move, out=avgs[k])
 
-            slack = np.subtract(xu + s.band_ratio * xa, s.qos, out=slacks[k])
+            np.multiply(xa, s.band_ratio, out=shift)
+            shift += xu
+            slack = np.subtract(shift, s.qos, out=slacks[k])
             steps[k] = step = step_scale / math.sqrt(it)
-            lam = np.maximum(0.0, lam - step * slack)
+            np.multiply(slack, step, out=shift)
+            np.subtract(lam, shift, out=shift)
+            np.maximum(0.0, shift, out=lam)
         done = len(its)
         trace.rows += _trace_rows(
             first,
@@ -449,6 +487,5 @@ def solve_subgradient(
             steps[:done] * np.abs(slacks[:done]).max(axis=(1, 2)),
         )
 
-    ru, ra = s.repair(avg[0], avg[1])
     trace.converged = True
-    return s.to_solution(ru, ra, "subgradient", ("ergodic-average",)), trace
+    return s.to_solution(*s.repair(avg), "subgradient", ("ergodic-average",)), trace

@@ -371,7 +371,7 @@ def test_criterion_8_solver_blocks_match_brute_force(verdict):
         u, a, du, da = rng.uniform(-1.0, 1.0, size=4)
         beta = float(rng.uniform(0.1, 3.0))
         bound = float(rng.uniform(-0.5, 1.5))
-        zu, za = z_projection(u, a, du, da, beta, bound)
+        zu, za = z_projection([u, a], [du, da], beta, bound)
         point = np.array([u + du, a + da])
         if point[0] + beta * point[1] >= bound:
             ref = point
@@ -382,10 +382,10 @@ def test_criterion_8_solver_blocks_match_brute_force(verdict):
             ref = np.array([ug[k], span[k]])
         worst = max(worst, float(np.linalg.norm([zu - ref[0], za - ref[1]])))
 
-        zu2, za2 = z_projection(zu, za, 0.0, 0.0, beta, bound)
+        zu2, za2 = z_projection([zu, za], [0.0, 0.0], beta, bound)
         metric_ok &= abs(zu2 - zu) <= 1e-9 and abs(za2 - za) <= 1e-9
         if previous is not None:
-            pu, pa = z_projection(previous[0], previous[1], 0.0, 0.0, beta, bound)
+            pu, pa = z_projection(previous, [0.0, 0.0], beta, bound)
             lhs = np.hypot(zu - pu, za - pa)
             metric_ok &= lhs <= np.linalg.norm(point - previous) + 1e-9
         previous = point

@@ -137,7 +137,7 @@ def test_budget_box_zero_budget():
 
 def _halfspace(u0, a0, beta, bound):
     """z_projection on one (link, slice) pair with a zero dual."""
-    u, a = z_projection([u0], [a0], [0.0], [0.0], beta, [bound])
+    u, a = z_projection([[u0], [a0]], [[0.0], [0.0]], beta, [bound])
     return float(u[0]), float(a[0])
 
 
@@ -324,3 +324,150 @@ def test_projections_raise_no_floating_point_warnings():
                 assert np.allclose(out.sum(axis=1), totals)
                 box = project_budget_box(y, totals, cap=cap)
                 assert np.all(box.sum(axis=1) <= np.asarray(totals) + 1e-12)
+
+
+# -- the unchecked cores as first written -------------------------------------
+#
+# The solver reference loops in test_solvers.py reach the cores through
+# the public projections, so a last-bit drift in a core would move a
+# solver and its reference together.  These copies pin the cores' bits
+# on their own.
+
+
+def _first_water_fill(y, total, absent):
+    n, m = y.shape
+    u = -y
+    u.sort(axis=1)
+    u = -u
+    css = u.cumsum(axis=1)
+    cond = u - (css - total[:, None]) / np.arange(1, m + 1) > 0
+    k = 1 + np.where(cond, np.arange(m), 0).max(axis=1)
+    tau = (css.take(np.arange(0, n * m, m) + (k - 1)) - total) / k
+    empty = absent | (total <= 0.0)[:, None]
+    return np.where(empty, 0.0, np.maximum(y - tau[:, None], 0.0))
+
+
+def _first_breakpoint_walk(y, total, absent, cap):
+    n, m = y.shape
+    points = np.concatenate([y - cap, y], axis=1)
+    points.sort(axis=1)
+    d = np.where(absent, -np.inf, y)[:, None, :] - points[:, :, None]
+    mass = np.minimum(np.maximum(d, 0.0), cap).sum(axis=2)
+    j = (mass > total[:, None]).argmin(axis=1)
+    end = np.arange(0, 2 * n * m, 2 * m) + j
+    start = end - 1
+    a, b = points.take(start), points.take(end)
+    ma, mb = mass.take(start), mass.take(end)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tau = np.where(j == 0, points[:, 0], a + (ma - total) * (b - a) / (ma - mb))
+    return np.where(absent, 0.0, np.minimum(cap, np.maximum(0.0, y - tau[:, None])))
+
+
+def _first_capped_simplex_rows(y, total, absent, cap):
+    if math.isfinite(cap):
+        return _first_breakpoint_walk(y, total, absent, cap)
+    return _first_water_fill(y, total, absent)
+
+
+def _first_budget_box_rows(y, budget, absent, cap):
+    box = np.minimum(cap, np.maximum(0.0, y)) if math.isfinite(cap) else np.maximum(y, 0.0)
+    inside = np.where(absent, 0.0, box)
+    over = inside.sum(axis=1) > budget
+    if np.count_nonzero(over):
+        inside = np.where(over[:, None], _first_capped_simplex_rows(y, budget, absent, cap), inside)
+    return inside
+
+
+def _hex(x):
+    """Shape and every entry as ``float.hex``, so -0.0 differs from 0.0."""
+    return x.shape, [v.hex() for v in x.ravel().tolist()]
+
+
+def _assert_cores_match_first_form(y, mask, totals, cap):
+    padded = np.where(mask, y, np.nan)
+    absent = ~mask
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        totals = feasible_totals(totals, mask.sum(axis=1), cap)
+        check_budgets(totals)
+        for core, first in (
+            (capped_simplex_rows, _first_capped_simplex_rows),
+            (budget_box_rows, _first_budget_box_rows),
+        ):
+            want = _hex(first(padded, totals, absent, cap))
+            assert _hex(core(padded, totals, absent, cap)) == want, core.__name__
+            # the solvers' form, written into a buffer
+            out = np.full(y.shape, 7.0)
+            assert core(padded, totals, absent, cap, out) is out
+            assert _hex(out) == want, core.__name__
+
+
+#: signed zeros, ties and entries so large that ``y - cap`` rounds to ``y``
+_EDGE_ENTRY = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 1.8e16, -1.8e16]),
+    st.floats(-3, 3, allow_nan=False, width=32),
+)
+
+
+@st.composite
+def _edge_case(draw):
+    """Rows as for ``_stacked_case``, from the edge entries, with the
+    totals at 0, -0.0, full capacity or in between."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=6))
+    y = np.array(draw(st.lists(_EDGE_ENTRY, min_size=n * m, max_size=n * m))).reshape(n, m)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))).reshape(n, m)
+    cap = draw(st.sampled_from([0.25, 1.0, 1.5, math.inf]))
+    totals = []
+    for count in mask.sum(axis=1):
+        room = count * cap if math.isfinite(cap) else 4.0 * count
+        frac = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
+        totals.append(float(room * frac))
+    return y, mask, np.array(totals), cap
+
+
+@given(_stacked_case())
+def test_cores_match_their_first_form_bit_for_bit(case):
+    y, mask, totals, cap = case
+    _assert_cores_match_first_form(y, mask, totals, cap)
+
+
+@given(_edge_case())
+def test_cores_match_their_first_form_on_edge_entries(case):
+    y, mask, totals, cap = case
+    _assert_cores_match_first_form(y, mask, totals, cap)
+
+
+_EDGE_ROWS = np.array([
+    [-0.0, -0.0, -0.0],
+    [-0.0, 0.0, 1.0],
+    # at a quarter of the capacity tau is +0.0 and the first entry
+    # lands on the clamp as -0.0
+    [-0.0, 0.5, 0.25],
+    [0.5, 0.5, 0.5],
+    [1.0, 0.0, 1.0],
+    [1.8e16, -1.8e16, 0.3],
+    [1.8e16, 1.8e16, 1.8e16],
+    [-1.8e16, -0.0, -1.8e16],
+    [0.3, -0.2, 0.7],
+])
+
+
+@pytest.mark.parametrize("cap", [0.25, 1.0, math.inf])
+@pytest.mark.parametrize(
+    "fill", [0.0, -0.0, 0.25, 0.5, 1.0], ids=["zero", "negative-zero", "quarter", "half", "full"]
+)
+def test_cores_match_their_first_form_on_edge_rows(cap, fill):
+    # every edge row, again with its first entry absent, and two rows
+    # with every entry absent, so that rows with an empty prefix read a
+    # neighbour of every kind
+    y = np.vstack([_EDGE_ROWS, _EDGE_ROWS, _EDGE_ROWS[:2]])
+    mask = np.ones(y.shape, bool)
+    mask[len(_EDGE_ROWS):, 0] = False
+    mask[-2:] = False
+    room = mask.sum(axis=1) * (cap if math.isfinite(cap) else 1.0)
+    # which entries share a vector register depends on their position,
+    # so the stack runs forwards, backwards and one row at a time
+    everyone = np.arange(len(y))
+    for rows in (everyone, everyone[::-1], *everyone[:, None]):
+        _assert_cores_match_first_form(y[rows], mask[rows], room[rows] * fill, cap)

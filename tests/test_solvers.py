@@ -121,9 +121,9 @@ def test_admm_usually_reaches_gap_first():
 def test_link_updates_take_only_local_state():
     # the per-link solves must stay expressible in link-local data:
     # consensus rows, the penalty, and that link's own total, offered
-    # slices and gains
+    # slices and gains; ``out`` only receives the updated rows
     for fn, total in ((alpha_subproblem, "total"), (w_subproblem, "budget")):
-        params = {"z", "dual", "gamma", total, "absent", "gains"}
+        params = {"z", "dual", "gamma", total, "absent", "gains", "out"}
         assert set(inspect.signature(fn).parameters) == params
     # and each link's row of the update, as solve_admm runs it, reads only
     # that link's rows: redrawing every other link's rows leaves it bit
@@ -206,10 +206,7 @@ def test_subproblems_accept_stacked_blocks():
 
 
 def test_z_projection_enforces_qos_bound():
-    u, a = z_projection(
-        np.array([0.0]), np.array([0.0]), np.zeros(1), np.zeros(1), 1.0,
-        np.array([1.0]),
-    )
+    u, a = z_projection(np.zeros((2, 1)), np.zeros((2, 1)), 1.0, np.array([1.0]))
     assert np.allclose(u, [0.5]) and np.allclose(a, [0.5])
 
 
@@ -292,6 +289,17 @@ def _qos_shortfall(s, u, a):
     return float(np.maximum(gap, 0.0).max(initial=0.0))
 
 
+def _reference_z_projection(u_block, alpha_block, dual_u, dual_alpha, band_ratio, qos_bound):
+    """``z_projection`` as first written, on separate licensed and
+    airtime blocks."""
+    p = np.asarray(u_block, dtype=float) + np.asarray(dual_u, dtype=float)
+    q = np.asarray(alpha_block, dtype=float) + np.asarray(dual_alpha, dtype=float)
+    bound = np.asarray(qos_bound, dtype=float)
+    slack = np.maximum(bound - (p + band_ratio * q), 0.0)
+    scale = slack / (1.0 + band_ratio * band_ratio)
+    return p + scale, q + scale * band_ratio
+
+
 def _reference_project_local(s, u, a):
     """``_Scaled.project_local`` as first written, through the checked
     public projections."""
@@ -332,7 +340,7 @@ def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
         xa = project_capped_simplex_eq(za - la + gain_a / gamma, s.xi, cap=1.0)
         xu = project_budget_box(zu - lu + gain_u / gamma, s.budget)
         zu_prev, za_prev = zu, za
-        zu, za = z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
+        zu, za = _reference_z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
         zu *= s.active
         za *= s.active
         lu = lu + xu - zu
@@ -486,6 +494,29 @@ def test_solver_edges_match_their_first_form(monkeypatch, admm, subgrad, block_b
             solve_subgradient(problem, **subgrad),
             _reference_solve_subgradient(problem, **subgrad),
         )
+
+
+def test_unpaid_slices_match_their_first_form():
+    # a pair whose price is 0 has a licensed coefficient of exactly 0
+    # until its multiplier grows: the baseline draws nothing there, and a
+    # link with no paying slice, or none offered, draws nothing at all
+    from dataclasses import replace
+
+    for k, base in enumerate(_CELLS[::4]):
+        price = base.price_per_bit.copy()
+        price[k % base.n_links] = 0.0
+        price[:, k % base.n_services] = 0.0
+        problem = replace(base, price_per_bit=price)
+        if k % 2:
+            offered, access = base.offered.copy(), base.access.copy()
+            offered[-1], access[-1] = False, 0.0
+            problem = replace(problem, offered=offered, access=access)
+        for settings in ({"max_iter": 60}, {"max_iter": 40, "step_scale": 0.0}):
+            _assert_same_run(
+                solve_subgradient(problem, **settings),
+                _reference_solve_subgradient(problem, **settings),
+            )
+        _assert_same_run(solve_admm(problem), _reference_solve_admm(problem))
 
 
 def test_trace_memory_stays_within_a_block():
