@@ -59,6 +59,9 @@ TRACED_PROJECTIONS = (project_capped_simplex_eq, project_budget_box)
 
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
+#: solution flag of a repair whose QoS slack is still above ``REPAIR_TOL``
+#: after ``REPAIR_MAX_ROUNDS``: the returned allocation misses a QoS floor
+REPAIR_INCOMPLETE = "repair-incomplete"
 #: relative gap and primal residual of :meth:`ConvergenceTrace.iterations_to_gap`
 GAP_REL = 1e-2
 #: bytes of iterates a solver holds before it reduces them to trace
@@ -209,27 +212,36 @@ class _Scaled:
         gap = (self.qos - (ua[:, 0] + self.band_ratio * ua[:, 1])) * self.active
         return np.maximum(gap, 0.0).max(axis=(1, 2), initial=0.0)
 
-    def repair(self, ua: np.ndarray) -> np.ndarray:
+    def repair(self, ua: np.ndarray) -> tuple[np.ndarray, int, bool]:
         """Round an iterate ``ua = (u, a)`` to a feasible allocation.
 
         Alternates exact projections between the per-link sets and the
         QoS halfspaces, at most ``REPAIR_MAX_ROUNDS`` times, finishing on
         the per-link side so budgets and airtime sums hold exactly; the
         residual QoS slack falls below ``REPAIR_TOL`` for any feasible
-        problem.
+        problem.  Returns the allocation, the number of rounds after the
+        first projection, and whether the slack fell below the tolerance.
         """
         out = self.project_local(self.pad(ua), np.empty_like(ua))
         u, a = out
-        for _ in range(REPAIR_MAX_ROUNDS):
+        for rounds in range(REPAIR_MAX_ROUNDS + 1):
             # the projections leave the pairs a link does not offer at 0,
             # where the QoS bound is 0 too
             slack = np.maximum(self.qos - (u + self.band_ratio * a), 0.0)
-            if slack.max(initial=0.0) <= REPAIR_TOL:
-                break
+            reached = slack.max(initial=0.0) <= REPAIR_TOL
+            if reached or rounds == REPAIR_MAX_ROUNDS:
+                return out, rounds, reached
             # NaN where a pair is not offered, as the projections take it
             scale = slack / self.normal_sq
             self.project_local(out + scale * self.normal, out)
-        return out
+
+    def repaired_solution(self, ua, trace: ConvergenceTrace, flags) -> SlicingSolution:
+        """The solution of ``trace.method`` from ``ua``'s repair, which
+        ``trace`` records; flagged when the repair stopped short."""
+        ua, trace.repair_rounds, reached = self.repair(ua)
+        if not reached:
+            flags += (REPAIR_INCOMPLETE,)
+        return self.to_solution(*ua, trace.method, flags)
 
     def to_solution(self, u, a, method, flags=()) -> SlicingSolution:
         return solution_from_arrays(
@@ -280,6 +292,9 @@ class ConvergenceTrace:
     rows: list[TraceRow] = field(default_factory=list)
     converged: bool = False
     gamma_final: float = 0.0
+    #: projection rounds the returned allocation's repair took after its
+    #: first projection, at most ``REPAIR_MAX_ROUNDS``
+    repair_rounds: int = 0
 
     @property
     def iterations(self) -> int:
@@ -395,7 +410,7 @@ def solve_admm(
 
     trace.gamma_final = gamma
     flags = () if trace.converged else ("max-iterations",)
-    return s.to_solution(*s.repair(zs[0]), "admm", flags), trace
+    return s.repaired_solution(zs[0], trace, flags), trace
 
 
 # ---------------------------------------------------------------------------
@@ -488,4 +503,4 @@ def solve_subgradient(
         )
 
     trace.converged = True
-    return s.to_solution(*s.repair(avg), "subgradient", ("ergodic-average",)), trace
+    return s.repaired_solution(avg, trace, ("ergodic-average",)), trace

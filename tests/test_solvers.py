@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from slicenet import solvers
-from slicenet.problem import VARIANTS, as_variant, solve_lp_oracle
+from slicenet.problem import VARIANTS, InfeasibleProblem, as_variant, solve_lp_oracle
 from slicenet.projections import feasible_totals, project_budget_box, project_capped_simplex_eq
 from slicenet.solvers import (
+    REPAIR_INCOMPLETE,
     REPAIR_MAX_ROUNDS,
     REPAIR_TOL,
     ConvergenceTrace,
@@ -308,15 +309,26 @@ def _reference_project_local(s, u, a):
 
 
 def _reference_repair(s, u, a, tol=REPAIR_TOL, max_rounds=REPAIR_MAX_ROUNDS):
+    """The repaired ``(u, a)``, the rounds after the first projection,
+    and whether the QoS shortfall ended within ``tol``."""
     u, a = _reference_project_local(s, u, a)
     denom = 1.0 + s.band_ratio * s.band_ratio
-    for _ in range(max_rounds):
-        if _qos_shortfall(s, u, a) <= tol:
-            break
+    rounds = 0
+    while _qos_shortfall(s, u, a) > tol and rounds < max_rounds:
         slack = np.maximum((s.qos - (u + s.band_ratio * a)) * s.active, 0.0)
         scale = slack / denom
         u, a = _reference_project_local(s, u + scale, a + scale * s.band_ratio)
-    return u, a
+        rounds += 1
+    return u, a, rounds, _qos_shortfall(s, u, a) <= tol
+
+
+def _reference_solution(s, trace, u, a, flags):
+    """Repair as the solvers do: the trace records the rounds, and a
+    repair that stopped short flags the solution."""
+    ru, ra, trace.repair_rounds, reached = _reference_repair(s, u, a)
+    if not reached:
+        flags += (REPAIR_INCOMPLETE,)
+    return s.to_solution(ru, ra, trace.method, flags)
 
 
 def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
@@ -366,9 +378,8 @@ def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
             la *= 2.0
 
     trace.gamma_final = gamma
-    ru, ra = _reference_repair(s, zu.copy(), za.copy())
     flags = () if trace.converged else ("max-iterations",)
-    return s.to_solution(ru, ra, "admm", flags), trace
+    return _reference_solution(s, trace, zu.copy(), za.copy(), flags), trace
 
 
 def _reference_solve_subgradient(problem, max_iter=500, step_scale=1.0):
@@ -412,9 +423,8 @@ def _reference_solve_subgradient(problem, max_iter=500, step_scale=1.0):
             )
         )
 
-    ru, ra = _reference_repair(s, avg_u.copy(), avg_a.copy())
     trace.converged = True
-    return s.to_solution(ru, ra, "subgradient", ("ergodic-average",)), trace
+    return _reference_solution(s, trace, avg_u.copy(), avg_a.copy(), ("ergodic-average",)), trace
 
 
 def _bits(x):
@@ -438,7 +448,9 @@ def _assert_same_run(got, want):
         (r.iteration, r.objective, r.primal_residual, r.dual_residual) for r in ref_trace.rows
     ]
     assert _bits(rows) == _bits(ref_rows)
-    assert (trace.method, trace.converged) == (ref_trace.method, ref_trace.converged)
+    assert (trace.method, trace.converged, trace.repair_rounds) == (
+        ref_trace.method, ref_trace.converged, ref_trace.repair_rounds
+    )
     assert _bits(trace.gamma_final) == _bits(ref_trace.gamma_final)
 
 
@@ -517,6 +529,32 @@ def test_unpaid_slices_match_their_first_form():
                 _reference_solve_subgradient(problem, **settings),
             )
         _assert_same_run(solve_admm(problem), _reference_solve_admm(problem))
+
+
+def test_an_unfinished_repair_is_flagged():
+    # the s1 variant of these markets is infeasible: no repair reaches
+    # every QoS floor, and both solvers say so in the solution's flags
+    # and the trace's round count, as their first form does
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        market = random_problem(rng, feasible_for="coalitions")
+        for variant, feasible in (("s1", False), ("s3", True)):
+            problem = as_variant(market, variant)
+            if not feasible:
+                with pytest.raises(InfeasibleProblem):
+                    solve_lp_oracle(problem)
+            for got, want in (
+                (solve_admm(problem, max_iter=150), _reference_solve_admm(problem, max_iter=150)),
+                (
+                    solve_subgradient(problem, max_iter=100),
+                    _reference_solve_subgradient(problem, max_iter=100),
+                ),
+            ):
+                _assert_same_run(got, want)
+                solution, trace = got
+                assert (REPAIR_INCOMPLETE in solution.flags) is not feasible
+                assert (solution.max_violation() <= 1e-6) is feasible
+                assert (trace.repair_rounds < REPAIR_MAX_ROUNDS) is feasible
 
 
 def test_trace_memory_stays_within_a_block():
