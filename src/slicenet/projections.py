@@ -145,8 +145,9 @@ def _breakpoint_walk(y, total, absent, cap: float, out=None) -> np.ndarray:
     points.sort(axis=1)
     d = y[:, None, :] - points[:, :, None]
     # a zero's sign here never reaches tau: it only decides whether a
-    # mass of exactly 0 is +0.0 or -0.0, and such a mass is never the
-    # upper end of a segment
+    # mass of exactly 0 is +0.0 or -0.0, and such a mass never exceeds
+    # the total, so it never starts a segment, and where it ends one only
+    # the difference of the two masses reads it
     np.fmax(d, 0.0, out=d)
     mass = np.minimum(d, cap, out=d).sum(axis=2)
     # the prefix ends at the first breakpoint whose mass does not exceed
