@@ -18,10 +18,11 @@ coalition can block a split that passes it (market 76 drawn by
 ``random_problem(default_rng(7), feasible_for="coalitions")``: the
 egalitarian split pays operators {1, 2, 4} 2771.4 against their joint
 value 2848.0, and the check reports it in the core).  With two
-operators it is the full core condition.  The convexity probe
-spot-checks the marginal-value inequalities instance by instance; a
-convex game has a non-empty core, which says nothing about whether a
-given split lies in it.
+operators it is the full core condition.  The convexity probe tests
+supermodularity on every coalition of a market of up to five
+operators, pair by pair over one table of coalition values; a convex
+game has a non-empty core, which says nothing about whether a given
+split lies in it.
 
 An agreement carries the grand coalition's solution it splits (whose
 ``u_hz`` and ``alpha`` are read-only ``(links, slices)`` arrays) and
@@ -65,6 +66,11 @@ def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
     and so signs nobody up.  A coalition keeps the airtime shares
     estimated on the full deployment: a lone operator still contends
     with everyone on the shared band.
+
+    A value can differ in its last bits with the coalitions stacked
+    beside it (a singleton alone or among all coalitions, the grand
+    coalition here or in ``solve_lp_oracle``), so compare values from
+    one call, or within :data:`EPS_REL`.
     """
     keys = [frozenset(c) for c in coalitions]
     distinct = [k for k in dict.fromkeys(keys) if k]
@@ -290,40 +296,31 @@ class ConvexityReport:
 def convexity_probe(problem: SlicingProblem) -> ConvexityReport:
     """Verify increasing marginal value of joining larger coalitions.
 
-    For every triple (C, N, O) with N a proper subset of O and both
-    disjoint from C, the value added by C to O must be at least the
-    value it adds to N.  Every such triple is checked, which is why
-    membership is capped at five operators.
+    Every coalition is valued in one :func:`coalition_values` call, by
+    its bitmask of member positions.  The game is convex exactly when
+    v(S∪{i,j}) − v(S∪{j}) ≥ v(S∪{i}) − v(S) for every S and every pair
+    i < j outside it (Shapley, 1971).  Every such pair is checked, hence
+    the cap of five operators; a violation is the triple ({i}, S, S∪{j}).
     """
     members = problem.members
     if len(members) > 5:
         raise ValueError("exhaustive probe capped at 5 operators")
-    # coalitions as bitmasks over member positions
-    bits = [1 << j for j in range(len(members))]
-    checked = []
-    for c_size in range(1, len(bits) + 1):
-        for c in combinations(bits, c_size):
-            rest = [b for b in bits if b not in c]
-            for o_size in range(1, len(rest) + 1):
-                for o in combinations(rest, o_size):
-                    for n_size in range(0, o_size):
-                        for n in combinations(o, n_size):
-                            checked.append((sum(c), sum(n), sum(o)))
 
     def ids(mask: int) -> frozenset[int]:
-        return frozenset(j for b, j in zip(bits, members) if mask & b)
+        return frozenset(i for j, i in enumerate(members) if mask >> j & 1)
 
     grand = (1 << len(members)) - 1
-    needed = [grand] + [s for c, n, o in checked for s in (c | o, o, c | n, n)]
-    distinct = list(dict.fromkeys(needed))
-    value = [0.0] * (grand + 1)
-    for s, v in zip(distinct, coalition_values(problem, map(ids, distinct))):
-        value[s] = v
-    eps = EPS_REL * _scale(value[grand])
+    value = [0.0, *coalition_values(problem, map(ids, range(1, grand + 1)))]
+    # among m members a triple's gap v(C∪O) − v(O) − v(C∪N) + v(N) sums
+    # |C|·|O∖N| ≤ m²/4 pairwise gaps, so a pass here passes every triple at EPS_REL
+    eps = EPS_REL * _scale(value[grand]) / max(1, len(members) ** 2 // 4)
+    checked = 0
     violations = []
-    for c, n, o in checked:
-        lhs = value[c | o] - value[o]
-        rhs = value[c | n] - value[n]
-        if lhs < rhs - eps:
-            violations.append(ConvexityViolation(ids(c), ids(n), ids(o), lhs, rhs))
-    return ConvexityReport(checked=len(checked), violations=tuple(violations))
+    for s in range(grand + 1):
+        for i, j in combinations([1 << k for k in range(len(members)) if not s >> k & 1], 2):
+            checked += 1
+            lhs = value[s | i | j] - value[s | j]
+            rhs = value[s | i] - value[s]
+            if lhs < rhs - eps:
+                violations.append(ConvexityViolation(ids(i), ids(s), ids(s | j), lhs, rhs))
+    return ConvexityReport(checked=checked, violations=tuple(violations))

@@ -147,6 +147,8 @@ class SlicingProblem:
             (~in_range, "has an airtime share outside [0, 1]"),
             (self.rate_bps_hz <= 0, "has nonpositive rate"),
             ((self.access > 0) & ~self.offered.any(axis=1), "holds airtime but offers no slice"),
+            ((self.price_per_bit < 0).any(axis=1), "has a negative price"),
+            ((self.min_rate_bps < 0).any(axis=1), "has a negative QoS floor"),
         ):
             if bad.any():
                 raise ValueError(f"link {self.link_ids[bad.argmax()]} {what}")
@@ -686,7 +688,8 @@ def solve_lp_coalitions(problem: SlicingProblem, joined: np.ndarray) -> list[flo
     pass works row by row, so a one-row mask lays out exactly that
     coalition's block.  The values are bit for bit those that
     ``linprog`` gives on the block diagonal of the one-block models of
-    ``problem.restrict`` of each coalition, in the same order.
+    ``problem.restrict`` of each coalition, in the same order, so their
+    last bits can change with the coalitions stacked beside them.
     """
     if not len(joined):
         return []

@@ -138,6 +138,18 @@ class Mno:
                 "mno-bandwidth-nonnegative",
                 f"operator {self.id} has licensed bandwidth {self.licensed_bandwidth_hz}",
             )
+        for sid, floor in self.min_throughput_overrides_bps.items():
+            if floor < 0:
+                raise ScenarioValidationError(
+                    "mno-override-throughput-nonnegative",
+                    f"operator {self.id} has min throughput {floor} for service {sid}",
+                )
+        for sid, price in self.price_overrides_per_bit.items():
+            if price < 0:
+                raise ScenarioValidationError(
+                    "mno-override-price-nonnegative",
+                    f"operator {self.id} has price {price} for service {sid}",
+                )
 
 
 @dataclass(frozen=True)

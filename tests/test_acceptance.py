@@ -296,14 +296,14 @@ def test_criterion_7_division_is_stable_and_game_is_convex(verdict):
     rng = np.random.default_rng(7)
     stable = 0
     convex = 0
-    triples = 0
+    pairs = 0
     for _ in range(50):
         problem = random_problem(rng, feasible_for="coalitions")
         agreement = default_division(problem)
         if check_core(agreement).in_core:
             stable += 1
         report = convexity_probe(problem)
-        triples += report.checked
+        pairs += report.checked
         if report.ok:
             convex += 1
     ok = stable == 50 and convex == 50
@@ -312,7 +312,7 @@ def test_criterion_7_division_is_stable_and_game_is_convex(verdict):
         ok,
         f"default division in core on {stable}/50,"
         f" zero marginal-value violations on {convex}/50"
-        f" ({triples} triples checked)",
+        f" ({pairs} pairs checked)",
     )
     assert ok, detail
 

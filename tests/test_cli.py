@@ -12,7 +12,7 @@ import pytest
 
 import slicenet
 from slicenet.cli import main
-from slicenet.scenario import load_scenario, scenario_to_dict
+from slicenet.scenario import ScenarioValidationError, load_scenario, scenario_to_dict
 
 COMMITTED = Path(__file__).resolve().parent.parent / "scenarios" / "two_mno_20mhz.json"
 
@@ -196,16 +196,34 @@ def test_scenario_not_in_utf8_exits_3(tmp_path, capsys):
 
 
 def test_invalid_scenario_exits_3(tmp_path, capsys):
+    service = {"id": 1, "min_throughput_bps": 1.0, "price_per_bit": 1.0}
+    cases = [
+        ({"unlicensed_bandwidth_hz": -5.0}, [], "band-unlicensed-nonnegative"),
+        # an operator's override obeys the service's own sign rules
+        *(
+            ({"unlicensed_bandwidth_hz": 2e7}, [{"service": 1, field: -1.0}], invariant)
+            for field, invariant in (
+                ("min_throughput_bps", "mno-override-throughput-nonnegative"),
+                ("min_throughput_mbps", "mno-override-throughput-nonnegative"),
+                ("price_per_bit", "mno-override-price-nonnegative"),
+                ("price_per_mbit", "mno-override-price-nonnegative"),
+            )
+        ),
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "services": [{"id": 1, "min_throughput_bps": 1.0, "price_per_bit": 1.0}],
-        "mnos": [],
-        "nodes": [],
-        "links": [],
-        "band": {"unlicensed_bandwidth_hz": -5.0},
-    }))
-    assert main(["sim", "--scenario", str(bad)]) == 3
-    assert capsys.readouterr().err.startswith("error: scenario: band-unlicensed-nonnegative:")
+    for band, overrides, invariant in cases:
+        bad.write_text(json.dumps({
+            "services": [service],
+            "mnos": [{"id": 1, "licensed_bandwidth_hz": 2e7, "overrides": overrides}],
+            "nodes": [],
+            "links": [],
+            "band": band,
+        }))
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(bad)
+        assert err.value.invariant == invariant
+        assert main(["sim", "--scenario", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: scenario: {invariant}:")
 
 
 def test_link_named_like_an_idle_access_point_exits_3(tmp_path, capsys):

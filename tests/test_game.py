@@ -10,6 +10,7 @@ from scipy.optimize import milp
 
 from slicenet.game import (
     DIVISION_RULES,
+    EPS_REL,
     ConvexityReport,
     check_core,
     coalition_values,
@@ -117,8 +118,72 @@ def test_convexity_probe_bottleneck():
     report = convexity_probe(bottleneck_preset())
     assert isinstance(report, ConvexityReport)
     assert report.ok
-    assert report.checked == 2
+    # one pair, {1} and {2}, over the empty coalition
+    assert report.checked == 1
     assert report.violations == ()
+
+
+def _triple_violations(problem):
+    """The convexity test the pairwise probe replaced, as a reference.
+
+    For every triple (C, N, O) with N a proper subset of O and both
+    disjoint from C, the value C adds to O must be at least the value it
+    adds to N, within ``EPS_REL`` of the grand coalition's value.
+    Returns the violating triples as (C, N, O) member sets.
+    """
+    members = problem.members
+    coalitions = [
+        frozenset(c) for size in range(len(members) + 1) for c in combinations(members, size)
+    ]
+    value = dict(zip(coalitions, coalition_values(problem, coalitions)))
+    eps = EPS_REL * max(1.0, abs(value[frozenset(members)]))
+    violations = set()
+    for c in coalitions[1:]:
+        for o in coalitions[1:]:
+            if c & o:
+                continue
+            for n in coalitions:
+                if n < o and value[c | o] - value[o] < value[c | n] - value[n] - eps:
+                    violations.add((c, n, o))
+    return violations
+
+
+def _probe_markets():
+    """Gate 7's 50 seed-7 markets, then the first 24 seed-1 markets
+    under each single-band and the joint variant."""
+    rng = np.random.default_rng(7)
+    yield from (random_problem(rng, feasible_for="coalitions") for _ in range(50))
+    rng = np.random.default_rng(1)
+    for _ in range(24):
+        base = random_problem(rng, feasible_for="coalitions")
+        yield from (as_variant(base, variant) for variant in ("s1", "s2", "s3"))
+
+
+def test_pairwise_probe_agrees_with_the_triple_check():
+    convex = 0
+    for problem in _probe_markets():
+        report = convexity_probe(problem)
+        reference = _triple_violations(problem)
+        assert report.ok == (not reference)
+        for v in report.violations:
+            assert (v.joining, v.smaller, v.larger) in reference
+        convex += report.ok
+    # all 50 of gate 7's markets, and 55 of the 72 seed-1 market variants
+    assert convex == 50 + 55
+
+
+def test_convexity_probe_reports_a_violation():
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        base = random_problem(rng, feasible_for="coalitions")
+    # market 3 on the unlicensed band only: operator 2 alone earns 42.5,
+    # while operator 1 alone and the pair miss their floors and are worth 0
+    report = convexity_probe(as_variant(base, "s1"))
+    assert base.members == (1, 2)
+    assert report.checked == 1
+    (v,) = report.violations
+    assert (v.joining, v.smaller, v.larger) == ({1}, set(), {2})
+    assert v.lhs < v.rhs
 
 
 def test_random_instances_superadditive_and_stable():

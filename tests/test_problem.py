@@ -381,6 +381,13 @@ def test_field_of_the_wrong_shape_rejected(field, value):
         replace(_single_link(), **{field: value})
 
 
+def test_negative_price_or_floor_rejected():
+    with pytest.raises(ValueError, match="link l1 has a negative price"):
+        replace(_single_link(), price_per_bit=((-1e-6,),))
+    with pytest.raises(ValueError, match="link l1 has a negative QoS floor"):
+        _single_link(min_rate=-1.0)
+
+
 def test_access_share_bounds_checked():
     with pytest.raises(ValueError):
         _single_link(access=1.4)
