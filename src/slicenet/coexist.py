@@ -801,11 +801,11 @@ def fork_map(fn, items: list):
     spread over a pool of forked workers: one per usable CPU and no
     more than there are items, or in-process when that leaves one.
 
-    Forked workers inherit the loaded modules (numpy, and never scipy,
-    which only an LP solve imports), where spawned ones would import
-    numpy again.  ``fn`` must be picklable by reference, and forking is
-    safe only for an ``fn`` that takes no lock a thread of the parent
-    could hold: the pure-Python simulator and labeling take none.
+    Forked workers inherit the loaded modules (numpy), where spawned
+    ones would import numpy again.  ``fn`` must be picklable by
+    reference, and forking is safe only for an ``fn`` that takes no
+    lock a thread of the parent could hold: the pure-Python simulator
+    and labeling take none.
     """
     workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:

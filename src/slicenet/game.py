@@ -57,20 +57,17 @@ def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
     """Optimal welfare of the market restricted to each coalition.
 
     Each distinct non-empty coalition is solved once, in order of first
-    appearance, all of them together in one stacked LP that
+    appearance, all of them together in one pass that
     :func:`~slicenet.problem.solve_lp_coalitions` lays out from the
-    market's arrays, with no per-coalition problem or solution.  An
-    infeasible restriction admits nothing and is worth zero, and so is
-    the empty coalition; that convention keeps values defined for every
-    coalition, mirroring an operator that cannot meet its own floors
-    and so signs nobody up.  A coalition keeps the airtime shares
-    estimated on the full deployment: a lone operator still contends
-    with everyone on the shared band.
-
-    A value can differ in its last bits with the coalitions stacked
-    beside it (a singleton alone or among all coalitions, the grand
-    coalition here or in ``solve_lp_oracle``), so compare values from
-    one call, or within :data:`EPS_REL`.
+    market's arrays, with no per-coalition problem or solution.  A value
+    is bit for bit the oracle's optimum on the restricted market, however
+    many coalitions are asked beside it.  An infeasible restriction
+    admits nothing and is worth zero, and so is the empty coalition;
+    that convention keeps values defined for every coalition, mirroring
+    an operator that cannot meet its own floors and so signs nobody up.
+    A coalition keeps the airtime shares estimated on the full
+    deployment: a lone operator still contends with everyone on the
+    shared band.
     """
     keys = [frozenset(c) for c in coalitions]
     distinct = [k for k in dict.fromkeys(keys) if k]

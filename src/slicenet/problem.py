@@ -12,26 +12,17 @@ A problem's numeric fields and a solution's allocation are read-only
 numpy arrays, per link, per member or ``(links, slices)``, each copied
 once when the problem or solution is made so that no caller aliases it.
 
-The LP is held as its nonzeros (:class:`LPModel`), never as dense
-matrices.  One assembly (:func:`_lp_model`) lays out a stack of LPs,
-one block per LP, from their offered pairs: each block's rows and
-columns follow those of the blocks before it, so the blocks share no
-variable.  The oracle solves one problem as a single block.
-:func:`solve_lp_coalitions` stacks the restrictions of one market to
-many coalitions straight from the market's arrays, in one pass of
-masks over coalitions, links and slices, and returns only their
-optimal values: it builds no restricted problem and no solution, and
-:meth:`SlicingProblem.restrict` is the one-coalition case of its
-pooling rule.  Its values are bit for bit those that ``linprog`` gives
-on the block diagonal of the restricted problems' one-block models.
-HiGHS is reached through scipy's public ``milp`` with no integer
-variables: one sparse CSC matrix ``lo <= A x <= hi`` holds every
-inequality row (``lo = -inf``) and then every equality row (``lo =
-hi``), the row order ``linprog`` would build from the same model, so
-the solutions are the ones ``linprog`` returns, bit for bit, without
-its per-call input handling.  scipy is imported inside that one call,
-not with this module, so a command or library call that solves no LP
-never loads it.
+Every row of the LP involves one link: a QoS floor per offered pair,
+a licensed cap per link and an airtime equality per link.  So the LP
+splits into one small LP per link, each solved in closed form by a
+greedy fill (:func:`_fill`), vectorised over ``(links, slices)``
+arrays.  :func:`solve_lp_coalitions` values the restrictions of one
+market to many coalitions in one such fill over every coalition's
+links, straight from the market's arrays, in one pass of masks over
+coalitions, links and slices: it builds no restricted problem and no
+solution, and :meth:`SlicingProblem.restrict` is the one-coalition
+case of its pooling rule.  No solver library is called, so no command
+imports scipy.
 
 Three deployment variants share one problem shape: ``s1`` zeroes the
 licensed budgets (unlicensed only), ``s2`` zeroes the airtime
@@ -126,6 +117,11 @@ class SlicingProblem:
         n, m = len(self.link_ids), len(self.service_ids)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # the closed-form solve fills airtime in shares of this band
+        if not 0.0 <= self.unlicensed_hz < math.inf:
+            raise ValueError(
+                f"unlicensed band {self.unlicensed_hz} Hz is not finite and nonnegative"
+            )
         if len(self.link_owner) != n:
             raise ValueError("link_owner must have one entry per link")
         if len(self.ssg) != m:
@@ -145,6 +141,9 @@ class SlicingProblem:
         for bad, what in (
             (~owned, "is owned by a non-member"),
             (~in_range, "has an airtime share outside [0, 1]"),
+            (~np.isfinite(self.rate_bps_hz), "has a non-finite rate"),
+            (~np.isfinite(self.price_per_bit).all(axis=1), "has a non-finite price"),
+            (~np.isfinite(self.min_rate_bps).all(axis=1), "has a non-finite QoS floor"),
             (self.rate_bps_hz <= 0, "has nonpositive rate"),
             ((self.access > 0) & ~self.offered.any(axis=1), "holds airtime but offers no slice"),
             ((self.price_per_bit < 0).any(axis=1), "has a negative price"),
@@ -165,7 +164,7 @@ class SlicingProblem:
 
     @property
     def rows(self) -> np.ndarray:
-        """The link of each offered pair, in link order: the LP's column order."""
+        """The link of each offered pair, in link order, then slice order."""
         return np.nonzero(self.offered)[0]
 
     @property
@@ -456,167 +455,79 @@ def solution_from_arrays(
 # ---------------------------------------------------------------------------
 # exact oracle
 
+#: How far a link's floor gaps may overdraw its licensed cap and still
+#: count as met, relative to the link's summed floor: room for rounding
+#: in the sums, far below an infeasible link's overdraw (2.4e-4 at the
+#: least over the 1440 seed-1 ``market-random`` market variants)
+FEASIBLE_REL = 1e-9
 
-@dataclass(frozen=True)
-class _Pairs:
-    """The offered pairs of a stack of allocation LPs, one block per LP.
 
-    Pairs run block by block, and within a block in link order, then
-    slice order.  Per pair: its ``block``, the index of its ``link``
-    among the busy links (those that offer a slice), its tariff
-    ``price``, its link's ``rate``, its QoS ``floor`` and its block's
-    ``unlicensed`` band.  Per busy link, in the same order: its
-    ``link_block``, licensed cap ``budget`` and airtime ``access``.
+def _fill(offered, price, floor, rate, cap, access, unlicensed: float):
+    """The optimal allocation of each row's LP in closed form, one link
+    per row.
+
+    ``offered``, ``price`` and ``floor`` are ``(rows, slices)``;
+    ``rate``, ``cap`` and ``access`` hold one entry per row.  No row of
+    the allocation LP spans two links, so each link's LP is solved
+    alone, by a greedy fill in the manner of Dantzig's fractional
+    knapsack.  A slice earns the link's rate times its tariff per hertz,
+    so the slices rank by descending tariff, ties to the lower index.
+
+    - Airtime fills each slice's floor segment, ``min(1, floor_Hz /
+      unlicensed_Hz)``, down the ranking, then the rest of each slice's
+      share up to 1, down the ranking again, until ``access`` is spent.
+      A hertz of floor met by airtime frees a licensed hertz for the top
+      slice, so every floor segment earns the top tariff, and filling
+      them first leaves the least floor to the cap.
+    - Licensed spectrum meets each slice's remaining floor gap, and the
+      rest of the cap goes to the top slice unless its tariff is 0.
+
+    The LP is degenerate: this rule picks one optimal vertex of several,
+    and a simplex solver may return another of the same value.  Returns
+    ``u`` and ``alpha``, zero off the offered pairs, and whether each
+    row's floor gaps fit in its cap within :data:`FEASIBLE_REL`; where
+    they do not, the row has no feasible point and its ``u`` overdraws
+    the cap.
     """
+    # an infinite cap makes the LP unbounded
+    if not np.isfinite(cap).all():
+        raise ValueError("licensed caps must be finite")
+    # each row's slices by descending tariff, pairs not offered last
+    key = np.where(offered, price, -1.0)
+    order = np.argsort(-key, axis=1, kind="stable")
+    key = np.take_along_axis(key, order, axis=1)
+    on = np.take_along_axis(offered, order, axis=1)
+    floor_hz = np.where(on, np.take_along_axis(floor, order, axis=1) / rate[:, None], 0.0)
+    segment = np.minimum(floor_hz, unlicensed) / (unlicensed or 1.0)
+    # the floor segments and then the rest of every share, in one run
+    # that the airtime fills from its start
+    run = np.concatenate([segment, on - segment], axis=1)
+    before = np.zeros_like(run)
+    np.cumsum(run[:, :-1], axis=1, out=before[:, 1:])
+    taken = np.minimum(np.maximum(access[:, None] - before, 0.0), run)
+    m = offered.shape[1]
+    alpha = taken[:, :m] + taken[:, m:]
+    # the floor each slice's segment leaves to licensed spectrum: exactly
+    # 0 where the segment is full, and the part of a floor above the band
+    u = np.maximum(floor_hz - unlicensed, 0.0) + unlicensed * (segment - taken[:, :m])
+    need = u.sum(axis=1)
+    # the rest of the cap goes to the top slice when it earns anything
+    u[:, :1] += np.where(key[:, :1] > 0.0, np.maximum(cap - need, 0.0)[:, None], 0.0)
+    out = np.zeros((2, *offered.shape))
+    np.put_along_axis(out[0], order, u, axis=1)
+    np.put_along_axis(out[1], order, alpha, axis=1)
+    return out[0], out[1], need - cap <= FEASIBLE_REL * floor_hz.sum(axis=1)
 
-    n_blocks: int
-    block: np.ndarray
-    link: np.ndarray
-    price: np.ndarray
-    rate: np.ndarray
-    floor: np.ndarray
-    unlicensed: np.ndarray
-    link_block: np.ndarray
-    budget: np.ndarray
-    access: np.ndarray
 
-    @property
-    def ends(self) -> np.ndarray:
-        """One past each block's last pair."""
-        return np.cumsum(np.bincount(self.block, minlength=self.n_blocks))
-
-
-def _pairs(offered, price, floor, rate, budget, access, unlicensed) -> _Pairs:
-    """The pairs of a stack given as ``offered[k, i, l]``: block ``k``
-    offers slice ``l`` on link ``i``.
-
-    ``price`` and ``floor`` broadcast to ``offered``'s shape, ``rate``,
-    ``budget`` and ``access`` to its ``(blocks, links)`` and
-    ``unlicensed`` to its blocks.
-    """
-    shape = offered.shape
-    k, i, l = np.nonzero(offered)
-    busy = offered.any(axis=2)
-    link_block, link = np.nonzero(busy)
-    # each busy link's index among them all, block by block
-    at = (np.cumsum(busy.ravel()) - 1).reshape(shape[:2])
-    return _Pairs(
-        n_blocks=shape[0],
-        block=k,
-        link=at[k, i],
-        price=np.broadcast_to(price, shape)[k, i, l],
-        rate=np.broadcast_to(rate, shape[:2])[k, i],
-        floor=np.broadcast_to(floor, shape)[k, i, l],
-        unlicensed=np.broadcast_to(unlicensed, shape[:1])[k],
-        link_block=link_block,
-        budget=np.broadcast_to(budget, shape[:2])[link_block, link],
-        access=np.broadcast_to(access, shape[:2])[link_block, link],
+def _feasible(problem: SlicingProblem, budget_hz, access) -> bool:
+    """Whether ``problem`` under these licensed caps and airtime shares,
+    per link, has a feasible point."""
+    p = problem
+    *_, met = _fill(
+        p.offered, p.price_per_bit, p.min_rate_bps, p.rate_bps_hz, budget_hz, access,
+        p.unlicensed_hz,
     )
-
-
-def _problem_pairs(p: SlicingProblem) -> _Pairs:
-    """The pairs of ``p``'s LP, as one block."""
-    return _pairs(
-        p.offered[None], p.price_per_bit, p.min_rate_bps, p.rate_bps_hz,
-        p.budget_hz, p.access, p.unlicensed_hz,
-    )
-
-
-@dataclass(frozen=True)
-class LPModel:
-    """A stack of allocation LPs held as its nonzeros.
-
-    Each block has a column per offered pair's ``u``, then one per
-    pair's ``alpha``.  ``ub`` and ``eq`` are the ``(row, col, value)``
-    triplets of the inequality and equality matrices.  Each block has
-    a QoS row per pair with a positive floor, then a budget row per
-    link that offers a slice, and an airtime equality per such link.
-    Every block's columns and rows come after those of the blocks
-    before it, so the blocks share no variable.  ``bounds`` holds a
-    ``(low, high)`` row per column.  ``u_col`` and ``alpha_col`` are
-    the columns of each pair.
-    """
-
-    c: np.ndarray
-    ub: tuple[np.ndarray, np.ndarray, np.ndarray]
-    b_ub: np.ndarray
-    eq: tuple[np.ndarray, np.ndarray, np.ndarray]
-    b_eq: np.ndarray
-    bounds: np.ndarray
-    u_col: np.ndarray
-    alpha_col: np.ndarray
-
-
-def _lp_model(pairs: _Pairs) -> LPModel:
-    n, k = len(pairs.block), pairs.n_blocks
-    index = np.arange(n)
-    ends = pairs.ends
-    # a block's u columns follow both column sets of the blocks before it
-    u_col = index + (ends - np.bincount(pairs.block, minlength=k))[pairs.block]
-    alpha_col = index + ends[pairs.block]
-    qos = np.flatnonzero(pairs.floor > 0)
-    q_ends = np.cumsum(np.bincount(pairs.block[qos], minlength=k))
-    l_counts = np.bincount(pairs.link_block, minlength=k)
-    # a block's QoS rows follow every inequality row of the blocks
-    # before it, and its budget rows follow its own QoS rows
-    qos_row = np.arange(len(qos)) + (np.cumsum(l_counts) - l_counts)[pairs.block[qos]]
-    budget_row = np.arange(len(pairs.link_block)) + q_ends[pairs.link_block]
-    gain = pairs.price * pairs.rate
-    c = np.empty(2 * n)
-    c[u_col], c[alpha_col] = -gain, -gain * pairs.unlicensed
-    b_ub = np.empty(len(qos) + len(budget_row))
-    b_ub[qos_row] = -pairs.floor[qos] / pairs.rate[qos]
-    b_ub[budget_row] = pairs.budget
-    high = np.empty(2 * n)
-    high[u_col], high[alpha_col] = np.inf, 1.0
-    return LPModel(
-        c=c,
-        ub=(
-            np.concatenate([qos_row, qos_row, budget_row[pairs.link]]),
-            np.concatenate([u_col[qos], alpha_col[qos], u_col]),
-            np.concatenate([np.full(len(qos), -1.0), -pairs.unlicensed[qos], np.ones(n)]),
-        ),
-        b_ub=b_ub,
-        eq=(pairs.link, alpha_col, np.ones(n)),
-        b_eq=pairs.access,
-        bounds=np.column_stack([np.zeros(2 * n), high]),
-        u_col=u_col,
-        alpha_col=alpha_col,
-    )
-
-
-def _highs(model: LPModel):
-    """One HiGHS solve of ``model``.
-
-    HiGHS takes one matrix with ``lo <= A x <= hi``: every inequality
-    row (``lo`` is ``-inf``), then every equality row (``lo = hi =
-    b_eq``).
-    """
-    # importing scipy is most of a command's start-up: only an LP
-    # solve pays for it
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csc_array
-
-    n_ub, n_cols = len(model.b_ub), len(model.c)
-    rows = np.concatenate([model.ub[0], model.eq[0] + n_ub])
-    cols = np.concatenate([model.ub[1], model.eq[1]])
-    # CSC order: by column, rows ascending within each
-    order = np.lexsort((rows, cols))
-    starts = np.zeros(n_cols + 1, dtype=rows.dtype)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=starts[1:])
-    a = csc_array(
-        (np.concatenate([model.ub[2], model.eq[2]])[order], rows[order], starts),
-        shape=(n_ub + len(model.b_eq), n_cols),
-    )
-    return milp(
-        model.c,
-        bounds=Bounds(model.bounds[:, 0], model.bounds[:, 1]),
-        constraints=LinearConstraint(
-            a,
-            np.concatenate([np.full(n_ub, -np.inf), model.b_eq]),
-            np.concatenate([model.b_ub, model.b_eq]),
-        ),
-    )
+    return bool(met.all())
 
 
 def _blame_family(problem: SlicingProblem) -> str:
@@ -630,94 +541,59 @@ def _blame_family(problem: SlicingProblem) -> str:
     itself is the problem.
     """
     pool = sum(problem.mno_budget_hz.tolist())
-    pooled = replace(problem, budget_hz=np.full(problem.n_links, pool))
-    if _highs(_lp_model(_problem_pairs(pooled))).status == 0:
+    if _feasible(problem, pool, problem.access):
         return FAMILY_BUDGET
-    opened = replace(problem, access=problem.offered.any(axis=1))
-    if _highs(_lp_model(_problem_pairs(opened))).status == 0:
+    if _feasible(problem, problem.budget_hz, problem.offered.any(axis=1) * 1.0):
         return FAMILY_ACCESS
     return FAMILY_QOS
 
 
-def _solve_pairs(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray] | None:
-    """Solve a stack of LPs in one HiGHS call.
-
-    The LPs share no variable, so their stack is optimal exactly where
-    each block is optimal for its own LP.  Returns every pair's ``u``
-    and ``alpha``, clamped into their bounds as ``max(0, x)`` and
-    ``min(1, x)`` do (HiGHS's -0.0 becomes 0.0), or ``None`` when the
-    stack has no feasible point, that is when one of its blocks has
-    none.
-    """
-    if not len(pairs.block):
-        # no pair, no column and no row: nothing to solve
-        return np.zeros(0), np.zeros(0)
-    model = _lp_model(pairs)
-    res = _highs(model)
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise RuntimeError(f"allocation solve failed with status {res.status}")
-    u, alpha = res.x[model.u_col], res.x[model.alpha_col]
-    alpha = np.where(alpha > 0.0, alpha, 0.0)
-    return np.where(u > 0.0, u, 0.0), np.where(alpha < 1.0, alpha, 1.0)
-
-
-def _coalition_pairs(problem: SlicingProblem, joined: np.ndarray) -> _Pairs:
-    """The pairs of ``problem.restrict`` of each coalition ``joined``
-    marks, one block per coalition, with no problem built."""
-    keep, offered, access, budget = _pooled(problem, joined)
-    return _pairs(
-        keep[:, :, None] & offered, problem.price_per_bit, problem.min_rate_bps,
-        problem.rate_bps_hz, budget, access, problem.unlicensed_hz,
-    )
-
-
 def solve_lp_coalitions(problem: SlicingProblem, joined: np.ndarray) -> list[float | None]:
-    """The optimal welfare of ``problem`` restricted to each coalition,
-    all of them in one HiGHS call.
+    """The optimal welfare of ``problem`` restricted to each coalition.
 
     ``joined[k, j]`` marks member ``j`` of coalition ``k``
     (:meth:`SlicingProblem.coalition_mask`); every coalition is
     non-empty.  One pass of masks over coalitions, links and slices
-    (:func:`_pooled`) lays out the stacked LP straight from the
-    market's arrays, and each value is read off the stacked solution as
-    :func:`solution_from_arrays` computes an objective.  ``None`` marks
-    a coalition with no feasible point.  One such coalition spoils the
-    whole stack, and then each coalition is solved on its own: the
-    pass works row by row, so a one-row mask lays out exactly that
-    coalition's block.  The values are bit for bit those that
-    ``linprog`` gives on the block diagonal of the one-block models of
-    ``problem.restrict`` of each coalition, in the same order, so their
-    last bits can change with the coalitions stacked beside them.
+    (:func:`_pooled`) gives every coalition's links their pooled caps
+    straight from the market's arrays, with no restricted problem
+    built, and one :func:`_fill` over all of them solves every link.
+    Each value is summed as :func:`solution_from_arrays` sums an
+    objective, so it is bit for bit ``solve_lp_oracle`` of
+    ``problem.restrict`` of that coalition, whatever else is asked
+    beside it.  ``None`` marks a coalition with no feasible point.
     """
-    if not len(joined):
-        return []
-    pairs = _coalition_pairs(problem, joined)
-    solved = _solve_pairs(pairs)
-    if solved is None:
-        if len(joined) == 1:
-            return [None]
-        return [solve_lp_coalitions(problem, joined[k : k + 1])[0] for k in range(len(joined))]
-    revenue = _revenue(pairs.price, *solved, pairs.unlicensed, pairs.rate).tolist()
-    ends = pairs.ends.tolist()
-    return [sum(revenue[start:end], 0.0) for start, end in zip([0] + ends, ends)]
+    p = problem
+    keep, offered, access, budget = _pooled(p, joined)
+    k, (n, m) = len(joined), offered.shape
+    price, rate = np.tile(p.price_per_bit, (k, 1)), np.tile(p.rate_bps_hz, k)
+    u, alpha, met = _fill(
+        (keep[:, :, None] & offered).reshape(k * n, m), price, np.tile(p.min_rate_bps, (k, 1)),
+        rate, budget.ravel(), np.tile(access, k), p.unlicensed_hz,
+    )
+    # the pairs a coalition does not offer earn exactly 0.0, which
+    # leaves each sum as it is
+    revenue = _revenue(price, u, alpha, p.unlicensed_hz, rate[:, None]).reshape(k, n * m)
+    return [
+        sum(row, 0.0) if ok else None
+        for row, ok in zip(revenue.tolist(), met.reshape(k, n).all(axis=1).tolist())
+    ]
 
 
 def solve_lp_oracle(problem: SlicingProblem) -> SlicingSolution:
-    """Solve the allocation LP exactly, as a stack of one block.
+    """Solve the allocation LP exactly, link by link (:func:`_fill`).
 
     Raises :class:`InfeasibleProblem` with the violated constraint
     family when the QoS floors cannot be met from the pooled spectrum.
     """
-    solved = _solve_pairs(_problem_pairs(problem))
-    if solved is None:
+    p = problem
+    u_hz, airtime, met = _fill(
+        p.offered, p.price_per_bit, p.min_rate_bps, p.rate_bps_hz, p.budget_hz,
+        p.access, p.unlicensed_hz,
+    )
+    if not met.all():
         raise InfeasibleProblem(
-            _blame_family(problem),
-            f"no feasible allocation for {problem.n_links} links"
-            f" / {problem.n_services} slices ({problem.variant})",
+            _blame_family(p),
+            f"no feasible allocation for {p.n_links} links"
+            f" / {p.n_services} slices ({p.variant})",
         )
-    r, c = problem.rows, problem.cols
-    u_hz, airtime = np.zeros((2, *problem.offered.shape))
-    u_hz[r, c], airtime[r, c] = solved
-    return solution_from_arrays(problem, u_hz, airtime, "lp")
+    return solution_from_arrays(p, u_hz, airtime, "lp")

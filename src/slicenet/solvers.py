@@ -60,7 +60,7 @@ TRACED_PROJECTIONS = (project_capped_simplex_eq, project_budget_box)
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
 #: solution flag of a repair whose QoS slack is still above ``REPAIR_TOL``
-#: after ``REPAIR_MAX_ROUNDS``: the returned allocation misses a QoS floor
+#: when it stops: the returned allocation misses a QoS floor
 REPAIR_INCOMPLETE = "repair-incomplete"
 #: relative gap and primal residual of :meth:`ConvergenceTrace.iterations_to_gap`
 GAP_REL = 1e-2
@@ -216,21 +216,27 @@ class _Scaled:
         """Round an iterate ``ua = (u, a)`` to a feasible allocation.
 
         Alternates exact projections between the per-link sets and the
-        QoS halfspaces, at most ``REPAIR_MAX_ROUNDS`` times, finishing on
-        the per-link side so budgets and airtime sums hold exactly; the
-        residual QoS slack falls below ``REPAIR_TOL`` for any feasible
-        problem.  Returns the allocation, the number of rounds after the
-        first projection, and whether the slack fell below the tolerance.
+        QoS halfspaces, finishing on the per-link side so budgets and
+        airtime sums hold exactly; the residual QoS slack falls below
+        ``REPAIR_TOL`` for any feasible problem.  It stops at the first
+        round that does not lower the largest slack, where an
+        infeasible problem stalls short of its floors, and after
+        ``REPAIR_MAX_ROUNDS`` rounds at most.  Returns the allocation,
+        the number of rounds after the first projection, and whether
+        the slack fell below the tolerance.
         """
         out = self.project_local(self.pad(ua), np.empty_like(ua))
         u, a = out
+        last = math.inf
         for rounds in range(REPAIR_MAX_ROUNDS + 1):
             # the projections leave the pairs a link does not offer at 0,
             # where the QoS bound is 0 too
             slack = np.maximum(self.qos - (u + self.band_ratio * a), 0.0)
-            reached = slack.max(initial=0.0) <= REPAIR_TOL
-            if reached or rounds == REPAIR_MAX_ROUNDS:
+            shortfall = slack.max(initial=0.0)
+            reached = shortfall <= REPAIR_TOL
+            if reached or shortfall >= last or rounds == REPAIR_MAX_ROUNDS:
                 return out, rounds, reached
+            last = shortfall
             # NaN where a pair is not offered, as the projections take it
             scale = slack / self.normal_sq
             self.project_local(out + scale * self.normal, out)
@@ -293,7 +299,8 @@ class ConvergenceTrace:
     converged: bool = False
     gamma_final: float = 0.0
     #: projection rounds the returned allocation's repair took after its
-    #: first projection, at most ``REPAIR_MAX_ROUNDS``
+    #: first projection, up to the first that did not lower the QoS
+    #: shortfall and at most ``REPAIR_MAX_ROUNDS``
     repair_rounds: int = 0
 
     @property

@@ -33,13 +33,15 @@ def workspace(tmp_path):
 
 
 def test_commands_without_an_lp_never_import_scipy(tmp_path):
-    # a fresh interpreter: this one has imported scipy already
+    # the LP is solved link by link in closed form, so no command imports
+    # scipy, not even solve, game and experiment; a fresh interpreter,
+    # because this one has imported scipy already
     table = str(tmp_path / "t.tsv")
     code = (
         "import sys\n"
         "from slicenet.cli import main\n"
-        "def run(*argv):\n"
-        "    assert main(list(argv)) == 0, argv\n"
+        "def run(*argv, code=0):\n"
+        "    assert main(list(argv)) == code, argv\n"
         "    assert 'scipy' not in sys.modules, f'scipy imported by {argv[0]}'\n"
         "assert 'scipy' not in sys.modules, 'scipy imported by slicenet.cli'\n"
         f"sc, table = {str(COMMITTED)!r}, {table!r}\n"
@@ -47,8 +49,12 @@ def test_commands_without_an_lp_never_import_scipy(tmp_path):
         "run('sim', '--scenario', sc, '--duration', '0.1')\n"
         "run('table', '--max-size', '2', '--duration', '0.1', '--out', table)\n"
         "run('mboe', '--scenario', sc, '--table', table)\n"
-        "assert main(['solve', '--scenario', sc, '--table', table, '--solver', 'lp']) == 0\n"
-        "assert 'scipy' in sys.modules\n"
+        "run('solve', '--scenario', sc, '--table', table, '--solver', 'lp')\n"
+        # infeasible: the blamed family is found link by link too
+        "run('solve', '--scenario', sc, '--table', table, '--variant', 's1', code=4)\n"
+        "run('game', '--scenario', sc, '--table', table)\n"
+        "run('experiment', '--axis', 'min_qos', '--values', '1e6,1e9', '--table-max-size', '2',"
+        " '--table-duration', '0.1', '--out', 'res')\n"
     )
     src = str(Path(slicenet.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

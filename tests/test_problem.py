@@ -7,7 +7,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
 from slicenet.game import coalition_values
 from slicenet.mboe import AccessEstimate
@@ -17,19 +16,15 @@ from slicenet.problem import (
     FAMILY_QOS,
     VARIANTS,
     InfeasibleProblem,
-    LPModel,
     SlicingProblem,
-    _coalition_pairs,
-    _highs,
-    _lp_model,
-    _problem_pairs,
     as_variant,
     build_problem,
     solution_from_arrays,
+    solve_lp_coalitions,
     solve_lp_oracle,
 )
 from slicenet.scenario import BandPlan, Link, Mno, Node, Scenario, ServiceType
-from slicenet.topology import bottleneck_preset, random_problem
+from slicenet.topology import bottleneck_preset, generate_topology, random_problem
 
 
 def _single_link(min_rate=1e7, access=1.0, budget=2e7, rate=2.0):
@@ -388,6 +383,31 @@ def test_negative_price_or_floor_rejected():
         _single_link(min_rate=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("unlicensed_hz", -2e7, "unlicensed band .* not finite and nonnegative"),
+        ("unlicensed_hz", math.nan, "unlicensed band .* not finite and nonnegative"),
+        ("unlicensed_hz", math.inf, "unlicensed band .* not finite and nonnegative"),
+        ("rate_bps_hz", (math.nan,), "link l1 has a non-finite rate"),
+        ("rate_bps_hz", (math.inf,), "link l1 has a non-finite rate"),
+        ("price_per_bit", ((math.nan,),), "link l1 has a non-finite price"),
+        ("min_rate_bps", ((math.inf,),), "link l1 has a non-finite QoS floor"),
+    ],
+)
+def test_non_finite_input_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        replace(_single_link(), **{field: value})
+
+
+@pytest.mark.parametrize("budget", [math.inf, math.nan])
+def test_oracle_refuses_a_non_finite_cap(budget):
+    # an infinite cap leaves the LP unbounded; the problem itself is
+    # made, as the iterative solvers check their budgets when they start
+    with pytest.raises(ValueError, match="licensed caps must be finite"):
+        solve_lp_oracle(_single_link(budget=budget))
+
+
 def test_access_share_bounds_checked():
     with pytest.raises(ValueError):
         _single_link(access=1.4)
@@ -395,55 +415,86 @@ def test_access_share_bounds_checked():
         _single_link(access=-0.2)
 
 
-# -- the HiGHS call as first written, through linprog ------------------------
+# -- the LP as first modelled, through linprog -------------------------------
 
 
-def _block_diagonal(models):
-    """``models`` as one block-diagonal model: each model's rows and
-    columns follow those of the models before it, and each triplet
-    list runs model by model."""
-    col_at = np.cumsum([0] + [len(m.c) for m in models])
-
-    def triplets(part, rhs):
-        row_at = np.cumsum([0] + [len(getattr(m, rhs)) for m in models])
-        parts = [getattr(m, part) for m in models]
-        return (
-            np.concatenate([t[0] + o for t, o in zip(parts, row_at)]),
-            np.concatenate([t[1] + o for t, o in zip(parts, col_at)]),
-            np.concatenate([t[2] for t in parts]),
+def _reference_solution(problem):
+    """``linprog`` on ``problem``'s allocation LP written row by row: a
+    ``u`` and an ``alpha`` column per offered pair, a QoS row per pair
+    with a positive floor, and per link that offers a slice a
+    licensed-cap row and an airtime equality.  ``None`` where the LP has
+    no feasible point; with no pair there is nothing to solve."""
+    r, c = problem.rows, problem.cols
+    n, band, rate = len(r), problem.unlicensed_hz, problem.rate_bps_hz
+    u, alpha = np.zeros((2, *problem.offered.shape))
+    if n:
+        a_ub, b_ub, a_eq, b_eq = [], [], [], []
+        for k in np.flatnonzero(problem.min_rate_bps[r, c] > 0):
+            a_ub.append(np.zeros(2 * n))
+            a_ub[-1][[k, n + k]] = -1.0, -band
+            b_ub.append(-problem.min_rate_bps[r[k], c[k]] / rate[r[k]])
+        for i in np.unique(r):
+            on = np.concatenate([r == i, np.zeros(n, dtype=bool)])
+            a_ub.append(on * 1.0)
+            b_ub.append(problem.budget_hz[i])
+            a_eq.append(np.roll(on, n) * 1.0)
+            b_eq.append(problem.access[i])
+        gain = problem.price_per_bit[r, c] * rate[r]
+        res = linprog(
+            -np.concatenate([gain, gain * band]),
+            A_ub=np.array(a_ub), b_ub=b_ub, A_eq=np.array(a_eq), b_eq=b_eq,
+            bounds=[(0.0, None)] * n + [(0.0, 1.0)] * n, method="highs",
         )
-
-    return LPModel(
-        c=np.concatenate([m.c for m in models]),
-        ub=triplets("ub", "b_ub"),
-        b_ub=np.concatenate([m.b_ub for m in models]),
-        eq=triplets("eq", "b_eq"),
-        b_eq=np.concatenate([m.b_eq for m in models]),
-        bounds=np.concatenate([m.bounds for m in models]),
-        u_col=np.concatenate([m.u_col + o for m, o in zip(models, col_at)]),
-        alpha_col=np.concatenate([m.alpha_col + o for m, o in zip(models, col_at)]),
-    )
+        assert res.status in (0, 2), res.message
+        if res.status == 2:
+            return None
+        u[r, c], alpha[r, c] = np.split(np.clip(res.x, 0.0, [np.inf] * n + [1.0] * n), 2)
+    return solution_from_arrays(problem, u, alpha, "linprog")
 
 
-def _reference_linprog(models):
-    """The stacked solve as first written: ``A_ub`` and ``A_eq`` as two
-    block-diagonal ``coo_array`` matrices, handed to ``linprog``."""
-    stack = _block_diagonal(models)
-    n = len(stack.c)
+def _reference_family(problem):
+    """The blamed family, from ``linprog`` on the two relaxations."""
+    pool = sum(problem.mno_budget_hz.tolist())
+    if _reference_solution(replace(problem, budget_hz=np.full(problem.n_links, pool))) is not None:
+        return FAMILY_BUDGET
+    if _reference_solution(replace(problem, access=problem.offered.any(axis=1))) is not None:
+        return FAMILY_ACCESS
+    return FAMILY_QOS
 
-    def matrix(part, rhs):
-        rows, cols, values = getattr(stack, part)
-        return coo_array((values, (rows, cols)), shape=(len(getattr(stack, rhs)), n))
 
-    return linprog(
-        stack.c,
-        A_ub=matrix("ub", "b_ub"),
-        b_ub=stack.b_ub,
-        A_eq=matrix("eq", "b_eq"),
-        b_eq=stack.b_eq,
-        bounds=stack.bounds,
-        method="highs",
-    )
+def _checked_oracle(problem):
+    """``solve_lp_oracle(problem)``, checked against ``linprog``: the
+    same status and blamed family, and an optimum within 1e-12 of the
+    reference's at a violation of at most 1e-12.  ``None`` where the
+    problem has no feasible point."""
+    want = _reference_solution(problem)
+    if want is None:
+        with pytest.raises(InfeasibleProblem) as err:
+            solve_lp_oracle(problem)
+        assert err.value.family == _reference_family(problem)
+        return None
+    got = solve_lp_oracle(problem)
+    assert abs(got.objective - want.objective) <= 1e-12 * max(1.0, abs(want.objective))
+    assert got.max_violation() <= 1e-12
+    return got
+
+
+def _all_coalitions(members):
+    return [frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)]
+
+
+def _assert_restrictions_match(market):
+    """Every coalition's value, from one ``coalition_values`` call, is
+    bit for bit the checked oracle's optimum on the restricted problem,
+    0.0 where that has no feasible point.  Returns how many have none."""
+    coalitions = _all_coalitions(market.members)
+    # a duplicate and the empty coalition change no value
+    got = coalition_values(market, coalitions[:1] + [frozenset(), coalitions[0]] + coalitions[1:])
+    assert got[1] == 0.0
+    want = [_checked_oracle(market.restrict(c)) for c in coalitions]
+    values = [0.0 if sol is None else sol.objective for sol in want]
+    assert [v.hex() for v in got[:1] + got[2:]] == [v.hex() for v in values[:1] + values]
+    return want.count(None)
 
 
 def _random_markets(seed, passes=10):
@@ -466,107 +517,68 @@ def _random_markets(seed, passes=10):
 _MARKETS = _random_markets(1)
 
 
-def _assert_same_lp(problems, pairs=None):
-    """HiGHS on ``pairs``, the pairs of ``problems`` in one stack (by
-    default the one problem's own block), returns what ``linprog``
-    returns on the block diagonal of their one-block models."""
-    if pairs is None:
-        (problem,) = problems
-        pairs = _problem_pairs(problem)
-    got = _highs(_lp_model(pairs))
-    want = _reference_linprog([_lp_model(_problem_pairs(p)) for p in problems])
-    assert got.status == want.status
-    if want.x is None:
-        assert got.x is None
-    else:
-        assert got.x.tobytes() == want.x.tobytes()
-    return want.status
-
-
-def _sorted_triplets(triplets):
-    """``(row, col, value)`` triplets in CSC order, by column and then row."""
-    order = np.lexsort((triplets[0], triplets[1]))
-    return [t[order] for t in triplets]
-
-
-def test_highs_call_matches_linprog_bit_for_bit():
+def test_oracle_matches_the_linprog_reference():
     # all 480 markets under every variant, infeasible ones included
-    statuses = [_assert_same_lp([as_variant(p, v)]) for p in _MARKETS for v in VARIANTS]
-    assert len(statuses) == 1440
-    assert set(statuses) == {0, 2}
+    solved = [_checked_oracle(as_variant(p, v)) for p in _MARKETS for v in VARIANTS]
+    assert len(solved) == 1440
+    assert 0 < solved.count(None) < 1440
 
 
 def test_stacked_highs_call_matches_linprog_bit_for_bit():
-    # every coalition of a market in one stack, as the game solves them;
-    # under s1 most stacks hold an infeasible block
+    # every coalition of a market in one solve_lp_coalitions call, as the
+    # game solves them: each value is bit for bit the checked oracle's
+    # optimum on the restricted problem, and None exactly where linprog
+    # finds no feasible point; under s1 most stacks hold an infeasible block
     statuses = set()
     for problem in _MARKETS[::8]:
-        members = problem.members
         for variant in ("s1", "s3"):
             market = as_variant(problem, variant)
-            coalitions = [
-                frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)
+            coalitions = _all_coalitions(market.members)
+            got = solve_lp_coalitions(market, market.coalition_mask(coalitions))
+            want = [_checked_oracle(market.restrict(c)) for c in coalitions]
+            assert [v is None for v in got] == [sol is None for sol in want]
+            assert [v.hex() for v in got if v is not None] == [
+                sol.objective.hex() for sol in want if sol is not None
             ]
-            restricted = [market.restrict(c) for c in coalitions]
-            # the game's mask pass lays out the block diagonal of the
-            # restricted problems' one-block models
-            masked = _coalition_pairs(market, market.coalition_mask(coalitions))
-            statuses.add(_assert_same_lp(restricted, masked))
-            got = _lp_model(masked)
-            want = _block_diagonal([_lp_model(_problem_pairs(p)) for p in restricted])
-            for name in ("c", "b_ub", "b_eq", "bounds", "u_col", "alpha_col"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            for name in ("ub", "eq"):
-                got_t, want_t = (_sorted_triplets(getattr(m, name)) for m in (got, want))
-                for a, b in zip(got_t, want_t):
-                    assert a.tobytes() == b.tobytes(), name
-    assert statuses == {0, 2}
-
-
-def _reference_values(restricted):
-    """The optimal welfare of each of ``restricted``, 0.0 where it has
-    no feasible point: ``linprog`` on the block diagonal of their
-    one-block models, or on each model alone where that stack is
-    infeasible, each block's value read as ``solution_from_arrays``
-    computes it."""
-    models = [_lp_model(_problem_pairs(p)) for p in restricted]
-    stack = _reference_linprog(models)
-    if stack.status == 2:
-        xs = [_reference_linprog([m]).x for m in models]
-    else:
-        col_at = np.cumsum([len(m.c) for m in models])
-        xs = np.split(stack.x, col_at[:-1])
-    values = []
-    for problem, model, x in zip(restricted, models, xs):
-        if x is None:
-            values.append(0.0)
-            continue
-        x = np.clip(x, model.bounds[:, 0], model.bounds[:, 1])
-        r, c = problem.rows, problem.cols
-        u, alpha = np.zeros((2, *problem.offered.shape))
-        u[r, c], alpha[r, c] = x[model.u_col], x[model.alpha_col]
-        values.append(solution_from_arrays(problem, u, alpha, "lp").objective)
-    return values
+            statuses.update(v is None for v in got)
+    assert statuses == {False, True}
 
 
 def test_coalition_values_match_restricted_stacks_bit_for_bit():
-    # the game's mask pass against linprog on the restricted problems;
-    # under s1 and s2 most stacks hold an infeasible block, so the
-    # one-by-one fallback runs too
-    infeasible = 0
-    for problem in _MARKETS[::8]:
-        members = problem.members
-        coalitions = [
-            frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)
-        ]
-        for variant in VARIANTS:
-            market = as_variant(problem, variant)
-            want = _reference_values([market.restrict(c) for c in coalitions])
-            infeasible += want.count(0.0)
-            # a duplicate and the empty coalition change neither the
-            # stack nor its values
-            asked = coalitions[:1] + [frozenset(), coalitions[0]] + coalitions[1:]
-            got = coalition_values(market, asked)
-            assert got[1] == 0.0
-            assert [v.hex() for v in got[:1] + got[2:]] == [v.hex() for v in want[:1] + want]
+    # under s1 and s2 many coalitions miss their floors
+    infeasible = sum(
+        _assert_restrictions_match(as_variant(problem, variant))
+        for problem in _MARKETS[::8]
+        for variant in VARIANTS
+    )
     assert infeasible > 0
+
+
+def test_a_dense_deployment_matches_the_linprog_reference():
+    # the size of the benchmark's dense deployments: 160 links of two
+    # operators and their default services, airtime shares drawn at random
+    scenario = generate_topology(
+        "two-mno-urban", seed=5, bs_per_mno=20, ues_per_bs=4, cell_size_m=200.0, wifi_aps=40
+    )
+    rng = np.random.default_rng(5)
+    shares = {link.id: float(rng.uniform(0.05, 0.6)) for link in scenario.links}
+    estimate = AccessEstimate(access=shares, provenance=dict.fromkeys(shares, "table"))
+    solved = [_checked_oracle(build_problem(scenario, estimate, v)) for v in VARIANTS]
+    # unlicensed only, the floors need more airtime than the links hold
+    assert solved[0] is None and None not in solved[1:]
+    assert solved[2].problem.n_links == 160
+
+
+def _edge_markets(case):
+    if case == "no-services":
+        return [build_problem(_market(), ESTIMATE)]
+    if case == "no-band":
+        return [replace(p, unlicensed_hz=0.0) for p in _MARKETS[:48:4]]
+    return [replace(p, price_per_bit=np.zeros_like(p.price_per_bit)) for p in _MARKETS[:48:4]]
+
+
+@pytest.mark.parametrize("case", ["no-services", "no-band", "no-tariffs"])
+def test_edge_markets_match_the_linprog_reference(case):
+    for problem in _edge_markets(case):
+        for variant in VARIANTS:
+            _assert_restrictions_match(as_variant(problem, variant))

@@ -310,11 +310,13 @@ def _reference_project_local(s, u, a):
 
 def _reference_repair(s, u, a, tol=REPAIR_TOL, max_rounds=REPAIR_MAX_ROUNDS):
     """The repaired ``(u, a)``, the rounds after the first projection,
-    and whether the QoS shortfall ended within ``tol``."""
+    and whether the QoS shortfall ended within ``tol``; a round that does
+    not lower the shortfall is the last."""
     u, a = _reference_project_local(s, u, a)
     denom = 1.0 + s.band_ratio * s.band_ratio
-    rounds = 0
-    while _qos_shortfall(s, u, a) > tol and rounds < max_rounds:
+    rounds, last = 0, math.inf
+    while tol < _qos_shortfall(s, u, a) < last and rounds < max_rounds:
+        last = _qos_shortfall(s, u, a)
         slack = np.maximum((s.qos - (u + s.band_ratio * a)) * s.active, 0.0)
         scale = slack / denom
         u, a = _reference_project_local(s, u + scale, a + scale * s.band_ratio)
@@ -533,8 +535,8 @@ def test_unpaid_slices_match_their_first_form():
 
 def test_an_unfinished_repair_is_flagged():
     # the s1 variant of these markets is infeasible: no repair reaches
-    # every QoS floor, and both solvers say so in the solution's flags
-    # and the trace's round count, as their first form does
+    # every QoS floor, and both solvers say so in the solution's flags,
+    # as their first form does
     rng = np.random.default_rng(1)
     for _ in range(3):
         market = random_problem(rng, feasible_for="coalitions")
@@ -554,7 +556,8 @@ def test_an_unfinished_repair_is_flagged():
                 solution, trace = got
                 assert (REPAIR_INCOMPLETE in solution.flags) is not feasible
                 assert (solution.max_violation() <= 1e-6) is feasible
-                assert (trace.repair_rounds < REPAIR_MAX_ROUNDS) is feasible
+                # an infeasible repair stops once its shortfall stalls
+                assert trace.repair_rounds < REPAIR_MAX_ROUNDS
 
 
 def test_trace_memory_stays_within_a_block():
