@@ -22,7 +22,7 @@ from .mboe import PROV_FALLBACK, estimate_access
 from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import Scenario, load_scenario
 from .solvers import solve_admm
-from .topology import generate_topology
+from .topology import check_generation, generate_topology
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +65,8 @@ class ExperimentPlan:
             raise ValueError("sweep needs at least one value")
         if not all(0 < v < math.inf for v in self.values):
             raise ValueError("sweep values must be positive and finite")
+        if not 0 < self.table_duration_s < math.inf:
+            raise ValueError("table duration must be positive and finite")
         # enumeration and canonical labeling stop at this size
         if not 1 <= self.table_max_size <= CANONICAL_MAX_VERTICES:
             raise ValueError(
@@ -75,6 +77,9 @@ class ExperimentPlan:
                 f"a pinned scenario file cannot be swept along {self.axis!r};"
                 " topology axes regenerate the deployment"
             )
+        if self.scenario_path is None:
+            for value in self.values:
+                check_generation(**_generation_at(self, value))
 
 
 @dataclass(frozen=True)
@@ -102,22 +107,22 @@ class ResultRow:
         return self.licensed_bps[l] + self.unlicensed_bps[l]
 
 
-def _scenario_at(plan: ExperimentPlan, value: float) -> Scenario:
+def _generation_at(plan: ExperimentPlan, value: float) -> dict:
+    """The generation parameters of the deployment at sweep ``value``."""
+    names = ("kind", "bs_per_mno", "ues_per_bs", "cell_size_m", "wifi_aps")
+    knobs = {name: getattr(plan, name) for name in names}
     if plan.axis == "density":
-        plan = replace(plan, wifi_aps=int(round(value)))
+        knobs["wifi_aps"] = int(round(value))
     elif plan.axis == "cell_size":
-        plan = replace(plan, cell_size_m=value)
+        knobs["cell_size_m"] = value
+    return knobs
+
+
+def _scenario_at(plan: ExperimentPlan, value: float) -> Scenario:
     if plan.scenario_path is not None:
         base = load_scenario(plan.scenario_path)
     else:
-        base = generate_topology(
-            plan.kind,
-            seed=plan.seed,
-            bs_per_mno=plan.bs_per_mno,
-            ues_per_bs=plan.ues_per_bs,
-            cell_size_m=plan.cell_size_m,
-            wifi_aps=plan.wifi_aps,
-        )
+        base = generate_topology(seed=plan.seed, **_generation_at(plan, value))
     if plan.axis != "min_qos":
         return base
     services = sorted(base.services, key=lambda s: s.id)

@@ -19,16 +19,17 @@ coalition can block a split that passes it (market 76 drawn by
 egalitarian split pays operators {1, 2, 4} 2771.4 against their joint
 value 2848.0, and the check reports it in the core).  With two
 operators it is the full core condition.  The convexity probe tests
-supermodularity on every coalition of a market of up to five
-operators, pair by pair over one table of coalition values; a convex
-game has a non-empty core, which says nothing about whether a given
-split lies in it.
+supermodularity on every coalition, pair by pair; a convex game has a
+non-empty core, which says nothing about whether a given split lies in
+it.
 
-An agreement carries the grand coalition's solution it splits (whose
-``u_hz`` and ``alpha`` are read-only ``(links, slices)`` arrays) and
-the two numbers its split is computed from, the grand coalition's
-optimum and every member's standalone value, so the worth and core
-checks read them and solve nothing.
+Each game step reads its coalition values from one table per market,
+filled in one pass and indexed by member bitmask
+(:func:`~slicenet.problem.solve_lp_coalitions`, which refuses a market
+of more than ``MAX_COALITION_MEMBERS`` operators before solving).  An
+agreement carries the grand coalition's solution it splits, its
+optimum and the table its split is computed from, so the worth and
+core checks read them and solve nothing.
 """
 
 from __future__ import annotations
@@ -53,27 +54,29 @@ def _scale(*values: float) -> float:
 # coalition values
 
 
-def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
-    """Optimal welfare of the market restricted to each coalition.
+def _table(problem: SlicingProblem) -> tuple[float, ...]:
+    """Every coalition's value by member bitmask.  An infeasible one
+    admits nothing and is worth zero, mirroring an operator that cannot
+    meet its own floors and so signs nobody up."""
+    return tuple(0.0 if v is None else v for v in solve_lp_coalitions(problem))
 
-    Each distinct non-empty coalition is solved once, in order of first
-    appearance, all of them together in one pass that
-    :func:`~slicenet.problem.solve_lp_coalitions` lays out from the
-    market's arrays, with no per-coalition problem or solution.  A value
-    is bit for bit the oracle's optimum on the restricted market, however
-    many coalitions are asked beside it.  An infeasible restriction
-    admits nothing and is worth zero, and so is the empty coalition;
-    that convention keeps values defined for every coalition, mirroring
-    an operator that cannot meet its own floors and so signs nobody up.
+
+def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
+    """Optimal welfare of the market restricted to each coalition, read
+    from the market's coalition table: bit for bit the oracle's optimum
+    on the restricted market, or zero where that has no feasible point.
     A coalition keeps the airtime shares estimated on the full
     deployment: a lone operator still contends with everyone on the
     shared band.
     """
-    keys = [frozenset(c) for c in coalitions]
-    distinct = [k for k in dict.fromkeys(keys) if k]
-    solved = solve_lp_coalitions(problem, problem.coalition_mask(distinct))
-    value = {k: 0.0 if v is None else v for k, v in zip(distinct, solved)}
-    return [value.get(k, 0.0) for k in keys]
+    bit = {i: 1 << j for j, i in enumerate(problem.members)}
+    masks = []
+    for coalition in map(frozenset, coalitions):
+        if not coalition <= bit.keys():
+            raise ValueError(f"coalition {sorted(coalition)} not among members")
+        masks.append(sum(bit[i] for i in coalition))
+    table = _table(problem)
+    return [table[mask] for mask in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +91,21 @@ class SlicingAgreement:
     and airtime fractions per link and slice) with its problem;
     ``x[l][i]`` is the currency-per-second share of slice ``l``'s worth
     assigned to member ``i``.  ``optimum`` is the grand coalition's
-    optimal welfare and ``standalone[j]`` the value of member
-    ``solution.problem.members[j]`` alone, as :func:`default_division`
-    solved them; a ``dataclasses.replace`` copy keeps them.
+    optimal welfare and ``values[mask]`` the value of the coalition
+    whose bit ``j`` marks ``solution.problem.members[j]``, as
+    :func:`default_division` solved them; a ``dataclasses.replace``
+    copy keeps them.
     """
 
     solution: SlicingSolution
     x: tuple[tuple[float, ...], ...]
     optimum: float
-    standalone: tuple[float, ...]
+    values: tuple[float, ...]
+
+    @property
+    def standalone(self) -> tuple[float, ...]:
+        """``standalone[j]``: the value of member ``j`` alone."""
+        return tuple(self.values[1 << j] for j in range(len(self.solution.problem.members)))
 
     def member_share(self, mno_id: int) -> float:
         j = self.solution.problem.members.index(mno_id)
@@ -188,29 +197,18 @@ def check_core(agreement: SlicingAgreement) -> CoreVerdict:
     eps = EPS_REL * _scale(optimum)
     total = agreement.total_allocated()
     gap = optimum - total
+    failing, reason = None, ""
     if gap > eps:
-        return CoreVerdict(
-            in_core=False,
-            optimum=optimum,
-            welfare_gap=gap,
-            failing_mno=None,
-            reason=f"allocated welfare {total:.6g} short of optimum {optimum:.6g}",
-        )
-    for i, floor in zip(p.members, agreement.standalone):
-        share = agreement.member_share(i)
-        if share < floor - eps:
-            return CoreVerdict(
-                in_core=False,
-                optimum=optimum,
-                welfare_gap=gap,
-                failing_mno=i,
-                reason=(
-                    f"operator {i} gets {share:.6g},"
-                    f" below its standalone {floor:.6g}"
-                ),
-            )
+        reason = f"allocated welfare {total:.6g} short of optimum {optimum:.6g}"
+    else:
+        for i, floor in zip(p.members, agreement.standalone):
+            share = agreement.member_share(i)
+            if share < floor - eps:
+                failing = i
+                reason = f"operator {i} gets {share:.6g}, below its standalone {floor:.6g}"
+                break
     return CoreVerdict(
-        in_core=True, optimum=optimum, welfare_gap=gap, failing_mno=None, reason=""
+        in_core=not reason, optimum=optimum, welfare_gap=gap, failing_mno=failing, reason=reason
     )
 
 
@@ -236,10 +234,12 @@ def default_division(problem: SlicingProblem, rule: str = "egalitarian") -> Slic
     """
     if rule not in DIVISION_RULES:
         raise ValueError(f"unknown division rule {rule!r}")
+    # the table first, so a market too large for it is refused unsolved
+    values = _table(problem)
     solution = solve_lp_oracle(problem)
     v_star = solution.objective
     members = problem.members
-    t = tuple(coalition_values(problem, [{i} for i in members]))
+    t = tuple(values[1 << j] for j in range(len(members)))
     surplus = v_star - sum(t)
     assert surplus >= -EPS_REL * _scale(v_star), (
         f"optimal welfare {v_star} below summed standalone values {sum(t)}"
@@ -254,16 +254,13 @@ def default_division(problem: SlicingProblem, rule: str = "egalitarian") -> Slic
         else:
             shares = [v_star / len(members) for _ in members]
 
-    x = []
-    for l in range(problem.n_services):
-        worth = solution.slice_worth(l)
-        frac = worth / v_star if v_star > 0 else 0.0
-        x.append(tuple(s * frac for s in shares))
+    worths = map(solution.slice_worth, range(problem.n_services))
+    fracs = [worth / v_star if v_star > 0 else 0.0 for worth in worths]
     return SlicingAgreement(
         solution=solution,
-        x=tuple(x),
+        x=tuple(tuple(s * frac for s in shares) for frac in fracs),
         optimum=v_star,
-        standalone=t,
+        values=values,
     )
 
 
@@ -293,21 +290,19 @@ class ConvexityReport:
 def convexity_probe(problem: SlicingProblem) -> ConvexityReport:
     """Verify increasing marginal value of joining larger coalitions.
 
-    Every coalition is valued in one :func:`coalition_values` call, by
-    its bitmask of member positions.  The game is convex exactly when
-    v(S∪{i,j}) − v(S∪{j}) ≥ v(S∪{i}) − v(S) for every S and every pair
-    i < j outside it (Shapley, 1971).  Every such pair is checked, hence
-    the cap of five operators; a violation is the triple ({i}, S, S∪{j}).
+    Every coalition is read from one table of values by its bitmask of
+    member positions.  The game is convex exactly when v(S∪{i,j}) −
+    v(S∪{j}) ≥ v(S∪{i}) − v(S) for every S and every pair i < j outside
+    it (Shapley, 1971).  Every such pair is checked; a violation is the
+    triple ({i}, S, S∪{j}).
     """
     members = problem.members
-    if len(members) > 5:
-        raise ValueError("exhaustive probe capped at 5 operators")
+    value = _table(problem)
+    grand = len(value) - 1
 
     def ids(mask: int) -> frozenset[int]:
         return frozenset(i for j, i in enumerate(members) if mask >> j & 1)
 
-    grand = (1 << len(members)) - 1
-    value = [0.0, *coalition_values(problem, map(ids, range(1, grand + 1)))]
     # among m members a triple's gap v(C∪O) − v(O) − v(C∪N) + v(N) sums
     # |C|·|O∖N| ≤ m²/4 pairwise gaps, so a pass here passes every triple at EPS_REL
     eps = EPS_REL * _scale(value[grand]) / max(1, len(members) ** 2 // 4)

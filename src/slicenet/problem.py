@@ -16,23 +16,23 @@ Every row of the LP involves one link: a QoS floor per offered pair,
 a licensed cap per link and an airtime equality per link.  So the LP
 splits into one small LP per link, each solved in closed form by a
 greedy fill (:func:`_fill`), vectorised over ``(links, slices)``
-arrays.  :func:`solve_lp_coalitions` values the restrictions of one
-market to many coalitions in one such fill over every coalition's
-links, straight from the market's arrays, in one pass of masks over
-coalitions, links and slices: it builds no restricted problem and no
-solution, and :meth:`SlicingProblem.restrict` is the one-coalition
-case of its pooling rule.  No solver library is called, so no command
-imports scipy.
+arrays.  Each link's licensed cap is pooled from the members' budgets
+by one rule (:func:`_pooled`), for the market itself, a restriction
+(:meth:`SlicingProblem.restrict`) or every coalition at once:
+:func:`solve_lp_coalitions` values them all in one such fill, into a
+table indexed by member bitmask, with no restricted problem built.  No
+solver library is called, so no command imports scipy.
 
 Three deployment variants share one problem shape: ``s1`` zeroes the
-licensed budgets (unlicensed only), ``s2`` zeroes the airtime
-entitlements (licensed only), and ``s3`` keeps both.
+members' budgets and so every licensed cap (unlicensed only), ``s2``
+zeroes the airtime entitlements (licensed only), and ``s3`` keeps both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING
 
@@ -82,16 +82,15 @@ class SlicingProblem:
     """Immutable LP data, one row per link, one column per slice.
 
     The numeric fields are read-only numpy arrays, copied once from any
-    array-like: ``rate_bps_hz``, ``access`` and ``budget_hz`` hold one
-    entry per link, ``mno_budget_hz`` one per member, and ``offered``
-    (bool), ``min_rate_bps`` and ``price_per_bit`` are ``(links,
-    slices)``.  The labels (``link_ids``, ``link_owner``,
-    ``service_ids``, ``members``, ``ssg``) stay tuples.  Problems compare
-    by identity; compare their fields with ``np.array_equal``.
+    array-like: ``rate_bps_hz`` and ``access`` hold one entry per link,
+    ``mno_budget_hz`` one per member, and ``offered`` (bool),
+    ``min_rate_bps`` and ``price_per_bit`` are ``(links, slices)``.
+    The labels (``link_ids``, ``link_owner``, ``service_ids``,
+    ``members``, ``ssg``) stay tuples.  Problems compare by identity;
+    compare their fields with ``np.array_equal``.
 
-    ``budget_hz`` holds the licensed cap per link: the summed bandwidth
-    of every operator that pools spectrum for at least one slice the
-    link's owner participates in.
+    The licensed cap per link, :attr:`budget_hz`, is derived from the
+    members' budgets, so a member's budget is the only way a cap enters.
 
     ``offered[k, l]`` marks the (link, slice) pairs that carry
     variables at all; pairs outside an owner's sharing groups are
@@ -105,7 +104,6 @@ class SlicingProblem:
     mno_budget_hz: np.ndarray
     rate_bps_hz: np.ndarray
     access: np.ndarray
-    budget_hz: np.ndarray
     offered: np.ndarray
     min_rate_bps: np.ndarray
     price_per_bit: np.ndarray
@@ -130,12 +128,15 @@ class SlicingProblem:
             ("mno_budget_hz", float, (len(self.members),)),
             ("rate_bps_hz", float, (n,)),
             ("access", float, (n,)),
-            ("budget_hz", float, (n,)),
             ("offered", bool, (n, m)),
             ("min_rate_bps", float, (n, m)),
             ("price_per_bit", float, (n, m)),
         ):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype, shape, name))
+        budget = self.mno_budget_hz
+        for bad, what in ((~np.isfinite(budget), "non-finite"), (budget < 0, "negative")):
+            if bad.any():
+                raise ValueError(f"member {self.members[bad.argmax()]} has a {what} budget")
         owned = np.equal.outer(self.link_owner, self.members).any(axis=1)
         in_range = (self.access >= 0.0) & (self.access <= 1.0)
         for bad, what in (
@@ -177,46 +178,39 @@ class SlicingProblem:
         """The bandwidth scale that normalizes hertz in the solvers and in
         violation reports: the largest of the unlicensed band, any budget
         and 1 Hz."""
-        return max(
-            self.unlicensed_hz,
-            max(self.budget_hz.tolist(), default=0.0),
-            max(self.mno_budget_hz.tolist(), default=0.0),
-            1.0,
-        )
+        return max(self.unlicensed_hz, *self.budget_hz.tolist(), *self.mno_budget_hz.tolist(), 1.0)
+
+    @cached_property
+    def budget_hz(self) -> np.ndarray:
+        """The licensed cap per link, read-only: the summed budgets of
+        every member that pools spectrum for a slice the link offers,
+        the grand coalition's row of :func:`_pooled`."""
+        # with no operators there are no links either, and nothing to pool
+        joined = np.ones((1, len(self.members)), dtype=bool)
+        budget = _pooled(self, joined)[3][0] if self.members else np.zeros(0)
+        budget.setflags(write=False)
+        return budget
 
     # -- coalition restriction -------------------------------------------
-
-    def coalition_mask(self, coalitions) -> np.ndarray:
-        """``joined[k, j]``: member ``j`` belongs to ``coalitions[k]``.
-
-        Each coalition is a set of member ids; one with a non-member
-        raises ``ValueError``.
-        """
-        members = set(self.members)
-        for coalition in coalitions:
-            if not coalition <= members:
-                raise ValueError(f"coalition {sorted(coalition)} not among members")
-        return np.array(
-            [[j in c for j in self.members] for c in coalitions], dtype=bool
-        ).reshape(len(coalitions), len(self.members))
 
     def restrict(self, coalition) -> SlicingProblem:
         """The same market limited to ``coalition``.
 
         Only the coalition's links remain, sharing groups shrink to
-        coalition members, and each link's licensed cap is rebuilt from
-        the budgets of the operators still pooling for it.  A link
-        whose owner no longer shares any slice is carried along with
-        zero entitlements so per-link reports keep their shape.  This
-        is the one-coalition case of :func:`_pooled`, the mask pass
-        :func:`solve_lp_coalitions` runs over many coalitions at once.
+        coalition members, and so each link's licensed cap follows from
+        the budgets of the members still pooling for it.  A link whose
+        owner no longer shares any slice is carried along with zero
+        entitlements so per-link reports keep their shape.  This is the
+        one-coalition case of :func:`_pooled`, the mask pass
+        :func:`solve_lp_coalitions` runs over every coalition at once.
         """
         coalition = frozenset(coalition)
         if not coalition:
             raise ValueError("empty coalition")
-        joined = self.coalition_mask([coalition])
-        keep, offered, access, budget = _pooled(self, joined)
-        keep, budget = keep[0], budget[0]
+        if not coalition <= set(self.members):
+            raise ValueError(f"coalition {sorted(coalition)} not among members")
+        joined = np.array([[j in coalition for j in self.members]])
+        (keep,), offered, access, _ = _pooled(self, joined)
         return replace(
             self,
             link_ids=tuple(compress(self.link_ids, keep)),
@@ -225,7 +219,6 @@ class SlicingProblem:
             mno_budget_hz=self.mno_budget_hz[joined[0]],
             rate_bps_hz=self.rate_bps_hz[keep],
             access=access[keep],
-            budget_hz=budget[keep],
             offered=offered[keep],
             min_rate_bps=self.min_rate_bps[keep],
             price_per_bit=self.price_per_bit[keep],
@@ -234,8 +227,8 @@ class SlicingProblem:
 
 
 def _pooled(problem: SlicingProblem, joined: np.ndarray):
-    """The pooling rule of :meth:`SlicingProblem.restrict`, for a stack
-    of coalitions at once.
+    """The pooling rule of every licensed cap, for a stack of coalitions
+    at once.
 
     ``joined[k, j]`` marks member ``j`` of coalition ``k``.  Returns
     ``keep[k, i]``, whether link ``i``'s owner is in coalition ``k``;
@@ -303,7 +296,6 @@ def build_problem(
         # no services that is every link, and this unpooled market must
         # not hold airtime there to begin with
         access=tuple(shares) if service_ids else (0.0,) * len(links),
-        budget_hz=(0.0,) * len(links),
         offered=((True,) * len(service_ids),) * len(links),
         min_rate_bps=tuple(
             tuple(scenario.min_throughput_bps(link.owner, sid) for sid in service_ids)
@@ -325,19 +317,15 @@ def build_problem(
 def as_variant(problem: SlicingProblem, variant: str) -> SlicingProblem:
     """Rewrite a problem under another deployment variant.
 
-    ``s1`` zeroes every licensed budget, ``s2`` zeroes every airtime
-    entitlement, ``s3`` returns the problem with both resources intact.
-    Only the resource caps change; tariffs and floors stay put.
+    ``s1`` zeroes every member's budget and so every licensed cap,
+    ``s2`` zeroes every airtime entitlement, ``s3`` returns the problem
+    with both resources intact.  Only the resource caps change; tariffs
+    and floors stay put.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "s1":
-        return replace(
-            problem,
-            variant=variant,
-            budget_hz=np.zeros(problem.n_links),
-            mno_budget_hz=np.zeros(len(problem.members)),
-        )
+        return replace(problem, variant=variant, mno_budget_hz=np.zeros(len(problem.members)))
     if variant == "s2":
         return replace(problem, variant=variant, access=np.zeros(problem.n_links))
     return replace(problem, variant=variant)
@@ -519,17 +507,6 @@ def _fill(offered, price, floor, rate, cap, access, unlicensed: float):
     return out[0], out[1], need - cap <= FEASIBLE_REL * floor_hz.sum(axis=1)
 
 
-def _feasible(problem: SlicingProblem, budget_hz, access) -> bool:
-    """Whether ``problem`` under these licensed caps and airtime shares,
-    per link, has a feasible point."""
-    p = problem
-    *_, met = _fill(
-        p.offered, p.price_per_bit, p.min_rate_bps, p.rate_bps_hz, budget_hz, access,
-        p.unlicensed_hz,
-    )
-    return bool(met.all())
-
-
 def _blame_family(problem: SlicingProblem) -> str:
     """Name the cheapest relaxation that would restore feasibility.
 
@@ -540,29 +517,47 @@ def _blame_family(problem: SlicingProblem) -> str:
     fix it.  ``qos``: the floors exceed even those caps, so the demand
     itself is the problem.
     """
-    pool = sum(problem.mno_budget_hz.tolist())
-    if _feasible(problem, pool, problem.access):
-        return FAMILY_BUDGET
-    if _feasible(problem, problem.budget_hz, problem.offered.any(axis=1) * 1.0):
-        return FAMILY_ACCESS
+    p = problem
+    for family, cap, access in (
+        (FAMILY_BUDGET, sum(p.mno_budget_hz.tolist()), p.access),
+        (FAMILY_ACCESS, p.budget_hz, p.offered.any(axis=1) * 1.0),
+    ):
+        *_, met = _fill(
+            p.offered, p.price_per_bit, p.min_rate_bps, p.rate_bps_hz, cap, access,
+            p.unlicensed_hz,
+        )
+        if met.all():
+            return family
     return FAMILY_QOS
 
 
-def solve_lp_coalitions(problem: SlicingProblem, joined: np.ndarray) -> list[float | None]:
-    """The optimal welfare of ``problem`` restricted to each coalition.
+#: The most members whose coalitions :func:`solve_lp_coalitions` values: at
+#: 3 slices, 8 take 28 ms and 24 MiB at 192 links, 12 take 0.37 s and 301 MiB
+#: at 144 links (2-core Xeon)
+MAX_COALITION_MEMBERS = 8
 
-    ``joined[k, j]`` marks member ``j`` of coalition ``k``
-    (:meth:`SlicingProblem.coalition_mask`); every coalition is
-    non-empty.  One pass of masks over coalitions, links and slices
-    (:func:`_pooled`) gives every coalition's links their pooled caps
-    straight from the market's arrays, with no restricted problem
-    built, and one :func:`_fill` over all of them solves every link.
+
+def solve_lp_coalitions(problem: SlicingProblem) -> list[float | None]:
+    """The optimal welfare of ``problem`` restricted to each coalition
+    of its members, by bitmask: entry ``mask`` values the coalition whose
+    bit ``j`` marks ``problem.members[j]``, and entry 0 (the empty one)
+    is 0.0.  One pass of masks (:func:`_pooled`) gives every
+    coalition's links their pooled caps straight from the market's
+    arrays, and one :func:`_fill` solves every link of every coalition.
     Each value is summed as :func:`solution_from_arrays` sums an
     objective, so it is bit for bit ``solve_lp_oracle`` of
-    ``problem.restrict`` of that coalition, whatever else is asked
-    beside it.  ``None`` marks a coalition with no feasible point.
+    ``problem.restrict`` of that coalition; ``None`` marks one with no
+    feasible point.  More than :data:`MAX_COALITION_MEMBERS` members
+    raise ``ValueError`` before anything is solved.
     """
-    p = problem
+    p, size = problem, len(problem.members)
+    if size > MAX_COALITION_MEMBERS:
+        raise ValueError(
+            f"{size} operators have {2**size - 1} coalitions; the coalition table"
+            f" holds at most {MAX_COALITION_MEMBERS} operators"
+        )
+    # row k is the coalition of bitmask k + 1
+    joined = (np.arange(1, 1 << size)[:, None] >> np.arange(size) & 1).astype(bool)
     keep, offered, access, budget = _pooled(p, joined)
     k, (n, m) = len(joined), offered.shape
     price, rate = np.tile(p.price_per_bit, (k, 1)), np.tile(p.rate_bps_hz, k)
@@ -573,7 +568,7 @@ def solve_lp_coalitions(problem: SlicingProblem, joined: np.ndarray) -> list[flo
     # the pairs a coalition does not offer earn exactly 0.0, which
     # leaves each sum as it is
     revenue = _revenue(price, u, alpha, p.unlicensed_hz, rate[:, None]).reshape(k, n * m)
-    return [
+    return [0.0] + [
         sum(row, 0.0) if ok else None
         for row, ok in zip(revenue.tolist(), met.reshape(k, n).all(axis=1).tolist())
     ]

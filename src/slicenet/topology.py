@@ -41,12 +41,21 @@ DEFAULT_LICENSED_HZ = 2.0e7
 DEFAULT_UNLICENSED_HZ = 2.0e7
 
 
-def _check_cell(cell_size_m: float) -> float:
+def check_generation(
+    kind: str, bs_per_mno: int, ues_per_bs: int, cell_size_m: float, wifi_aps: int,
+    n_mnos: int = 2,
+) -> None:
+    """Raise ``ValueError`` for generation parameters outside their domain."""
     if not MIN_CELL_M <= cell_size_m <= MAX_CELL_M:
         raise ValueError(
             f"cell size {cell_size_m} m outside [{MIN_CELL_M:g}, {MAX_CELL_M:g}] m"
         )
-    return float(cell_size_m)
+    if kind not in KINDS:
+        raise ValueError(f"unknown topology kind {kind!r}; expected one of {KINDS}")
+    if n_mnos < 1 or bs_per_mno < 1 or ues_per_bs < 1:
+        raise ValueError("operator, station, and user counts must be positive")
+    if wifi_aps < 0:
+        raise ValueError(f"access point count {wifi_aps} is negative")
 
 
 def _ue_offset(rng: np.random.Generator, cell_size_m: float) -> tuple[float, float]:
@@ -119,11 +128,8 @@ def generate_topology(
     licensed spectrum and the unlicensed band is ``DEFAULT_UNLICENSED_HZ``
     wide.
     """
-    cell = _check_cell(cell_size_m)
-    if kind not in KINDS:
-        raise ValueError(f"unknown topology kind {kind!r}; expected one of {KINDS}")
-    if n_mnos < 1 or bs_per_mno < 1 or ues_per_bs < 1:
-        raise ValueError("operator, station, and user counts must be positive")
+    check_generation(kind, bs_per_mno, ues_per_bs, cell_size_m, wifi_aps, n_mnos)
+    cell = float(cell_size_m)
     # independent streams per purpose: adding access points must not
     # move the base stations or users of an otherwise identical draw
     rng = np.random.default_rng([seed, 1])
@@ -192,7 +198,6 @@ def bottleneck_preset() -> SlicingProblem:
         mno_budget_hz=(5.0e6, 5.0e6),
         rate_bps_hz=(4.0, 4.0),
         access=(0.5, 0.5),
-        budget_hz=(1.0e7, 1.0e7),
         offered=((True, True), (True, True)),
         min_rate_bps=((1.0e7, 2.0e7), (1.0e7, 2.0e7)),
         price_per_bit=((1.0e-6, 2.0e-6), (1.0e-6, 2.0e-6)),
@@ -278,7 +283,6 @@ def random_problem(
         mno_budget_hz=tuple(budget_of[m] for m in members),
         rate_bps_hz=tuple(rate),
         access=tuple(xi),
-        budget_hz=tuple(pool for _ in range(n_links)),
         offered=tuple(tuple(True for _ in service_ids) for _ in range(n_links)),
         min_rate_bps=tuple(eta),
         price_per_bit=tuple(price),

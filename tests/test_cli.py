@@ -366,13 +366,25 @@ def test_malformed_list_exits_2(capsys, argv):
         ["experiment", "--axis", "min_qos", "--values", "1e6,nan"],
         ["experiment", "--axis", "density", "--values", "1", "--table-max-size", "9"],
         ["experiment", "--axis", "density", "--values", "1", "--scenario", "sc.json"],
+        # generation parameters, refused before the access table is built
+        ["experiment", "--axis", "density", "--values", "1", "--bs-per-mno", "0"],
+        ["experiment", "--axis", "density", "--values", "1", "--ues-per-bs", "0"],
+        ["experiment", "--axis", "density", "--values", "1", "--cell-size", "50"],
+        ["experiment", "--axis", "cell_size", "--values", "400,50"],
+        ["experiment", "--axis", "density", "--values", "1", "--table-duration", "0"],
+        ["experiment", "--axis", "density", "--values", "1", "--table-duration", "nan"],
+        ["experiment", "--axis", "density", "--values", "1", "--table-duration", "inf"],
         ["gen", "--kind", "grid", "--cell-size", "50"],
         ["gen", "--kind", "grid", "--mnos", "0"],
+        ["gen", "--kind", "grid", "--wifi-aps", "-5"],
         ["table", "--max-size", "0"],
         ["table", "--max-size", "7"],
     ],
     ids=["values-0", "values-inf", "values-nan", "min-qos-nan", "table-max-size-9",
-         "scenario-density", "cell-size-50", "mnos-0", "max-size-0", "max-size-7"],
+         "scenario-density", "experiment-bs-per-mno-0", "experiment-ues-per-bs-0",
+         "experiment-cell-size-50", "cell-size-values-50", "table-duration-0",
+         "table-duration-nan", "table-duration-inf", "cell-size-50", "mnos-0",
+         "wifi-aps-negative", "max-size-0", "max-size-7"],
 )
 def test_parameter_outside_its_domain_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

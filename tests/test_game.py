@@ -18,6 +18,7 @@ from slicenet.game import (
     default_division,
 )
 from slicenet.problem import (
+    MAX_COALITION_MEMBERS,
     InfeasibleProblem,
     SlicingProblem,
     as_variant,
@@ -216,6 +217,9 @@ def test_agreement_carries_the_values_it_splits(rule):
         agreement = default_division(problem, rule=rule)
         singletons = [{i} for i in problem.members]
         assert agreement.optimum == solve_lp_oracle(problem).objective
+        assert len(agreement.values) == 2 ** len(problem.members)
+        # the table's grand entry is the oracle's optimum, bit for bit
+        assert agreement.values[-1] == agreement.optimum
         assert agreement.standalone == tuple(coalition_values(problem, singletons))
         zeros += agreement.standalone.count(0.0)
     assert zeros > 0
@@ -251,7 +255,7 @@ def test_division_worth_and_core_share_their_lps(lp_calls):
         agreement = default_division(problem)
         worth = compute_worth(agreement)
         verdict = check_core(agreement)
-        # the grand coalition alone, then every standalone LP in one pass
+        # the grand coalition's oracle, then every coalition in one pass
         assert len(lp_calls) == 2
         assert worth == fresh["worth"]
         assert verdict == fresh["core"]
@@ -267,7 +271,7 @@ def test_worth_and_core_read_the_agreement_without_solving(lp_calls):
     # a copy keeps the values it was split from
     skewed = tuple((row[0] * 0.5, row[1] + row[0] * 0.5) for row in agreement.x)
     copy = replace(agreement, x=skewed)
-    assert (copy.optimum, copy.standalone) == (agreement.optimum, agreement.standalone)
+    assert (copy.optimum, copy.values) == (agreement.optimum, agreement.values)
     assert check_core(copy).failing_mno == 1
     assert check_core(agreement).in_core
     compute_worth(copy)
@@ -337,3 +341,44 @@ def test_all_coalitions_in_one_pass(lp_calls, monkeypatch):
         assert [v.hex() for v in alone] == [v.hex() for v in values]
     assert min(coalition_values(problem, coalitions)) > 0.0
     assert 0.0 in alone
+
+
+def _pooled_market(size):
+    """``size`` operators with a link each, all pooling one slice."""
+    members = tuple(range(1, size + 1))
+    return SlicingProblem(
+        link_ids=tuple(f"l{i}" for i in members),
+        link_owner=members,
+        service_ids=(1,),
+        members=members,
+        mno_budget_hz=np.full(size, 1e6),
+        rate_bps_hz=np.ones(size),
+        access=np.full(size, 0.5),
+        offered=np.ones((size, 1), dtype=bool),
+        min_rate_bps=np.zeros((size, 1)),
+        price_per_bit=np.full((size, 1), 1e-6),
+        unlicensed_hz=2e7,
+        ssg=(frozenset(members),),
+    )
+
+
+def test_a_market_past_the_table_bound_is_refused_unsolved(lp_calls):
+    assert MAX_COALITION_MEMBERS == 8
+    large = _pooled_market(9)
+    for step in (
+        lambda: coalition_values(large, [{1}]),
+        lambda: default_division(large),
+        lambda: convexity_probe(large),
+    ):
+        with pytest.raises(ValueError, match="at most 8 operators"):
+            step()
+    assert lp_calls == []
+    # at the bound every step is served, each from one pass over the
+    # table of 255 coalitions
+    market = _pooled_market(8)
+    agreement = default_division(market)
+    assert len(agreement.values) == 256 and len(lp_calls) == 2
+    assert check_core(agreement).in_core
+    report = convexity_probe(market)
+    assert report.ok and report.checked == 28 * 2**6
+    assert len(lp_calls) == 3

@@ -17,6 +17,7 @@ from slicenet.problem import (
     VARIANTS,
     InfeasibleProblem,
     SlicingProblem,
+    _fill,
     as_variant,
     build_problem,
     solution_from_arrays,
@@ -36,7 +37,6 @@ def _single_link(min_rate=1e7, access=1.0, budget=2e7, rate=2.0):
         mno_budget_hz=(budget,),
         rate_bps_hz=(rate,),
         access=(access,),
-        budget_hz=(budget,),
         offered=((True,),),
         min_rate_bps=((min_rate,),),
         price_per_bit=((1e-6,),),
@@ -77,7 +77,6 @@ def test_restricted_pool_blames_budget():
         mno_budget_hz=(1e7, 3e7),
         rate_bps_hz=(1.0,),
         access=(0.5,),
-        budget_hz=(1e7,),
         offered=((True,),),
         min_rate_bps=((3.5e7,),),
         price_per_bit=((1e-6,),),
@@ -109,7 +108,6 @@ def test_blame_ignores_links_that_offer_nothing():
         mno_budget_hz=(5e6, 5e6),
         rate_bps_hz=(1.0, 1.0),
         access=(0.2, 0.0),
-        budget_hz=(5e6, 0.0),
         offered=((True,), (False,)),
         min_rate_bps=((2.0e7,), (0.0,)),
         price_per_bit=((1e-6,), (1e-6,)),
@@ -274,7 +272,6 @@ def test_restrict_matches_its_loop_form():
         mno_budget_hz=rng.uniform(5e6, 2e7, 9),
         rate_bps_hz=np.ones(9),
         access=np.full(9, 0.5),
-        budget_hz=np.zeros(9),
         offered=np.ones((9, 1), dtype=bool),
         min_rate_bps=np.zeros((9, 1)),
         price_per_bit=np.ones((9, 1)),
@@ -335,7 +332,6 @@ def test_offered_mask_must_cover_airtime_holders():
             mno_budget_hz=(1e7,),
             rate_bps_hz=(2.0,),
             access=(0.5,),
-            budget_hz=(1e7,),
             offered=((False,),),
             min_rate_bps=((0.0,),),
             price_per_bit=((1e-6,),),
@@ -402,10 +398,28 @@ def test_non_finite_input_rejected(field, value, message):
 
 @pytest.mark.parametrize("budget", [math.inf, math.nan])
 def test_oracle_refuses_a_non_finite_cap(budget):
-    # an infinite cap leaves the LP unbounded; the problem itself is
-    # made, as the iterative solvers check their budgets when they start
+    # an infinite cap leaves the LP unbounded; no problem is made with a
+    # non-finite budget, but the closed form keeps its own check
+    p = _single_link()
     with pytest.raises(ValueError, match="licensed caps must be finite"):
-        solve_lp_oracle(_single_link(budget=budget))
+        _fill(
+            p.offered, p.price_per_bit, p.min_rate_bps, p.rate_bps_hz, np.array([budget]),
+            p.access, p.unlicensed_hz,
+        )
+
+
+def test_caps_follow_the_member_budgets():
+    base = bottleneck_preset()
+    assert base.budget_hz.tolist() == [1e7, 1e7]
+    assert not base.budget_hz.flags.writeable
+    lean = replace(base, mno_budget_hz=(1e6, 1e6))
+    assert lean.budget_hz.tolist() == [2e6, 2e6]
+    assert replace(base, mno_budget_hz=(1e6, 3e6)).budget_hz.tolist() == [4e6, 4e6]
+    # the oracle and the coalition table price the same market: the
+    # grand coalition is worth the optimum, bit for bit
+    (grand,) = coalition_values(lean, [{1, 2}])
+    assert grand == solve_lp_oracle(lean).objective == 172.0
+    assert coalition_values(lean, [{1}, {2}]) == [78.0, 78.0]
 
 
 def test_access_share_bounds_checked():
@@ -453,9 +467,10 @@ def _reference_solution(problem):
 
 
 def _reference_family(problem):
-    """The blamed family, from ``linprog`` on the two relaxations."""
-    pool = sum(problem.mno_budget_hz.tolist())
-    if _reference_solution(replace(problem, budget_hz=np.full(problem.n_links, pool))) is not None:
+    """The blamed family, from ``linprog`` on the two relaxations: every
+    member pooling for every slice, then the full channel."""
+    pooled = replace(problem, ssg=(frozenset(problem.members),) * problem.n_services)
+    if _reference_solution(pooled) is not None:
         return FAMILY_BUDGET
     if _reference_solution(replace(problem, access=problem.offered.any(axis=1))) is not None:
         return FAMILY_ACCESS
@@ -481,6 +496,15 @@ def _checked_oracle(problem):
 
 def _all_coalitions(members):
     return [frozenset(c) for r in range(1, len(members) + 1) for c in combinations(members, r)]
+
+
+def _bitmask_coalitions(members):
+    """Every non-empty coalition in table order: bit ``j`` of its index
+    marks ``members[j]``."""
+    return [
+        frozenset(i for j, i in enumerate(members) if mask >> j & 1)
+        for mask in range(1, 1 << len(members))
+    ]
 
 
 def _assert_restrictions_match(market):
@@ -533,8 +557,9 @@ def test_stacked_highs_call_matches_linprog_bit_for_bit():
     for problem in _MARKETS[::8]:
         for variant in ("s1", "s3"):
             market = as_variant(problem, variant)
-            coalitions = _all_coalitions(market.members)
-            got = solve_lp_coalitions(market, market.coalition_mask(coalitions))
+            coalitions = _bitmask_coalitions(market.members)
+            empty, *got = solve_lp_coalitions(market)
+            assert empty == 0.0 and len(got) == len(coalitions)
             want = [_checked_oracle(market.restrict(c)) for c in coalitions]
             assert [v is None for v in got] == [sol is None for sol in want]
             assert [v.hex() for v in got if v is not None] == [
