@@ -12,14 +12,18 @@ own root, so each builds what it runs from its own sources, and every
 run lasts the benchmark's ``run_seconds``.
 
 For every workload the script makes ``--pairs`` untraced runs per side
-(``--trace 0``), alternating which side goes first from pair to pair so
-that a slow spell of a shared host falls on both, and then one traced run
-per side (``--trace 1``).  It writes, per workload:
+(``--trace 0``, 10 by default, the fewest a claimed gain rests on),
+alternating which side goes first from pair to pair so that a slow spell
+of a shared host falls on both, and then ``TRACED_RUNS`` traced runs per
+side (``--trace 1``), alternating in the same way.  It writes, per
+workload:
 
 - ``end_to_end``: per metric and side, the median, first and third
   quartiles and every run's value, and in how many pairs the change did
   better (``better`` as ``BENCHMARK.json`` declares it);
-- ``per_layer``: each side's traced per-layer metrics;
+- ``per_layer``: each side's traced per-layer metrics, each the median
+  over that side's traced runs, so that one run's garbage collection
+  does not move a layer's number;
 - the runs' attempted and failed request counts and source hashes.
 
 Top-level fields give the revisions, the exact command, the repeat counts
@@ -53,6 +57,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: traced runs per side and workload, whose median each per-layer metric is
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -180,10 +186,12 @@ def bench_workload(workload: str, sides: dict, bench: dict, args) -> dict:
         for side in order:
             print(f"{workload}: pair {pair + 1}/{args.pairs}, {side}", file=sys.stderr)
             plain[side].append(run_once(sides[side], bench, workload, args.seed, 0))
-    traced = {}
-    for side, root in sides.items():
-        print(f"{workload}: traced, {side}", file=sys.stderr)
-        traced[side] = run_once(root, bench, workload, args.seed, 1)
+    traced = {side: [] for side in sides}
+    for run in range(TRACED_RUNS):
+        order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            print(f"{workload}: traced {run + 1}/{TRACED_RUNS}, {side}", file=sys.stderr)
+            traced[side].append(run_once(sides[side], bench, workload, args.seed, 1))
 
     end_to_end = {}
     for metric in bench["end_to_end"]:
@@ -203,17 +211,20 @@ def bench_workload(workload: str, sides: dict, bench: dict, args) -> dict:
         metric["name"]: {
             "unit": metric["unit"],
             "better": metric["better"],
-            **{side: value(traced[side], metric["name"]) for side in sides},
+            **{
+                side: statistics.median(value(r, metric["name"]) for r in traced[side])
+                for side in sides
+            },
         }
         for metric in bench["per_layer"]
-        if all(metric["name"] in traced[side]["result"]["metrics"] for side in sides)
+        if all(metric["name"] in r["result"]["metrics"] for runs in traced.values() for r in runs)
     }
     counts = {
         side: {
             "attempted": sum(r["result"]["attempted"] for r in plain[side]),
             "failed": sum(r["result"]["failed"] for r in plain[side]),
-            "traced_attempted": traced[side]["result"]["attempted"],
-            "traced_failed": traced[side]["result"]["failed"],
+            "traced_attempted": sum(r["result"]["attempted"] for r in traced[side]),
+            "traced_failed": sum(r["result"]["failed"] for r in traced[side]),
             "source_sha256": plain[side][0]["provenance"]["host"]["source_sha256"],
         }
         for side in sides
@@ -227,7 +238,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<N>.json")
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--pairs", type=int, default=5, help="untraced runs per side and workload")
+    parser.add_argument("--pairs", type=int, default=10, help="untraced runs per side and workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--workloads", default=",".join(w["name"] for w in bench["workloads"]),
@@ -258,7 +269,7 @@ def main(argv=None) -> int:
             [*bench["command"], "--workload", "<workload>", "--seed", str(args.seed),
              "--seconds", str(bench["run_seconds"]), "--trace", "<0 untraced, 1 traced>"]
         ),
-        "repeats": {"untraced_pairs": args.pairs, "traced_runs_per_side": 1},
+        "repeats": {"untraced_pairs": args.pairs, "traced_runs_per_side": TRACED_RUNS},
         "host": host_block(sample),
         "workloads": report,
         "tier1": tier1,

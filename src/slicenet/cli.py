@@ -9,7 +9,8 @@ stderr and map to stable exit codes:
     2  usage (argparse, solver settings such as --gamma 0, a table
        --max-size outside 1..6, and experiment and gen parameters outside
        their domain)
-    3  scenario file problems
+    3  scenario file problems, and ``game`` on a scenario with no
+       operators
     4  infeasible allocation problem
     5  simulation or estimation inputs unusable
     1  anything else
@@ -34,7 +35,7 @@ from .coexist import (
 )
 from .contention import CANONICAL_MAX_VERTICES, GraphTooLargeError
 from .experiments import AXES, ExperimentPlan, run_experiment
-from .game import check_core, compute_worth, default_division
+from .game import NoOperatorsError, check_core, compute_worth, default_division
 from .mboe import TableMissError, estimate_access, remove_mno
 from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
 from .scenario import ScenarioError, load_scenario, save_scenario
@@ -478,6 +479,8 @@ def main(argv=None) -> int:
         return _fail("usage", exc, EXIT_USAGE)
     except ScenarioError as exc:
         return _fail("scenario", exc, EXIT_SCENARIO)
+    except NoOperatorsError as exc:
+        return _fail("no-operators", exc, EXIT_SCENARIO)
     except InfeasibleProblem as exc:
         return _fail(f"infeasible-{exc.family}", exc.message, EXIT_INFEASIBLE)
     except (SimConfigError, GraphTooLargeError) as exc:

@@ -251,6 +251,7 @@ def report(rows: list[ResultRow], out_dir) -> list[Path]:
                         cells.append(f"{r.unlicensed_bps[l]:.10g}")
                     else:
                         cells.append(f"{r.admitted_bps(l):.10g}")
+                lines.append("\t".join(cells))
             path = out / f"series_{band}_s{sid}.tsv"
             path.write_text("\n".join(lines) + "\n")
             written.append(path)

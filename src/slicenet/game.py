@@ -23,10 +23,12 @@ supermodularity on every coalition, pair by pair; a convex game has a
 non-empty core, which says nothing about whether a given split lies in
 it.
 
-Each game step reads its coalition values from one table per market,
-filled in one pass and indexed by member bitmask
-(:func:`~slicenet.problem.solve_lp_coalitions`, which refuses a market
-of more than ``MAX_COALITION_MEMBERS`` operators before solving).  An
+Every game step reads its coalition values from one table per market,
+filled in one pass, indexed by member bitmask and kept on the problem
+(:attr:`~slicenet.problem.SlicingProblem.coalition_table`, from
+:func:`~slicenet.problem.solve_lp_coalitions`, which refuses a market
+of more than ``MAX_COALITION_MEMBERS`` operators before solving), so
+the division and the convexity probe of one market share it.  An
 agreement carries the grand coalition's solution it splits, its
 optimum and the table its split is computed from, so the worth and
 core checks read them and solve nothing.
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .problem import SlicingProblem, SlicingSolution, solve_lp_coalitions, solve_lp_oracle
+from .problem import SlicingProblem, SlicingSolution, solve_lp_oracle
 
 #: Relative tolerance for welfare comparisons, tied to solver accuracy.
 EPS_REL = 1e-6
@@ -50,15 +52,24 @@ def _scale(*values: float) -> float:
     return max(1.0, *(abs(v) for v in values))
 
 
+class NoOperatorsError(ValueError):
+    """A market with no operators has no coalition to value and nobody to
+    pay, so every game step refuses it before solving anything."""
+
+
 # ---------------------------------------------------------------------------
 # coalition values
 
 
 def _table(problem: SlicingProblem) -> tuple[float, ...]:
-    """Every coalition's value by member bitmask.  An infeasible one
-    admits nothing and is worth zero, mirroring an operator that cannot
-    meet its own floors and so signs nobody up."""
-    return tuple(0.0 if v is None else v for v in solve_lp_coalitions(problem))
+    """Every coalition's value by member bitmask, from the problem's own
+    table.  An infeasible one admits nothing and is worth zero,
+    mirroring an operator that cannot meet its own floors and so signs
+    nobody up.  A market with no operators raises
+    :class:`NoOperatorsError`."""
+    if not problem.members:
+        raise NoOperatorsError("the market has no operators, so there is no game to play")
+    return tuple(0.0 if v is None else v for v in problem.coalition_table)
 
 
 def coalition_values(problem: SlicingProblem, coalitions) -> list[float]:
@@ -234,7 +245,8 @@ def default_division(problem: SlicingProblem, rule: str = "egalitarian") -> Slic
     """
     if rule not in DIVISION_RULES:
         raise ValueError(f"unknown division rule {rule!r}")
-    # the table first, so a market too large for it is refused unsolved
+    # the table first, so a market with no operators or too many for the
+    # table is refused unsolved
     values = _table(problem)
     solution = solve_lp_oracle(problem)
     v_star = solution.objective

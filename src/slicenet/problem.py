@@ -191,6 +191,13 @@ class SlicingProblem:
         budget.setflags(write=False)
         return budget
 
+    @cached_property
+    def coalition_table(self) -> tuple[float | None, ...]:
+        """Every coalition's optimal welfare by member bitmask, as
+        :func:`solve_lp_coalitions` values them, computed once per
+        problem: every game step on the market reads this table."""
+        return tuple(solve_lp_coalitions(self))
+
     # -- coalition restriction -------------------------------------------
 
     def restrict(self, coalition) -> SlicingProblem:

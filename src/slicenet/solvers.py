@@ -7,20 +7,29 @@ scaled dual ties them together.  Each X update touches one link's own
 prices, rates, and entitlements only; the consensus side works purely
 on (Z, dual) blocks plus the per-pair QoS bounds.  That boundary is
 what lets operators run the per-link updates locally without shipping
-their tariffs to the coordinator.  Every link's update runs in one
-batched call of :func:`alpha_subproblem` and :func:`w_subproblem` over
-dense ``(links, slices)`` rows, and ``test_link_updates_take_only_local_state``
-checks the boundary on these functions, so on the update that runs:
+their tariffs to the coordinator.  :func:`alpha_subproblem` and
+:func:`w_subproblem` state each link's two updates, and
+``test_link_updates_take_only_local_state`` checks the boundary on
+them and on :func:`project_links`, the one stacked call that runs both:
 each takes only link-local parameters, and other links' rows never
 change a link's updated row.
 
+A link's airtime total is a share of at most 1, so the airtime cap
+``a <= 1`` never binds: the airtime update is the plain simplex
+projection, the same water fill that the licensed update takes where
+its budget binds.  :func:`project_links` therefore projects every
+link's licensed and airtime rows in one water fill over a
+``(2 links, slices)`` stack, clamps the airtime half at 1 against
+roundoff, and keeps the licensed box where it fits the budget.  The
+licensed half is bit for bit :func:`w_subproblem`'s, the airtime half
+within roundoff of :func:`alpha_subproblem`'s.
+
 The loops hold each side pair as one stacked ``(2, links, slices)``
-block, licensed then airtime: the X iterate, Z, the dual, the repair's
-allocation and the subgradient's average.  The block functions write
-their halves of X in place, :func:`z_projection` writes Z straight into
-the trace block, and the dual step and the residual differences are one
-numpy call per stack, into buffers allocated once per solve.  Every
-output is bit for bit what one fresh array per update gave.
+block, licensed then airtime: the X iterate and its projection target,
+Z, the dual, the repair's allocation and the subgradient's average.
+:func:`z_projection` writes Z straight into the trace block, and the
+target, the dual step and the residual differences are one or two
+numpy calls per stack, into buffers allocated once per solve.
 
 A projected dual subgradient method on the same split serves as the
 baseline; both report per-iteration traces of their own iterates'
@@ -118,6 +127,35 @@ def w_subproblem(z, dual, gamma: float, budget, absent, gains, out=None) -> np.n
     return budget_box_rows(z - dual + gains / gamma, budget, absent, math.inf, out)
 
 
+def project_links(y, totals, absent, out) -> np.ndarray:
+    """Every link's licensed and airtime rows onto the link's own sets,
+    in one stacked call, written into ``out``.
+
+    ``y``, ``absent`` and ``out`` stack each link's licensed row over its
+    airtime row, ``(2, links, slices)``, with NaN in ``y`` exactly where
+    ``absent`` holds; ``totals`` stacks the budgets, which passed
+    :func:`check_budgets`, over the airtime totals of
+    :func:`feasible_totals`, each at most 1.  The licensed row goes onto
+    ``{sum u <= budget, u >= 0}`` and the airtime row onto
+    ``{sum a = total, 0 <= a <= 1}``.  Both halves take one water fill
+    (``capped_simplex_rows`` with no cap): on the airtime half no share
+    of the fill exceeds its total, so the cap holds but for roundoff,
+    which one clamp at 1 removes; on the licensed half it is the budget's
+    equality projection, and a row whose positive part fits the budget
+    keeps that box instead, as :func:`budget_box_rows` rules.
+    """
+    n, m = y.shape[1:]
+    capped_simplex_rows(
+        y.reshape(2 * n, m), totals.reshape(-1), absent.reshape(2 * n, m), math.inf,
+        out.reshape(2 * n, m),
+    )
+    np.minimum(out[1], 1.0, out=out[1])
+    box = np.maximum(y[0], 0.0)
+    np.putmask(box, absent[0], 0.0)
+    np.copyto(out[0], box, where=(box.sum(axis=1) <= totals[0])[:, None])
+    return out
+
+
 def z_projection(x, dual, band_ratio: float, qos_bound, out=None) -> np.ndarray:
     """Consensus update: project (X + dual) onto the QoS halfspaces.
 
@@ -158,8 +196,9 @@ class _Scaled:
 
     The per-link sets are fixed for the whole solve, so the airtime
     totals and licensed budgets are checked here, once, with the
-    projections' own errors; ``xi_total`` holds the airtime totals as
-    the projection clips them, and ``absent`` the pairs it leaves out.
+    projections' own errors; ``totals`` stacks the budgets over the
+    airtime totals as the projection clips them, and ``absent`` stacks
+    the pairs it leaves out, twice, as :func:`project_links` takes them.
     The solver loops then call the unchecked projection cores.
     """
 
@@ -168,7 +207,6 @@ class _Scaled:
         check_budgets(problem.budget_hz)
         self.problem = problem
         self.active = problem.offered
-        self.absent = ~self.active
         self.offered = self.active.sum(axis=1, keepdims=True)
         self.width = problem.width
         self.band_ratio = problem.unlicensed_hz / self.width
@@ -182,7 +220,8 @@ class _Scaled:
         self.qos = qos
         self.budget = problem.budget_hz / self.width
         self.xi = problem.access
-        self.xi_total = feasible_totals(self.xi, self.offered[:, 0], 1.0)
+        self.totals = np.stack([self.budget, feasible_totals(self.xi, self.offered[:, 0], 1.0)])
+        self.absent = np.stack([~self.active, ~self.active])
         self.dim = 2 * int(self.offered.sum())
         #: the repair's step along each QoS normal, licensed then airtime
         self.normal = np.array([1.0, self.band_ratio])[:, None, None]
@@ -203,9 +242,7 @@ class _Scaled:
     def project_local(self, ua: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Exact projection of a padded allocation onto every link's own
         feasibility sets, written into ``out``."""
-        budget_box_rows(ua[0], self.budget, self.absent, math.inf, out[0])
-        capped_simplex_rows(ua[1], self.xi_total, self.absent, 1.0, out[1])
-        return out
+        return project_links(ua, self.totals, self.absent, out)
 
     def qos_shortfalls(self, ua: np.ndarray) -> np.ndarray:
         """Largest QoS floor violation of each allocation ``ua[k] = (u, a)``."""
@@ -370,9 +407,11 @@ def solve_admm(
     # dual keep the pairs a link does not offer at 0, so z needs no
     # masking
     lam = np.zeros((2, n, m))
-    x = np.empty((2, n, m))
+    x, target = np.empty((2, 2, n, m))
+    # the gains' pull on the projection target, recomputed only when the
+    # penalty changes
     gains = s.pad(s.gain)
-    (lam_u, lam_a), (x_u, x_a), (gain_u, gain_a) = lam, x, gains
+    pull = gains / gamma
     eps = tol * math.sqrt(s.dim)
     # each block's z iterates, after the last one of the block before
     block = _block_len(2 * n * m, max_iter)
@@ -388,9 +427,10 @@ def solve_admm(
         residuals = []
         for k in range(1, min(block, max_iter + 1 - first) + 1):
             z_prev = zs[k - 1]
-            z_u, z_a = z_prev
-            alpha_subproblem(z_a, lam_a, gamma, s.xi_total, s.absent, gain_a, x_a)
-            w_subproblem(z_u, lam_u, gamma, s.budget, s.absent, gain_u, x_u)
+            # both block functions' targets, z - dual + gains / gamma
+            np.subtract(z_prev, lam, out=target)
+            target += pull
+            s.project_local(target, x)
             z = z_projection(x, lam, s.band_ratio, s.qos, zs[k])
             dual_update(lam, x, z)
 
@@ -405,9 +445,11 @@ def solve_admm(
             if primal > 10.0 * dual and dual > 0:
                 gamma *= 2.0
                 lam /= 2.0
+                np.divide(gains, gamma, out=pull)
             elif dual > 10.0 * primal and primal > 0:
                 gamma /= 2.0
                 lam *= 2.0
+                np.divide(gains, gamma, out=pull)
         done = len(residuals)
         primals, duals = zip(*residuals)
         trace.rows += _trace_rows(first, s.objectives(zs[1 : done + 1]), primals, duals)
@@ -432,10 +474,11 @@ def solve_subgradient(
     """Projected dual subgradient on the QoS floors.
 
     The QoS constraints are priced into the objective; the priced
-    problem separates per link, where the maximizer is a greedy fill of
-    the airtime simplex and an all-in licensed draw on the best-paying
-    slice.  Steps shrink as ``1/sqrt(t)`` and the reported allocation
-    is the repaired running average of the primal iterates.  A zero
+    problem separates per link, where the maximizer puts the link's
+    whole airtime share, and its whole licensed budget where that pays,
+    on each side's best-paying slice.  Steps shrink as ``1/sqrt(t)`` and
+    the reported allocation is the repaired running average of the
+    primal iterates.  A zero
     ``step_scale`` freezes the multipliers, so the trace objective
     stays constant; that degenerate case anchors the tests.  Settings
     outside their domain raise :class:`SolverSettingError`.
@@ -448,31 +491,34 @@ def solve_subgradient(
         trace.converged = True
         return s.to_solution(np.zeros((n, m)), np.zeros((n, m)), "subgradient"), trace
 
-    # The priced airtime maximizer fills slices best-paying first: the
-    # offered slice ranked r gets clip(xi - r, 0, 1), ranked by a stable
-    # sort of the negated priced gains (NaN where not offered, sorting
-    # last).  The licensed draw goes all-in on the best-paying slice.
-    ranks = np.arange(m)
-    fill = np.where(ranks < s.offered, np.clip(s.xi[:, None] - ranks, 0.0, 1.0), 0.0)
-    neg_gain_a = -s.pad(s.gain_a)
-    gain_u = np.where(s.active, s.gain_u, -np.inf)
-    links = np.arange(n)[:, None]
+    # A greedy fill of the airtime simplex gives the offered slice ranked
+    # r the share clip(xi - r, 0, 1); with xi <= 1 that is xi on the top
+    # slice alone.  So each side of the priced maximizer picks one
+    # column of a coefficient block whose pairs a link does not offer
+    # are -inf, and whose spare first column is 0 on the licensed side (a
+    # link whose best coefficient is not positive draws nothing: argmax
+    # takes the first maximum) and -inf on the airtime side.  The pick
+    # indexes a table of every row an iterate can take, the spare
+    # column's row all 0.
+    coef = np.empty((2, n, m + 1))
+    coef[0, :, 0], coef[1, :, 0] = 0.0, -np.inf
+    slopes = coef[:, :, 1:]
+    gains = np.where(s.active, s.gain, -np.inf)
+    table = np.zeros((2, n, m + 1, m))
+    diag = np.arange(m)
+    table[:, :, diag + 1, diag] = np.stack([s.budget, np.clip(s.xi, 0.0, 1.0)])[:, :, None]
+    table = table.reshape(-1, m)
+    offsets = np.arange(0, 2 * n * (m + 1), m + 1).reshape(2, n)
+    pick = np.empty((2, n), dtype=np.intp)
     lam = np.zeros((n, m))
-    # The licensed coefficients and draws carry a spare column 0 ahead of
-    # each link's slices, with coefficient 0.  A link whose best
-    # coefficient is not positive picks the spare column (argmax takes
-    # the first maximum) and draws there, outside this iteration's (u, a).
-    coef = np.zeros((n, m + 1))
-    draws = np.zeros((n, m + 1))
-    coef_u, drawn, draws_flat = coef[:, 1:], draws[:, 1:], draws.reshape(-1)
-    starts = np.arange(0, n * (m + 1), m + 1)
-    # this iteration's (u, a), overwritten in place: the airtime fill
-    # writes every entry, the licensed draw is copied in
-    x = np.zeros((2, n, m))
+    # this iteration's (u, a), overwritten in place
+    x = np.empty((2, n, m))
     xu, xa = x
-    # the sort keys, the multiplier step and the average's step, written
-    # in place each iteration
-    key, shift = np.empty((2, n, m))
+    # the priced multipliers, the multiplier step and the average's step,
+    # written in place each iteration; the slopes are written from a
+    # contiguous block, which costs less than updating them in place
+    priced = np.empty((2, n, m))
+    shift = np.empty((n, m))
     move = np.empty((2, n, m))
     # running averages and slacks of the block's iterations, reduced to
     # trace columns after it; the pairs a link does not offer stay at 0
@@ -483,13 +529,11 @@ def solve_subgradient(
     for first in range(1, max_iter + 1, block):
         its = range(first, min(first + block, max_iter + 1))
         for k, it in enumerate(its):
-            np.multiply(lam, s.band_ratio, out=key)
-            np.subtract(neg_gain_a, key, out=key)
-            xa[links, key.argsort(axis=1, kind="stable")] = fill
-            np.add(gain_u, lam, out=coef_u)
-            draws.fill(0.0)
-            draws_flat[coef.argmax(axis=1) + starts] = s.budget
-            xu[...] = drawn
+            np.multiply(lam, s.normal, out=priced)
+            np.add(priced, gains, out=slopes)
+            coef.argmax(axis=2, out=pick)
+            pick += offsets
+            table.take(pick, axis=0, out=x)
             np.subtract(x, avg, out=move)
             move /= it
             avg = np.add(avg, move, out=avgs[k])

@@ -239,6 +239,22 @@ def test_link_named_like_an_idle_access_point_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: scenario: contender-ids-unique: link w1")
 
 
+def test_game_on_a_market_with_no_operators_exits_3(workspace, tmp_path, capsys):
+    # a Wi-Fi-only deployment solves to 0, but has no coalition to value
+    _, table = workspace
+    doc = json.loads(COMMITTED.read_text())
+    doc["mnos"], doc["links"] = [], []
+    doc["nodes"] = [node for node in doc["nodes"] if node["kind"] == "wifi"]
+    wifi_only = tmp_path / "wifi_only.json"
+    wifi_only.write_text(json.dumps(doc))
+    argv = ["--scenario", str(wifi_only), "--table", str(table)]
+    assert main(["solve", *argv, "--solver", "lp"]) == 0
+    capsys.readouterr()
+    assert main(["game", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: no-operators: the market has no operators, so there is no game to play\n"
+
+
 def test_infeasible_problem_exits_4(workspace, tmp_path, capsys):
     scenario, table = workspace
     doc = scenario_to_dict(load_scenario(scenario))

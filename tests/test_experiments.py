@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slicenet.experiments import AXES, ExperimentPlan, report, run_experiment
+from slicenet.experiments import AXES, ExperimentPlan, ResultRow, report, run_experiment
 
 
 def _plan(tmp_path, **kw):
@@ -113,3 +113,25 @@ def test_series_files_one_column_per_variant(tmp_path):
     assert len(series) == 2
     header = series[0].read_text().splitlines()[0].split("\t")
     assert header == ["value", "s1", "s3"]
+
+
+def test_series_files_hold_one_row_per_sweep_value(tmp_path):
+    # one row per value, one cell per variant, blank where a cell is missing
+    def row(value, variant, licensed, unlicensed):
+        return ResultRow(
+            value=value, variant=variant, service_ids=(1, 2), licensed_bps=licensed,
+            unlicensed_bps=unlicensed, objective=1.0, oracle_objective=1.0, iterations=3,
+        )
+
+    rows = [
+        row(2.0, "s3", (1.0, 2.0), (3.0, 4.0)),
+        row(1.0, "s3", (5.0, 6.0), (7.0, 8.0)),
+        row(1.0, "s1", (0.0, 0.0), (9.0, 10.0)),
+    ]
+    written = report(rows, tmp_path)
+    assert len(written) == 1 + 3 * 2
+    series = {p.name: p.read_text().splitlines() for p in written[1:]}
+    assert series["series_licensed_s1.tsv"] == ["value\ts1\ts3", "1\t0\t5", "2\t\t1"]
+    assert series["series_unlicensed_s2.tsv"] == ["value\ts1\ts3", "1\t10\t8", "2\t\t4"]
+    assert series["series_admitted_s2.tsv"] == ["value\ts1\ts3", "1\t10\t14", "2\t\t6"]
+    assert all(len(lines) == 3 for lines in series.values())

@@ -11,6 +11,7 @@ from slicenet.game import (
     DIVISION_RULES,
     EPS_REL,
     ConvexityReport,
+    NoOperatorsError,
     check_core,
     coalition_values,
     compute_worth,
@@ -247,21 +248,25 @@ def test_division_worth_and_core_share_their_lps(lp_calls):
     for _ in range(4):
         problem = random_problem(rng, feasible_for="coalitions")
         lp_calls.clear()
-        fresh = {
-            "worth": compute_worth(default_division(problem)),
-            "core": check_core(default_division(problem)),
-        }
-        lp_calls.clear()
         agreement = default_division(problem)
         worth = compute_worth(agreement)
         verdict = check_core(agreement)
-        # the grand coalition's oracle, then every coalition in one pass
+        # every coalition in one pass, kept on the problem, then the
+        # grand coalition's oracle
         assert len(lp_calls) == 2
-        assert worth == fresh["worth"]
-        assert verdict == fresh["core"]
         lp_calls.clear()
+        # the probe and any further division of the market read that table
         assert convexity_probe(problem).ok
+        assert lp_calls == []
+        again = default_division(problem)
         assert len(lp_calls) == 1
+        # a copy of the market, with no table yet, splits the same way
+        fresh = default_division(replace(problem))
+        assert len(lp_calls) == 3
+        for other in (again, fresh):
+            assert other.values == agreement.values
+            assert compute_worth(other) == worth
+            assert check_core(other) == verdict
 
 
 def test_worth_and_core_read_the_agreement_without_solving(lp_calls):
@@ -343,6 +348,28 @@ def test_all_coalitions_in_one_pass(lp_calls, monkeypatch):
     assert 0.0 in alone
 
 
+def test_a_market_with_no_operators_is_refused_unsolved(lp_calls):
+    # what build_problem makes of a Wi-Fi-only deployment: no operators,
+    # no links, and a welfare of 0
+    empty = SlicingProblem(
+        link_ids=(), link_owner=(), service_ids=(1,), members=(), mno_budget_hz=(),
+        rate_bps_hz=(), access=(), offered=np.zeros((0, 1), bool),
+        min_rate_bps=np.zeros((0, 1)), price_per_bit=np.zeros((0, 1)), unlicensed_hz=2e7,
+        ssg=(frozenset(),),
+    )
+    assert solve_lp_oracle(empty).objective == 0.0
+    lp_calls.clear()
+    for step in (
+        lambda: default_division(empty),
+        lambda: convexity_probe(empty),
+        lambda: coalition_values(empty, []),
+    ):
+        with pytest.raises(NoOperatorsError, match="no operators"):
+            step()
+    assert lp_calls == []
+    assert issubclass(NoOperatorsError, ValueError)
+
+
 def _pooled_market(size):
     """``size`` operators with a link each, all pooling one slice."""
     members = tuple(range(1, size + 1))
@@ -373,7 +400,7 @@ def test_a_market_past_the_table_bound_is_refused_unsolved(lp_calls):
         with pytest.raises(ValueError, match="at most 8 operators"):
             step()
     assert lp_calls == []
-    # at the bound every step is served, each from one pass over the
+    # at the bound every step is served from one pass over the market's
     # table of 255 coalitions
     market = _pooled_market(8)
     agreement = default_division(market)
@@ -381,4 +408,4 @@ def test_a_market_past_the_table_bound_is_refused_unsolved(lp_calls):
     assert check_core(agreement).in_core
     report = convexity_probe(market)
     assert report.ok and report.checked == 28 * 2**6
-    assert len(lp_calls) == 3
+    assert len(lp_calls) == 2

@@ -22,6 +22,7 @@ from slicenet.solvers import (
     _Scaled,
     alpha_subproblem,
     dual_update,
+    project_links,
     solve_admm,
     solve_subgradient,
     w_subproblem,
@@ -122,10 +123,13 @@ def test_admm_usually_reaches_gap_first():
 def test_link_updates_take_only_local_state():
     # the per-link solves must stay expressible in link-local data:
     # consensus rows, the penalty, and that link's own total, offered
-    # slices and gains; ``out`` only receives the updated rows
+    # slices and gains; ``out`` only receives the updated rows.  The
+    # stacked step takes the target those make, the totals and the
+    # offered slices
     for fn, total in ((alpha_subproblem, "total"), (w_subproblem, "budget")):
         params = {"z", "dual", "gamma", total, "absent", "gains", "out"}
         assert set(inspect.signature(fn).parameters) == params
+    assert set(inspect.signature(project_links).parameters) == {"y", "totals", "absent", "out"}
     # and each link's row of the update, as solve_admm runs it, reads only
     # that link's rows: redrawing every other link's rows leaves it bit
     # for bit the same
@@ -154,6 +158,14 @@ def test_link_updates_take_only_local_state():
             b[link] = a[link]
         z, dual, total, budget, absent, gains = mine
         z2, dual2, total2, budget2, absent2, gains2 = theirs
+
+        def stacked(z, dual, total, budget, absent, gains):
+            """Both halves in one call, as solve_admm runs them; airtime
+            totals are shares of at most 1 there."""
+            y = np.stack([z, z]) - np.stack([dual, dual]) + np.stack([gains, gains]) / gamma
+            totals = np.stack([budget, np.minimum(total, 1.0)])
+            return project_links(y, totals, np.stack([absent, absent]), np.empty_like(y))
+
         for want, got in (
             (
                 alpha_subproblem(z, dual, gamma, total, absent, gains),
@@ -165,6 +177,44 @@ def test_link_updates_take_only_local_state():
             ),
         ):
             assert got[link].tobytes() == want[link].tobytes()
+        want, got = stacked(*mine), stacked(*theirs)
+        assert got[:, link].tobytes() == want[:, link].tobytes()
+
+
+def test_stacked_step_matches_the_block_functions():
+    # a link's airtime total is a share of at most 1, so the cap of
+    # alpha_subproblem's simplex never binds and project_links takes both
+    # halves in one water fill: the licensed half is w_subproblem's bit
+    # for bit, the airtime half alpha_subproblem's within roundoff and
+    # never above 1
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for _ in range(400):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        offered = rng.random((n, m)) < 0.7
+        count = offered.sum(axis=1)
+        # airtime totals below 1, at exactly 1 and at 0; budgets that
+        # bind, that do not and that are 0
+        xi = rng.uniform(0.0, 1.0, n)
+        xi[rng.random(n) < 0.3] = 1.0
+        xi[(rng.random(n) < 0.1) | (count == 0)] = 0.0
+        total = feasible_totals(xi, count, 1.0)
+        budget = rng.uniform(0.0, 1.5, n)
+        budget[rng.random(n) < 0.2] = 0.0
+        z, dual = rng.uniform(-0.5, 1.5, (2, n, m)), rng.uniform(-0.5, 0.5, (2, n, m))
+        gains = np.where(offered, rng.uniform(0.0, 2.0, (2, n, m)), np.nan)
+        gamma = float(rng.uniform(0.2, 3.0))
+        absent = np.stack([~offered, ~offered])
+        got = project_links(
+            z - dual + gains / gamma, np.stack([budget, total]), absent, np.empty((2, n, m))
+        )
+        licensed = w_subproblem(z[0], dual[0], gamma, budget, ~offered, gains[0])
+        airtime = alpha_subproblem(z[1], dual[1], gamma, total, ~offered, gains[1])
+        assert got[0].tobytes() == licensed.tobytes()
+        assert np.all(got[1] <= 1.0) and np.all(got[1] >= 0.0)
+        assert np.all(got[absent] == 0.0)
+        worst = max(worst, np.abs(got[1] - airtime).max())
+    assert worst <= 1e-15
 
 
 def test_alpha_subproblem_is_projection():
@@ -297,9 +347,10 @@ def _reference_z_projection(u_block, alpha_block, dual_u, dual_alpha, band_ratio
 
 
 def _reference_project_local(s, u, a):
-    """``_Scaled.project_local`` as first written, through the checked
-    public projections."""
-    pa = project_capped_simplex_eq(s.pad(a), s.xi, cap=1.0)
+    """``_Scaled.project_local`` through the checked public projections:
+    an airtime share is at most 1, so the airtime rows take the plain
+    simplex projection, clamped at 1 against roundoff."""
+    pa = np.minimum(project_capped_simplex_eq(s.pad(a), s.xi, cap=math.inf), 1.0)
     return project_budget_box(s.pad(u), s.budget), pa
 
 
@@ -346,7 +397,8 @@ def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
     eps = tol * math.sqrt(s.dim)
 
     for it in range(1, max_iter + 1):
-        xa = project_capped_simplex_eq(za - la + gain_a / gamma, s.xi, cap=1.0)
+        # the airtime projection as _reference_project_local takes it
+        xa = np.minimum(project_capped_simplex_eq(za - la + gain_a / gamma, s.xi, cap=math.inf), 1.0)
         xu = project_budget_box(zu - lu + gain_u / gamma, s.budget)
         zu_prev, za_prev = zu, za
         zu, za = _reference_z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
