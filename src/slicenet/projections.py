@@ -29,10 +29,13 @@ Each public projection is its input checks followed by an unchecked
 core (:func:`capped_simplex_rows`, :func:`budget_box_rows`) that holds
 the only copy of its math.  The solvers' totals, budgets and masks are
 fixed for the whole solve, so ``solvers._Scaled`` checks them once
-(:func:`feasible_totals`, :func:`check_budgets`); the cores are then
-called by the ADMM block functions (``solvers.alpha_subproblem`` and
-``solvers.w_subproblem``) and by the repair's per-link projection.  The
-public projections are the checked entry points for any other caller.
+(:func:`feasible_totals`, :func:`check_budgets`).  An airtime total is
+at most 1, so the solvers' ADMM step and repair project every link's
+licensed and airtime rows in one water fill (``solvers.project_links``);
+the breakpoint walk serves only a finite cap, for the public capped
+projection and the airtime block function ``solvers.alpha_subproblem``
+that gate 8 checks.  The public projections are the checked entry
+points for any other caller.
 """
 
 from __future__ import annotations
