@@ -478,10 +478,10 @@ def solve_subgradient(
     whole airtime share, and its whole licensed budget where that pays,
     on each side's best-paying slice.  Steps shrink as ``1/sqrt(t)`` and
     the reported allocation is the repaired running average of the
-    primal iterates.  A zero
-    ``step_scale`` freezes the multipliers, so the trace objective
-    stays constant; that degenerate case anchors the tests.  Settings
-    outside their domain raise :class:`SolverSettingError`.
+    primal iterates.  A zero ``step_scale`` freezes the multipliers, so
+    the trace objective stays constant; that degenerate case anchors the
+    tests.  Settings outside their domain raise
+    :class:`SolverSettingError`.
     """
     check_settings(max_iter=max_iter, step_scale=step_scale)
     s = _Scaled(problem)

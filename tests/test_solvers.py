@@ -148,6 +148,13 @@ def test_link_updates_take_only_local_state():
             np.where(offered, rng.uniform(0.0, 2.0, (n, m)), np.nan),
         )
 
+    def stacked(gamma, z, dual, total, budget, absent, gains):
+        """Both halves in one call, as solve_admm runs them; airtime
+        totals are shares of at most 1 there."""
+        y = np.stack([z, z]) - np.stack([dual, dual]) + np.stack([gains, gains]) / gamma
+        totals = np.stack([budget, np.minimum(total, 1.0)])
+        return project_links(y, totals, np.stack([absent, absent]), np.empty_like(y))
+
     for _ in range(40):
         n, m = int(rng.integers(2, 8)), int(rng.integers(1, 5))
         gamma = float(rng.uniform(0.2, 3.0))
@@ -158,14 +165,6 @@ def test_link_updates_take_only_local_state():
             b[link] = a[link]
         z, dual, total, budget, absent, gains = mine
         z2, dual2, total2, budget2, absent2, gains2 = theirs
-
-        def stacked(z, dual, total, budget, absent, gains):
-            """Both halves in one call, as solve_admm runs them; airtime
-            totals are shares of at most 1 there."""
-            y = np.stack([z, z]) - np.stack([dual, dual]) + np.stack([gains, gains]) / gamma
-            totals = np.stack([budget, np.minimum(total, 1.0)])
-            return project_links(y, totals, np.stack([absent, absent]), np.empty_like(y))
-
         for want, got in (
             (
                 alpha_subproblem(z, dual, gamma, total, absent, gains),
@@ -177,7 +176,7 @@ def test_link_updates_take_only_local_state():
             ),
         ):
             assert got[link].tobytes() == want[link].tobytes()
-        want, got = stacked(*mine), stacked(*theirs)
+        want, got = stacked(gamma, *mine), stacked(gamma, *theirs)
         assert got[:, link].tobytes() == want[:, link].tobytes()
 
 
@@ -398,7 +397,9 @@ def _reference_solve_admm(problem, gamma=1.0, max_iter=2000, tol=1e-6):
 
     for it in range(1, max_iter + 1):
         # the airtime projection as _reference_project_local takes it
-        xa = np.minimum(project_capped_simplex_eq(za - la + gain_a / gamma, s.xi, cap=math.inf), 1.0)
+        xa = np.minimum(
+            project_capped_simplex_eq(za - la + gain_a / gamma, s.xi, cap=math.inf), 1.0
+        )
         xu = project_budget_box(zu - lu + gain_u / gamma, s.budget)
         zu_prev, za_prev = zu, za
         zu, za = _reference_z_projection(xu, xa, lu, la, s.band_ratio, s.qos)
