@@ -10,7 +10,7 @@ stderr and map to stable exit codes:
        --max-size outside 1..6, and experiment and gen parameters outside
        their domain)
     3  scenario file problems, and ``game`` on a scenario with no
-       operators
+       operators (``no-operators``) or more than 8 (``too-many-operators``)
     4  infeasible allocation problem
     5  simulation or estimation inputs unusable
     1  anything else
@@ -37,7 +37,13 @@ from .contention import CANONICAL_MAX_VERTICES, GraphTooLargeError
 from .experiments import AXES, ExperimentPlan, run_experiment
 from .game import NoOperatorsError, check_core, compute_worth, default_division
 from .mboe import TableMissError, estimate_access, remove_mno
-from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
+from .problem import (
+    VARIANTS,
+    InfeasibleProblem,
+    TooManyOperatorsError,
+    build_problem,
+    solve_lp_oracle,
+)
 from .scenario import ScenarioError, load_scenario, save_scenario
 from .solvers import SolverSettingError, check_settings, solve_admm, solve_subgradient
 from .topology import KINDS, generate_topology
@@ -481,6 +487,8 @@ def main(argv=None) -> int:
         return _fail("scenario", exc, EXIT_SCENARIO)
     except NoOperatorsError as exc:
         return _fail("no-operators", exc, EXIT_SCENARIO)
+    except TooManyOperatorsError as exc:
+        return _fail("too-many-operators", exc, EXIT_SCENARIO)
     except InfeasibleProblem as exc:
         return _fail(f"infeasible-{exc.family}", exc.message, EXIT_INFEASIBLE)
     except (SimConfigError, GraphTooLargeError) as exc:

@@ -747,11 +747,15 @@ def measure_table(
     of the order of arrival and of how the entries are spread over
     processes.  With ``cache_dir`` set, a previously measured table
     with identical parameters is reused from disk.  A ``max_size``
-    below 1 raises ``ValueError``.
+    below 1 raises ``ValueError``.  A table holds saturated access, and
+    its file records no arrival model, so a config with other arrivals
+    raises :class:`SimConfigError` before any cache lookup.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     config.validate()
+    if config.arrivals != SATURATED:
+        raise SimConfigError(f"tables measure saturated access, not {config.arrivals} arrivals")
     table = AccessTable(
         max_size=max_size,
         duration_s=config.duration_s,

@@ -65,6 +65,11 @@ class InfeasibleProblem(ValueError):
         self.message = message
 
 
+class TooManyOperatorsError(ValueError):
+    """A market of more than :data:`MAX_COALITION_MEMBERS` operators: every
+    game step refuses its coalitions before solving anything."""
+
+
 def _frozen(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
     """A read-only ``shape`` array copied from ``value``: the copy keeps
     any caller's array from aliasing the field."""
@@ -555,11 +560,11 @@ def solve_lp_coalitions(problem: SlicingProblem) -> list[float | None]:
     objective, so it is bit for bit ``solve_lp_oracle`` of
     ``problem.restrict`` of that coalition; ``None`` marks one with no
     feasible point.  More than :data:`MAX_COALITION_MEMBERS` members
-    raise ``ValueError`` before anything is solved.
+    raise :class:`TooManyOperatorsError` before anything is solved.
     """
     p, size = problem, len(problem.members)
     if size > MAX_COALITION_MEMBERS:
-        raise ValueError(
+        raise TooManyOperatorsError(
             f"{size} operators have {2**size - 1} coalitions; the coalition table"
             f" holds at most {MAX_COALITION_MEMBERS} operators"
         )

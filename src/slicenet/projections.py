@@ -1,6 +1,6 @@
 """Exact Euclidean projections used by the per-link solvers.
 
-Every routine here is closed-form (sorting or breakpoint walks, no
+Every routine here is closed-form (sorting and water fills, no
 iterative optimization), so projections are exact to floating-point
 roundoff.  That matters: the distributed solver's convergence proofs
 assume its subproblems are solved exactly, and the test suite holds
@@ -13,17 +13,20 @@ part of its row's set (a slice the link does not offer); it comes back
 as exactly 0.  A plain vector is one row.  Totals and budgets must be
 finite.
 
+One algorithm serves every cap, the water fill (Duchi et al., ICML
+2008).  A binding cap fixes the entries above it at the cap and
+refills the others with what is left of the total, until none is over.
+That is exact: capping takes mass away, so the water level only falls
+and a fixed entry stays above the cap; each refill fixes at least one
+more entry, so a row of ``m`` entries takes at most ``m`` refills.
+
 The solvers call these on a few links at a time, thousands of times
 per solve, so the arithmetic is written for few numpy calls: row-wise
 lookups index the flattened arrays, results are written in place (into
 the caller's ``out`` buffer when given), and clamps are ``maximum`` and
 ``minimum`` with their arguments in the order that gives ``np.clip``'s
 results bit for bit, signed zeros included.  Those clamps keep NaN, so
-the absent entries of a result are zeroed by one ``putmask``.  Only the
-breakpoint mass drops its NaNs with ``fmax``: on a tie of -0.0 and +0.0
-numpy's vectorized ``fmax`` returns one operand in some lanes and the
-other in the rest, and the mass is the one place where a zero's sign
-cannot reach the result.
+the absent entries of a result are zeroed by one ``putmask``.
 
 Each public projection is its input checks followed by an unchecked
 core (:func:`capped_simplex_rows`, :func:`budget_box_rows`) that holds
@@ -31,11 +34,9 @@ the only copy of its math.  The solvers' totals, budgets and masks are
 fixed for the whole solve, so ``solvers._Scaled`` checks them once
 (:func:`feasible_totals`, :func:`check_budgets`).  An airtime total is
 at most 1, so the solvers' ADMM step and repair project every link's
-licensed and airtime rows in one water fill (``solvers.project_links``);
-the breakpoint walk serves only a finite cap, for the public capped
-projection and the airtime block function ``solvers.alpha_subproblem``
-that gate 8 checks.  The public projections are the checked entry
-points for any other caller.
+licensed and airtime rows in one uncapped water fill
+(``solvers.project_links``), and no solver runs a finite cap.  The
+public projections are the checked entry points for any other caller.
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ def _arange(stop: int, step: int = 1) -> np.ndarray:
     return out
 
 
-def _rows(y, total):
-    """(rows, m) values, (rows,) totals and the input's shape."""
+def _rows(y, total, cap: float):
+    """(rows, m) values, (rows,) totals and the input's shape, for either
+    public projection; raise for a cap that is not positive, NaN included."""
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap}")
     y = np.asarray(y, dtype=float)
     totals = np.empty(y.shape[:-1])
     totals[...] = total
@@ -121,67 +125,24 @@ def _water_fill(y, total, absent, out=None) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=64)
-def _segment_ends(n: int, m: int) -> np.ndarray:
-    """Flat positions of the breakpoint before and at the start of each
-    of ``n`` rows of ``2 m`` breakpoints, read-only and kept across
-    calls; a row's segment ends are these plus its breakpoint index."""
-    out = np.arange(0, 2 * n * m, 2 * m) + np.array([[-1], [0]])
-    out.setflags(write=False)
-    return out
-
-
-def _breakpoint_walk(y, total, absent, cap: float, out=None) -> np.ndarray:
-    """Solve sum clip(y - tau, 0, cap) = total for tau, row by row.
-
-    The mass is piecewise linear and nonincreasing in tau, with
-    breakpoints {y - cap, y} over a row's present entries; absent ones
-    give NaN breakpoints, which sort last, and NaN differences, which
-    ``fmax`` counts as 0.  The mass is evaluated at every breakpoint at
-    once.  The breakpoints whose mass exceeds the total form a prefix
-    (the computed mass is monotone too); the segment leaving it holds
-    tau, found by interpolation across a strictly falling mass, and a
-    row with an empty prefix takes its lowest breakpoint.
-    """
-    n, m = y.shape
-    points = np.concatenate([y - cap, y], axis=1)
-    points.sort(axis=1)
-    d = y[:, None, :] - points[:, :, None]
-    # a zero's sign here never reaches tau: it only decides whether a
-    # mass of exactly 0 is +0.0 or -0.0, and such a mass never exceeds
-    # the total, so it never starts a segment, and where it ends one only
-    # the difference of the two masses reads it
-    np.fmax(d, 0.0, out=d)
-    mass = np.minimum(d, cap, out=d).sum(axis=2)
-    # the prefix ends at the first breakpoint whose mass does not exceed
-    # the total; the row's largest breakpoint (mass 0) or a NaN one
-    # always qualifies
-    j = (mass > total[:, None]).argmin(axis=1)
-    ends = _segment_ends(n, m) + j
-    a, b = points.take(ends)
-    ma, mb = mass.take(ends)
-    # a row with j = 0 reads its neighbour's last breakpoint and its
-    # interpolation is discarded; its divisor is set to 1 so that a flat
-    # mass (entries so large that y - cap rounds to y) divides no 0 by 0
-    first = j == 0
-    fall = ma - mb
-    np.putmask(fall, first, 1.0)
-    tau = np.where(first, points[:, 0], a + (ma - total) * (b - a) / fall)
-    x = np.subtract(y, tau[:, None], out=out)
-    np.minimum(cap, np.maximum(0.0, x, out=x), out=x)
-    np.putmask(x, absent, 0.0)
-    return x
-
-
 def capped_simplex_rows(y, total, absent, cap: float, out=None) -> np.ndarray:
     """Rows onto {sum x = total, 0 <= x <= cap}, unchecked.
 
     ``y`` is ``(rows, m)`` with NaN exactly where ``absent`` holds, and
     ``total`` comes from :func:`feasible_totals`.  The rows are written
     into ``out`` when it is given; it must not overlap ``y``."""
-    if math.isfinite(cap):
-        return _breakpoint_walk(y, total, absent, cap, out)
-    return _water_fill(y, total, absent, out)
+    x = _water_fill(y, total, absent, out)
+    if math.isinf(cap):
+        return x
+    # a row that no refill changes keeps its first fill bit for bit
+    fixed, free, over = np.zeros(y.shape, bool), y.copy(), x > cap
+    while np.count_nonzero(over):
+        fixed |= over
+        np.putmask(free, over, np.nan)
+        _water_fill(free, total - cap * fixed.sum(axis=1), absent | fixed, x)
+        over = x > cap
+    np.putmask(x, fixed, cap)
+    return x
 
 
 def budget_box_rows(y, budget, absent, cap: float, out=None) -> np.ndarray:
@@ -213,12 +174,10 @@ def project_capped_simplex_eq(y, total, cap: float = 1.0) -> np.ndarray:
     the row's present entries; that is a caller error, and so are a
     non-finite total and a cap that is not positive.  The projection
     is x_i = clip(y_i - tau, 0, cap) where tau solves the
-    piecewise-linear equation sum x(tau) = total; the breakpoint walk
-    solves it exactly.
+    piecewise-linear equation sum x(tau) = total; the water fill and
+    its refills solve it exactly.
     """
-    if not cap > 0.0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    rows, totals, shape = _rows(y, total)
+    rows, totals, shape = _rows(y, total, cap)
     absent = np.isnan(rows)
     totals = feasible_totals(totals, rows.shape[1] - absent.sum(axis=1), cap)
     if rows.size == 0:
@@ -229,8 +188,9 @@ def project_capped_simplex_eq(y, total, cap: float = 1.0) -> np.ndarray:
 def project_budget_box(y, budget, cap: float = math.inf) -> np.ndarray:
     """Project each row of y onto {x: sum x <= budget, 0 <= x_i <= cap}.
 
-    A negative or non-finite budget is a caller error.
+    A negative or non-finite budget is a caller error, and so is a cap
+    that is not positive.
     """
-    rows, budgets, shape = _rows(y, budget)
+    rows, budgets, shape = _rows(y, budget, cap)
     check_budgets(budgets)
     return budget_box_rows(rows, budgets, np.isnan(rows), cap).reshape(shape)

@@ -7,22 +7,15 @@ scaled dual ties them together.  Each X update touches one link's own
 prices, rates, and entitlements only; the consensus side works purely
 on (Z, dual) blocks plus the per-pair QoS bounds.  That boundary is
 what lets operators run the per-link updates locally without shipping
-their tariffs to the coordinator.  :func:`alpha_subproblem` and
-:func:`w_subproblem` state each link's two updates, and
-``test_link_updates_take_only_local_state`` checks the boundary on
-them and on :func:`project_links`, the one stacked call that runs both:
-each takes only link-local parameters, and other links' rows never
-change a link's updated row.
+their tariffs to the coordinator.  :func:`project_links` runs every
+link's two updates in one stacked call, and
+``test_link_updates_take_only_local_state`` checks the boundary on it:
+it takes only link-local parameters, and other links' rows never change
+a link's updated row.
 
 A link's airtime total is a share of at most 1, so the airtime cap
-``a <= 1`` never binds: the airtime update is the plain simplex
-projection, the same water fill that the licensed update takes where
-its budget binds.  :func:`project_links` therefore projects every
-link's licensed and airtime rows in one water fill over a
-``(2 links, slices)`` stack, clamps the airtime half at 1 against
-roundoff, and keeps the licensed box where it fits the budget.  The
-licensed half is bit for bit :func:`w_subproblem`'s, the airtime half
-within roundoff of :func:`alpha_subproblem`'s.
+``a <= 1`` never binds, and :func:`project_links` runs both of every
+link's updates as one water fill over a ``(2 links, slices)`` stack.
 
 The loops hold each side pair as one stacked ``(2, links, slices)``
 block, licensed then airtime: the X iterate and its projection target,
@@ -53,7 +46,6 @@ import numpy as np
 
 from .problem import SlicingProblem, SlicingSolution, solution_from_arrays
 from .projections import (
-    budget_box_rows,
     capped_simplex_rows,
     check_budgets,
     feasible_totals,
@@ -104,32 +96,14 @@ def check_settings(
 # subproblems (exact, closed form)
 
 
-def alpha_subproblem(z, dual, gamma: float, total, absent, gains, out=None) -> np.ndarray:
-    """Each link's airtime split against the current consensus point.
-
-    Minimizes ``-gains . a + (gamma/2) ||a - z + dual||^2`` over the
-    capped simplex ``{sum a = total, 0 <= a <= 1}``; the linear term
-    folds into the projection target, so the minimizer is exact.  One
-    row per link, ``total`` as :func:`feasible_totals` clips it, and
-    ``absent`` (NaN gains) marking the slices a link does not offer,
-    whose share stays 0.  The rows are written into ``out`` when given.
-    """
-    return capped_simplex_rows(z - dual + gains / gamma, total, absent, 1.0, out)
-
-
-def w_subproblem(z, dual, gamma: float, budget, absent, gains, out=None) -> np.ndarray:
-    """Each link's licensed draw against the current consensus point.
-
-    Same quadratic form, rows and ``out`` as :func:`alpha_subproblem`,
-    minimized over ``{sum u <= budget, u >= 0}`` with budgets that passed
-    :func:`check_budgets`.
-    """
-    return budget_box_rows(z - dual + gains / gamma, budget, absent, math.inf, out)
-
-
 def project_links(y, totals, absent, out) -> np.ndarray:
     """Every link's licensed and airtime rows onto the link's own sets,
     in one stacked call, written into ``out``.
+
+    Each link's ADMM update minimizes ``-gains . x + (gamma/2)
+    ||x - z + dual||^2`` over the link's set; the linear term folds into
+    the target ``y = z - dual + gains / gamma``, so the minimizer is this
+    projection, exactly.
 
     ``y``, ``absent`` and ``out`` stack each link's licensed row over its
     airtime row, ``(2, links, slices)``, with NaN in ``y`` exactly where
@@ -142,7 +116,8 @@ def project_links(y, totals, absent, out) -> np.ndarray:
     of the fill exceeds its total, so the cap holds but for roundoff,
     which one clamp at 1 removes; on the licensed half it is the budget's
     equality projection, and a row whose positive part fits the budget
-    keeps that box instead, as :func:`budget_box_rows` rules.
+    keeps that box instead, as
+    :func:`~slicenet.projections.budget_box_rows` rules.
     """
     n, m = y.shape[1:]
     capped_simplex_rows(
@@ -239,11 +214,6 @@ class _Scaled:
         sides = (self.gain * ua).reshape(len(ua), 2, -1).sum(axis=2)
         return (sides[:, 0] + sides[:, 1]) * self.gain_scale
 
-    def project_local(self, ua: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Exact projection of a padded allocation onto every link's own
-        feasibility sets, written into ``out``."""
-        return project_links(ua, self.totals, self.absent, out)
-
     def qos_shortfalls(self, ua: np.ndarray) -> np.ndarray:
         """Largest QoS floor violation of each allocation ``ua[k] = (u, a)``."""
         gap = (self.qos - (ua[:, 0] + self.band_ratio * ua[:, 1])) * self.active
@@ -262,7 +232,7 @@ class _Scaled:
         the number of rounds after the first projection, and whether
         the slack fell below the tolerance.
         """
-        out = self.project_local(self.pad(ua), np.empty_like(ua))
+        out = project_links(self.pad(ua), self.totals, self.absent, np.empty_like(ua))
         u, a = out
         last = math.inf
         for rounds in range(REPAIR_MAX_ROUNDS + 1):
@@ -276,7 +246,7 @@ class _Scaled:
             last = shortfall
             # NaN where a pair is not offered, as the projections take it
             scale = slack / self.normal_sq
-            self.project_local(out + scale * self.normal, out)
+            project_links(out + scale * self.normal, self.totals, self.absent, out)
 
     def repaired_solution(self, ua, trace: ConvergenceTrace, flags) -> SlicingSolution:
         """The solution of ``trace.method`` from ``ua``'s repair, which
@@ -427,10 +397,10 @@ def solve_admm(
         residuals = []
         for k in range(1, min(block, max_iter + 1 - first) + 1):
             z_prev = zs[k - 1]
-            # both block functions' targets, z - dual + gains / gamma
+            # both updates' targets, z - dual + gains / gamma
             np.subtract(z_prev, lam, out=target)
             target += pull
-            s.project_local(target, x)
+            project_links(target, s.totals, s.absent, x)
             z = z_projection(x, lam, s.band_ratio, s.qos, zs[k])
             dual_update(lam, x, z)
 

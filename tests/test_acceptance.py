@@ -29,15 +29,9 @@ from slicenet.contention import (
 from slicenet.game import check_core, convexity_probe, default_division
 from slicenet.mboe import estimate_access
 from slicenet.problem import VARIANTS, as_variant, solve_lp_oracle
-from slicenet.projections import feasible_totals
+from slicenet.projections import project_budget_box, project_capped_simplex_eq
 from slicenet.scenario import LAA, NODE_DEFAULTS, WIFI
-from slicenet.solvers import (
-    alpha_subproblem,
-    solve_admm,
-    solve_subgradient,
-    w_subproblem,
-    z_projection,
-)
+from slicenet.solvers import solve_admm, solve_subgradient, z_projection
 from slicenet.topology import bottleneck_preset, random_problem
 
 from batch_means import batch_access, standard_error
@@ -320,8 +314,8 @@ def test_criterion_7_division_is_stable_and_game_is_convex(verdict):
 def test_criterion_8_solver_blocks_match_brute_force(verdict):
     rng = np.random.default_rng(8)
     worst = 0.0
-    # the blocks take one row per link; no slice is absent
-    absent = np.zeros((1, 2), bool)
+    # each link block minimizes -gains . x + (gamma/2) ||x - z + lam||^2
+    # over the link's set: the projection of z - lam + gains / gamma
 
     # airtime block: the feasible set is a line segment, so one grid axis
     for _ in range(40):
@@ -330,9 +324,7 @@ def test_criterion_8_solver_blocks_match_brute_force(verdict):
         gains = rng.uniform(0.0, 2.0, size=2)
         gamma = float(rng.uniform(0.2, 3.0))
         xi = float(rng.uniform(0.1, 1.9))
-        # one link's row, as solve_admm passes it
-        total = feasible_totals(np.array([xi]), np.array([2]), 1.0)
-        got = alpha_subproblem(z[None], lam[None], gamma, total, absent, gains[None])[0]
+        got = project_capped_simplex_eq(z - lam + gains / gamma, xi, cap=1.0)
         a1 = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
         a0 = xi - a1
         t = z - lam
@@ -350,9 +342,7 @@ def test_criterion_8_solver_blocks_match_brute_force(verdict):
         gains = rng.uniform(0.0, 2.0, size=2)
         gamma = float(rng.uniform(0.2, 3.0))
         budget = float(rng.uniform(0.3, 1.2))
-        got = w_subproblem(
-            z[None], lam[None], gamma, np.array([budget]), absent, gains[None]
-        )[0]
+        got = project_budget_box(z - lam + gains / gamma, budget)
         ax = np.arange(0.0, budget + GRID_STEP / 2, GRID_STEP)
         g0, g1 = np.meshgrid(ax, ax, indexing="ij")
         t = z - lam

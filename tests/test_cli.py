@@ -255,6 +255,21 @@ def test_game_on_a_market_with_no_operators_exits_3(workspace, tmp_path, capsys)
     assert err == "error: no-operators: the market has no operators, so there is no game to play\n"
 
 
+def test_game_on_a_market_past_the_coalition_bound_exits_3(tmp_path, capsys):
+    # 9 operators have 511 coalitions, past the table's 8 operators; this
+    # used to exit 1 as an unnamed ValueError
+    scenario, table = tmp_path / "nine.json", tmp_path / "table.tsv"
+    assert main([
+        "gen", "--kind", "uniform-random", "--mnos", "9", "--bs-per-mno", "1",
+        "--wifi-aps", "0", "--cell-size", "1000", "--seed", "3", "--out", str(scenario),
+    ]) == 0
+    assert main(["table", "--max-size", "3", "--duration", "0.05", "--out", str(table)]) == 0
+    capsys.readouterr()
+    assert main(["game", "--scenario", str(scenario), "--table", str(table), "--fallback"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: too-many-operators: 9 operators have 511 coalitions;")
+
+
 def test_infeasible_problem_exits_4(workspace, tmp_path, capsys):
     scenario, table = workspace
     doc = scenario_to_dict(load_scenario(scenario))

@@ -732,6 +732,14 @@ def test_measure_table_rejects_bad_config_up_front(tmp_path):
         with pytest.raises(ValueError, match="max_size must be at least 1"):
             measure_table(size, SimConfig(duration_s=0.2), cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
+    # a table's file and cache key record no arrival model, so a Poisson
+    # build used to return a cached saturated table (single-vertex access
+    # 0.995, against 0.260 measured fresh)
+    measure_table(2, SimConfig(duration_s=0.05), cache_dir=tmp_path)
+    poisson = SimConfig(duration_s=0.05, arrivals="poisson", arrival_rate_hz=50.0)
+    for cache_dir in (None, tmp_path):
+        with pytest.raises(SimConfigError, match="tables measure saturated access"):
+            measure_table(2, poisson, cache_dir=cache_dir)
 
 
 def test_cache_key_covers_defaults_and_stream(tmp_path, monkeypatch):

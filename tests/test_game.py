@@ -22,6 +22,7 @@ from slicenet.problem import (
     MAX_COALITION_MEMBERS,
     InfeasibleProblem,
     SlicingProblem,
+    TooManyOperatorsError,
     as_variant,
     solution_from_arrays,
     solve_lp_oracle,
@@ -397,9 +398,10 @@ def test_a_market_past_the_table_bound_is_refused_unsolved(lp_calls):
         lambda: default_division(large),
         lambda: convexity_probe(large),
     ):
-        with pytest.raises(ValueError, match="at most 8 operators"):
+        with pytest.raises(TooManyOperatorsError, match="at most 8 operators"):
             step()
     assert lp_calls == []
+    assert issubclass(TooManyOperatorsError, ValueError)
     # at the bound every step is served from one pass over the market's
     # table of 255 coalitions
     market = _pooled_market(8)

@@ -306,9 +306,13 @@ def test_non_finite_totals_raise(bad):
 
 
 def test_cap_must_be_positive():
+    # the box took any cap: -1 returned [-1, -1], outside its own set,
+    # and NaN the point unclipped
     for cap in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cap must be positive"):
             project_capped_simplex_eq(np.array([0.3, 0.5]), 0.0, cap=cap)
+        with pytest.raises(ValueError, match="cap must be positive"):
+            project_budget_box(np.array([0.3, 0.5]), 1.0, cap=cap)
 
 
 def test_projections_raise_no_floating_point_warnings():
@@ -347,26 +351,16 @@ def _first_water_fill(y, total, absent):
     return np.where(empty, 0.0, np.maximum(y - tau[:, None], 0.0))
 
 
-def _first_breakpoint_walk(y, total, absent, cap):
-    n, m = y.shape
-    points = np.concatenate([y - cap, y], axis=1)
-    points.sort(axis=1)
-    d = np.where(absent, -np.inf, y)[:, None, :] - points[:, :, None]
-    mass = np.minimum(np.maximum(d, 0.0), cap).sum(axis=2)
-    j = (mass > total[:, None]).argmin(axis=1)
-    end = np.arange(0, 2 * n * m, 2 * m) + j
-    start = end - 1
-    a, b = points.take(start), points.take(end)
-    ma, mb = mass.take(start), mass.take(end)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tau = np.where(j == 0, points[:, 0], a + (ma - total) * (b - a) / (ma - mb))
-    return np.where(absent, 0.0, np.minimum(cap, np.maximum(0.0, y - tau[:, None])))
-
-
 def _first_capped_simplex_rows(y, total, absent, cap):
-    if math.isfinite(cap):
-        return _first_breakpoint_walk(y, total, absent, cap)
-    return _first_water_fill(y, total, absent)
+    # a finite cap that binds fixes the entries above it at the cap and
+    # water-fills the others again with what is left of the total
+    x = _first_water_fill(y, total, absent)
+    fixed = np.zeros(y.shape, bool)
+    while (x > cap).any():
+        fixed |= x > cap
+        rest = total - cap * fixed.sum(axis=1)
+        x = _first_water_fill(np.where(fixed, np.nan, y), rest, absent | fixed)
+    return np.where(fixed, cap, x)
 
 
 def _first_budget_box_rows(y, budget, absent, cap):
@@ -402,7 +396,8 @@ def _assert_cores_match_first_form(y, mask, totals, cap):
             assert _hex(out) == want, core.__name__
 
 
-#: signed zeros, ties and entries so large that ``y - cap`` rounds to ``y``
+#: signed zeros, ties and entries so large that a cap is below their
+#: last digit
 _EDGE_ENTRY = st.one_of(
     st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 1.8e16, -1.8e16]),
     st.floats(-3, 3, allow_nan=False, width=32),
@@ -410,14 +405,14 @@ _EDGE_ENTRY = st.one_of(
 
 
 @st.composite
-def _edge_case(draw):
+def _edge_case(draw, caps=(0.25, 1.0, 1.5, math.inf)):
     """Rows as for ``_stacked_case``, from the edge entries, with the
     totals at 0, -0.0, full capacity or in between."""
     m = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=6))
     y = np.array(draw(st.lists(_EDGE_ENTRY, min_size=n * m, max_size=n * m))).reshape(n, m)
     mask = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))).reshape(n, m)
-    cap = draw(st.sampled_from([0.25, 1.0, 1.5, math.inf]))
+    cap = draw(st.sampled_from(caps))
     totals = []
     for count in mask.sum(axis=1):
         room = count * cap if math.isfinite(cap) else 4.0 * count
@@ -458,16 +453,67 @@ _EDGE_ROWS = np.array([
     "fill", [0.0, -0.0, 0.25, 0.5, 1.0], ids=["zero", "negative-zero", "quarter", "half", "full"]
 )
 def test_cores_match_their_first_form_on_edge_rows(cap, fill):
-    # every edge row, again with its first entry absent, and two rows
-    # with every entry absent, so that rows with an empty prefix read a
-    # neighbour of every kind
-    y = np.vstack([_EDGE_ROWS, _EDGE_ROWS, _EDGE_ROWS[:2]])
-    mask = np.ones(y.shape, bool)
-    mask[len(_EDGE_ROWS):, 0] = False
-    mask[-2:] = False
-    room = mask.sum(axis=1) * (cap if math.isfinite(cap) else 1.0)
+    y, mask, room = _edge_stack(1.0 if math.isinf(cap) else cap)
     # which entries share a vector register depends on their position,
     # so the stack runs forwards, backwards and one row at a time
     everyone = np.arange(len(y))
     for rows in (everyone, everyone[::-1], *everyone[:, None]):
         _assert_cores_match_first_form(y[rows], mask[rows], room[rows] * fill, cap)
+
+
+def _edge_stack(cap):
+    """Every edge row, again with its first entry absent, and two rows
+    with every entry absent; each row's capacity at ``cap``."""
+    y = np.vstack([_EDGE_ROWS, _EDGE_ROWS, _EDGE_ROWS[:2]])
+    mask = np.ones(y.shape, bool)
+    mask[len(_EDGE_ROWS):, 0] = False
+    mask[-2:] = False
+    return y, mask, mask.sum(axis=1) * cap
+
+
+# -- a finite cap: the water fill and its refills ------------------------------
+
+
+def _assert_refill_rows(y, mask, totals, cap):
+    """Both public projections at a finite cap: absent entries are exactly
+    0 and every entry is in [0, cap].  A row within +-3 matches the scalar
+    references and meets its total within 1e-12; a row holding +-1.8e16
+    meets it within two ulps of its largest entry, which the cap is
+    below the last digit of."""
+    padded = np.where(mask, y, np.nan)
+    # a budget above a row's capacity: the box fits, and the equality
+    # projection computed for every row is discarded there
+    above = mask.sum(axis=1) * cap + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simplex = project_capped_simplex_eq(padded, totals, cap=cap)
+        box = project_budget_box(padded, totals, cap=cap)
+        loose = project_budget_box(padded, above, cap=cap)
+    for got in (simplex, box, loose):
+        assert np.all(got[~mask] == 0.0)
+        assert np.all((got >= 0.0) & (got <= cap))
+    assert np.array_equal(loose, np.where(mask, np.clip(y, 0.0, cap), 0.0))
+    for k, total in enumerate(np.maximum(totals, 0.0).tolist()):
+        row = y[k, mask[k]]
+        if np.all(np.abs(row) <= 3.0):
+            want = _ref_capped_simplex(row, total, cap)
+            assert np.allclose(simplex[k, mask[k]], want, rtol=0.0, atol=1e-12)
+            want = _ref_budget_box(row, total, cap)
+            assert np.allclose(box[k, mask[k]], want, rtol=0.0, atol=1e-12)
+            slack = 1e-12
+        else:
+            slack = 2 * np.spacing(np.abs(row).max())
+        assert abs(simplex[k].sum() - total) <= slack
+        assert box[k].sum() <= total + slack
+
+
+@given(_edge_case(caps=(0.25, 1.0, 1.5)))
+def test_refill_on_edge_entries(case):
+    _assert_refill_rows(*case)
+
+
+@pytest.mark.parametrize("cap", [0.25, 1.0, 1.5])
+@pytest.mark.parametrize("fill", [0.0, -0.0, 0.25, 0.5, 1.0])
+def test_refill_on_edge_rows(cap, fill):
+    y, mask, room = _edge_stack(cap)
+    _assert_refill_rows(y, mask, room * fill, cap)

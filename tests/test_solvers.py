@@ -20,12 +20,10 @@ from slicenet.solvers import (
     SolverSettingError,
     TraceRow,
     _Scaled,
-    alpha_subproblem,
     dual_update,
     project_links,
     solve_admm,
     solve_subgradient,
-    w_subproblem,
     z_projection,
 )
 from slicenet.topology import bottleneck_preset, random_problem
@@ -121,14 +119,10 @@ def test_admm_usually_reaches_gap_first():
 
 
 def test_link_updates_take_only_local_state():
-    # the per-link solves must stay expressible in link-local data:
-    # consensus rows, the penalty, and that link's own total, offered
-    # slices and gains; ``out`` only receives the updated rows.  The
-    # stacked step takes the target those make, the totals and the
-    # offered slices
-    for fn, total in ((alpha_subproblem, "total"), (w_subproblem, "budget")):
-        params = {"z", "dual", "gamma", total, "absent", "gains", "out"}
-        assert set(inspect.signature(fn).parameters) == params
+    # the per-link solves must stay expressible in link-local data: the
+    # stacked step takes the target that each link's consensus rows,
+    # dual, penalty and gains make, the links' own totals and offered
+    # slices, and ``out`` only receives the updated rows
     assert set(inspect.signature(project_links).parameters) == {"y", "totals", "absent", "out"}
     # and each link's row of the update, as solve_admm runs it, reads only
     # that link's rows: redrawing every other link's rows leaves it bit
@@ -163,29 +157,16 @@ def test_link_updates_take_only_local_state():
         theirs = draw(n, m)
         for a, b in zip(mine, theirs):
             b[link] = a[link]
-        z, dual, total, budget, absent, gains = mine
-        z2, dual2, total2, budget2, absent2, gains2 = theirs
-        for want, got in (
-            (
-                alpha_subproblem(z, dual, gamma, total, absent, gains),
-                alpha_subproblem(z2, dual2, gamma, total2, absent2, gains2),
-            ),
-            (
-                w_subproblem(z, dual, gamma, budget, absent, gains),
-                w_subproblem(z2, dual2, gamma, budget2, absent2, gains2),
-            ),
-        ):
-            assert got[link].tobytes() == want[link].tobytes()
         want, got = stacked(gamma, *mine), stacked(gamma, *theirs)
         assert got[:, link].tobytes() == want[:, link].tobytes()
 
 
 def test_stacked_step_matches_the_block_functions():
-    # a link's airtime total is a share of at most 1, so the cap of
-    # alpha_subproblem's simplex never binds and project_links takes both
-    # halves in one water fill: the licensed half is w_subproblem's bit
-    # for bit, the airtime half alpha_subproblem's within roundoff and
-    # never above 1
+    # a link's airtime total is a share of at most 1, so the cap of the
+    # airtime simplex never binds and project_links takes both halves in
+    # one water fill: against the public projections of the same target,
+    # the licensed half is the budget box bit for bit, the airtime half
+    # the capped simplex at cap 1 within roundoff and never above 1
     rng = np.random.default_rng(26)
     worst = 0.0
     for _ in range(400):
@@ -204,11 +185,10 @@ def test_stacked_step_matches_the_block_functions():
         gains = np.where(offered, rng.uniform(0.0, 2.0, (2, n, m)), np.nan)
         gamma = float(rng.uniform(0.2, 3.0))
         absent = np.stack([~offered, ~offered])
-        got = project_links(
-            z - dual + gains / gamma, np.stack([budget, total]), absent, np.empty((2, n, m))
-        )
-        licensed = w_subproblem(z[0], dual[0], gamma, budget, ~offered, gains[0])
-        airtime = alpha_subproblem(z[1], dual[1], gamma, total, ~offered, gains[1])
+        target = z - dual + gains / gamma
+        got = project_links(target, np.stack([budget, total]), absent, np.empty((2, n, m)))
+        licensed = project_budget_box(target[0], budget)
+        airtime = project_capped_simplex_eq(target[1], total, cap=1.0)
         assert got[0].tobytes() == licensed.tobytes()
         assert np.all(got[1] <= 1.0) and np.all(got[1] >= 0.0)
         assert np.all(got[absent] == 0.0)
@@ -216,43 +196,47 @@ def test_stacked_step_matches_the_block_functions():
     assert worst <= 1e-15
 
 
+# the alpha (airtime) and w (licensed) subproblems of one ADMM step, as
+# project_links solves them on the target z - dual + gains / gamma
+
+
+def _step(target, budget, total):
+    """project_links on one licensed and one airtime block, no slice absent."""
+    y = np.stack([target, target])
+    absent = np.zeros(y.shape, bool)
+    return project_links(y, np.stack([budget, total]), absent, np.empty_like(y))
+
+
 def test_alpha_subproblem_is_projection():
-    out = alpha_subproblem(
-        np.array([[1.5, 0.1]]), np.zeros((1, 2)), 1.0, np.array([1.0]),
-        np.zeros((1, 2), bool), np.zeros((1, 2)),
-    )
+    out = _step(np.array([[1.5, 0.1]]), np.array([0.0]), np.array([1.0]))[1]
     assert np.allclose(out, [[1.0, 0.0]])
     assert math.isclose(out.sum(), 1.0, abs_tol=1e-12)
 
 
 def test_w_subproblem_respects_budget():
-    out = w_subproblem(
-        np.array([[3.0, 2.0]]), np.zeros((1, 2)), 1.0, np.array([4.0]),
-        np.zeros((1, 2), bool), np.zeros((1, 2)),
-    )
+    out = _step(np.array([[3.0, 2.0]]), np.array([4.0]), np.array([0.0]))[0]
     assert out.sum() <= 4.0 + 1e-9
     assert np.all(out >= 0.0)
 
 
 def test_subproblems_accept_stacked_blocks():
-    # one batched call over stacked links equals one call per link on
-    # its offered slices; NaN gains mark the slices a link does not offer
+    # one call over stacked links equals one call per link on its
+    # offered slices; NaN in the target marks the slices a link does not
+    # offer
     rng = np.random.default_rng(24)
-    z, lam = rng.uniform(-0.5, 1.5, (5, 3)), rng.uniform(-0.5, 0.5, (5, 3))
-    gains = rng.uniform(0.0, 2.0, (5, 3))
+    z, lam = rng.uniform(-0.5, 1.5, (2, 5, 3)), rng.uniform(-0.5, 0.5, (2, 5, 3))
+    gains = rng.uniform(0.0, 2.0, (2, 5, 3))
     offered = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 1], [0, 1, 0], [1, 1, 0]], bool)
-    padded = np.where(offered, gains, np.nan)
+    target = z - lam + np.where(offered, gains, np.nan) / 0.7
     xi = feasible_totals(rng.uniform(0.0, 1.0, 5), offered.sum(axis=1), 1.0)
-    budget = rng.uniform(0.1, 1.0, 5)
-    for fn, totals in ((alpha_subproblem, xi), (w_subproblem, budget)):
-        stacked = fn(z, lam, 0.7, totals, ~offered, padded)
-        assert np.all(stacked[~offered] == 0.0)
-        for k, row in enumerate(offered):
-            one = fn(
-                z[k:k + 1, row], lam[k:k + 1, row], 0.7, totals[k:k + 1],
-                np.zeros((1, row.sum()), bool), gains[k:k + 1, row],
-            )
-            assert np.array_equal(stacked[k, row], one[0])
+    totals = np.stack([rng.uniform(0.1, 1.0, 5), xi])
+    absent = np.stack([~offered, ~offered])
+    stacked = project_links(target, totals, absent, np.empty_like(target))
+    assert np.all(stacked[absent] == 0.0)
+    for k, row in enumerate(offered):
+        y = target[:, k:k + 1, row]
+        one = project_links(y, totals[:, k:k + 1], np.zeros(y.shape, bool), np.empty_like(y))
+        assert np.array_equal(stacked[:, k, row], one[:, 0])
 
 
 def test_z_projection_enforces_qos_bound():
@@ -346,7 +330,7 @@ def _reference_z_projection(u_block, alpha_block, dual_u, dual_alpha, band_ratio
 
 
 def _reference_project_local(s, u, a):
-    """``_Scaled.project_local`` through the checked public projections:
+    """``project_links`` through the checked public projections:
     an airtime share is at most 1, so the airtime rows take the plain
     simplex projection, clamped at 1 against roundoff."""
     pa = np.minimum(project_capped_simplex_eq(s.pad(a), s.xi, cap=math.inf), 1.0)
