@@ -481,18 +481,21 @@ def _assert_refill_rows(y, mask, totals, cap):
     meets it within two ulps of its largest entry, which the cap is
     below the last digit of."""
     padded = np.where(mask, y, np.nan)
-    # a budget above a row's capacity: the box fits, and the equality
-    # projection computed for every row is discarded there
-    above = mask.sum(axis=1) * cap + 1.0
+    # every other row's budget is above its capacity: its box fits, and
+    # the equality projection the core computes for every row is
+    # discarded there
+    odd = np.arange(len(y)) % 2 == 1
+    mixed = np.where(odd, mask.sum(axis=1) * cap + 1.0, totals)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         simplex = project_capped_simplex_eq(padded, totals, cap=cap)
         box = project_budget_box(padded, totals, cap=cap)
-        loose = project_budget_box(padded, above, cap=cap)
+        loose = project_budget_box(padded, mixed, cap=cap)
     for got in (simplex, box, loose):
         assert np.all(got[~mask] == 0.0)
         assert np.all((got >= 0.0) & (got <= cap))
-    assert np.array_equal(loose, np.where(mask, np.clip(y, 0.0, cap), 0.0))
+    assert np.array_equal(loose[odd], np.where(mask, np.clip(y, 0.0, cap), 0.0)[odd])
+    assert loose[~odd].tobytes() == box[~odd].tobytes()
     for k, total in enumerate(np.maximum(totals, 0.0).tolist()):
         row = y[k, mask[k]]
         if np.all(np.abs(row) <= 3.0):
