@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from slicenet.problem import solve_lp_oracle
 from slicenet.solvers import solve_admm, solve_subgradient
 from slicenet.topology import random_problem
 
@@ -28,9 +27,9 @@ def main() -> None:
     rows = ["instance\toracle\tadmm_iters\tsubgrad_iters\tadmm_obj\tsubgrad_obj"]
     for i in range(args.instances):
         problem = random_problem(rng)
-        oracle = solve_lp_oracle(problem).objective
         admm_sol, admm_trace = solve_admm(problem)
         sub_sol, sub_trace = solve_subgradient(problem)
+        oracle = admm_trace.optimum
         (args.out_dir / f"admm_{i:03d}.tsv").write_text(admm_trace.to_text())
         (args.out_dir / f"subgrad_{i:03d}.tsv").write_text(sub_trace.to_text())
         fast = admm_trace.iterations_to_gap(oracle)

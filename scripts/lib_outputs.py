@@ -12,12 +12,13 @@ bit, signed zeros included.  The files, one record per line:
 - ``lp.tsv``, ``admm.tsv``, ``subgrad.tsv``, ``game.tsv``,
   ``coalitions.tsv``: the 480 markets ``random_problem(default_rng(1),
   feasible_for="coalitions")`` draws, each under the s1, s2 and s3
-  variants (the iterative solvers run s1 on the first 24 only).  The LP
-  record holds the status (``optimal`` or the blamed family and
-  message) and the solution; the ADMM and subgradient records the
-  solution, flags, ``gamma_final``, the row count, the last trace row
-  and a SHA-256 of every trace row; the game record, per division rule,
-  the division, worth and core verdict, and then the convexity probe.
+  variants.  The LP record holds the status (``optimal`` or the blamed
+  family and message) and the solution; the ADMM and subgradient
+  records the solution, flags, ``gamma_final``, the row count, the last
+  trace row and a SHA-256 of every trace row, or, like the LP record,
+  the blamed family and message of a market they refuse; the game
+  record, per division rule, the division, worth and core verdict, and
+  then the convexity probe.
   The coalitions record holds one coalition and its value, for every
   non-empty coalition of the market, all valued in one
   ``coalition_values`` call.
@@ -86,10 +87,6 @@ from slicenet.solvers import solve_admm, solve_subgradient
 from slicenet.topology import generate_topology, random_problem
 
 MARKETS = 480
-#: markets whose s1 variant the iterative solvers run: s1 is infeasible
-#: on nearly every market, so both run to their iteration caps there
-#: and take most of the script's time
-S1_ITERATIVE = 24
 SCENARIO = ROOT / "scenarios" / "two_mno_20mhz.json"
 #: (kind, stations per operator, users per station, access points, cell
 #: size in m, seed) of the generated deployments; the first reaches all
@@ -143,12 +140,14 @@ def market_records(out: dict[str, list[str]]) -> None:
                 out["lp"].append(record(name, "optimal", *solution_fields(lp)))
             except InfeasibleProblem as exc:
                 out["lp"].append(record(name, "infeasible", exc.family, exc.message))
-            if variant != "s1" or i < S1_ITERATIVE:
-                for key, solve in (("admm", solve_admm), ("subgrad", solve_subgradient)):
+            for key, solve in (("admm", solve_admm), ("subgrad", solve_subgradient)):
+                try:
                     solution, trace = solve(problem)
                     out[key].append(
                         record(name, *solution_fields(solution), *trace_fields(trace))
                     )
+                except InfeasibleProblem as exc:
+                    out[key].append(record(name, "infeasible", exc.family, exc.message))
             for rule in DIVISION_RULES:
                 try:
                     agreement = default_division(problem, rule)

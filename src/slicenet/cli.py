@@ -203,15 +203,15 @@ def _cmd_mboe(args) -> int:
 # -- solve --------------------------------------------------------------
 
 
-def _solution_text(solution, trace, oracle_objective=None) -> str:
+def _solution_text(solution, trace) -> str:
     problem = solution.problem
     lines = [
         f"method\t{solution.method}",
         f"variant\t{problem.variant}",
         f"objective\t{solution.objective:.6f}",
     ]
-    if oracle_objective is not None:
-        lines.append(f"oracle_objective\t{oracle_objective:.6f}")
+    if trace is not None:
+        lines.append(f"oracle_objective\t{trace.optimum:.6f}")
     if solution.flags:
         lines.append("flags\t" + ",".join(solution.flags))
     if trace is not None:
@@ -247,19 +247,14 @@ def _cmd_solve(args) -> int:
     scenario, _, _, est = _estimates_for(args)
     problem = build_problem(scenario, est, variant=args.variant)
     trace = None
-    # the iterative solvers cannot certify infeasibility; ask the
-    # centralized solver first so bad inputs fail loudly
-    oracle = solve_lp_oracle(problem)
     if args.solver == "lp":
-        solution = oracle
-    elif args.solver == "admm":
-        solution, trace = solve_admm(problem, **settings)
+        solution = solve_lp_oracle(problem)
     else:
-        solution, trace = solve_subgradient(problem, **settings)
-    if args.trace is not None and trace is not None:
-        _emit(trace.to_text(), args.trace)
-    reference = None if args.solver == "lp" else oracle.objective
-    _emit(_solution_text(solution, trace, reference), args.out)
+        solve = solve_admm if args.solver == "admm" else solve_subgradient
+        solution, trace = solve(problem, **settings)
+        if args.trace is not None:
+            _emit(trace.to_text(), args.trace)
+    _emit(_solution_text(solution, trace), args.out)
     return EXIT_OK
 
 

@@ -3,10 +3,10 @@
 A plan fixes a topology family, the deployment variants to compare,
 and one sweep axis; running it walks the axis, rebuilds the scenario
 at each value, estimates airtime from the contention table, solves
-every variant with both the distributed solver and the exact oracle,
-and writes plot-ready structured text.  Outputs carry no timestamps or
-machine identifiers, so a (plan, seed) pair reproduces every artifact
-byte for byte.
+every variant with the distributed solver, which also reports the exact
+optimum, and writes plot-ready structured text.  Outputs carry no
+timestamps or machine identifiers, so a (plan, seed) pair reproduces
+every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .coexist import SimConfig, build_contention_graph, measure_table
 from .contention import CANONICAL_MAX_VERTICES
 from .mboe import PROV_FALLBACK, estimate_access
-from .problem import VARIANTS, InfeasibleProblem, build_problem, solve_lp_oracle
+from .problem import VARIANTS, InfeasibleProblem, build_problem
 from .scenario import Scenario, load_scenario
 from .solvers import solve_admm
 from .topology import check_generation, generate_topology
@@ -164,7 +164,6 @@ def _run_cell(plan, out, scenario, estimates, fallback_links, value, variant) ->
     blank = (0.0,) * len(service_ids)
     try:
         problem = build_problem(scenario, estimates, variant=variant)
-        oracle = solve_lp_oracle(problem)
         solution, trace = solve_admm(problem)
     except InfeasibleProblem as err:
         log.warning("cell value=%g variant=%s infeasible: %s", value, variant, err)
@@ -190,8 +189,8 @@ def _run_cell(plan, out, scenario, estimates, fallback_links, value, variant) ->
         licensed_bps=tuple(solution.licensed_rate_bps(l) for l in order),
         unlicensed_bps=tuple(solution.unlicensed_rate_bps(l) for l in order),
         objective=solution.objective,
-        oracle_objective=oracle.objective,
-        iterations=trace.iterations_to_gap(oracle.objective),
+        oracle_objective=trace.optimum,
+        iterations=trace.iterations_to_gap(trace.optimum),
         fallback_links=fallback_links,
     )
 

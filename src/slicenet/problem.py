@@ -5,8 +5,9 @@ bandwidth in Hz drawn from the pooled operator budgets, ``alpha`` is
 the fraction of the link's unlicensed airtime entitlement devoted to
 the slice.  Revenue is linear in delivered throughput, so the welfare
 maximization is an LP, and :func:`solve_lp_oracle` solves it exactly.
-The distributed solver in :mod:`slicenet.solvers` is checked against
-that oracle.
+The iterative solvers in :mod:`slicenet.solvers` run that oracle first:
+it decides whether the market is feasible, and its optimum is the
+reference of their traces.
 
 A problem's numeric fields and a solution's allocation are read-only
 numpy arrays, per link, per member or ``(links, slices)``, each copied

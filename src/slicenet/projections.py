@@ -11,7 +11,7 @@ row's coordinates, every leading axis indexes independent rows, and
 the row totals broadcast over those leading axes.  A NaN entry is not
 part of its row's set (a slice the link does not offer); it comes back
 as exactly 0.  A plain vector is one row.  Totals and budgets must be
-finite.
+finite, and so must each row's absolute entries and total summed.
 
 One algorithm serves every cap, the water fill (Duchi et al., ICML
 2008).  A binding cap fixes the entries above it at the cap and
@@ -64,13 +64,20 @@ def _arange(stop: int, step: int = 1) -> np.ndarray:
 
 def _rows(y, total, cap: float):
     """(rows, m) values, (rows,) totals and the input's shape, for either
-    public projection; raise for a cap that is not positive, NaN included."""
+    public projection; raise for a cap that is not positive, NaN included,
+    and for a row whose absolute entries and total, which bound every
+    running sum of the water fill, do not sum to a finite value."""
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
     y = np.asarray(y, dtype=float)
     totals = np.empty(y.shape[:-1])
     totals[...] = total
-    return y.reshape(-1, y.shape[-1]), totals.reshape(-1), y.shape
+    rows, totals = y.reshape(-1, y.shape[-1]), totals.reshape(-1)
+    with np.errstate(over="ignore"):
+        size = np.nansum(np.abs(rows), axis=1) + np.nan_to_num(np.abs(totals), posinf=0.0)
+    if not (size <= _LARGEST).all():
+        raise ValueError("a row's absolute entries and total do not sum to a finite value")
+    return rows, totals, y.shape
 
 
 def feasible_totals(totals, count, cap: float) -> np.ndarray:

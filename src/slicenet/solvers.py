@@ -25,9 +25,10 @@ target, the dual step and the residual differences are one or two
 numpy calls per stack, into buffers allocated once per solve.
 
 A projected dual subgradient method on the same split serves as the
-baseline; both report per-iteration traces of their own iterates'
-revenue and constraint residuals, and both return an allocation
-repaired to exact feasibility at the end.
+baseline.  Both first solve each link's LP in closed form from its own
+data (:func:`~slicenet.problem.solve_lp_oracle`), which refuses an
+infeasible market and gives the trace its optimum; both then trace
+their iterates' revenue and residuals, and repair the result exactly.
 
 All internal math runs in normalized units: bandwidth in multiples of
 the largest pool and revenue gains scaled to a unit maximum.  A unit
@@ -44,10 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import SlicingProblem, SlicingSolution, solution_from_arrays
+from .problem import SlicingProblem, SlicingSolution, solution_from_arrays, solve_lp_oracle
 from .projections import (
     capped_simplex_rows,
-    check_budgets,
     feasible_totals,
     project_budget_box,
     project_capped_simplex_eq,
@@ -60,9 +60,6 @@ TRACED_PROJECTIONS = (project_capped_simplex_eq, project_budget_box)
 
 REPAIR_TOL = 1e-9
 REPAIR_MAX_ROUNDS = 500
-#: solution flag of a repair whose QoS slack is still above ``REPAIR_TOL``
-#: when it stops: the returned allocation misses a QoS floor
-REPAIR_INCOMPLETE = "repair-incomplete"
 #: relative gap and primal residual of :meth:`ConvergenceTrace.iterations_to_gap`
 GAP_REL = 1e-2
 #: bytes of iterates a solver holds before it reduces them to trace
@@ -107,8 +104,8 @@ def project_links(y, totals, absent, out) -> np.ndarray:
 
     ``y``, ``absent`` and ``out`` stack each link's licensed row over its
     airtime row, ``(2, links, slices)``, with NaN in ``y`` exactly where
-    ``absent`` holds; ``totals`` stacks the budgets, which passed
-    :func:`check_budgets`, over the airtime totals of
+    ``absent`` holds; ``totals`` stacks the budgets, finite and
+    nonnegative, over the airtime totals of
     :func:`feasible_totals`, each at most 1.  The licensed row goes onto
     ``{sum u <= budget, u >= 0}`` and the airtime row onto
     ``{sum a = total, 0 <= a <= 1}``.  Both halves take one water fill
@@ -170,16 +167,15 @@ class _Scaled:
     stacked ``(2, links, slices)`` block ``(u, a)``.
 
     The per-link sets are fixed for the whole solve, so the airtime
-    totals and licensed budgets are checked here, once, with the
-    projections' own errors; ``totals`` stacks the budgets over the
-    airtime totals as the projection clips them, and ``absent`` stacks
-    the pairs it leaves out, twice, as :func:`project_links` takes them.
-    The solver loops then call the unchecked projection cores.
+    totals are checked here, once, with the projection's own errors; the
+    licensed caps passed the oracle's finiteness check, which the solvers
+    run first.  ``totals`` stacks the budgets over the airtime totals as
+    the projection clips them, and ``absent`` stacks the pairs it leaves
+    out, twice, as :func:`project_links` takes them.  The solver loops
+    then call the unchecked projection cores.
     """
 
     def __init__(self, problem: SlicingProblem):
-        # in hertz, before a non-finite budget spreads through the scale
-        check_budgets(problem.budget_hz)
         self.problem = problem
         self.active = problem.offered
         self.offered = self.active.sum(axis=1, keepdims=True)
@@ -219,18 +215,17 @@ class _Scaled:
         gap = (self.qos - (ua[:, 0] + self.band_ratio * ua[:, 1])) * self.active
         return np.maximum(gap, 0.0).max(axis=(1, 2), initial=0.0)
 
-    def repair(self, ua: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    def repair(self, ua: np.ndarray) -> tuple[np.ndarray, int]:
         """Round an iterate ``ua = (u, a)`` to a feasible allocation.
 
         Alternates exact projections between the per-link sets and the
         QoS halfspaces, finishing on the per-link side so budgets and
         airtime sums hold exactly; the residual QoS slack falls below
-        ``REPAIR_TOL`` for any feasible problem.  It stops at the first
-        round that does not lower the largest slack, where an
-        infeasible problem stalls short of its floors, and after
-        ``REPAIR_MAX_ROUNDS`` rounds at most.  Returns the allocation,
-        the number of rounds after the first projection, and whether
-        the slack fell below the tolerance.
+        ``REPAIR_TOL`` for any feasible problem, and the solvers repair
+        only feasible ones.  As a guard it also stops at the first
+        round that does not lower the largest slack, and after
+        ``REPAIR_MAX_ROUNDS`` rounds at most.  Returns the allocation
+        and the number of rounds after the first projection.
         """
         out = project_links(self.pad(ua), self.totals, self.absent, np.empty_like(ua))
         u, a = out
@@ -240,20 +235,16 @@ class _Scaled:
             # where the QoS bound is 0 too
             slack = np.maximum(self.qos - (u + self.band_ratio * a), 0.0)
             shortfall = slack.max(initial=0.0)
-            reached = shortfall <= REPAIR_TOL
-            if reached or shortfall >= last or rounds == REPAIR_MAX_ROUNDS:
-                return out, rounds, reached
+            if shortfall <= REPAIR_TOL or shortfall >= last or rounds == REPAIR_MAX_ROUNDS:
+                return out, rounds
             last = shortfall
             # NaN where a pair is not offered, as the projections take it
             scale = slack / self.normal_sq
             project_links(out + scale * self.normal, self.totals, self.absent, out)
 
     def repaired_solution(self, ua, trace: ConvergenceTrace, flags) -> SlicingSolution:
-        """The solution of ``trace.method`` from ``ua``'s repair, which
-        ``trace`` records; flagged when the repair stopped short."""
-        ua, trace.repair_rounds, reached = self.repair(ua)
-        if not reached:
-            flags += (REPAIR_INCOMPLETE,)
+        """``trace.method``'s solution from ``ua``'s repair, which ``trace`` records."""
+        ua, trace.repair_rounds = self.repair(ua)
         return self.to_solution(*ua, trace.method, flags)
 
     def to_solution(self, u, a, method, flags=()) -> SlicingSolution:
@@ -302,6 +293,8 @@ class ConvergenceTrace:
     """
 
     method: str
+    #: the exact optimum, found before the first iteration; not in :meth:`to_text`
+    optimum: float = math.nan
     rows: list[TraceRow] = field(default_factory=list)
     converged: bool = False
     gamma_final: float = 0.0
@@ -363,11 +356,13 @@ def solve_admm(
     only the starting value: it doubles or halves whenever one residual
     outruns the other tenfold, and the scaled dual is rescaled in step
     so the underlying multipliers are preserved.  Settings outside
-    their domain raise :class:`SolverSettingError`.
+    their domain raise :class:`SolverSettingError`, and an infeasible
+    market ``InfeasibleProblem``.
     """
     check_settings(gamma=gamma, max_iter=max_iter, tol=tol)
+    optimum = solve_lp_oracle(problem).objective
     s = _Scaled(problem)
-    trace = ConvergenceTrace(method="admm", gamma_final=gamma)
+    trace = ConvergenceTrace(method="admm", optimum=optimum, gamma_final=gamma)
     n, m = problem.n_links, problem.n_services
     if s.dim == 0:
         trace.converged = True
@@ -451,11 +446,13 @@ def solve_subgradient(
     primal iterates.  A zero ``step_scale`` freezes the multipliers, so
     the trace objective stays constant; that degenerate case anchors the
     tests.  Settings outside their domain raise
-    :class:`SolverSettingError`.
+    :class:`SolverSettingError`, and an infeasible market
+    ``InfeasibleProblem``.
     """
     check_settings(max_iter=max_iter, step_scale=step_scale)
+    optimum = solve_lp_oracle(problem).objective
     s = _Scaled(problem)
-    trace = ConvergenceTrace(method="subgradient")
+    trace = ConvergenceTrace(method="subgradient", optimum=optimum)
     n, m = problem.n_links, problem.n_services
     if s.dim == 0:
         trace.converged = True

@@ -277,10 +277,17 @@ def test_infeasible_problem_exits_4(workspace, tmp_path, capsys):
     service["min_throughput_bps"] = 9e9
     hard = tmp_path / "hard.yaml"
     hard.write_text(json.dumps(doc))
-    assert main([
-        "solve", "--scenario", str(hard), "--table", str(table), "--fallback",
-    ]) == 4
-    assert capsys.readouterr().err.startswith("error: infeasible-")
+    # each iterative solver refuses the market itself, with the line the
+    # LP prints, and prints nothing else
+    for market in (["--scenario", str(hard)], ["--scenario", str(COMMITTED), "--variant", "s1"]):
+        errors = []
+        for solver in ("lp", "admm", "subgrad"):
+            argv = ["solve", *market, "--table", str(table), "--fallback", "--solver", solver]
+            assert main(argv) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: infeasible-") and err.count("\n") == 1
+            errors.append(err)
+        assert errors == [errors[0]] * 3
 
 
 def test_bad_simulation_config_exits_5(workspace, capsys):

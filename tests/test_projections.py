@@ -303,6 +303,15 @@ def test_non_finite_totals_raise(bad):
         project_budget_box(np.array([[0.3, 0.5], [0.1, 0.2]]), [1.0, bad], cap=1.0)
     with pytest.raises(ValueError):
         project_capped_simplex_eq(np.array([[0.3, 0.5], [0.1, 0.2]]), [0.5, bad])
+    # finite entries whose sum overflows: the fill's running sums would
+    # turn inf and leave the row unprojected
+    y = np.array([1e308, 1e308, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="do not sum to a finite value"):
+            project_budget_box(y, 1e308)
+        with pytest.raises(ValueError, match="do not sum to a finite value"):
+            project_capped_simplex_eq(y, 1e308, cap=math.inf)
 
 
 def test_cap_must_be_positive():

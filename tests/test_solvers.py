@@ -13,7 +13,6 @@ from slicenet import solvers
 from slicenet.problem import VARIANTS, InfeasibleProblem, as_variant, solve_lp_oracle
 from slicenet.projections import feasible_totals, project_budget_box, project_capped_simplex_eq
 from slicenet.solvers import (
-    REPAIR_INCOMPLETE,
     REPAIR_MAX_ROUNDS,
     REPAIR_TOL,
     ConvergenceTrace,
@@ -338,9 +337,8 @@ def _reference_project_local(s, u, a):
 
 
 def _reference_repair(s, u, a, tol=REPAIR_TOL, max_rounds=REPAIR_MAX_ROUNDS):
-    """The repaired ``(u, a)``, the rounds after the first projection,
-    and whether the QoS shortfall ended within ``tol``; a round that does
-    not lower the shortfall is the last."""
+    """The repaired ``(u, a)`` and the rounds after the first
+    projection; a round that does not lower the shortfall is the last."""
     u, a = _reference_project_local(s, u, a)
     denom = 1.0 + s.band_ratio * s.band_ratio
     rounds, last = 0, math.inf
@@ -350,15 +348,12 @@ def _reference_repair(s, u, a, tol=REPAIR_TOL, max_rounds=REPAIR_MAX_ROUNDS):
         scale = slack / denom
         u, a = _reference_project_local(s, u + scale, a + scale * s.band_ratio)
         rounds += 1
-    return u, a, rounds, _qos_shortfall(s, u, a) <= tol
+    return u, a, rounds
 
 
 def _reference_solution(s, trace, u, a, flags):
-    """Repair as the solvers do: the trace records the rounds, and a
-    repair that stopped short flags the solution."""
-    ru, ra, trace.repair_rounds, reached = _reference_repair(s, u, a)
-    if not reached:
-        flags += (REPAIR_INCOMPLETE,)
+    """Repair as the solvers do: the trace records the rounds."""
+    ru, ra, trace.repair_rounds = _reference_repair(s, u, a)
     return s.to_solution(ru, ra, trace.method, flags)
 
 
@@ -565,31 +560,36 @@ def test_unpaid_slices_match_their_first_form():
         _assert_same_run(solve_admm(problem), _reference_solve_admm(problem))
 
 
-def test_an_unfinished_repair_is_flagged():
-    # the s1 variant of these markets is infeasible: no repair reaches
-    # every QoS floor, and both solvers say so in the solution's flags,
-    # as their first form does
+def test_solvers_refuse_exactly_the_infeasible_markets():
+    # each link's LP has a closed form, so both solvers decide a market's
+    # feasibility before their first iteration: on every seed-1 market
+    # variant they refuse exactly where the oracle does, with its family
+    # and message, and otherwise carry its optimum bit for bit.  No
+    # iteration runs, so the repair starts from each solver's first
+    # iterate and must still reach every floor
     rng = np.random.default_rng(1)
-    for _ in range(3):
+    refused = 0
+    for _ in range(480):
         market = random_problem(rng, feasible_for="coalitions")
-        for variant, feasible in (("s1", False), ("s3", True)):
+        for variant in VARIANTS:
             problem = as_variant(market, variant)
-            if not feasible:
-                with pytest.raises(InfeasibleProblem):
-                    solve_lp_oracle(problem)
-            for got, want in (
-                (solve_admm(problem, max_iter=150), _reference_solve_admm(problem, max_iter=150)),
-                (
-                    solve_subgradient(problem, max_iter=100),
-                    _reference_solve_subgradient(problem, max_iter=100),
-                ),
-            ):
-                _assert_same_run(got, want)
-                solution, trace = got
-                assert (REPAIR_INCOMPLETE in solution.flags) is not feasible
-                assert (solution.max_violation() <= 1e-6) is feasible
-                # an infeasible repair stops once its shortfall stalls
+            try:
+                want = solve_lp_oracle(problem)
+            except InfeasibleProblem as exc:
+                want = exc
+            for solve in (solve_admm, solve_subgradient):
+                if isinstance(want, InfeasibleProblem):
+                    with pytest.raises(InfeasibleProblem) as got:
+                        solve(problem, max_iter=0)
+                    assert (got.value.family, got.value.message) == (want.family, want.message)
+                    refused += 1
+                    continue
+                solution, trace = solve(problem, max_iter=0)
+                assert trace.optimum.hex() == want.objective.hex()
+                assert solution.max_violation() <= 1e-6
                 assert trace.repair_rounds < REPAIR_MAX_ROUNDS
+    # 474 of the 1440 variants are infeasible, each refused by both solvers
+    assert refused == 2 * 474
 
 
 def test_trace_memory_stays_within_a_block():
