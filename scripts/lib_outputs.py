@@ -22,6 +22,12 @@ bit, signed zeros included.  The files, one record per line:
   The coalitions record holds one coalition and its value, for every
   non-empty coalition of the market, all valued in one
   ``coalition_values`` call.
+  ``admm.tsv`` and ``subgrad.tsv`` end with one record each for the
+  ``s3`` market of every 200-contender deployment (the last four of
+  ``DEPLOYMENTS``), estimated with ``fallback`` against the table of
+  ``estimate.tsv`` under the benchmark's QoS floors of 1 and 2 Mb/s
+  (the default floors are infeasible at that density): the solvers on
+  150 to 180 links, where the markets have 10 at most.
 - ``estimate.tsv``: ``estimate_access`` strict and with ``fallback`` on
   the whole contention graph, each operator's view and each view with
   one operator removed, of the committed scenario and of generated
@@ -47,6 +53,7 @@ The wall time goes to stderr, not into OUTDIR.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import sys
 import time
@@ -81,8 +88,14 @@ from slicenet.game import (
     default_division,
 )
 from slicenet.mboe import estimate_access, remove_mno, subgraph_for_mno
-from slicenet.problem import VARIANTS, InfeasibleProblem, as_variant, solve_lp_oracle
-from slicenet.scenario import load_scenario
+from slicenet.problem import (
+    VARIANTS,
+    InfeasibleProblem,
+    as_variant,
+    build_problem,
+    solve_lp_oracle,
+)
+from slicenet.scenario import ServiceType, load_scenario
 from slicenet.solvers import solve_admm, solve_subgradient
 from slicenet.topology import generate_topology, random_problem
 
@@ -100,6 +113,10 @@ DEPLOYMENTS = (
     ("two-mno-urban", 45, 2, 20, 200.0, 1),
     ("uniform-random", 40, 2, 40, 200.0, 1),
 )
+#: the services of the deployments' ``admm.tsv`` and ``subgrad.tsv``
+#: markets: (id, QoS floor in bit/s, price per bit), the benchmark's
+#: dense-deployment floors
+DEPLOY_SERVICES = (ServiceType(1, 1.0e6, 1.0e-6), ServiceType(2, 2.0e6, 2.0e-6))
 
 
 def hexed(x) -> str:
@@ -128,6 +145,17 @@ def trace_fields(trace) -> tuple:
     return (trace.converged, trace.gamma_final, len(rows), last, digest)
 
 
+def solver_records(out: dict[str, list[str]], name: str, problem) -> None:
+    """One ``admm`` and one ``subgrad`` record of ``problem``: the run, or
+    the market's refusal."""
+    for key, solve in (("admm", solve_admm), ("subgrad", solve_subgradient)):
+        try:
+            solution, trace = solve(problem)
+            out[key].append(record(name, *solution_fields(solution), *trace_fields(trace)))
+        except InfeasibleProblem as exc:
+            out[key].append(record(name, "infeasible", exc.family, exc.message))
+
+
 def market_records(out: dict[str, list[str]]) -> None:
     rng = np.random.default_rng(1)
     for i in range(MARKETS):
@@ -140,14 +168,7 @@ def market_records(out: dict[str, list[str]]) -> None:
                 out["lp"].append(record(name, "optimal", *solution_fields(lp)))
             except InfeasibleProblem as exc:
                 out["lp"].append(record(name, "infeasible", exc.family, exc.message))
-            for key, solve in (("admm", solve_admm), ("subgrad", solve_subgradient)):
-                try:
-                    solution, trace = solve(problem)
-                    out[key].append(
-                        record(name, *solution_fields(solution), *trace_fields(trace))
-                    )
-                except InfeasibleProblem as exc:
-                    out[key].append(record(name, "infeasible", exc.family, exc.message))
+            solver_records(out, name, problem)
             for rule in DIVISION_RULES:
                 try:
                     agreement = default_division(problem, rule)
@@ -209,8 +230,22 @@ def views():
             yield label, f"without{m}", remove_mno(graph, [m])
 
 
+@functools.cache
+def short_table():
+    """The 0.2 s table of graphs up to 5 vertices that the estimates read."""
+    return measure_table(5, SimConfig(duration_s=0.2, seed=0))
+
+
+def deploy_records(out: dict[str, list[str]]) -> None:
+    for d in DEPLOYMENTS[2:]:
+        label, scenario = deployment(*d)
+        scenario = dataclasses.replace(scenario, services=DEPLOY_SERVICES)
+        est = estimate_access(build_contention_graph(scenario), short_table(), fallback=True)
+        solver_records(out, f"{label}\ts3", build_problem(scenario, est, variant="s3"))
+
+
 def estimate_records(out: dict[str, list[str]]) -> None:
-    table = measure_table(5, SimConfig(duration_s=0.2, seed=0))
+    table = short_table()
     for form in enumerate_connected_colored_graphs(5):
         entry = table.entries[form.key]
         out["table"].append(record(form.key, form.orbits, entry.access, entry.raw_share))
@@ -288,7 +323,8 @@ def main() -> int:
         )
     }
     start = time.perf_counter()
-    for section in (market_records, estimate_records, graph_records, lbt_records):
+    sections = (market_records, deploy_records, estimate_records, graph_records, lbt_records)
+    for section in sections:
         t = time.perf_counter()
         section(out)
         print(f"{section.__name__}: {time.perf_counter() - t:.1f} s", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exact Euclidean projections used by the per-link solvers.
 
-Every routine here is closed-form (sorting and water fills, no
-iterative optimization), so projections are exact to floating-point
+Every routine here is closed-form (water fills, no iterative
+optimization), so projections are exact to floating-point
 roundoff.  That matters: the distributed solver's convergence proofs
 assume its subproblems are solved exactly, and the test suite holds
 these functions to brute-force grids.
@@ -20,10 +20,11 @@ That is exact: capping takes mass away, so the water level only falls
 and a fixed entry stays above the cap; each refill fixes at least one
 more entry, so a row of ``m`` entries takes at most ``m`` refills.
 
-The solvers call these on a few links at a time, thousands of times
-per solve, so the arithmetic is written for few numpy calls: row-wise
-lookups index the flattened arrays, results are written in place (into
-the caller's ``out`` buffer when given), and clamps are ``maximum`` and
+The solvers call these on every link at once, up to hundreds of rows
+of a few slices, thousands of times per solve, so the arithmetic is
+written for few numpy calls, all elementwise: the water fill works
+column by column, results are written in place (into the caller's
+``out`` buffer when given), and clamps are ``maximum`` and
 ``minimum`` with their arguments in the order that gives ``np.clip``'s
 results bit for bit, signed zeros included.  Those clamps keep NaN, so
 the absent entries of a result are zeroed by one ``putmask``.
@@ -55,11 +56,10 @@ _SLACK = np.array([1e-12, 1e-9])
 
 
 @functools.lru_cache(maxsize=64)
-def _arange(stop: int, step: int = 1) -> np.ndarray:
-    """``np.arange(0, stop, step)``, read-only and kept across calls."""
-    out = np.arange(0, stop, step)
-    out.setflags(write=False)
-    return out
+def _network(m: int) -> tuple:
+    """Compare-exchange pairs that sort ``m`` entries: an odd-even
+    transposition network (Knuth, TAOCP vol. 3, sec. 5.3.4)."""
+    return tuple((i, i + 1) for r in range(m) for i in range(r % 2, m - 1, 2))
 
 
 def _rows(y, total, cap: float):
@@ -110,20 +110,30 @@ def check_budgets(budgets) -> None:
 
 
 def _water_fill(y, total, absent, out=None) -> np.ndarray:
-    """Project each row onto {x >= 0, sum x = total} by water-filling."""
-    n, m = y.shape
-    # rows in descending order with the absent entries (NaN) last: they
-    # never satisfy the condition, and raise no floating-point warning
-    u = -y
-    u.sort(axis=1)
-    np.negative(u, out=u)
-    css = u.cumsum(axis=1)
-    cond = u - (css - total[:, None]) / _arange(m + 1)[1:] > 0
-    # the largest entry always qualifies in exact arithmetic; a total
-    # below its roundoff can fail the test and must not drop it
-    last = (cond * _arange(m)).max(axis=1)
-    tau = (css.take(_arange(n * m, m) + last) - total) / (last + 1)
-    x = np.subtract(y, tau[:, None], out=out)
+    """Project each row onto {x >= 0, sum x = total} by water-filling.
+
+    Each step is elementwise over a column, so many short rows cost a
+    few calls per column, not a sort and reductions along every row.  A
+    network sorts the columns of ``-y`` ascending, the absent entries
+    (NaN) last: those never qualify and raise no floating-point warning.
+    The negated level ``q = -tau`` is the last candidate ``(total +
+    running sum) / k`` above the k-th sorted entry, or else the first,
+    which qualifies in exact arithmetic whatever roundoff does to a tiny
+    total.  Negation, left-fold sums and, with gradual underflow, ``a >
+    b`` for ``a - b > 0`` are exact, so results have the bits of a sort,
+    ``cumsum`` and ``y - tau``: ``y + q`` differs only in the sign of a
+    zero, which the clamp drops.
+    """
+    s = list(-y.T)
+    for i, j in _network(y.shape[1]):
+        s[i], s[j] = np.fmin(s[i], s[j]), np.maximum(s[i], s[j])
+    run = s[0]
+    q = run + total
+    for k in range(1, len(s)):
+        run = run + s[k]
+        level = (run + total) / (k + 1)
+        np.copyto(q, level, where=level > s[k])
+    x = np.add(y, q[:, None], out=out)
     np.maximum(x, 0.0, out=x)
     np.putmask(x, absent, 0.0)
     empty = total <= 0.0

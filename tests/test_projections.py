@@ -226,9 +226,9 @@ _ENTRY = st.one_of(
 
 @st.composite
 def _stacked_case(draw):
-    """Rows of 1-6 entries under a random mask, with per-row totals at
+    """Rows of 1-9 entries under a random mask, with per-row totals at
     0, at full capacity or in between."""
-    m = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=9))
     n = draw(st.integers(min_value=1, max_value=5))
     y = np.array(draw(st.lists(_ENTRY, min_size=n * m, max_size=n * m))).reshape(n, m)
     mask = np.array(
@@ -417,7 +417,7 @@ _EDGE_ENTRY = st.one_of(
 def _edge_case(draw, caps=(0.25, 1.0, 1.5, math.inf)):
     """Rows as for ``_stacked_case``, from the edge entries, with the
     totals at 0, -0.0, full capacity or in between."""
-    m = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=9))
     n = draw(st.integers(min_value=1, max_value=6))
     y = np.array(draw(st.lists(_EDGE_ENTRY, min_size=n * m, max_size=n * m))).reshape(n, m)
     mask = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))).reshape(n, m)
@@ -468,6 +468,22 @@ def test_cores_match_their_first_form_on_edge_rows(cap, fill):
     everyone = np.arange(len(y))
     for rows in (everyone, everyone[::-1], *everyone[:, None]):
         _assert_cores_match_first_form(y[rows], mask[rows], room[rows] * fill, cap)
+
+
+@pytest.mark.parametrize("cap", [1.0, math.inf])
+@pytest.mark.parametrize("m", [2, 3])
+def test_cores_match_their_first_form_on_a_deployment_stack(m, cap):
+    # a dense deployment's ADMM step projects hundreds of rows of two or
+    # three slices at once, so the sorting network's compare-exchanges
+    # and the running sums run down long columns
+    rng = np.random.default_rng(m)
+    n = 320
+    tied = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0], size=(n, m))
+    y = np.where(rng.random((n, m)) < 0.3, tied, rng.normal(scale=1.5, size=(n, m)))
+    mask = rng.random((n, m)) < 0.8
+    fill = np.choose(rng.integers(0, 4, size=n), [0.0, -0.0, 1.0, rng.random(n)])
+    room = mask.sum(axis=1) * (cap if math.isfinite(cap) else 4.0)
+    _assert_cores_match_first_form(y, mask, room * fill, cap)
 
 
 def _edge_stack(cap):
