@@ -11,7 +11,7 @@
 # holds give tied transmission ends), then runs mboe (also with operator 2 removed), solve with each
 # solver (with its trace; the LP has none), solve under the s1 and s2
 # variants with the LP and ADMM (both infeasible: exit code and message
-# are kept), game under both division rules and a 1 s sim on
+# are kept), game and a 1 s sim on
 # scenarios/two_mno_20mhz.json, and a min_qos sweep over it whose top
 # floor makes some cells infeasible.  It keeps the exit code and stderr
 # line of five malformed inputs: a scenario with a malformed band field,
@@ -21,7 +21,7 @@
 # exactly mboe.txt.  Then it generates a dense two-operator deployment
 # (120 links, 20 access points), whose components reach past the table,
 # runs mboe, solve (also under s2, with the subgradient, and cut short at 25
-# ADMM iterations) and game (under both division rules) on it with --fallback,
+# ADMM iterations) and game on it with --fallback,
 # checks that out-of-domain solver settings exit 2, and simulates it with a
 # timeline and with Poisson arrivals.  Last, it runs mboe strict (exit code
 # and stderr kept) and with --fallback against copies of table.tsv that
@@ -64,7 +64,6 @@ for solver in lp admm; do
     done
 done
 slicenet game --scenario "$SCENARIO" --table table.tsv --out game.txt
-slicenet game --scenario "$SCENARIO" --table table.tsv --division prop --out game_prop.txt
 slicenet sim --scenario "$SCENARIO" --duration 1 --seed 0 --out sim.txt
 slicenet experiment --axis min_qos --values 1e6,5e6,4e7 --scenario "$SCENARIO" \
     --table-max-size 4 --table-duration 0.2 --out experiment > experiment.txt
@@ -124,7 +123,6 @@ for case in "gamma_neg --gamma -1" "gamma_zero --gamma 0" "gamma_nan --gamma nan
     echo "exit $status" >> "dense_usage_$name.txt"
 done
 slicenet game "${DENSE[@]}" --out dense_game.txt
-slicenet game "${DENSE[@]}" --division prop --out dense_game_prop.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --timeline dense_timeline.tsv \
     --out dense_sim.txt
 slicenet sim --scenario dense.yaml --duration 0.2 --seed 0 --arrivals poisson \

@@ -17,8 +17,8 @@ bit, signed zeros included.  The files, one record per line:
   records the solution, flags, ``gamma_final``, the row count, the last
   trace row and a SHA-256 of every trace row, or, like the LP record,
   the blamed family and message of a market they refuse; the game
-  record, per division rule, the division, worth and core verdict, and
-  then the convexity probe.
+  records the Shapley division, its worth and core verdict (with the
+  coalition of largest excess), and then the convexity probe.
   The coalitions record holds one coalition and its value, for every
   non-empty coalition of the market, all valued in one
   ``coalition_values`` call.
@@ -80,7 +80,6 @@ from slicenet.contention import (
     maximum_independent_sets,
 )
 from slicenet.game import (
-    DIVISION_RULES,
     check_core,
     coalition_values,
     compute_worth,
@@ -169,21 +168,20 @@ def market_records(out: dict[str, list[str]]) -> None:
             except InfeasibleProblem as exc:
                 out["lp"].append(record(name, "infeasible", exc.family, exc.message))
             solver_records(out, name, problem)
-            for rule in DIVISION_RULES:
-                try:
-                    agreement = default_division(problem, rule)
-                except InfeasibleProblem as exc:
-                    out["game"].append(record(name, rule, "infeasible", exc.family))
-                    continue
+            try:
+                agreement = default_division(problem)
+            except InfeasibleProblem as exc:
+                out["game"].append(record(name, "shapley", "infeasible", exc.family))
+            else:
                 worth = compute_worth(agreement)
                 verdict = check_core(agreement)
                 out["game"].append(
                     record(
-                        name, rule, agreement.x, agreement.optimum, agreement.standalone,
+                        name, "shapley", agreement.x, agreement.optimum, agreement.standalone,
                         *solution_fields(agreement.solution),
                         worth.slice_worth, worth.mno_worth, worth.total,
-                        verdict.in_core, verdict.optimum, verdict.welfare_gap,
-                        verdict.failing_mno, verdict.reason,
+                        verdict.in_core, verdict.optimum, sorted(verdict.coalition),
+                        verdict.excess, verdict.reason,
                     )
                 )
             coalitions = [

@@ -264,11 +264,10 @@ def _cmd_solve(args) -> int:
 def _cmd_game(args) -> int:
     scenario, _, _, est = _estimates_for(args)
     problem = build_problem(scenario, est, variant="s3")
-    rule = {"egal": "egalitarian", "prop": "proportional"}[args.division]
-    agreement = default_division(problem, rule=rule)
+    agreement = default_division(problem)
     worth = compute_worth(agreement)
     verdict = check_core(agreement)
-    lines = [f"division\t{rule}", f"total\t{worth.total:.6f}", ""]
+    lines = ["division\tshapley", f"total\t{worth.total:.6f}", ""]
     lines.append("mno\tstandalone\tshare")
     for j, mno in enumerate(worth.members):
         lines.append(
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     game = subs.add_parser("game", help="split cooperative revenue between operators")
     game.add_argument("--scenario", required=True)
     game.add_argument("--table", required=True)
-    game.add_argument("--division", choices=("egal", "prop"), default="egal")
     game.add_argument("--fallback", action="store_true")
     _common_flags(game)
     game.set_defaults(func=_cmd_game)

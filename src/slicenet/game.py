@@ -4,24 +4,12 @@ Operators that pool spectrum form a transferable-utility game: the
 value of a coalition is the optimal welfare of the allocation problem
 restricted to its members, links, and pooled budgets.  This module
 evaluates slice worths, splits the grand-coalition surplus into
-per-operator payoffs, checks a proposed split against part of the
-core's conditions, and probes the convexity structure that guarantees
-a stable split exists.
-
-The stability check (:func:`check_core`) tests two of the core's
-conditions: efficiency (the split hands out the full optimal welfare)
-and individual rationality (every operator gets at least its
-standalone value).  It does not test the coalitions of two or more
-operators short of the grand coalition, so it is necessary for core
-membership but not sufficient: with three or more operators a
-coalition can block a split that passes it (market 76 drawn by
-``random_problem(default_rng(7), feasible_for="coalitions")``: the
-egalitarian split pays operators {1, 2, 4} 2771.4 against their joint
-value 2848.0, and the check reports it in the core).  With two
-operators it is the full core condition.  The convexity probe tests
-supermodularity on every coalition, pair by pair; a convex game has a
-non-empty core, which says nothing about whether a given split lies in
-it.
+per-operator payoffs by the Shapley value, checks a split against the
+core (no coalition, the grand one included, is worth more than it is
+paid), and probes the convexity that puts the Shapley value in the core
+(Shapley, "Cores of convex games", 1971).  A game that is not convex
+may still have its Shapley split in the core; where it does not, the
+check says which coalition blocks it.
 
 Every game step reads its coalition values from one table per market,
 filled in one pass, indexed by member bitmask and kept on the problem
@@ -38,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, inf
 
 from .problem import SlicingProblem, SlicingSolution, solve_lp_oracle
 
@@ -165,16 +154,16 @@ def compute_worth(agreement: SlicingAgreement) -> WorthReport:
 class CoreVerdict:
     """Stability verdict with its certificate.
 
-    ``welfare_gap`` is how far total allocated utility falls short of
-    the grand-coalition optimum (nonpositive when efficient), and
-    ``failing_mno`` names an operator paid below its standalone value,
-    if any.
+    ``coalition`` is the coalition, as member ids, whose value most
+    exceeds what the split pays its members, and ``excess`` is by how
+    much; the split is blocked, by that coalition, when the excess is
+    above the tolerance.
     """
 
     in_core: bool
     optimum: float
-    welfare_gap: float
-    failing_mno: int | None
+    coalition: frozenset[int]
+    excess: float
     reason: str
 
     def __str__(self) -> str:
@@ -182,17 +171,15 @@ class CoreVerdict:
 
 
 def check_core(agreement: SlicingAgreement) -> CoreVerdict:
-    """Check a split for efficiency and individual rationality.
+    """Check a split against every coalition's value.
 
-    ``in_core`` holds when the split hands out the full optimal welfare
-    and pays every member at least its standalone value, both as the
-    agreement carries them.  Coalitions of
-    two or more members short of the grand coalition are not checked,
-    so with three or more operators a split can pass while some such
-    coalition would rather walk away; with two operators the check is
-    the whole core condition.  Efficiency of the per-slice split
-    (shares summing to the slice worth) is a structural precondition
-    and raises on violation.
+    ``in_core`` holds when no non-empty coalition, the grand one
+    included, is worth more than the split pays its members together,
+    within ``EPS_REL`` of the optimum, with the values the agreement
+    carries.  The grand coalition's row is efficiency and a lone
+    member's is individual rationality.  Efficiency of the per-slice
+    split (shares summing to the slice worth) is a structural
+    precondition and raises on violation.
     """
     sol = agreement.solution
     p = sol.problem
@@ -204,67 +191,62 @@ def check_core(agreement: SlicingAgreement) -> CoreVerdict:
                 f"slice {p.service_ids[l]} splits {allocated!r}"
                 f" of a worth of {worth!r}"
             )
-    optimum = agreement.optimum
-    eps = EPS_REL * _scale(optimum)
-    total = agreement.total_allocated()
-    gap = optimum - total
-    failing, reason = None, ""
-    if gap > eps:
-        reason = f"allocated welfare {total:.6g} short of optimum {optimum:.6g}"
-    else:
-        for i, floor in zip(p.members, agreement.standalone):
-            share = agreement.member_share(i)
-            if share < floor - eps:
-                failing = i
-                reason = f"operator {i} gets {share:.6g}, below its standalone {floor:.6g}"
-                break
+    pay = [sum(column) for column in zip(*agreement.x)]
+    # paid[mask]: what the members of the coalition ``mask`` are paid together
+    paid = [0.0] * len(agreement.values)
+    worst, excess = 0, -inf
+    for mask in range(1, len(paid)):
+        low = mask & -mask
+        paid[mask] = paid[mask ^ low] + pay[low.bit_length() - 1]
+        gap = agreement.values[mask] - paid[mask]
+        if gap > excess:
+            worst, excess = mask, gap
+    coalition = frozenset(i for j, i in enumerate(p.members) if worst >> j & 1)
+    reason = ""
+    if excess > EPS_REL * _scale(agreement.optimum):
+        reason = (
+            f"operators {sorted(coalition)} are worth {agreement.values[worst]:.6g}"
+            f" together but are paid {paid[worst]:.6g}"
+        )
     return CoreVerdict(
-        in_core=not reason, optimum=optimum, welfare_gap=gap, failing_mno=failing, reason=reason
+        in_core=not reason,
+        optimum=agreement.optimum,
+        coalition=coalition,
+        excess=excess,
+        reason=reason,
     )
 
 
 # ---------------------------------------------------------------------------
-# division rules
-
-DIVISION_RULES = ("egalitarian", "proportional")
+# division
 
 
-def default_division(problem: SlicingProblem, rule: str = "egalitarian") -> SlicingAgreement:
-    """Split the optimal welfare into per-member payoffs.
+def default_division(problem: SlicingProblem) -> SlicingAgreement:
+    """Split the optimal welfare into per-member payoffs by the Shapley
+    value.
 
-    Every member first receives its standalone value; the cooperative
-    surplus on top is divided equally (default) or in proportion to
-    the standalone values.  Either way each member weakly improves on
-    going it alone, so the result sits in the core whenever the
-    surplus is nonnegative; pooling can only widen the feasible set,
-    so a meaningfully negative surplus means the inputs are broken,
-    and an assertion guards it.
+    Each member is paid its marginal value v(S∪{i}) − v(S) averaged over
+    the orders in which the members can join: over every coalition S
+    without it, weighted by |S|!·(m−|S|−1)!/m!, read from the market's
+    coalition table.  The payoffs sum to the grand coalition's value,
+    and lie in the core of every convex game.
 
     Per-member totals are spread over slices in proportion to slice
     worths, keeping the per-slice split efficient.
     """
-    if rule not in DIVISION_RULES:
-        raise ValueError(f"unknown division rule {rule!r}")
     # the table first, so a market with no operators or too many for the
     # table is refused unsolved
     values = _table(problem)
     solution = solve_lp_oracle(problem)
     v_star = solution.objective
-    members = problem.members
-    t = tuple(values[1 << j] for j in range(len(members)))
-    surplus = v_star - sum(t)
-    assert surplus >= -EPS_REL * _scale(v_star), (
-        f"optimal welfare {v_star} below summed standalone values {sum(t)}"
-    )
-    surplus = max(0.0, surplus)
-    if rule == "egalitarian":
-        shares = [ti + surplus / len(members) for ti in t]
-    else:
-        base = sum(t)
-        if base > 0:
-            shares = [ti * (v_star / base) for ti in t]
-        else:
-            shares = [v_star / len(members) for _ in members]
+    m = len(problem.members)
+    shares = [0.0] * m
+    # the grand coalition, last, has no member left to join it
+    for s in range(len(values) - 1):
+        weight = 1.0 / (m * comb(m - 1, s.bit_count()))
+        for j in range(m):
+            if not s >> j & 1:
+                shares[j] += weight * (values[s | 1 << j] - values[s])
 
     worths = map(solution.slice_worth, range(problem.n_services))
     fracs = [worth / v_star if v_star > 0 else 0.0 for worth in worths]

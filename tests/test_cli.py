@@ -118,10 +118,11 @@ def test_solve_lp_has_no_trace_header(workspace, capsys):
 
 def test_game_prints_verdict(workspace, capsys):
     scenario, table = workspace
-    assert main([
-        "game", "--scenario", str(scenario), "--table", str(table), "--fallback",
-    ]) == 0
-    assert "core\t" in capsys.readouterr().out
+    for market in ([str(scenario), "--fallback"], [str(COMMITTED)]):
+        assert main(["game", "--scenario", *market, "--table", str(table)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "division\tshapley"
+        assert lines[-1] == "core\tin core"
 
 
 def test_missing_scenario_is_io_error(tmp_path, capsys):

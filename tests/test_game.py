@@ -1,4 +1,4 @@
-"""Coalition worths, stability verdicts, and division rules."""
+"""Coalition worths, stability verdicts, and the Shapley division."""
 
 import math
 from dataclasses import replace
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from slicenet.game import (
-    DIVISION_RULES,
     EPS_REL,
     ConvexityReport,
     NoOperatorsError,
@@ -20,6 +19,7 @@ from slicenet.game import (
 )
 from slicenet.problem import (
     MAX_COALITION_MEMBERS,
+    VARIANTS,
     InfeasibleProblem,
     SlicingProblem,
     TooManyOperatorsError,
@@ -61,15 +61,54 @@ def test_slice_worths_split_by_tariff():
     assert worth.slice_worth[1] > worth.slice_worth[0]
 
 
-def test_division_rules_cover_both_names():
-    problem = bottleneck_preset()
-    assert set(DIVISION_RULES) == {"egalitarian", "proportional"}
-    egal = default_division(problem, rule="egalitarian")
-    prop = default_division(problem, rule="proportional")
-    # equal standalones make both rules coincide
-    assert math.isclose(egal.member_share(1), prop.member_share(1), rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        default_division(problem, rule="median")
+def test_the_shapley_division_is_efficient_and_in_the_core():
+    rng = np.random.default_rng(1)
+    markets = [random_problem(rng, feasible_for="coalitions") for _ in range(480)]
+    feasible = nonconvex = 0
+    for problem in (as_variant(market, v) for market in markets for v in VARIANTS):
+        try:
+            agreement = default_division(problem)
+        except InfeasibleProblem:
+            continue
+        feasible += 1
+        grand = agreement.optimum
+        assert abs(agreement.total_allocated() - grand) <= 1e-15 * grand
+        # in the core of every game here, convex or not
+        assert check_core(agreement).in_core
+        nonconvex += not convexity_probe(problem).ok
+        if len(problem.members) == 2:
+            # two operators split the surplus over their standalones equally
+            v = agreement.values
+            for j, i in enumerate(problem.members):
+                equal = v[1 << j] + (v[3] - v[1] - v[2]) / 2
+                assert abs(agreement.member_share(i) - equal) <= 1e-15 * grand
+    assert (feasible, nonconvex) == (966, 42)
+
+
+def _egalitarian(agreement):
+    """``agreement`` with the surplus over the standalone values split
+    equally, spread over slices by worth like the Shapley payoffs."""
+    standalone = agreement.standalone
+    surplus = agreement.optimum - sum(standalone)
+    shares = [t + surplus / len(standalone) for t in standalone]
+    sol = agreement.solution
+    fracs = [sol.slice_worth(l) / agreement.optimum for l in range(sol.problem.n_services)]
+    return replace(agreement, x=tuple(tuple(s * f for s in shares) for f in fracs))
+
+
+def test_a_coalition_short_of_the_grand_one_blocks_the_equal_split():
+    rng = np.random.default_rng(7)
+    markets = [random_problem(rng, feasible_for="coalitions") for _ in range(100)]
+    # operators {1, 2, 4} are worth 2848.0 together but paid 2771.4 on
+    # market 76, and worth 1895.1 but paid 1835.8 on market 99
+    for k, excess in ((76, 76.586), (99, 59.353)):
+        agreement = default_division(markets[k])
+        assert check_core(agreement).in_core
+        verdict = check_core(_egalitarian(agreement))
+        assert not verdict.in_core
+        assert verdict.coalition == {1, 2, 4}
+        assert math.isclose(verdict.excess, excess, abs_tol=1e-3)
+        assert str(verdict).startswith("not in core: operators [1, 2, 4] are worth")
 
 
 def test_underpaid_member_fails_individual_rationality():
@@ -88,8 +127,9 @@ def test_underpaid_member_fails_individual_rationality():
     )
     verdict = check_core(replace(agreement, x=skewed))
     assert not verdict.in_core
-    assert verdict.failing_mno == 1
-    assert "standalone" in verdict.reason
+    # operator 1 alone is worth 110.0 and paid a fifth of its 150.0
+    assert verdict.coalition == {1}
+    assert math.isclose(verdict.excess, 80.0, rel_tol=1e-9)
 
 
 def test_inefficient_agreement_rejected():
@@ -209,14 +249,13 @@ def test_agreement_matches_grand_coalition_solution():
     assert math.isclose(agreement.total_allocated(), oracle.objective, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("rule", DIVISION_RULES)
-def test_agreement_carries_the_values_it_splits(rule):
+def test_agreement_carries_the_values_it_splits():
     rng = np.random.default_rng(13)
     # under the default s3 margin some standalone values are infeasible zeros
     problems = [bottleneck_preset()] + [random_problem(rng) for _ in range(6)]
     zeros = 0
     for problem in problems:
-        agreement = default_division(problem, rule=rule)
+        agreement = default_division(problem)
         singletons = [{i} for i in problem.members]
         assert agreement.optimum == solve_lp_oracle(problem).objective
         assert len(agreement.values) == 2 ** len(problem.members)
@@ -278,7 +317,7 @@ def test_worth_and_core_read_the_agreement_without_solving(lp_calls):
     skewed = tuple((row[0] * 0.5, row[1] + row[0] * 0.5) for row in agreement.x)
     copy = replace(agreement, x=skewed)
     assert (copy.optimum, copy.values) == (agreement.optimum, agreement.values)
-    assert check_core(copy).failing_mno == 1
+    assert check_core(copy).coalition == {1}
     assert check_core(agreement).in_core
     compute_worth(copy)
     assert lp_calls == []

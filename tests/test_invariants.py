@@ -1,8 +1,9 @@
-"""Invariants of the allocation LP that a diff against an older checkout
-cannot see: a fault both checkouts share passes every byte-diff, but not
-a property the market must keep under a change that cannot move its
-value.  Each is checked on every variant of the 480 markets
-``random_problem(default_rng(1), feasible_for="coalitions")`` draws."""
+"""Invariants of the allocation LP and its coalition game that a diff
+against an older checkout cannot see: a fault both checkouts share
+passes every byte-diff, but not a property the market must keep under a
+change that cannot move its value.  Each is checked on every variant of
+the 480 markets ``random_problem(default_rng(1),
+feasible_for="coalitions")`` draws."""
 
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from slicenet.game import default_division
 from slicenet.problem import VARIANTS, InfeasibleProblem, as_variant, solve_lp_oracle
 from slicenet.solvers import solve_admm
 from slicenet.topology import random_problem
@@ -85,6 +87,19 @@ def _reversed_services(problem):
     )
 
 
+def _reversed_members(problem):
+    """The same market with its operators, and so the bits of its
+    coalition masks, in reverse order."""
+    return replace(
+        problem, members=problem.members[::-1], mno_budget_hz=problem.mno_budget_hz[::-1]
+    )
+
+
+def _mirrored(mask, m):
+    """``mask`` over ``m`` members with bit ``j`` moved to bit ``m - 1 - j``."""
+    return sum(1 << m - 1 - j for j in range(m) if mask >> j & 1)
+
+
 def _worst_move(before, after):
     """The largest relative move from ``before`` to ``after``, value by
     value, where a zero that moves at all moves infinitely far; fails
@@ -134,3 +149,22 @@ def test_doubling_every_tariff_leaves_admm_iterates_alone(variants, optima):
         assert solution2.u_hz.tobytes() == solution.u_hz.tobytes()
         assert solution2.alpha.tobytes() == solution.alpha.tobytes()
         assert solution2.objective == 2.0 * solution.objective
+
+
+def test_reversing_the_members_permutes_the_table_and_the_payoffs(variants, optima):
+    # a coalition's mask marks members by position, so reversing them
+    # mirrors every mask; the Shapley payoff of each operator stays
+    worst = 0.0
+    for problem, value in zip(variants, optima):
+        reversed_ = _reversed_members(problem)
+        m = len(problem.members)
+        table = reversed_.coalition_table
+        mirrored = [table[_mirrored(mask, m)] for mask in range(len(table))]
+        worst = max(worst, _worst_move(problem.coalition_table, mirrored))
+        if value is not None:
+            before, after = default_division(problem), default_division(reversed_)
+            worst = max(worst, _worst_move(
+                [before.member_share(i) for i in problem.members],
+                [after.member_share(i) for i in problem.members],
+            ))
+    assert worst <= REORDER_REL
