@@ -85,12 +85,21 @@ def test_the_shapley_division_is_efficient_and_in_the_core():
     assert (feasible, nonconvex) == (966, 42)
 
 
-def _egalitarian(agreement):
-    """``agreement`` with the surplus over the standalone values split
-    equally, spread over slices by worth like the Shapley payoffs."""
+def _resplit(agreement, rule="egalitarian"):
+    """``agreement`` with its optimum split by one of the rules the
+    Shapley value replaced: each operator's standalone value plus an
+    equal share of the surplus ("egalitarian"), or the optimum in
+    proportion to the standalone values ("proportional"). Payoffs are
+    spread over slices by worth like the Shapley payoffs."""
     standalone = agreement.standalone
-    surplus = agreement.optimum - sum(standalone)
-    shares = [t + surplus / len(standalone) for t in standalone]
+    n = len(standalone)
+    if rule == "egalitarian":
+        surplus = agreement.optimum - sum(standalone)
+        shares = [t + surplus / n for t in standalone]
+    elif sum(standalone) > 0:
+        shares = [t * (agreement.optimum / sum(standalone)) for t in standalone]
+    else:
+        shares = [agreement.optimum / n] * n
     sol = agreement.solution
     fracs = [sol.slice_worth(l) / agreement.optimum for l in range(sol.problem.n_services)]
     return replace(agreement, x=tuple(tuple(s * f for s in shares) for f in fracs))
@@ -104,7 +113,7 @@ def test_a_coalition_short_of_the_grand_one_blocks_the_equal_split():
     for k, excess in ((76, 76.586), (99, 59.353)):
         agreement = default_division(markets[k])
         assert check_core(agreement).in_core
-        verdict = check_core(_egalitarian(agreement))
+        verdict = check_core(_resplit(agreement))
         assert not verdict.in_core
         assert verdict.coalition == {1, 2, 4}
         assert math.isclose(verdict.excess, excess, abs_tol=1e-3)
@@ -249,19 +258,26 @@ def test_agreement_matches_grand_coalition_solution():
     assert math.isclose(agreement.total_allocated(), oracle.objective, rel_tol=1e-9)
 
 
-def test_agreement_carries_the_values_it_splits():
+@pytest.mark.parametrize("rule", ("egalitarian", "proportional"))
+def test_agreement_carries_the_values_it_splits(rule):
     rng = np.random.default_rng(13)
     # under the default s3 margin some standalone values are infeasible zeros
     problems = [bottleneck_preset()] + [random_problem(rng) for _ in range(6)]
     zeros = 0
     for problem in problems:
-        agreement = default_division(problem)
+        shapley = default_division(problem)
+        agreement = _resplit(shapley, rule)
         singletons = [{i} for i in problem.members]
         assert agreement.optimum == solve_lp_oracle(problem).objective
         assert len(agreement.values) == 2 ** len(problem.members)
         # the table's grand entry is the oracle's optimum, bit for bit
         assert agreement.values[-1] == agreement.optimum
         assert agreement.standalone == tuple(coalition_values(problem, singletons))
+        assert (agreement.optimum, agreement.values) == (shapley.optimum, shapley.values)
+        # the rule splits the whole optimum and pays each operator its standalone value
+        assert math.isclose(agreement.total_allocated(), agreement.optimum, rel_tol=1e-9)
+        for i, t in zip(problem.members, agreement.standalone):
+            assert agreement.member_share(i) >= t - 1e-9 * agreement.optimum
         zeros += agreement.standalone.count(0.0)
     assert zeros > 0
 
